@@ -8,7 +8,14 @@ Two learners, both self-contained and deterministic under a fixed seed:
   always maps to probability 0.5).
 * ``TreeEnsembleClassifier`` -- bagged decision trees grown to purity with
   impurity (gini) splits; the predicted probability is exactly the fraction
-  of trees voting for the positive class.
+  of trees voting for the positive class. The splitter sorts a node's rows
+  once per feature and scores every cut of that feature in one vectorised
+  pass over the cumulative positive counts (the CART splitter of Breiman et
+  al., 1984), keeping the per-cut float expression and the
+  ``(impurity, feature, threshold)`` tie-break, so trees do not depend on
+  how the cuts are scored. A fitted ensemble is held as flat node arrays
+  (the nested-dict trees exist only in the model file and ``state_dict``),
+  and prediction walks all (row, tree) pairs down one level at a time.
 
 Model files are versioned JSON carrying the kind, feature schema version,
 seed and all fitted state.
@@ -130,12 +137,26 @@ class LinearMarginClassifier(ParamsMixin):
         return self
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - float((p * p).sum())
+def _cut_impurities(sorted_labels: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Weighted gini impurity of every cut in one pass; cut ``c`` sends the
+    sorted rows ``0..c`` left. Per cut and side this is the float expression
+    ``1 - ((neg/n)*(neg/n) + (pos/n)*(pos/n))``, weighted by the side sizes."""
+    n = sorted_labels.size
+    pos_prefix = np.cumsum(sorted_labels)
+    left_n = cuts + 1
+    right_n = n - left_n
+    left_pos = pos_prefix[cuts]
+    right_pos = pos_prefix[-1] - left_pos
+    left_neg = left_n - left_pos
+    right_neg = right_n - right_pos
+    left_gini = 1.0 - (
+        (left_neg / left_n) * (left_neg / left_n) + (left_pos / left_n) * (left_pos / left_n)
+    )
+    right_gini = 1.0 - (
+        (right_neg / right_n) * (right_neg / right_n)
+        + (right_pos / right_n) * (right_pos / right_n)
+    )
+    return (left_n * left_gini + right_n * right_gini) / n
 
 
 def _grow_tree(
@@ -150,13 +171,14 @@ def _grow_tree(
 ) -> dict:
     labels = y[indices]
     positive = int(labels.sum())
+    n = len(indices)
     if (
         positive == 0
-        or positive == len(labels)
-        or len(indices) <= min_leaf
+        or positive == n
+        or n <= min_leaf
         or (max_depth is not None and depth >= max_depth)
     ):
-        return {"vote": 1 if 2 * positive > len(labels) else 0}
+        return {"vote": 1 if 2 * positive > n else 0}
 
     n_features = X.shape[1]
     feature_order = rng.permutation(n_features)
@@ -168,32 +190,23 @@ def _grow_tree(
         column = X[indices, f]
         order = np.argsort(column, kind="stable")
         sorted_vals = column[order]
-        sorted_labels = labels[order]
         distinct = np.nonzero(np.diff(sorted_vals))[0]
         if distinct.size == 0:
             # constant on this node; does not count toward the feature budget
             continue
         evaluated += 1
-        pos_prefix = np.cumsum(sorted_labels)
-        total_pos = pos_prefix[-1]
-        n = len(indices)
-        for cut in distinct:
-            left_n = cut + 1
-            right_n = n - left_n
-            if left_n < min_leaf or right_n < min_leaf:
-                continue
-            left_pos = pos_prefix[cut]
-            left_counts = np.array([left_n - left_pos, left_pos], dtype=float)
-            right_counts = np.array(
-                [right_n - (total_pos - left_pos), total_pos - left_pos], dtype=float
-            )
-            impurity = (left_n * _gini(left_counts) + right_n * _gini(right_counts)) / n
-            threshold = (sorted_vals[cut] + sorted_vals[cut + 1]) / 2.0
-            key = (impurity, f, threshold)
-            if best is None or key < best:
-                best = key
+        left_n = distinct + 1
+        cuts = distinct[(left_n >= min_leaf) & (n - left_n >= min_leaf)]
+        if cuts.size == 0:
+            continue
+        impurity = _cut_impurities(labels[order], cuts)
+        i = int(np.argmin(impurity))  # first minimum = lowest threshold
+        cut = cuts[i]
+        key = (impurity[i], f, (sorted_vals[cut] + sorted_vals[cut + 1]) / 2.0)
+        if best is None or key < best:
+            best = key
     if best is None:
-        return {"vote": 1 if 2 * positive > len(labels) else 0}
+        return {"vote": 1 if 2 * positive > n else 0}
 
     _, feature, threshold = best
     mask = X[indices, feature] <= threshold
@@ -206,11 +219,73 @@ def _grow_tree(
     return {"feature": int(feature), "threshold": float(threshold), "left": left, "right": right}
 
 
-def _tree_vote(tree: dict, row: np.ndarray) -> int:
-    node = tree
-    while "vote" not in node:
-        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-    return node["vote"]
+@dataclass(frozen=True)
+class _FlatTrees:
+    """An ensemble's split nodes as parallel arrays, numbered in preorder.
+
+    A root or child reference ``r >= 0`` is split node ``r``; ``r < 0`` is a
+    leaf voting ``-1 - r``.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    @classmethod
+    def from_trees(cls, trees: list[dict]) -> "_FlatTrees":
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+
+        def ref(node: dict) -> int:
+            if "vote" in node:
+                return -1 - node["vote"]
+            i = len(feature)
+            feature.append(node["feature"])
+            threshold.append(node["threshold"])
+            left.append(0)
+            right.append(0)
+            left[i] = ref(node["left"])
+            right[i] = ref(node["right"])
+            return i
+
+        roots = [ref(tree) for tree in trees]
+        # int32 keeps the pickled pool payload smaller than the nested dicts
+        return cls(
+            roots=np.array(roots, dtype=np.int32),
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+        )
+
+    def to_trees(self) -> list[dict]:
+        def node(r: int) -> dict:
+            if r < 0:
+                return {"vote": -1 - r}
+            return {
+                "feature": int(self.feature[r]),
+                "threshold": float(self.threshold[r]),
+                "left": node(int(self.left[r])),
+                "right": node(int(self.right[r])),
+            }
+
+        return [node(int(r)) for r in self.roots]
+
+    def positive_votes(self, X: np.ndarray) -> np.ndarray:
+        """Per row, the number of trees voting 1; all (row, tree) pairs still
+        on a split node step down one level per pass."""
+        node = np.tile(self.roots, (X.shape[0], 1))
+        split = node >= 0
+        while split.any():
+            at = node[split]
+            go_left = X[np.nonzero(split)[0], self.feature[at]] <= self.threshold[at]
+            node[split] = np.where(go_left, self.left[at], self.right[at])
+            split = node >= 0
+        return (-1 - node).sum(axis=1)
 
 
 class TreeEnsembleClassifier(ParamsMixin):
@@ -244,24 +319,33 @@ class TreeEnsembleClassifier(ParamsMixin):
         max_features = self._resolve_max_features(X.shape[1])
         root_rng = np.random.default_rng(self.seed)
         tree_seeds = root_rng.integers(0, 2**63 - 1, size=self.n_trees)
-        self.trees_ = []
+        trees = []
         for tree_seed in tree_seeds:
             rng = np.random.default_rng(int(tree_seed))
             sample = np.sort(rng.integers(0, n, size=n))
-            self.trees_.append(
+            trees.append(
                 _grow_tree(
                     X, y, sample, rng, max_features, self.min_leaf, self.max_depth
                 )
             )
+        self.trees_ = trees
         self.n_features_in_ = X.shape[1]
         return self
 
+    # The fitted trees live as _FlatTrees; trees_ is their nested-dict form,
+    # which fit builds and the model file stores.
+    @property
+    def trees_(self) -> list[dict]:
+        return self.flat_trees_.to_trees()
+
+    @trees_.setter
+    def trees_(self, trees: list[dict]) -> None:
+        self.flat_trees_ = _FlatTrees.from_trees(trees)
+
     def predict_proba(self, X) -> np.ndarray:
         X = check_feature_matrix(X, self.n_features_in_)
-        votes = np.array(
-            [[_tree_vote(tree, row) for tree in self.trees_] for row in X], dtype=float
-        )
-        pos = votes.sum(axis=1) / len(self.trees_)
+        flat = self.flat_trees_
+        pos = flat.positive_votes(X) / flat.roots.size
         return np.column_stack([1.0 - pos, pos])
 
     def predict(self, X) -> np.ndarray:
@@ -323,14 +407,8 @@ def make_classifier(kind: str, seed: int, **hyperparams):
     return TreeEnsembleClassifier(seed=seed, **hyperparams)
 
 
-def train(records, kind: str, config=None, seed: int | None = None, **hyperparams) -> TrainedModel:
-    """Fit a model on (feature_vector, label) records.
-
-    ``config`` may be any object with a ``seed`` attribute (e.g. the
-    cross-validation config); an explicit ``seed`` wins over it.
-    """
-    if seed is None:
-        seed = getattr(config, "seed", 0) if config is not None else 0
+def train(records, kind: str, seed: int = 0, **hyperparams) -> TrainedModel:
+    """Fit a model on (feature_vector, label) records."""
     records = list(records)
     if not records:
         raise ValueError("no training records")

@@ -18,7 +18,7 @@ from .base import ParamsMixin
 from .corpus import AnnotationRecord, Decision
 from .detect import filter_candidates, score_candidates, select_sentence_rule_based
 from .extraction import DurationScoringConfig, ExtractionResult, extract
-from .features import featurize_candidates
+from .features import FEATURE_NAMES, featurize_candidates
 from .lexicon import Lexicon
 from .metrics import (
     ErrorCategory,
@@ -47,33 +47,59 @@ class CrossValConfig:
             raise ValueError("detection_threshold must be in [0, 1)")
 
 
-def _candidate_probabilities(
-    model: TrainedModel, decision: Decision, lexicon: Lexicon
-) -> tuple[list[int], np.ndarray]:
+_TOKEN_COUNT_COLUMN = FEATURE_NAMES.index("token_count_norm")
+
+# Candidate indices and feature rows of one decision, featurized with a
+# token-count scale of 1 so that the token_count_norm column holds the raw
+# count; ``_rescale`` applies a model's scale, so cross-validation can
+# featurize once and rescale per fold.
+RawFeatures = tuple[list[int], np.ndarray]
+
+
+def _raw_features(decision: Decision, lexicon: Lexicon) -> RawFeatures:
     candidates = filter_candidates(decision, lexicon)
-    if not candidates:
+    X = featurize_candidates(candidates, decision, lexicon, max_token_count=1)
+    return [s.index for s in candidates], X
+
+
+def _rescale(X: np.ndarray, token_scale: int) -> np.ndarray:
+    """Raw rows as featurize gives them for ``token_scale``: the same floats."""
+    X = X.copy()
+    X[:, _TOKEN_COUNT_COLUMN] /= max(token_scale, 1)
+    return X
+
+
+def _candidate_probabilities(
+    model: TrainedModel, decision: Decision, lexicon: Lexicon, raw: RawFeatures | None = None
+) -> tuple[list[int], np.ndarray]:
+    indices, X = raw if raw is not None else _raw_features(decision, lexicon)
+    if not indices:
         return [], np.empty(0)
-    X = featurize_candidates(candidates, decision, lexicon, model.token_count_scale)
-    return [s.index for s in candidates], model.predict_proba(X)
+    return indices, model.predict_proba(_rescale(X, model.token_count_scale))
+
+
+def _above_threshold(indices: list[int], probs: np.ndarray, threshold: float) -> list[int]:
+    return [idx for idx, p in zip(indices, probs) if p >= threshold]
+
+
+def _most_probable(indices: list[int], probs: np.ndarray) -> int | None:
+    if not indices:
+        return None
+    return max(zip(probs, indices))[1]
 
 
 def sentences_above_threshold(
     model: TrainedModel, decision: Decision, lexicon: Lexicon, threshold: float
 ) -> list[int]:
     """Candidate sentence indices whose punishment probability >= threshold."""
-    indices, probs = _candidate_probabilities(model, decision, lexicon)
-    return [idx for idx, p in zip(indices, probs) if p >= threshold]
+    return _above_threshold(*_candidate_probabilities(model, decision, lexicon), threshold)
 
 
 def select_sentence_supervised(
     model: TrainedModel, decision: Decision, lexicon: Lexicon
 ) -> int | None:
     """Most probable candidate sentence; ties go to the later sentence."""
-    indices, probs = _candidate_probabilities(model, decision, lexicon)
-    if not indices:
-        return None
-    best = max(zip(probs, indices))
-    return best[1]
+    return _most_probable(*_candidate_probabilities(model, decision, lexicon))
 
 
 def _gold_maps(
@@ -109,23 +135,23 @@ def build_training_records(
     annotations: list[AnnotationRecord],
     lexicon: Lexicon,
     token_scale: int | None = None,
+    raw: dict[str, RawFeatures] | None = None,
 ) -> list[tuple[np.ndarray, bool]]:
     """(feature vector, label) pairs over all candidate sentences.
 
     Candidates without an annotation record are automatic negatives, which
-    is how the keyword pre-labeling constructs the training set.
+    is how the keyword pre-labeling constructs the training set. ``raw``
+    maps case ids to precomputed ``_raw_features``, which are rescaled
+    instead of featurizing again.
     """
     labels = _label_lookup(annotations)
     if token_scale is None:
         token_scale = max_token_count(decisions)
     records = []
     for decision in decisions:
-        candidates = filter_candidates(decision, lexicon)
-        if not candidates:
-            continue
-        X = featurize_candidates(candidates, decision, lexicon, token_scale)
-        for row, sentence in zip(X, candidates):
-            records.append((row, labels.get((decision.case_id, sentence.index), False)))
+        indices, X = raw[decision.case_id] if raw is not None else _raw_features(decision, lexicon)
+        for row, index in zip(_rescale(X, token_scale), indices):
+            records.append((row, labels.get((decision.case_id, index), False)))
     return records
 
 
@@ -135,10 +161,11 @@ def train_on_decisions(
     lexicon: Lexicon,
     kind: str,
     seed: int = 0,
+    raw: dict[str, RawFeatures] | None = None,
     **hyperparams,
 ) -> TrainedModel:
     token_scale = max_token_count(decisions)
-    records = build_training_records(decisions, annotations, lexicon, token_scale)
+    records = build_training_records(decisions, annotations, lexicon, token_scale, raw)
     model = train(records, kind, seed=seed, **hyperparams)
     model.token_count_scale = token_scale
     return model
@@ -267,16 +294,19 @@ def cross_validate(
     scoring: DurationScoringConfig = DurationScoringConfig(),
     **hyperparams,
 ) -> EvaluationReport:
-    """Document-level k-fold evaluation; every decision is tested once."""
+    """Document-level k-fold evaluation; every decision is tested once.
+
+    Each decision is filtered and featurized once; every fold rescales the
+    token counts to its own training scale and scores each test decision's
+    candidates once, for both the detection threshold and the argmax.
+    """
     if len(decisions) < config.num_folds:
         raise ValueError(
             f"fewer decisions than folds ({len(decisions)} < {config.num_folds})"
         )
     folds = make_folds([d.case_id for d in decisions], config.num_folds, config.seed)
     by_id = {d.case_id: d for d in decisions}
-    anns_by_case: dict[str, list[AnnotationRecord]] = {}
-    for record in annotations:
-        anns_by_case.setdefault(record.case_id, []).append(record)
+    raw = {d.case_id: _raw_features(d, lexicon) for d in decisions}
 
     selections: dict[str, int | None] = {}
     months: dict[str, int | None] = {}
@@ -289,15 +319,20 @@ def cross_validate(
         ]
         assert test_ids.isdisjoint(d.case_id for d in train_decisions)
         model = train_on_decisions(
-            train_decisions, train_annotations, lexicon, kind, seed=config.seed, **hyperparams
+            train_decisions,
+            train_annotations,
+            lexicon,
+            kind,
+            seed=config.seed,
+            raw=raw,
+            **hyperparams,
         )
         for case_id in fold:
             decision = by_id[case_id]
-            for idx in sentences_above_threshold(
-                model, decision, lexicon, config.detection_threshold
-            ):
+            indices, probs = _candidate_probabilities(model, decision, lexicon, raw[case_id])
+            for idx in _above_threshold(indices, probs, config.detection_threshold):
                 detected.add((case_id, idx))
-            chosen = select_sentence_supervised(model, decision, lexicon)
+            chosen = _most_probable(indices, probs)
             selections[case_id] = chosen
             months[case_id] = extract(decision, chosen, lexicon, scoring).months
 

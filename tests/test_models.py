@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maasar.corpus import Decision
 from maasar.features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, NUM_FEATURES, featurize
 from maasar.models import (
     LinearMarginClassifier,
+    TrainedModel,
     TreeEnsembleClassifier,
+    _cut_impurities,
+    _grow_tree,
     load_model,
     predict_proba,
     save_model,
@@ -188,3 +193,194 @@ class TestSchemaGuard:
         assert train(records, "rf").kind == "tree_ensemble"
         with pytest.raises(ValueError, match="unknown model kind"):
             train(records, "boosting")
+
+
+# Reference implementations: the per-cut splitter and the per-row, per-tree
+# vote loop that the vectorised splitter and the flattened predictor replace.
+def reference_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - float((p * p).sum())
+
+
+def reference_grow_tree(X, y, indices, rng, max_features, min_leaf, max_depth, depth=0):
+    labels = y[indices]
+    positive = int(labels.sum())
+    if (
+        positive == 0
+        or positive == len(labels)
+        or len(indices) <= min_leaf
+        or (max_depth is not None and depth >= max_depth)
+    ):
+        return {"vote": 1 if 2 * positive > len(labels) else 0}
+    feature_order = rng.permutation(X.shape[1])
+    evaluated = 0
+    best = None
+    for f in feature_order:
+        if evaluated >= max_features:
+            break
+        column = X[indices, f]
+        order = np.argsort(column, kind="stable")
+        sorted_vals = column[order]
+        sorted_labels = labels[order]
+        distinct = np.nonzero(np.diff(sorted_vals))[0]
+        if distinct.size == 0:
+            continue
+        evaluated += 1
+        pos_prefix = np.cumsum(sorted_labels)
+        total_pos = pos_prefix[-1]
+        n = len(indices)
+        for cut in distinct:
+            left_n = cut + 1
+            right_n = n - left_n
+            if left_n < min_leaf or right_n < min_leaf:
+                continue
+            left_pos = pos_prefix[cut]
+            left_counts = np.array([left_n - left_pos, left_pos], dtype=float)
+            right_counts = np.array(
+                [right_n - (total_pos - left_pos), total_pos - left_pos], dtype=float
+            )
+            impurity = (
+                left_n * reference_gini(left_counts) + right_n * reference_gini(right_counts)
+            ) / n
+            threshold = (sorted_vals[cut] + sorted_vals[cut + 1]) / 2.0
+            key = (impurity, f, threshold)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return {"vote": 1 if 2 * positive > len(labels) else 0}
+    _, feature, threshold = best
+    mask = X[indices, feature] <= threshold
+    args = (rng, max_features, min_leaf, max_depth, depth + 1)
+    left = reference_grow_tree(X, y, indices[mask], *args)
+    right = reference_grow_tree(X, y, indices[~mask], *args)
+    return {"feature": int(feature), "threshold": float(threshold), "left": left, "right": right}
+
+
+def reference_tree_vote(tree, row):
+    node = tree
+    while "vote" not in node:
+        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+    return node["vote"]
+
+
+def reference_predict_proba(trees, X):
+    votes = np.array([[reference_tree_vote(t, row) for t in trees] for row in X], dtype=float)
+    pos = votes.sum(axis=1) / len(trees)
+    return np.column_stack([1.0 - pos, pos])
+
+
+def reference_fit_trees(clf, X, y):
+    """The trees TreeEnsembleClassifier.fit grows, via the reference splitter."""
+    max_features = clf._resolve_max_features(X.shape[1])
+    tree_seeds = np.random.default_rng(clf.seed).integers(0, 2**63 - 1, size=clf.n_trees)
+    trees = []
+    for tree_seed in tree_seeds:
+        rng = np.random.default_rng(int(tree_seed))
+        sample = np.sort(rng.integers(0, len(y), size=len(y)))
+        trees.append(
+            reference_grow_tree(X, y, sample, rng, max_features, clf.min_leaf, clf.max_depth)
+        )
+    return trees
+
+
+@st.composite
+def tied_problems(draw):
+    """Small matrices drawn from a few values, so that ties are frequent."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 4))
+    levels = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (-1.0, 0.0, 0.25, 2.0, 3.5)]))
+    cells = draw(st.lists(st.sampled_from(levels), min_size=n * d, max_size=n * d))
+    labels = draw(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda v: 0 < sum(v) < n)
+    )
+    return np.array(cells, dtype=float).reshape(n, d), np.array(labels, dtype=int)
+
+
+class TestSplitterAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.integers(0, 1), min_size=2, max_size=300))
+    def test_cut_impurities_bitwise_equal_per_cut_formula(self, labels):
+        labels = np.array(labels, dtype=int)
+        n = labels.size
+        cuts = np.arange(n - 1)
+        pos_prefix = np.cumsum(labels)
+        expected = []
+        for cut in cuts:
+            left_n, left_pos = cut + 1, pos_prefix[cut]
+            right_n, right_pos = n - left_n, pos_prefix[-1] - left_pos
+            left = np.array([left_n - left_pos, left_pos], dtype=float)
+            right = np.array([right_n - right_pos, right_pos], dtype=float)
+            expected.append((left_n * reference_gini(left) + right_n * reference_gini(right)) / n)
+        assert _cut_impurities(labels, cuts).tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        problem=tied_problems(),
+        min_leaf=st.sampled_from([1, 2, 3]),
+        max_depth=st.sampled_from([None, 1, 3]),
+        max_features=st.sampled_from([1, 2, "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_trees_and_model_bytes(
+        self, problem, min_leaf, max_depth, max_features, seed, tmp_path_factory
+    ):
+        X, y = problem
+        clf = TreeEnsembleClassifier(
+            n_trees=4, max_features=max_features, min_leaf=min_leaf, max_depth=max_depth, seed=seed
+        ).fit(X, y)
+        expected = reference_fit_trees(clf, X, y)
+        assert clf.trees_ == expected
+
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        indices = np.arange(len(y))
+        resolved = clf._resolve_max_features(X.shape[1])
+        assert _grow_tree(X, y, indices, rng_a, resolved, min_leaf, max_depth) == (
+            reference_grow_tree(X, y, indices, rng_b, resolved, min_leaf, max_depth)
+        )
+
+        reference = TreeEnsembleClassifier(**clf.get_params())
+        reference.trees_ = expected
+        reference.n_features_in_ = clf.n_features_in_
+        directory = tmp_path_factory.mktemp("models")
+        files = []
+        for name, classifier in (("fast", clf), ("reference", reference)):
+            files.append(directory / f"{name}.json")
+            model = TrainedModel("tree_ensemble", classifier, FEATURE_SCHEMA_VERSION, seed)
+            save_model(model, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        problem=tied_problems(),
+        max_depth=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.sampled_from([0.0, 0.25, -0.5]),
+    )
+    def test_flat_predict_proba_matches_tree_walk(self, problem, max_depth, seed, shift):
+        X, y = problem
+        clf = TreeEnsembleClassifier(n_trees=7, max_depth=max_depth, seed=seed).fit(X, y)
+        # rows on, beside and between the split thresholds
+        queries = np.vstack([X, X + shift])
+        expected = reference_predict_proba(clf.trees_, queries)
+        assert clf.predict_proba(queries).tobytes() == expected.tobytes()
+
+    def test_trees_round_trip_through_flat_form(self):
+        trees = [
+            {"vote": 1},
+            {"feature": 2, "threshold": 0.5, "left": {"vote": 0}, "right": {"vote": 1}},
+            {
+                "feature": 0,
+                "threshold": -1.25,
+                "left": {"feature": 1, "threshold": 3.0, "left": {"vote": 1}, "right": {"vote": 0}},
+                "right": {"vote": 0},
+            },
+        ]
+        clf = TreeEnsembleClassifier(n_trees=3)
+        clf.trees_ = trees
+        clf.n_features_in_ = 3
+        assert clf.trees_ == trees
+        X = np.array([[-2.0, 3.0, 0.5], [-1.25, 3.5, 0.75], [0.0, 0.0, 0.0]])
+        assert clf.predict_proba(X).tobytes() == reference_predict_proba(trees, X).tobytes()

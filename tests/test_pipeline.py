@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
 
+from maasar import pipeline
 from maasar.corpus import Decision
+from maasar.detect import filter_candidates
+from maasar.extraction import extract
+from maasar.features import featurize_candidates
+from maasar.models import TrainedModel
 from maasar.pipeline import (
     CrossValConfig,
     PunishmentExtractor,
+    _raw_features,
+    _rescale,
+    assemble_report,
     cross_validate,
     evaluate_rule_based,
     make_folds,
+    max_token_count,
     select_sentence_supervised,
     sentences_above_threshold,
+    train_on_decisions,
 )
+from maasar.synthetic import generate_corpus
 from samples import FINE_ROW, PRIOR_CASE_ROW, SIMPLE_VERDICT
 
 FILLER = "בית המשפט שמע את טיעוני הצדדים."
@@ -152,6 +163,99 @@ class TestCrossValidate:
             CrossValConfig(num_folds=5, seed=0),
         )
         assert report.detection.recall == 1.0
+
+
+def per_fold_report(decisions, annotations, lexicon, kind, config):
+    """cross_validate assembled fold by fold from the public per-decision
+    path, which featurizes every fold's decisions again at its own scale."""
+    by_id = {d.case_id: d for d in decisions}
+    selections, months, detected = {}, {}, set()
+    for fold in make_folds(list(by_id), config.num_folds, config.seed):
+        test_ids = set(fold)
+        model = train_on_decisions(
+            [d for d in decisions if d.case_id not in test_ids],
+            [r for r in annotations if r.case_id not in test_ids],
+            lexicon,
+            kind,
+            seed=config.seed,
+        )
+        for case_id in fold:
+            decision = by_id[case_id]
+            threshold = config.detection_threshold
+            for idx in sentences_above_threshold(model, decision, lexicon, threshold):
+                detected.add((case_id, idx))
+            selections[case_id] = select_sentence_supervised(model, decision, lexicon)
+            months[case_id] = extract(decision, selections[case_id], lexicon).months
+    return assemble_report(decisions, annotations, lexicon, selections, detected, months)
+
+
+class TestFeaturizeOnceCrossValidation:
+    @pytest.fixture(scope="class")
+    def corpus(self, lexicon):
+        """Synthetic sentences are at most 20 tokens long, so a few decisions
+        get a longer closing sentence to give the folds different scales."""
+        corpus = generate_corpus(lexicon.numerals, num_decisions=60, seed=23)
+        decisions = list(corpus.decisions)
+        for i, length in ((0, 31), (17, 44), (40, 26)):
+            d = decisions[i]
+            tail = " ".join(["הדיון"] * length) + "."
+            decisions[i] = Decision.from_text(d.case_id, f"{d.raw_text} {tail}", d.year, d.court)
+        return decisions, corpus.annotations
+
+    @pytest.mark.parametrize("kind", ["rf", "svm"])
+    def test_report_equals_per_fold_path(self, lexicon, corpus, kind):
+        decisions, annotations = corpus
+        config = CrossValConfig(num_folds=5, seed=3, detection_threshold=0.4)
+        folds = make_folds([d.case_id for d in decisions], 5, 3)
+        scales = {
+            max_token_count([d for d in decisions if d.case_id not in set(fold)])
+            for fold in folds
+        }
+        assert len(scales) > 1  # the folds really rescale differently
+        report = cross_validate(decisions, annotations, lexicon, kind, config)
+        assert report == per_fold_report(decisions, annotations, lexicon, kind, config)
+
+    @pytest.mark.parametrize("kind", ["rf", "svm"])
+    def test_learner_sees_the_per_fold_rows(self, lexicon, corpus, kind, monkeypatch):
+        """Byte-equal training and scoring inputs, fold by fold, so a wrong
+        token_count_norm scale shows even where it flips no prediction."""
+        decisions, annotations = corpus
+        config = CrossValConfig(num_folds=5, seed=3)
+        seen = []
+        original_train = pipeline.train
+        original_predict = TrainedModel.predict_proba
+
+        def recording_train(records, *args, **kwargs):
+            seen.append(("fit", np.vstack([row for row, _ in records]).tobytes()))
+            return original_train(records, *args, **kwargs)
+
+        def recording_predict(model, features):
+            seen.append(("score", np.asarray(features).tobytes()))
+            return original_predict(model, features)
+
+        monkeypatch.setattr(pipeline, "train", recording_train)
+        monkeypatch.setattr(TrainedModel, "predict_proba", recording_predict)
+        cross_validate(decisions, annotations, lexicon, kind, config)
+        featurize_once, seen[:] = list(seen), []
+        per_fold_report(decisions, annotations, lexicon, kind, config)
+        per_fold = []
+        entries = iter(seen)
+        for entry in entries:
+            if entry[0] == "score":
+                # threshold and argmax each score the test decision again
+                assert next(entries) == entry
+            per_fold.append(entry)
+        assert featurize_once == per_fold
+
+    def test_rescaled_rows_equal_featurized_rows(self, lexicon, corpus):
+        decisions, _ = corpus
+        for decision in decisions:
+            indices, raw = _raw_features(decision, lexicon)
+            candidates = filter_candidates(decision, lexicon)
+            assert indices == [s.index for s in candidates]
+            for scale in (0, 1, 7, 33, max_token_count(decisions)):
+                direct = featurize_candidates(candidates, decision, lexicon, scale)
+                assert _rescale(raw, scale).tobytes() == direct.tobytes()
 
 
 class TestRuleBasedEvaluation:
