@@ -5,6 +5,7 @@ parse and normalize its duration to months. Ships rule-based and trainable
 selectors, a Hebrew numeral parser, an evaluation harness, and a CLI.
 """
 
+from .analysis import SentenceAnalysis, analyse
 from .corpus import (
     AnnotationRecord,
     CorpusStats,
@@ -19,6 +20,7 @@ from .corpus import (
 from .detect import (
     RuleBasedSelector,
     ScoredSentence,
+    choose_rule_based,
     filter_candidates,
     rule_score,
     select_sentence_rule_based,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .corpus import corpus_stats, load_annotations, load_corpus, prelabel_negatives
-from .detect import rule_score, select_sentence_rule_based
+from .detect import choose_rule_based
 from .extraction import DurationScoringConfig, extract
 from .lexicon import Lexicon, load_lexicon
 from .metrics import punishment_histogram
@@ -53,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
@@ -130,39 +138,49 @@ def _annotations_or_fail(args) -> list:
     return result.records
 
 
-def _detect_one(payload):
-    decision, lexicon = payload
-    chosen = select_sentence_rule_based(decision, lexicon)
-    if chosen is None:
-        return {
-            "case_id": decision.case_id,
-            "sentence_index": None,
-            "score": None,
-            "text": None,
-        }
-    scored = rule_score(decision.sentences[chosen], lexicon)
+def _detect_one(lexicon: Lexicon, decision):
+    best = choose_rule_based(decision, lexicon)
     return {
         "case_id": decision.case_id,
-        "sentence_index": chosen,
-        "score": scored.score,
-        "text": decision.sentences[chosen].text,
+        "sentence_index": best.sentence_index if best else None,
+        "score": best.score if best else None,
+        "text": best.analysis.sentence.text if best else None,
     }
 
 
-def _extract_one(payload):
-    decision, selector_state, lexicon, scoring = payload
-    if selector_state is None:
-        chosen = select_sentence_rule_based(decision, lexicon)
+def _extract_one(state, decision):
+    model, lexicon, scoring = state
+    if model is None:
+        best = choose_rule_based(decision, lexicon)
+        chosen = best and best.analysis
     else:
-        chosen = select_sentence_supervised(selector_state, decision, lexicon)
+        chosen = select_sentence_supervised(model, decision, lexicon)
     return extract(decision, chosen, lexicon, scoring).to_dict()
 
 
-def _map_jobs(fn, payloads, jobs: int):
-    if jobs <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
+# Pool workers receive the shared state (lexicon, model, scoring config) once,
+# through the pool initializer; each task then carries only its decisions.
+_MAX_CHUNK = 16
+_worker_state = None
+
+
+def _init_worker(state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _call_with_worker_state(fn, item):
+    return fn(_worker_state, item)
+
+
+def _map_jobs(fn, state, items: list, jobs: int) -> list:
+    """``[fn(state, item) for item in items]``, over ``jobs`` processes."""
+    if jobs == 1:
+        return [fn(state, item) for item in items]
+    chunksize = max(1, min(_MAX_CHUNK, len(items) // (4 * jobs)))
+    with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(state,)) as pool:
+        task = functools.partial(_call_with_worker_state, fn)
+        return list(pool.map(task, items, chunksize=chunksize))
 
 
 def _cmd_segment(args) -> int:
@@ -206,7 +224,7 @@ def _cmd_prelabel(args) -> int:
 def _cmd_detect(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
-    rows = _map_jobs(_detect_one, [(d, lexicon) for d in decisions], args.jobs)
+    rows = _map_jobs(_detect_one, lexicon, decisions, args.jobs)
     rows.sort(key=lambda r: r["case_id"])
     _emit(args.out, _jsonl(rows))
     return 0
@@ -226,8 +244,7 @@ def _cmd_extract(args) -> int:
     lexicon = _load_lexicon_with_overrides(args)
     scoring = _scoring_config(args)
     model = load_model(args.model) if args.model else None
-    payloads = [(d, model, lexicon, scoring) for d in decisions]
-    rows = _map_jobs(_extract_one, payloads, args.jobs)
+    rows = _map_jobs(_extract_one, (model, lexicon, scoring), decisions, args.jobs)
     rows.sort(key=lambda r: r["case_id"])
     _emit(args.out, _jsonl(rows))
     if args.histogram_csv:
@@ -324,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     _add_lexicon_args(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("train", help="train a sentence classifier")
@@ -344,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", default=None, help="trained model file")
     group.add_argument("--rule-based", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--histogram-csv", default=None)
     p.add_argument("--bucket-months", type=int, default=12)
     p.set_defaults(func=_cmd_extract)

@@ -3,7 +3,14 @@
 A corpus is a directory of UTF-8 ``.txt`` files (one decision each) plus a
 ``metadata.json`` sidecar: an array of ``{filename, case_id, year, court}``
 objects. Annotations are line-delimited JSON records with keys ``case_id``,
-``sentence_index``, ``is_punishment`` and (for positives) ``months``.
+``sentence_index``, ``is_punishment`` and (for positives) ``months``. A
+malformed metadata entry, file or annotation line becomes a ``LoadError``
+for that record and loading goes on. Integer and boolean fields must have
+their JSON type: ``"false"`` is not false and ``1.9`` is not a month count.
+
+``segment_sentences`` jumps from one run of terminal punctuation to the next
+with a compiled regular expression, so its cost grows with the number of
+runs rather than the number of characters.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -24,7 +32,7 @@ DEFAULT_ABBREVIATIONS = frozenset(
     ["ת.פ", "ע.פ", "ת.א", "בג.ץ", "מ.י", "ד.נ", "פרופ", "עמ", "מס", "טל"]
 )
 
-_TERMINALS = ".?!"
+_TERMINAL_RUN = re.compile(r"[.?!]+")
 _OPENERS = "([{\"'"
 
 
@@ -36,9 +44,6 @@ class Sentence:
     text: str
     token_count: int
     relative_position: float
-
-    def tokens(self) -> list[str]:
-        return self.text.split()
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,20 @@ class AnnotationLoadResult(NamedTuple):
     errors: list[LoadError]
 
 
+def _json_int(obj: dict, key: str) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_bool(obj: dict, key: str) -> bool:
+    value = obj[key]
+    if not isinstance(value, bool):
+        raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def _is_abbreviation(word: str, abbreviations: frozenset) -> bool:
     word = word.lstrip(_OPENERS)
     if not word:
@@ -141,34 +160,28 @@ def segment_sentences(
 ) -> list[Sentence]:
     """Split text into sentences on terminal punctuation (. ? !).
 
-    A terminal run only splits when followed by whitespace or end of text,
-    which keeps decimal numbers, dates (31.5.12) and docket tokens (1124/04)
-    intact; a period preceded by a configured abbreviation or a single-letter
-    initial never splits.
+    A maximal run of terminals only splits when followed by whitespace or
+    end of text, which keeps decimal numbers, dates (31.5.12) and docket
+    tokens (1124/04) intact; a lone period never splits after a configured
+    abbreviation (the word back to the previous whitespace, opening
+    brackets and quotes stripped).
     """
     abbrev = frozenset(abbreviations)
     chunks: list[str] = []
     start = 0
-    i = 0
     n = len(raw_text)
-    while i < n:
-        ch = raw_text[i]
-        if ch in _TERMINALS:
-            j = i
-            while j + 1 < n and raw_text[j + 1] in _TERMINALS:
-                j += 1
-            followed_ok = j + 1 >= n or raw_text[j + 1].isspace()
-            if followed_ok:
-                word_start = i
-                while word_start > start and not raw_text[word_start - 1].isspace():
-                    word_start -= 1
-                word = raw_text[word_start:i]
-                if not (raw_text[i] == "." and i == j and _is_abbreviation(word, abbrev)):
-                    chunks.append(raw_text[start : j + 1])
-                    start = j + 1
-            i = j + 1
-        else:
-            i += 1
+    for run in _TERMINAL_RUN.finditer(raw_text):
+        i, end = run.span()
+        if end < n and not raw_text[end].isspace():
+            continue
+        if end - i == 1 and raw_text[i] == ".":
+            word_start = i
+            while word_start > start and not raw_text[word_start - 1].isspace():
+                word_start -= 1
+            if _is_abbreviation(raw_text[word_start:i], abbrev):
+                continue
+        chunks.append(raw_text[start:end])
+        start = end
     if start < n:
         chunks.append(raw_text[start:])
 
@@ -197,8 +210,10 @@ def load_corpus(
     """Load every ``.txt`` decision in a directory, sorted by case_id.
 
     ``metadata_path`` defaults to ``metadata.json`` inside the directory.
-    Problems are collected per file (unreadable file, bad encoding, missing
-    metadata, duplicate case_id) and loading continues past them.
+    Problems are collected per file or metadata entry (unreadable file, bad
+    encoding, missing or malformed metadata, duplicate case_id) and loading
+    continues past them; a metadata file that is not a JSON array is one
+    error and loads nothing.
     """
     directory = Path(directory_path)
     if metadata_path is None:
@@ -211,9 +226,18 @@ def load_corpus(
     except (OSError, json.JSONDecodeError) as exc:
         return CorpusLoadResult([], [LoadError(str(metadata_path), str(exc))])
 
+    if not isinstance(raw_meta, list):
+        error = LoadError(str(metadata_path), "metadata is not a JSON array")
+        return CorpusLoadResult([], [error])
     by_filename: dict[str, dict] = {}
-    for entry in raw_meta:
-        by_filename[entry["filename"]] = entry
+    for position, entry in enumerate(raw_meta):
+        source = f"{metadata_path}[{position}]"
+        if not isinstance(entry, dict):
+            errors.append(LoadError(source, "metadata entry is not a JSON object"))
+        elif not isinstance(entry.get("filename"), str):
+            errors.append(LoadError(source, "metadata entry has no filename string"))
+        else:
+            by_filename[entry["filename"]] = entry
 
     decisions = []
     seen_ids: set[str] = set()
@@ -235,19 +259,24 @@ def load_corpus(
                 LoadError(path.name, f"not valid UTF-8 at byte offset {exc.start}")
             )
             continue
-        case_id = str(meta["case_id"])
+        case_id = str(meta.get("case_id", ""))
         if not case_id:
             errors.append(LoadError(path.name, "empty case_id"))
             continue
         if case_id in seen_ids:
             errors.append(LoadError(path.name, f"duplicate case_id {case_id!r}"))
             continue
+        try:
+            year = _json_int(meta, "year") if "year" in meta else 0
+        except TypeError as exc:
+            errors.append(LoadError(path.name, str(exc)))
+            continue
         seen_ids.add(case_id)
         decisions.append(
             Decision.from_text(
                 case_id=case_id,
                 raw_text=text,
-                year=int(meta.get("year", 0)),
+                year=year,
                 court=str(meta.get("court", "")),
                 abbreviations=abbreviations,
             )
@@ -281,9 +310,9 @@ def load_annotations(path: str | Path) -> AnnotationLoadResult:
             try:
                 record = AnnotationRecord(
                     case_id=str(obj["case_id"]),
-                    sentence_index=int(obj["sentence_index"]),
-                    is_punishment=bool(obj["is_punishment"]),
-                    months=int(obj["months"]) if "months" in obj else None,
+                    sentence_index=_json_int(obj, "sentence_index"),
+                    is_punishment=_json_bool(obj, "is_punishment"),
+                    months=_json_int(obj, "months") if "months" in obj else None,
                 )
                 record.validate()
             except (KeyError, TypeError, ValueError) as exc:

@@ -5,25 +5,44 @@ from its tier hits plus structural cues (a number with a time unit is a
 good sign, a bare number or a fine marker is not), and the best candidate
 above the threshold wins, ties going to the sentence closest to the end
 of the decision.
+
+Each candidate is analysed once (``analysis.SentenceAnalysis``) and its
+``ScoredSentence`` carries that analysis, so a caller that goes on to
+extract the months (``choose_rule_based`` then ``extraction.extract``) or to
+report the score reuses it instead of analysing the chosen sentence again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
+from .analysis import SentenceAnalysis, analyse
 from .base import ParamsMixin
 from .corpus import Decision, Sentence
-from .lexicon import Lexicon, TierHits, match_tiers
-from .numbers import detect_spans
+from .lexicon import Lexicon, TierHits
 
 
 @dataclass(frozen=True)
 class ScoredSentence:
-    sentence_index: int
+    analysis: SentenceAnalysis
     score: float
-    tier_hits: TierHits
-    has_number: bool
-    has_time_unit: bool
+
+    @property
+    def sentence_index(self) -> int:
+        return self.analysis.sentence.index
+
+    @property
+    def tier_hits(self) -> TierHits:
+        return self.analysis.tier_hits
+
+    @property
+    def has_number(self) -> bool:
+        return self.analysis.has_number
+
+    @property
+    def has_time_unit(self) -> bool:
+        return self.analysis.has_time_unit
 
 
 def filter_candidates(decision: Decision, lexicon: Lexicon) -> list[Sentence]:
@@ -37,44 +56,43 @@ def filter_candidates(decision: Decision, lexicon: Lexicon) -> list[Sentence]:
 
 def rule_score(sentence: Sentence, lexicon: Lexicon) -> ScoredSentence:
     """Tier-weighted score with structural adjustments."""
-    hits = match_tiers(sentence, lexicon)
-    spans = detect_spans(sentence, lexicon.numerals)
-    has_number = bool(spans)
-    has_time_unit = any(s.attached_unit is not None for s in spans)
-
-    score = hits.weighted_sum()
+    analysis = analyse(sentence, lexicon)
+    score = analysis.tier_hits.weighted_sum()
     structural = lexicon.structural
-    if has_number and has_time_unit:
+    if analysis.has_number and analysis.has_time_unit:
         score += structural.number_with_unit_bonus
-    elif has_number:
+    elif analysis.has_number:
         score += structural.number_without_unit_penalty
-    fine_hits = len(lexicon.marker_positions(sentence.text, lexicon.fine_markers))
-    score += structural.fine_marker_penalty * fine_hits
-
-    return ScoredSentence(
-        sentence_index=sentence.index,
-        score=score,
-        tier_hits=hits,
-        has_number=has_number,
-        has_time_unit=has_time_unit,
-    )
+    score += structural.fine_marker_penalty * len(analysis.fine_positions)
+    return ScoredSentence(analysis, score)
 
 
 def score_candidates(decision: Decision, lexicon: Lexicon) -> list[ScoredSentence]:
+    """Each candidate analysed and scored once, in document order."""
     return [rule_score(s, lexicon) for s in filter_candidates(decision, lexicon)]
 
 
-def select_sentence_rule_based(decision: Decision, lexicon: Lexicon) -> int | None:
+def best_scored(scored: Iterable[ScoredSentence], threshold: float) -> ScoredSentence | None:
     """Highest-scoring candidate at or above the threshold; ties go late."""
     best: ScoredSentence | None = None
-    for scored in score_candidates(decision, lexicon):
-        if scored.score < lexicon.threshold:
+    for candidate in scored:
+        if candidate.score < threshold:
             continue
-        if best is None or (scored.score, scored.sentence_index) > (
+        if best is None or (candidate.score, candidate.sentence_index) > (
             best.score,
             best.sentence_index,
         ):
-            best = scored
+            best = candidate
+    return best
+
+
+def choose_rule_based(decision: Decision, lexicon: Lexicon) -> ScoredSentence | None:
+    """The decision's best candidate (see ``best_scored``), with its analysis."""
+    return best_scored(score_candidates(decision, lexicon), lexicon.threshold)
+
+
+def select_sentence_rule_based(decision: Decision, lexicon: Lexicon) -> int | None:
+    best = choose_rule_based(decision, lexicon)
     return best.sentence_index if best else None
 
 

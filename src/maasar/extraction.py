@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .analysis import SentenceAnalysis, analyse
 from .corpus import Decision, Sentence
 from .lexicon import Lexicon
 from .numbers import NumberSpan, detect_spans, span_months
@@ -80,7 +81,7 @@ def try_decomposition(spans: list[NumberSpan]) -> int | None:
     return span_months(candidate.actual) if candidate else None
 
 
-def _distance_to_markers(span: NumberSpan, positions: list[int]) -> int | None:
+def _distance_to_markers(span: NumberSpan, positions: tuple[int, ...]) -> int | None:
     if not positions:
         return None
 
@@ -95,7 +96,7 @@ def _distance_to_markers(span: NumberSpan, positions: list[int]) -> int | None:
 
 
 def score_duration_candidates(
-    sentence: Sentence,
+    sentence: Sentence | SentenceAnalysis,
     spans: list[NumberSpan],
     lexicon: Lexicon,
     config: DurationScoringConfig = DurationScoringConfig(),
@@ -108,21 +109,18 @@ def score_duration_candidates(
     if not candidates:
         return None
 
-    text = sentence.text
-    actual_pos = lexicon.marker_positions(text, lexicon.actual_markers)
-    probation_pos = lexicon.marker_positions(text, lexicon.probation_markers)
-    fine_pos = lexicon.marker_positions(text, lexicon.fine_markers)
-    n_tokens = max(sentence.token_count, 1)
+    analysis = sentence if isinstance(sentence, SentenceAnalysis) else analyse(sentence, lexicon)
+    n_tokens = max(analysis.sentence.token_count, 1)
 
     def score(span: NumberSpan) -> float:
         value = config.unit_proximity_weight / (1.0 + span.unit_distance)
-        d_actual = _distance_to_markers(span, actual_pos)
+        d_actual = _distance_to_markers(span, analysis.actual_positions)
         if d_actual is not None:
             value += config.actual_marker_weight / (1.0 + d_actual)
-        d_prob = _distance_to_markers(span, probation_pos)
+        d_prob = _distance_to_markers(span, analysis.probation_positions)
         if d_prob is not None and d_prob <= config.marker_window:
             value -= config.probation_penalty
-        d_fine = _distance_to_markers(span, fine_pos)
+        d_fine = _distance_to_markers(span, analysis.fine_positions)
         if d_fine is not None and d_fine <= config.marker_window:
             value -= config.fine_penalty
         value += config.position_bonus * (span.start_token / max(n_tokens - 1, 1))
@@ -134,22 +132,31 @@ def score_duration_candidates(
 
 def extract(
     decision: Decision,
-    sentence_index: int | None,
+    chosen: int | SentenceAnalysis | None,
     lexicon: Lexicon,
     config: DurationScoringConfig = DurationScoringConfig(),
     include_half: bool = True,
 ) -> ExtractionResult:
-    """Full duration extraction for one decision, given the chosen sentence."""
-    if sentence_index is None:
+    """Full duration extraction for one decision, given the chosen sentence.
+
+    ``chosen`` is the sentence's index, or its analysis when the selector
+    already made one (``detect.ScoredSentence.analysis``).
+    """
+    if chosen is None:
         return ExtractionResult(decision.case_id, None, None, "none")
-    sentence = decision.sentences[sentence_index]
-    spans = detect_spans(sentence, lexicon.numerals, include_half)
+    if isinstance(chosen, int):
+        sentence_index, analysis = chosen, analyse(decision.sentences[chosen], lexicon)
+    else:
+        sentence_index, analysis = chosen.sentence.index, chosen
+    spans = list(analysis.spans)
+    if not include_half:
+        spans = detect_spans(analysis.sentence, lexicon.numerals, False, analysis.stripped)
     months = try_decomposition(spans)
     if months is not None:
         return ExtractionResult(
             decision.case_id, sentence_index, months, "decomposition", tuple(spans)
         )
-    months = score_duration_candidates(sentence, spans, lexicon, config)
+    months = score_duration_candidates(analysis, spans, lexicon, config)
     if months is not None:
         return ExtractionResult(
             decision.case_id, sentence_index, months, "scored", tuple(spans)

@@ -11,9 +11,9 @@ import re
 
 import numpy as np
 
+from .analysis import analyse
 from .corpus import Decision, Sentence
-from .lexicon import Lexicon, match_tiers
-from .numbers import detect_spans
+from .lexicon import Lexicon
 
 FEATURE_SCHEMA_VERSION = 1
 
@@ -49,9 +49,8 @@ def featurize(
     ``max_token_count`` is the normalization constant for sentence length;
     when omitted, the longest sentence of the decision is used.
     """
-    hits = match_tiers(sentence, lexicon)
-    spans = detect_spans(sentence, lexicon.numerals)
-    has_unit = any(s.attached_unit is not None for s in spans)
+    analysis = analyse(sentence, lexicon)
+    hits = analysis.tier_hits
     if max_token_count is None:
         max_token_count = max((s.token_count for s in decision.sentences), default=1)
     max_token_count = max(max_token_count, 1)
@@ -61,11 +60,11 @@ def featurize(
         float(hits.moderate_positive),
         float(hits.moderate_negative),
         float(hits.strong_negative),
-        1.0 if spans else 0.0,
-        1.0 if has_unit else 0.0,
-        float(len(spans)),
-        float(len(lexicon.marker_positions(sentence.text, lexicon.fine_markers))),
-        float(len(lexicon.marker_positions(sentence.text, lexicon.probation_markers))),
+        1.0 if analysis.has_number else 0.0,
+        1.0 if analysis.has_time_unit else 0.0,
+        float(len(analysis.spans)),
+        float(len(analysis.fine_positions)),
+        float(len(analysis.probation_positions)),
         float(len(DOCKET_RE.findall(sentence.text))),
         sentence.relative_position,
         sentence.token_count / max_token_count,

@@ -4,6 +4,15 @@ The lexicon is data, not code: a JSON document with one array per scored
 tier (entries ``{"surface": ..., "weight": optional}``), the filter/marker
 lists, the time-unit surface forms, and a sibling ``numerals`` section.
 A default Hebrew lexicon ships with the package and is meant to be edited.
+
+Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
+into ``PhraseIndex`` tables keyed by a phrase's first word: one for the four
+tiers and one for each marker list. ``match_tiers`` and
+``Lexicon.marker_positions`` then look each stripped token up once, so a
+sentence costs O(tokens) however long the lists are; this is the token-level
+case of Aho-Corasick multi-pattern matching. Single-character marker
+entries of the tiers (docket slash, brackets) are kept in a short list and
+found in the raw text.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .numbers import TimeUnit
-from .tokens import strip_token
+from .tokens import stripped_tokens
 
 LEXICON_ENV_VAR = "MAASAR_LEXICON"
 
@@ -52,19 +61,54 @@ class TierHit:
     weight: float
 
 
+def _tier_count(tier: str) -> property:
+    return property(
+        lambda self: sum(h.tier == tier for h in self.hits), doc=f"Number of {tier} hits."
+    )
+
+
 @dataclass(frozen=True)
 class TierHits:
-    strong_positive: int = 0
-    moderate_positive: int = 0
-    moderate_negative: int = 0
-    strong_negative: int = 0
     hits: tuple[TierHit, ...] = ()
 
-    def count(self, tier: str) -> int:
-        return getattr(self, tier)
+    strong_positive = _tier_count("strong_positive")
+    moderate_positive = _tier_count("moderate_positive")
+    moderate_negative = _tier_count("moderate_negative")
+    strong_negative = _tier_count("strong_negative")
 
     def weighted_sum(self) -> float:
         return sum(h.weight for h in self.hits)
+
+
+def _is_marker_entry(surface: str) -> bool:
+    return len(surface) == 1 and not surface.isalnum()
+
+
+class PhraseIndex:
+    """Whitespace-separated phrases keyed by their first word.
+
+    ``find`` walks the stripped tokens once, looks each one up, and checks
+    the rest of the few phrases that start with it.
+    """
+
+    def __init__(self, entries: Iterable[tuple[str, object]]):
+        """``entries`` are (phrase, payload) pairs; payloads come back from ``find``."""
+        self._by_first: dict[str, list[tuple[tuple[str, ...], object]]] = {}
+        for phrase, payload in entries:
+            words = tuple(phrase.split())
+            if not words:
+                raise LexiconError(f"empty keyword or marker entry {phrase!r}")
+            self._by_first.setdefault(words[0], []).append((words, payload))
+
+    def find(self, stripped: tuple[str, ...]) -> list[tuple[int, object]]:
+        """(start token, payload) of every occurrence, in token order."""
+        found = []
+        get = self._by_first.get
+        for i, token in enumerate(stripped):
+            for words, payload in get(token, ()):
+                if len(words) == 1 or tuple(stripped[i : i + len(words)]) == words:
+                    found.append((i, payload))
+        return found
 
 
 @dataclass(frozen=True)
@@ -117,24 +161,45 @@ class Lexicon:
     structural: StructuralWeights = field(default_factory=StructuralWeights)
     numerals: NumeralLexicon | None = None
 
+    def __post_init__(self):
+        # Compiled per instance, so dataclasses.replace recompiles the copy.
+        char_markers, phrases = [], []
+        for tier in TIER_NAMES:
+            for surface, weight in self.tier(tier).items():
+                entry = (tier, surface, weight)
+                if _is_marker_entry(surface):
+                    char_markers.append(entry)
+                else:
+                    phrases.append((surface, entry))
+        marker_lists = (self.fine_markers, self.probation_markers, self.actual_markers)
+        object.__setattr__(self, "_tier_chars", tuple(char_markers))
+        object.__setattr__(self, "_tier_index", PhraseIndex(phrases))
+        object.__setattr__(
+            self,
+            "_marker_indexes",
+            {frozenset(m): PhraseIndex((p, None) for p in m) for m in marker_lists},
+        )
+
     def tier(self, name: str) -> Mapping[str, float]:
         return getattr(self, name)
 
     def contains_filter_keyword(self, text: str) -> bool:
         return any(keyword in text for keyword in self.filter_keywords)
 
-    def marker_positions(self, text: str, markers: Iterable[str]) -> list[int]:
-        """Start token index of every marker occurrence (phrases supported)."""
-        stripped = [strip_token(t) for t in text.split()]
-        positions: list[int] = []
-        for marker in markers:
-            words = marker.split()
-            span = len(words)
-            for i in range(0, len(stripped) - span + 1):
-                if stripped[i : i + span] == words:
-                    positions.append(i)
-        positions.sort()
-        return positions
+    def marker_positions(
+        self, text: str, markers: Iterable[str], stripped: tuple[str, ...] | None = None
+    ) -> list[int]:
+        """Start token index of every marker occurrence (phrases supported).
+
+        ``stripped`` is ``stripped_tokens(text)``, for callers that have it.
+        The lexicon's own marker lists use their compiled index.
+        """
+        index = self._marker_indexes.get(markers) if isinstance(markers, frozenset) else None
+        if index is None:
+            index = PhraseIndex((marker, None) for marker in markers)
+        if stripped is None:
+            stripped = stripped_tokens(text)
+        return [i for i, _ in index.find(stripped)]
 
 
 def default_lexicon_path() -> Path:
@@ -304,11 +369,10 @@ def load_lexicon(
     if structural:
         structural_doc.update(structural)
     structural_weights = StructuralWeights(
-        number_with_unit_bonus=float(structural_doc.get("number_with_unit_bonus", 1.0)),
-        number_without_unit_penalty=float(
-            structural_doc.get("number_without_unit_penalty", -1.0)
-        ),
-        fine_marker_penalty=float(structural_doc.get("fine_marker_penalty", -1.0)),
+        **{
+            f.name: float(structural_doc.get(f.name, f.default))
+            for f in dataclasses.fields(StructuralWeights)
+        }
     )
 
     return Lexicon(
@@ -328,44 +392,25 @@ def load_lexicon(
     )
 
 
-def _is_marker_entry(surface: str) -> bool:
-    return len(surface) == 1 and not surface.isalnum()
-
-
-def match_tiers(sentence, lexicon: Lexicon) -> TierHits:
-    """Count tier hits in a sentence.
+def match_tiers(sentence, lexicon: Lexicon, stripped: tuple[str, ...] | None = None) -> TierHits:
+    """Tier hits in a sentence, sorted by (tier, position, surface).
 
     Word entries match whole (punctuation-stripped) tokens, phrases match
     consecutive tokens; single-character marker entries (docket slash,
-    brackets) match anywhere in the raw text.
+    brackets) match anywhere in the raw text. ``stripped`` is
+    ``stripped_tokens`` of the text, for callers that have it.
     """
     text = sentence.text if hasattr(sentence, "text") else str(sentence)
-    stripped = [strip_token(t) for t in text.split()]
-    hits: list[TierHit] = []
-    counts = dict.fromkeys(TIER_NAMES, 0)
-    for tier_name in TIER_NAMES:
-        for surface, weight in lexicon.tier(tier_name).items():
-            if _is_marker_entry(surface):
-                start = 0
-                while True:
-                    pos = text.find(surface, start)
-                    if pos < 0:
-                        break
-                    hits.append(TierHit(tier_name, surface, pos, weight))
-                    counts[tier_name] += 1
-                    start = pos + 1
-            else:
-                words = surface.split()
-                span = len(words)
-                for i in range(0, len(stripped) - span + 1):
-                    if stripped[i : i + span] == words:
-                        hits.append(TierHit(tier_name, surface, i, weight))
-                        counts[tier_name] += 1
+    if stripped is None:
+        stripped = stripped_tokens(text)
+    hits = [
+        TierHit(tier, surface, i, weight)
+        for i, (tier, surface, weight) in lexicon._tier_index.find(stripped)
+    ]
+    for tier, surface, weight in lexicon._tier_chars:
+        pos = text.find(surface)
+        while pos >= 0:
+            hits.append(TierHit(tier, surface, pos, weight))
+            pos = text.find(surface, pos + 1)
     hits.sort(key=lambda h: (h.tier, h.position, h.surface))
-    return TierHits(
-        strong_positive=counts["strong_positive"],
-        moderate_positive=counts["moderate_positive"],
-        moderate_negative=counts["moderate_negative"],
-        strong_negative=counts["strong_negative"],
-        hits=tuple(hits),
-    )
+    return TierHits(tuple(hits))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from .analysis import analyse
 from .corpus import Sentence
 from .features import DOCKET_RE
-from .lexicon import Lexicon, match_tiers
-from .numbers import detect_spans
+from .lexicon import Lexicon
 
 
 @dataclass(frozen=True)
@@ -231,21 +231,19 @@ def categorize_error(predicted_sentence: Sentence, lexicon: Lexicon) -> ErrorCat
     past-tense sentencing verb), then fine, then procedural (number present
     without a time unit), else misc.
     """
-    text = predicted_sentence.text
-    if lexicon.marker_positions(text, lexicon.probation_markers):
+    analysis = analyse(predicted_sentence, lexicon)
+    if analysis.probation_positions:
         return ErrorCategory.PROBATION
-    if DOCKET_RE.search(text):
+    if DOCKET_RE.search(predicted_sentence.text):
         return ErrorCategory.PRIOR_CASE_REFERENCE
-    hits = match_tiers(predicted_sentence, lexicon)
     if any(
         h.tier == "moderate_negative" and len(h.surface) > 1
-        for h in hits.hits
+        for h in analysis.tier_hits.hits
     ):
         return ErrorCategory.PRIOR_CASE_REFERENCE
-    if lexicon.marker_positions(text, lexicon.fine_markers):
+    if analysis.fine_positions:
         return ErrorCategory.FINE
-    spans = detect_spans(predicted_sentence, lexicon.numerals)
-    if spans and all(s.attached_unit is None for s in spans):
+    if analysis.has_number and not analysis.has_time_unit:
         return ErrorCategory.PROCEDURAL
     return ErrorCategory.MISC
 

@@ -4,7 +4,9 @@ Hebrew numerals are gendered, admit several unpointed spellings, compose
 tens and units through a conjunctive prefix (forty-and-eight), and express
 one-year / one-month punishments with a bare unit word. Everything here
 works over whitespace tokens against a loaded numeral lexicon; the grammar
-covers 0-999 which is ample for imprisonment durations.
+covers 0-999 which is ample for imprisonment durations. The sentence-level
+finders take the sentence's ``stripped_tokens`` from callers that already
+have them, so a sentence is tokenized once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
-from .tokens import strip_token
+from .tokens import strip_token, stripped_tokens
 
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import Sentence
@@ -198,7 +200,7 @@ def render_number(value: int, numerals: "NumeralLexicon", gender: str = "feminin
 
 
 def _attach_unit(
-    stripped: list[str], end_token: int, numerals: "NumeralLexicon", include_half: bool
+    stripped: tuple[str, ...], end_token: int, numerals: "NumeralLexicon", include_half: bool
 ) -> tuple[TimeUnit | None, int, bool]:
     """Nearest forward time unit within the window; stops at another number."""
     n = len(stripped)
@@ -228,15 +230,18 @@ def _is_numberish(stripped: str, numerals: "NumeralLexicon") -> bool:
 
 
 def find_numbers(
-    sentence: "Sentence", numerals: "NumeralLexicon", include_half: bool = True
+    sentence: "Sentence",
+    numerals: "NumeralLexicon",
+    include_half: bool = True,
+    stripped: tuple[str, ...] | None = None,
 ) -> list[NumberSpan]:
     """All digit literals, number-word sequences and dual unit words.
 
     Unparseable word sequences are skipped. Each span greedily attaches to
     the nearest following time-unit token within the attachment window.
     """
-    tokens = sentence.tokens()
-    stripped = [strip_token(t) for t in tokens]
+    if stripped is None:
+        stripped = stripped_tokens(sentence.text)
     spans: list[NumberSpan] = []
     i = 0
     n = len(stripped)
@@ -276,7 +281,10 @@ def find_numbers(
 
 
 def unit_only_elimination(
-    sentence: "Sentence", numerals: "NumeralLexicon", include_half: bool = True
+    sentence: "Sentence",
+    numerals: "NumeralLexicon",
+    include_half: bool = True,
+    stripped: tuple[str, ...] | None = None,
 ) -> list[NumberSpan]:
     """Bare singular unit words with no adjoining number imply value one.
 
@@ -284,8 +292,8 @@ def unit_only_elimination(
     bound to it ("20 שנה" is twenty years), and a unit directly followed by
     digits is a calendar reference, not a duration; neither yields a span.
     """
-    tokens = sentence.tokens()
-    stripped = [strip_token(t) for t in tokens]
+    if stripped is None:
+        stripped = stripped_tokens(sentence.text)
     spans: list[NumberSpan] = []
     n = len(stripped)
     for i, tok in enumerate(stripped):
@@ -313,10 +321,15 @@ def unit_only_elimination(
 
 
 def detect_spans(
-    sentence: "Sentence", numerals: "NumeralLexicon", include_half: bool = True
+    sentence: "Sentence",
+    numerals: "NumeralLexicon",
+    include_half: bool = True,
+    stripped: tuple[str, ...] | None = None,
 ) -> list[NumberSpan]:
     """Union of number spans and unit-only eliminations, in token order."""
-    spans = find_numbers(sentence, numerals, include_half)
-    spans.extend(unit_only_elimination(sentence, numerals, include_half))
+    if stripped is None:
+        stripped = stripped_tokens(sentence.text)
+    spans = find_numbers(sentence, numerals, include_half, stripped)
+    spans.extend(unit_only_elimination(sentence, numerals, include_half, stripped))
     spans.sort(key=lambda s: (s.start_token, s.end_token))
     return spans

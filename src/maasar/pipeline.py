@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import SentenceAnalysis
 from .base import ParamsMixin
 from .corpus import AnnotationRecord, Decision
-from .detect import filter_candidates, score_candidates, select_sentence_rule_based
+from .detect import best_scored, choose_rule_based, filter_candidates, score_candidates
 from .extraction import DurationScoringConfig, ExtractionResult, extract
 from .features import FEATURE_NAMES, featurize_candidates
 from .lexicon import Lexicon
@@ -269,11 +270,12 @@ def evaluate_rule_based(
     detected: set[tuple[str, int]] = set()
     results = []
     for decision in decisions:
-        for scored in score_candidates(decision, lexicon):
-            if scored.score >= lexicon.threshold:
-                detected.add((decision.case_id, scored.sentence_index))
-        chosen = select_sentence_rule_based(decision, lexicon)
-        results.append(extract(decision, chosen, lexicon, scoring))
+        scored = score_candidates(decision, lexicon)
+        for candidate in scored:
+            if candidate.score >= lexicon.threshold:
+                detected.add((decision.case_id, candidate.sentence_index))
+        best = best_scored(scored, lexicon.threshold)
+        results.append(extract(decision, best and best.analysis, lexicon, scoring))
     return evaluate_predictions(decisions, annotations, lexicon, results, detected)
 
 
@@ -378,16 +380,19 @@ class PunishmentExtractor(ParamsMixin):
         )
         return self
 
-    def select(self, decision: Decision) -> int | None:
+    def _choose(self, decision: Decision) -> int | SentenceAnalysis | None:
         lexicon = self._require_lexicon()
         if self.method == "rule_based":
-            return select_sentence_rule_based(decision, lexicon)
+            best = choose_rule_based(decision, lexicon)
+            return best and best.analysis
         if getattr(self, "model_", None) is None:
             raise ValueError("supervised extractor is not fitted")
         return select_sentence_supervised(self.model_, decision, lexicon)
 
+    def select(self, decision: Decision) -> int | None:
+        chosen = self._choose(decision)
+        return chosen.sentence.index if isinstance(chosen, SentenceAnalysis) else chosen
+
     def predict(self, decisions: list[Decision]) -> list[ExtractionResult]:
         lexicon = self._require_lexicon()
-        return [
-            extract(d, self.select(d), lexicon, self.scoring) for d in decisions
-        ]
+        return [extract(d, self._choose(d), lexicon, self.scoring) for d in decisions]

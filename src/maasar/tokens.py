@@ -11,5 +11,6 @@ def strip_token(token: str) -> str:
     return token.strip(EDGE_PUNCT)
 
 
-def stripped_tokens(text: str) -> list[str]:
-    return [strip_token(t) for t in text.split()]
+def stripped_tokens(text: str) -> tuple[str, ...]:
+    """The whitespace tokens of ``text`` with edge punctuation removed."""
+    return tuple(token.strip(EDGE_PUNCT) for token in text.split())

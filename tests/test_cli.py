@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -229,6 +230,15 @@ class TestErrorHandling:
             == 1
         )
 
+    @pytest.mark.parametrize("command", ["detect", "extract"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, workspace, capsys, command, jobs):
+        argv = [command, *corpus_args(workspace), "--jobs", jobs]
+        if command == "extract":
+            argv.append("--rule-based")
+        assert run(argv) == 1
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+
     def test_lexicon_env_var(self, workspace, monkeypatch, tmp_path):
         monkeypatch.setenv("MAASAR_LEXICON", str(tmp_path / "missing.json"))
         code = run(["detect", *corpus_args(workspace), "--out", str(tmp_path / "o")])
@@ -283,3 +293,45 @@ class TestWeightOverrides:
         assert code == 0
         rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert any(r["sentence_index"] is not None for r in rows)
+
+
+# sha256 of each output on a seeded 200-decision corpus, recorded before the
+# lexicon index, the shared sentence analysis and the run-based splitter
+# replaced the per-entry matching loops and the per-character splitter. The
+# "fine" runs reward fine markers and penalise verdict structure, so wrong
+# selections, error categories and marker-adjacent spans show up in them.
+_LOOSE_RULE = ["--fine-marker-penalty", "5", "--number-with-unit-bonus", "-2", "--threshold", "0"]
+GOLDEN_RUNS = {
+    "detect.jsonl": (["detect", "{corpus}"], "2cedd0d5b623fef95a4e4768d854ac186aaa5fcd260ac0eb6613e9071f94546b"),
+    "extract-rule.jsonl": (["extract", "{corpus}", "--rule-based"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
+    "rf-model.json": (["train", "{corpus}", "{annotations}", "--model", "rf", "--seed", "3"], "cd7ff08863d01ed7593b86990dfa5cb2f3e4f78a714ca7da03f2725d7f1cf92a"),
+    "extract-rf.jsonl": (["extract", "{corpus}", "--model", "{model}", "--jobs", "2"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
+    "eval-svm.json": (["eval", "{corpus}", "{annotations}", "--model-kind", "svm", "--folds", "5", "--seed", "3"], "41b95e469974aa6382138a2ba9dca222e8949472dd3786faa5e74758876e9487"),
+    "eval-rule-loose.json": (["eval", "{corpus}", "{annotations}", "--rule-based", "--threshold", "0", "--fine-marker-penalty", "0", "--weight-strong-positive", "1.5"], "60f3c4c54591e3fd2af45b4b2ad874fca24437a555b7299f0b6932e7d14fbba6"),
+    "detect-fine.jsonl": (["detect", "{corpus}", *_LOOSE_RULE], "7069940feb2299825450bbffc7bfad65e20d49fe3a111b20d423aede9117ceb4"),
+    "extract-fine.jsonl": (["extract", "{corpus}", "--rule-based", *_LOOSE_RULE, "--duration-fine-penalty", "-3", "--duration-probation-penalty", "-2", "--duration-actual-marker-weight", "-1"], "67057bbfcf61c0eef7b19761d87793fd4a8c129a1e1acb3f963ecf34b068bbb1"),
+    "eval-fine.json": (["eval", "{corpus}", "{annotations}", "--rule-based", *_LOOSE_RULE, "--duration-fine-penalty", "-3"], "33e1b187934e4647cbf958d84a635c157794a068e2a4689dd7b52be0df530582"),
+}  # fmt: skip
+
+
+class TestGoldenOutputs:
+    @pytest.fixture(scope="class")
+    def golden(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        corpus = generate_corpus(load_lexicon().numerals, num_decisions=200, seed=5)
+        paths = write_corpus(corpus, root)
+        fields = {
+            "{corpus}": ["--corpus", str(paths["corpus_dir"])],
+            "{annotations}": ["--annotations", str(paths["annotations"])],
+            "{model}": [str(root / "rf-model.json")],
+        }
+        digests = {}
+        for name, (template, _) in GOLDEN_RUNS.items():  # in order: train before extract-rf
+            argv = [arg for item in template for arg in fields.get(item, [item])]
+            assert run(argv + ["--out", str(root / name)]) == 0, name
+            digests[name] = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        return digests
+
+    @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+    def test_output_bytes_unchanged(self, golden, name):
+        assert golden[name] == GOLDEN_RUNS[name][1]

@@ -1,11 +1,15 @@
 import json
 import re
 
+import pytest
 from hypothesis import given, strategies as st
 
 from maasar.corpus import (
+    DEFAULT_ABBREVIATIONS,
     AnnotationRecord,
     Decision,
+    Sentence,
+    _is_abbreviation,
     corpus_stats,
     load_annotations,
     load_corpus,
@@ -76,6 +80,63 @@ class TestSegmentation:
         assert re.sub(r"\s", "", joined) == re.sub(r"\s", "", text)
 
 
+
+def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """The character-by-character splitter that segment_sentences replaced."""
+    abbrev = frozenset(abbreviations)
+    chunks = []
+    start = 0
+    i = 0
+    n = len(raw_text)
+    while i < n:
+        if raw_text[i] in ".?!":
+            j = i
+            while j + 1 < n and raw_text[j + 1] in ".?!":
+                j += 1
+            if j + 1 >= n or raw_text[j + 1].isspace():
+                word_start = i
+                while word_start > start and not raw_text[word_start - 1].isspace():
+                    word_start -= 1
+                word = raw_text[word_start:i]
+                if not (raw_text[i] == "." and i == j and _is_abbreviation(word, abbrev)):
+                    chunks.append(raw_text[start : j + 1])
+                    start = j + 1
+            i = j + 1
+        else:
+            i += 1
+    if start < n:
+        chunks.append(raw_text[start:])
+    texts = [t for t in (c.strip() for c in chunks) if t]
+    return [
+        Sentence(idx, text, len(text.split()), idx / (len(texts) - 1) if len(texts) > 1 else 0.0)
+        for idx, text in enumerate(texts)
+    ]
+
+
+_WORDS = ["", "א", "בית", "x", "7", "3.5", "31.5.12", "ת.פ", "מס", "עמ", "בג.ץ", "ע.פ."]
+_OPENS = ["", "", "(", "[", '"', "'", "(("]
+_RUNS = ["", "", ".", ".", "..", "?", "!", "?!", ".?", "..."]
+_GAPS = ["", " ", " ", "  ", "\n", "\t", "\x1c", "\u00a0", "\u2003", " \n "]
+_texts = st.lists(
+    st.tuples(*(st.sampled_from(pieces) for pieces in (_OPENS, _WORDS, _RUNS, _GAPS))),
+    max_size=30,
+).map(lambda parts: "".join("".join(part) for part in parts))
+
+
+class TestRunBasedSplitterEquivalence:
+    @given(_texts)
+    def test_default_abbreviations(self, text):
+        assert segment_sentences(text) == reference_segment(text)
+
+    @given(_texts, st.sets(st.sampled_from(["א", "x", "בית.", "(א", "7", "3", ""]), max_size=3))
+    def test_custom_abbreviations(self, text, abbreviations):
+        expected = reference_segment(text, abbreviations)
+        assert segment_sentences(text, abbreviations) == expected
+
+    def test_synthetic_decisions(self, synthetic):
+        for decision in synthetic.decisions:
+            assert segment_sentences(decision.raw_text) == reference_segment(decision.raw_text)
+
 class TestLoadCorpus:
     def _write(self, directory, name, text):
         (directory / name).write_text(text, encoding="utf-8")
@@ -138,6 +199,53 @@ class TestLoadCorpus:
         decisions, errors = load_corpus(tmp_path)
         assert any("ghost.txt" == e.source for e in errors)
 
+    def test_metadata_entry_without_filename(self, tmp_path):
+        self._write(tmp_path, "a.txt", "א.")
+        self._write_meta(tmp_path, [{"case_id": "x"}, {"filename": "a.txt", "case_id": "a"}])
+        decisions, errors = load_corpus(tmp_path)
+        assert [d.case_id for d in decisions] == ["a"]
+        assert [e.message for e in errors] == ["metadata entry has no filename string"]
+        assert errors[0].source.endswith("metadata.json[0]")
+
+    def test_metadata_entry_not_an_object(self, tmp_path):
+        self._write(tmp_path, "a.txt", "א.")
+        self._write_meta(tmp_path, ["a.txt", {"filename": "a.txt", "case_id": "a"}, 7])
+        decisions, errors = load_corpus(tmp_path)
+        assert [d.case_id for d in decisions] == ["a"]
+        assert [e.message for e in errors] == ["metadata entry is not a JSON object"] * 2
+
+    def test_metadata_not_an_array(self, tmp_path):
+        self._write(tmp_path, "a.txt", "א.")
+        self._write_meta(tmp_path, {"filename": "a.txt", "case_id": "a"})
+        decisions, errors = load_corpus(tmp_path)
+        assert decisions == []
+        assert [e.message for e in errors] == ["metadata is not a JSON array"]
+
+    def test_non_integer_year(self, tmp_path):
+        for name in ("a", "b", "c", "d"):
+            self._write(tmp_path, f"{name}.txt", "א.")
+        self._write_meta(
+            tmp_path,
+            [
+                {"filename": "a.txt", "case_id": "a", "year": "twenty"},
+                {"filename": "b.txt", "case_id": "b", "year": 2001.5},
+                {"filename": "c.txt", "case_id": "c", "year": True},
+                {"filename": "d.txt", "case_id": "d", "year": 2003},
+            ],
+        )
+        decisions, errors = load_corpus(tmp_path)
+        assert [(d.case_id, d.year) for d in decisions] == [("d", 2003)]
+        assert [e.source for e in errors] == ["a.txt", "b.txt", "c.txt"]
+        assert all("year must be a JSON integer" in e.message for e in errors)
+
+    def test_cli_reports_malformed_metadata_as_input_error(self, tmp_path, capsys):
+        from maasar.cli import run
+
+        self._write(tmp_path, "a.txt", "א.")
+        self._write_meta(tmp_path, {"filename": "a.txt"})
+        assert run(["stats", "--corpus", str(tmp_path)]) == 1
+        assert "metadata is not a JSON array" in capsys.readouterr().err
+
 
 class TestLoadAnnotations:
     def _load(self, tmp_path, lines):
@@ -175,6 +283,27 @@ class TestLoadAnnotations:
         )
         assert records == []
         assert errors
+
+    def test_string_boolean_rejected(self, tmp_path):
+        records, errors = self._load(
+            tmp_path, ['{"case_id":"c1","sentence_index":2,"is_punishment":"false"}']
+        )
+        assert records == []
+        assert "is_punishment must be a JSON boolean" in errors[0].message
+
+    @pytest.mark.parametrize("months", ["1.9", '"12"', "true", "null"])
+    def test_non_integer_months_rejected(self, tmp_path, months):
+        line = '{"case_id":"c1","sentence_index":2,"is_punishment":true,"months":%s}' % months
+        records, errors = self._load(tmp_path, [line])
+        assert records == []
+        assert "months must be a JSON integer" in errors[0].message
+
+    def test_non_integer_sentence_index_rejected(self, tmp_path):
+        records, errors = self._load(
+            tmp_path, ['{"case_id":"c1","sentence_index":"2","is_punishment":false}']
+        )
+        assert records == []
+        assert "sentence_index must be a JSON integer" in errors[0].message
 
     def test_duplicate_last_wins_with_warning(self, tmp_path, caplog):
         import logging

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -7,11 +8,13 @@ from maasar.corpus import segment_sentences
 from maasar.lexicon import (
     LexiconError,
     TIER_NAMES,
+    TierHit,
     default_lexicon_path,
     load_lexicon,
     match_tiers,
 )
 from maasar.numbers import TimeUnit
+from maasar.tokens import strip_token, stripped_tokens
 
 
 def sentence(text):
@@ -122,3 +125,110 @@ class TestMatchTiers:
         assert lexicon.contains_filter_keyword("נגזר עליו עונש של מאסר בפועל")
         assert lexicon.contains_filter_keyword("הוא נידון למאסר ממושך")
         assert not lexicon.contains_filter_keyword("אין כאן מילת מפתח")
+
+
+# The per-entry loops that match_tiers and Lexicon.marker_positions used
+# before the lexicon was compiled into first-word indexes, kept as references.
+def reference_match_tiers(text, lexicon):
+    stripped = [strip_token(t) for t in text.split()]
+    hits = []
+    for tier_name in TIER_NAMES:
+        for surface, weight in lexicon.tier(tier_name).items():
+            if len(surface) == 1 and not surface.isalnum():
+                start = 0
+                while True:
+                    pos = text.find(surface, start)
+                    if pos < 0:
+                        break
+                    hits.append(TierHit(tier_name, surface, pos, weight))
+                    start = pos + 1
+            else:
+                words = surface.split()
+                span = len(words)
+                for i in range(0, len(stripped) - span + 1):
+                    if stripped[i : i + span] == words:
+                        hits.append(TierHit(tier_name, surface, i, weight))
+    hits.sort(key=lambda h: (h.tier, h.position, h.surface))
+    return tuple(hits)
+
+
+def reference_marker_positions(text, markers):
+    stripped = [strip_token(t) for t in text.split()]
+    positions = []
+    for marker in markers:
+        words = marker.split()
+        span = len(words)
+        for i in range(0, len(stripped) - span + 1):
+            if stripped[i : i + span] == words:
+                positions.append(i)
+    positions.sort()
+    return positions
+
+
+def phrase_lexicon(lexicon):
+    """The default lexicon plus multi-word entries that share first words
+    with single-word entries and with each other."""
+    verb = sorted(lexicon.strong_positive)[0]
+    return dataclasses.replace(
+        lexicon,
+        strong_positive={**lexicon.strong_positive, f"{verb} על": 4.0, "מאסר בפועל ממש": 2.5},
+        moderate_positive={**lexicon.moderate_positive, "מאסר בפועל": 1.5, "-": 0.5},
+        strong_negative={**lexicon.strong_negative, "על תנאי": -2.0},
+        fine_markers=lexicon.fine_markers | {"קנס של", "קנס של כסף"},
+        actual_markers=lexicon.actual_markers | {"מאסר בפועל"},
+    )
+
+
+def _vocabulary(lexicon):
+    lexicon = phrase_lexicon(lexicon)
+    words = {"מאסר", "12", "12/3", "x", "שנה", "-"}
+    for entries in [*(lexicon.tier(t) for t in TIER_NAMES), lexicon.fine_markers,
+                    lexicon.probation_markers, lexicon.actual_markers]:  # fmt: skip
+        for surface in entries:
+            words.add(surface)
+            words.update(surface.split())
+    return sorted(words)
+
+
+_EDGES = ["", "", "", ".", ",", "(", ")", "[", "]", '"', "'", "׳", "«", "/", "\\"]
+_WORDS = _vocabulary(load_lexicon())
+_token = st.tuples(
+    st.sampled_from(_EDGES), st.sampled_from(_WORDS), st.sampled_from(_EDGES)
+).map("".join)
+_texts = st.lists(
+    st.tuples(_token, st.sampled_from([" ", " ", "  ", "\n", " ", "\t"])), max_size=24
+).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
+class TestCompiledIndexEquivalence:
+    @given(_texts)
+    def test_match_tiers_equals_reference(self, lexicon, text):
+        for lex in (lexicon, phrase_lexicon(lexicon)):
+            hits = match_tiers(text, lex)
+            assert hits.hits == reference_match_tiers(text, lex)
+            for tier in TIER_NAMES:
+                assert getattr(hits, tier) == sum(h.tier == tier for h in hits.hits)
+
+    @given(_texts, st.lists(st.sampled_from(_WORDS), max_size=6))
+    def test_marker_positions_equal_reference(self, lexicon, text, extra):
+        lex = phrase_lexicon(lexicon)
+        for markers in (lex.fine_markers, lex.probation_markers, lex.actual_markers):
+            expected = reference_marker_positions(text, markers)
+            assert lex.marker_positions(text, markers) == expected
+            stripped = stripped_tokens(text)
+            assert lex.marker_positions(text, markers, stripped) == expected
+        assert lex.marker_positions(text, extra) == reference_marker_positions(text, extra)
+
+    def test_replace_recompiles(self, lexicon):
+        verb = sorted(lexicon.strong_positive)[0]
+        text = f"השופט {verb} על הנאשם."
+        assert match_tiers(text, phrase_lexicon(lexicon)).strong_positive == 2
+        assert match_tiers(text, lexicon).strong_positive == 1
+
+    def test_empty_entry_rejected(self, tmp_path):
+        doc = default_doc()
+        doc["strong_positive"].append({"surface": "  "})
+        path = tmp_path / "lex.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(LexiconError, match="empty"):
+            load_lexicon(path)
