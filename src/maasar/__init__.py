@@ -18,7 +18,6 @@ from .corpus import (
     segment_sentences,
 )
 from .detect import (
-    RuleBasedSelector,
     ScoredSentence,
     choose_rule_based,
     filter_candidates,

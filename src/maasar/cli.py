@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: segment, prelabel, detect, train, extract, eval, stats.
-All outputs are written atomically (temp file + rename) and are
-byte-identical across runs given the same inputs, flags and seed.
+Each runs in one process, as one loop over the decisions. All outputs are
+written atomically (temp file + rename) and are byte-identical across runs
+given the same inputs, flags and seed.
 Exit codes: 0 success, 1 input/usage error, 2 internal error.
 """
 
@@ -10,27 +11,40 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
 import tempfile
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .corpus import corpus_stats, load_annotations, load_corpus, prelabel_negatives
 from .detect import choose_rule_based
 from .extraction import DurationScoringConfig, extract
-from .lexicon import Lexicon, load_lexicon
+from .lexicon import TIER_NAMES, Lexicon, StructuralWeights, load_lexicon
 from .metrics import punishment_histogram
 from .models import load_model, save_model
 from .pipeline import (
     CrossValConfig,
+    choose_sentence,
     cross_validate,
     evaluate_rule_based,
-    select_sentence_supervised,
     train_on_decisions,
+)
+
+# Scoring knobs, one float flag each: ``--{prefix}{name}`` with ``_`` as ``-``.
+# ``DurationScoringConfig.marker_window`` has no flag.
+_TIER_KNOBS = ("weight_", TIER_NAMES)
+_STRUCTURAL_KNOBS = ("", tuple(f.name for f in dataclasses.fields(StructuralWeights)))
+_DURATION_KNOBS = (
+    "duration_",
+    (
+        "unit_proximity_weight",
+        "actual_marker_weight",
+        "probation_penalty",
+        "fine_penalty",
+        "position_bonus",
+    ),
 )
 
 
@@ -96,39 +110,28 @@ def _load_corpus_or_fail(args) -> list:
     return result.decisions
 
 
+def _add_knob_args(parser: argparse.ArgumentParser, knobs) -> None:
+    prefix, names = knobs
+    for name in names:
+        parser.add_argument("--" + (prefix + name).replace("_", "-"), type=float, default=None)
+
+
+def _knob_overrides(args, knobs) -> dict[str, float]:
+    prefix, names = knobs
+    return {name: value for name in names if (value := getattr(args, prefix + name)) is not None}
+
+
 def _load_lexicon_with_overrides(args) -> Lexicon:
-    tier_weights = {
-        name: value
-        for name in ("strong_positive", "moderate_positive", "moderate_negative", "strong_negative")
-        if (value := getattr(args, f"weight_{name}", None)) is not None
-    }
-    structural = {
-        name: value
-        for name in ("number_with_unit_bonus", "number_without_unit_penalty", "fine_marker_penalty")
-        if (value := getattr(args, name, None)) is not None
-    }
     return load_lexicon(
-        getattr(args, "lexicon", None),
-        threshold=getattr(args, "threshold", None),
-        tier_weights=tier_weights or None,
-        structural=structural or None,
+        args.lexicon,
+        threshold=args.threshold,
+        tier_weights=_knob_overrides(args, _TIER_KNOBS) or None,
+        structural=_knob_overrides(args, _STRUCTURAL_KNOBS) or None,
     )
 
 
 def _scoring_config(args) -> DurationScoringConfig:
-    base = DurationScoringConfig()
-    overrides = {}
-    for name in (
-        "unit_proximity_weight",
-        "actual_marker_weight",
-        "probation_penalty",
-        "fine_penalty",
-        "position_bonus",
-    ):
-        value = getattr(args, f"duration_{name}", None)
-        if value is not None:
-            overrides[name] = value
-    return dataclasses.replace(base, **overrides) if overrides else base
+    return DurationScoringConfig(**_knob_overrides(args, _DURATION_KNOBS))
 
 
 def _annotations_or_fail(args) -> list:
@@ -146,41 +149,6 @@ def _detect_one(lexicon: Lexicon, decision):
         "score": best.score if best else None,
         "text": best.analysis.sentence.text if best else None,
     }
-
-
-def _extract_one(state, decision):
-    model, lexicon, scoring = state
-    if model is None:
-        best = choose_rule_based(decision, lexicon)
-        chosen = best and best.analysis
-    else:
-        chosen = select_sentence_supervised(model, decision, lexicon)
-    return extract(decision, chosen, lexicon, scoring).to_dict()
-
-
-# Pool workers receive the shared state (lexicon, model, scoring config) once,
-# through the pool initializer; each task then carries only its decisions.
-_MAX_CHUNK = 16
-_worker_state = None
-
-
-def _init_worker(state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _call_with_worker_state(fn, item):
-    return fn(_worker_state, item)
-
-
-def _map_jobs(fn, state, items: list, jobs: int) -> list:
-    """``[fn(state, item) for item in items]``, over ``jobs`` processes."""
-    if jobs == 1:
-        return [fn(state, item) for item in items]
-    chunksize = max(1, min(_MAX_CHUNK, len(items) // (4 * jobs)))
-    with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(state,)) as pool:
-        task = functools.partial(_call_with_worker_state, fn)
-        return list(pool.map(task, items, chunksize=chunksize))
 
 
 def _cmd_segment(args) -> int:
@@ -224,7 +192,7 @@ def _cmd_prelabel(args) -> int:
 def _cmd_detect(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
-    rows = _map_jobs(_detect_one, lexicon, decisions, args.jobs)
+    rows = [_detect_one(lexicon, d) for d in decisions]
     rows.sort(key=lambda r: r["case_id"])
     _emit(args.out, _jsonl(rows))
     return 0
@@ -244,7 +212,10 @@ def _cmd_extract(args) -> int:
     lexicon = _load_lexicon_with_overrides(args)
     scoring = _scoring_config(args)
     model = load_model(args.model) if args.model else None
-    rows = _map_jobs(_extract_one, (model, lexicon, scoring), decisions, args.jobs)
+    rows = [
+        extract(d, choose_sentence(d, lexicon, model), lexicon, scoring).to_dict()
+        for d in decisions
+    ]
     rows.sort(key=lambda r: r["case_id"])
     _emit(args.out, _jsonl(rows))
     if args.histogram_csv:
@@ -304,22 +275,8 @@ def _add_lexicon_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threshold", type=float, default=None, help="override the rule-score floor"
     )
-    for tier in ("strong-positive", "moderate-positive", "moderate-negative", "strong-negative"):
-        parser.add_argument(f"--weight-{tier}", type=float, default=None)
-    parser.add_argument("--number-with-unit-bonus", type=float, default=None)
-    parser.add_argument("--number-without-unit-penalty", type=float, default=None)
-    parser.add_argument("--fine-marker-penalty", type=float, default=None)
-
-
-def _add_duration_args(parser: argparse.ArgumentParser) -> None:
-    for name in (
-        "unit-proximity-weight",
-        "actual-marker-weight",
-        "probation-penalty",
-        "fine-penalty",
-        "position-bonus",
-    ):
-        parser.add_argument(f"--duration-{name}", type=float, default=None)
+    _add_knob_args(parser, _TIER_KNOBS)
+    _add_knob_args(parser, _STRUCTURAL_KNOBS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     _add_lexicon_args(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("train", help="train a sentence classifier")
@@ -356,20 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract imprisonment months per decision")
     _add_corpus_args(p)
     _add_lexicon_args(p)
-    _add_duration_args(p)
+    _add_knob_args(p, _DURATION_KNOBS)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", default=None, help="trained model file")
     group.add_argument("--rule-based", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--histogram-csv", default=None)
-    p.add_argument("--bucket-months", type=int, default=12)
+    p.add_argument("--bucket-months", type=_positive_int, default=12)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("eval", help="evaluate against annotations")
     _add_corpus_args(p)
     _add_lexicon_args(p)
-    _add_duration_args(p)
+    _add_knob_args(p, _DURATION_KNOBS)
     p.add_argument("--annotations", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rule-based", action="store_true")
@@ -379,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detection-threshold", type=float, default=0.5)
     p.add_argument("--out", default=None)
     p.add_argument("--histogram-csv", default=None)
-    p.add_argument("--bucket-months", type=int, default=12)
+    p.add_argument("--bucket-months", type=_positive_int, default=12)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("stats", help="corpus statistics")

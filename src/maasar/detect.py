@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import SentenceAnalysis, analyse
-from .base import ParamsMixin
 from .corpus import Decision, Sentence
 from .lexicon import Lexicon, TierHits
 
@@ -94,23 +93,3 @@ def choose_rule_based(decision: Decision, lexicon: Lexicon) -> ScoredSentence | 
 def select_sentence_rule_based(decision: Decision, lexicon: Lexicon) -> int | None:
     best = choose_rule_based(decision, lexicon)
     return best.sentence_index if best else None
-
-
-class RuleBasedSelector(ParamsMixin):
-    """Estimator-style wrapper around the rule-based sentence selector."""
-
-    def __init__(self, lexicon: Lexicon | None = None):
-        self.lexicon = lexicon
-
-    def _lexicon(self) -> Lexicon:
-        if self.lexicon is None:
-            raise ValueError("lexicon is required; pass one to the constructor")
-        return self.lexicon
-
-    def fit(self, decisions=None, y=None):
-        self._lexicon()
-        return self
-
-    def predict(self, decisions: list[Decision]) -> list[int | None]:
-        lexicon = self._lexicon()
-        return [select_sentence_rule_based(d, lexicon) for d in decisions]

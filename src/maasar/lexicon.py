@@ -217,13 +217,20 @@ def _require(doc: dict, key: str) -> object:
 
 def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
     entries = _require(doc, name)
+    if not isinstance(entries, list):
+        raise LexiconError(f"lexicon tier {name!r} must be a list")
     tier: dict[str, float] = {}
-    for entry in entries:
+    for position, entry in enumerate(entries):
         if isinstance(entry, str):
             surface, weight = entry, default_weight
-        else:
+        elif isinstance(entry, dict) and isinstance(entry.get("surface"), str):
             surface = entry["surface"]
             weight = float(entry.get("weight", default_weight))
+        else:
+            raise LexiconError(
+                f"lexicon tier {name!r} entry {position} must be a string or an object "
+                f"with a 'surface' string, got {entry!r}"
+            )
         tier[surface] = weight
     return tier
 
@@ -326,6 +333,8 @@ def load_lexicon(
     """
     path = Path(path) if path is not None else default_lexicon_path()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise LexiconError(f"lexicon file must hold a JSON object, got {type(doc).__name__}")
 
     weights = dict(_DEFAULT_TIER_WEIGHTS)
     weights.update(doc.get("tier_weights", {}))

@@ -441,10 +441,27 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True), encoding="utf-8")
 
 
+# Required fields of a model file and the JSON type each must hold.
+_MODEL_FIELDS = {
+    "kind": (str, "a string"),
+    "feature_schema_version": (int, "an integer"),
+    "rng_seed": (int, "an integer"),
+    "hyperparams": (dict, "an object"),
+    "state": (dict, "an object"),
+}
+
+
 def load_model(path: str | Path) -> TrainedModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')}")
+    for name, (expected, described) in _MODEL_FIELDS.items():
+        if name not in doc:
+            raise ValueError(f"model file is missing the {name!r} field")
+        if not isinstance(doc[name], expected):
+            raise ValueError(f"model field {name!r} must be {described}, got {doc[name]!r}")
     kind = _normalize_kind(doc["kind"])
     classifier = make_classifier(kind, seed=doc["rng_seed"])
     classifier.set_params(**doc["hyperparams"])

@@ -103,6 +103,21 @@ def select_sentence_supervised(
     return _most_probable(*_candidate_probabilities(model, decision, lexicon))
 
 
+def choose_sentence(
+    decision: Decision, lexicon: Lexicon, model: TrainedModel | None = None
+) -> int | SentenceAnalysis | None:
+    """The sentence to extract from, as ``extraction.extract`` takes it.
+
+    Without a model this is the rule-based choice, with its analysis, so
+    ``extract`` reuses it; with one it is the model's most probable
+    candidate index (``select_sentence_supervised``).
+    """
+    if model is None:
+        best = choose_rule_based(decision, lexicon)
+        return best and best.analysis
+    return select_sentence_supervised(model, decision, lexicon)
+
+
 def _gold_maps(
     annotations: list[AnnotationRecord],
 ) -> tuple[dict[str, set[int]], dict[str, int]]:
@@ -382,12 +397,12 @@ class PunishmentExtractor(ParamsMixin):
 
     def _choose(self, decision: Decision) -> int | SentenceAnalysis | None:
         lexicon = self._require_lexicon()
-        if self.method == "rule_based":
-            best = choose_rule_based(decision, lexicon)
-            return best and best.analysis
-        if getattr(self, "model_", None) is None:
-            raise ValueError("supervised extractor is not fitted")
-        return select_sentence_supervised(self.model_, decision, lexicon)
+        model = None
+        if self.method != "rule_based":
+            model = getattr(self, "model_", None)
+            if model is None:
+                raise ValueError("supervised extractor is not fitted")
+        return choose_sentence(decision, lexicon, model)
 
     def select(self, decision: Decision) -> int | None:
         chosen = self._choose(decision)

@@ -1,11 +1,14 @@
+import json
+
 import pytest
 
 from maasar import analysis as analysis_module
 from maasar.analysis import analyse
-from maasar.cli import _detect_one, _extract_one
+from maasar.cli import run
 from maasar.detect import choose_rule_based, filter_candidates
-from maasar.extraction import DurationScoringConfig, extract, score_duration_candidates
+from maasar.extraction import extract, score_duration_candidates
 from maasar.pipeline import evaluate_rule_based
+from maasar.synthetic import SyntheticCorpus, write_corpus
 
 
 def candidate_analyses(decisions, lexicon):
@@ -47,14 +50,22 @@ class TestEachCandidateAnalysedOnce:
         expected = sum(len(filter_candidates(d, lexicon)) for d in synthetic.decisions)
         assert len(span_calls) == expected
 
-    def test_cli_rows(self, lexicon, synthetic, span_calls):
-        decision = synthetic.decisions[0]
-        candidates = len(filter_candidates(decision, lexicon))
-        row = _extract_one((None, lexicon, DurationScoringConfig()), decision)
-        assert len(span_calls) == candidates
-        best = choose_rule_based(decision, lexicon)
-        assert row["sentence_index"] == best.sentence_index
+    def test_cli_rows(self, lexicon, synthetic, span_calls, tmp_path):
+        decisions = synthetic.decisions[:3]
+        paths = write_corpus(SyntheticCorpus(decisions, [], {}), tmp_path)
+        candidates = sum(len(filter_candidates(d, lexicon)) for d in decisions)
+        best = [choose_rule_based(d, lexicon) for d in decisions]
         span_calls.clear()
-        detected = _detect_one(lexicon, decision)
+
+        def rows(*argv):
+            out = tmp_path / "rows.jsonl"
+            assert run([*argv, "--corpus", str(paths["corpus_dir"]), "--out", str(out)]) == 0
+            return [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+
+        extracted = rows("extract", "--rule-based")
         assert len(span_calls) == candidates
-        assert detected["score"] == best.score
+        assert [r["sentence_index"] for r in extracted] == [b.sentence_index for b in best]
+        span_calls.clear()
+        detected = rows("detect")
+        assert len(span_calls) == candidates
+        assert [r["score"] for r in detected] == [b.score for b in best]

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from maasar import cli
 from maasar.cli import run
-from maasar.lexicon import load_lexicon
+from maasar.extraction import DurationScoringConfig, extract
+from maasar.lexicon import default_lexicon_path, load_lexicon
 from maasar.synthetic import generate_corpus, write_corpus
 
 
@@ -182,15 +184,6 @@ class TestDeterminismAndJobs:
             outputs.append((model_path.read_bytes(), eval_path.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_jobs_do_not_change_output(self, workspace):
-        root = workspace["root"]
-        serial = root / "extract_serial.jsonl"
-        parallel = root / "extract_parallel.jsonl"
-        base = ["extract", *corpus_args(workspace), "--rule-based"]
-        assert run(base + ["--out", str(serial), "--jobs", "1"]) == 0
-        assert run(base + ["--out", str(parallel), "--jobs", "2"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
 
 class TestErrorHandling:
     def test_fewer_decisions_than_folds(self, workspace, capsys):
@@ -231,18 +224,96 @@ class TestErrorHandling:
         )
 
     @pytest.mark.parametrize("command", ["detect", "extract"])
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_is_a_usage_error(self, workspace, capsys, command, jobs):
-        argv = [command, *corpus_args(workspace), "--jobs", jobs]
+    def test_jobs_is_an_unknown_argument(self, workspace, capsys, command):
+        argv = [command, *corpus_args(workspace), "--jobs", "2"]
         if command == "extract":
             argv.append("--rule-based")
         assert run(argv) == 1
-        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    @pytest.mark.parametrize("bucket_months", ["0", "-3"])
+    def test_bucket_months_below_one_writes_nothing(
+        self, workspace, capsys, tmp_path, command, bucket_months
+    ):
+        out = tmp_path / "out"
+        argv = [command, *corpus_args(workspace), "--rule-based", "--out", str(out)]
+        if command == "eval":
+            argv += ["--annotations", str(workspace["annotations"])]
+        argv += ["--histogram-csv", str(tmp_path / "h.csv"), "--bucket-months", bucket_months]
+        assert run(argv) == 1
+        assert "--bucket-months: must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "kind, breakage, named",
+        [
+            ("model", lambda doc: [1, 2], "JSON object"),
+            (
+                "model",
+                lambda doc: {k: v for k, v in doc.items() if k != "kind"},
+                "missing the 'kind' field",
+            ),
+            ("lexicon", lambda doc: [1], "JSON object"),
+            ("lexicon", lambda doc: {**doc, "strong_positive": [5]}, "tier 'strong_positive' entry 0"),
+            ("lexicon", lambda doc: {**doc, "strong_positive": [{"weight": 3}]}, "'surface' string"),
+        ],
+        ids=[
+            "model-not-object",
+            "model-without-kind",
+            "lexicon-not-object",
+            "tier-entry-int",
+            "tier-entry-without-surface",
+        ],
+    )
+    def test_malformed_model_or_lexicon_exits_one(
+        self, workspace, capsys, tmp_path, kind, breakage, named
+    ):
+        broken = tmp_path / f"broken-{kind}.json"
+        if kind == "model":
+            source = tmp_path / "model.json"
+            annotations = ["--annotations", str(workspace["annotations"])]
+            train = ["train", *corpus_args(workspace), *annotations, "--model", "svm"]
+            assert run([*train, "--out", str(source)]) == 0
+            selector = ["--model", str(broken)]
+        else:
+            source = default_lexicon_path()
+            selector = ["--rule-based", "--lexicon", str(broken)]
+        doc = breakage(json.loads(source.read_text(encoding="utf-8")))
+        broken.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["extract", *corpus_args(workspace), *selector, "--out", str(tmp_path / "o")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_lexicon_env_var(self, workspace, monkeypatch, tmp_path):
         monkeypatch.setenv("MAASAR_LEXICON", str(tmp_path / "missing.json"))
         code = run(["detect", *corpus_args(workspace), "--out", str(tmp_path / "o")])
         assert code == 1
+
+
+# Each scoring flag, a value other than its default, and where it must land
+# (in the Lexicon or the DurationScoringConfig that extract receives).
+SCORING_FLAGS = [
+    ("--weight-strong-positive", 3.5, lambda lex, cfg: lex.tier_weights["strong_positive"]),
+    ("--weight-moderate-positive", 0.5, lambda lex, cfg: lex.tier_weights["moderate_positive"]),
+    ("--weight-moderate-negative", -0.5, lambda lex, cfg: lex.tier_weights["moderate_negative"]),
+    ("--weight-strong-negative", -3.5, lambda lex, cfg: lex.tier_weights["strong_negative"]),
+    ("--number-with-unit-bonus", 1.25, lambda lex, cfg: lex.structural.number_with_unit_bonus),
+    (
+        "--number-without-unit-penalty",
+        -1.25,
+        lambda lex, cfg: lex.structural.number_without_unit_penalty,
+    ),
+    ("--fine-marker-penalty", -1.75, lambda lex, cfg: lex.structural.fine_marker_penalty),
+    ("--duration-unit-proximity-weight", 2.25, lambda lex, cfg: cfg.unit_proximity_weight),
+    ("--duration-actual-marker-weight", 2.75, lambda lex, cfg: cfg.actual_marker_weight),
+    ("--duration-probation-penalty", 3.25, lambda lex, cfg: cfg.probation_penalty),
+    ("--duration-fine-penalty", 3.75, lambda lex, cfg: cfg.fine_penalty),
+    ("--duration-position-bonus", 0.75, lambda lex, cfg: cfg.position_bonus),
+    ("--threshold", 2.5, lambda lex, cfg: lex.threshold),
+]
 
 
 class TestWeightOverrides:
@@ -273,6 +344,20 @@ class TestWeightOverrides:
         )
         assert code == 1
         assert "tier weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", SCORING_FLAGS, ids=[f[0] for f in SCORING_FLAGS])
+    def test_scoring_flag_reaches_its_field(self, workspace, monkeypatch, flag, value, field):
+        seen = {}
+
+        def spy(decision, chosen, lexicon, scoring):
+            seen.update(lexicon=lexicon, scoring=scoring)
+            return extract(decision, chosen, lexicon, scoring)
+
+        monkeypatch.setattr(cli, "extract", spy)
+        assert run(["extract", *corpus_args(workspace), "--rule-based", flag, str(value)]) == 0
+        assert field(seen["lexicon"], seen["scoring"]) == value
+        defaults = (load_lexicon(), DurationScoringConfig())
+        assert field(*defaults) != value
 
     def test_tier_weight_flag_applies(self, workspace, tmp_path):
         # raising the score floor above the boosted verdict score still selects
@@ -305,7 +390,7 @@ GOLDEN_RUNS = {
     "detect.jsonl": (["detect", "{corpus}"], "2cedd0d5b623fef95a4e4768d854ac186aaa5fcd260ac0eb6613e9071f94546b"),
     "extract-rule.jsonl": (["extract", "{corpus}", "--rule-based"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
     "rf-model.json": (["train", "{corpus}", "{annotations}", "--model", "rf", "--seed", "3"], "cd7ff08863d01ed7593b86990dfa5cb2f3e4f78a714ca7da03f2725d7f1cf92a"),
-    "extract-rf.jsonl": (["extract", "{corpus}", "--model", "{model}", "--jobs", "2"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
+    "extract-rf.jsonl": (["extract", "{corpus}", "--model", "{model}"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
     "eval-svm.json": (["eval", "{corpus}", "{annotations}", "--model-kind", "svm", "--folds", "5", "--seed", "3"], "41b95e469974aa6382138a2ba9dca222e8949472dd3786faa5e74758876e9487"),
     "eval-rule-loose.json": (["eval", "{corpus}", "{annotations}", "--rule-based", "--threshold", "0", "--fine-marker-penalty", "0", "--weight-strong-positive", "1.5"], "60f3c4c54591e3fd2af45b4b2ad874fca24437a555b7299f0b6932e7d14fbba6"),
     "detect-fine.jsonl": (["detect", "{corpus}", *_LOOSE_RULE], "7069940feb2299825450bbffc7bfad65e20d49fe3a111b20d423aede9117ceb4"),

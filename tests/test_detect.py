@@ -1,11 +1,9 @@
 import dataclasses
 
-import pytest
 from hypothesis import given, strategies as st
 
 from maasar.corpus import Decision, segment_sentences
 from maasar.detect import (
-    RuleBasedSelector,
     filter_candidates,
     rule_score,
     select_sentence_rule_based,
@@ -157,19 +155,6 @@ class TestMonotonicity:
 
 
 class TestEstimatorApi:
-    def test_fit_predict(self, lexicon, synthetic):
-        selector = RuleBasedSelector(lexicon=lexicon).fit()
-        predictions = selector.predict(synthetic.decisions[:3])
-        assert len(predictions) == 3
-
-    def test_get_set_params(self, lexicon):
-        selector = RuleBasedSelector()
-        assert selector.get_params() == {"lexicon": None}
-        selector.set_params(lexicon=lexicon)
-        assert selector.get_params()["lexicon"] is lexicon
-        with pytest.raises(ValueError, match="invalid parameter"):
-            selector.set_params(bogus=1)
-
     def test_threshold_override_via_replace(self, lexicon):
         lenient = dataclasses.replace(lexicon, threshold=-10.0)
         decision = Decision.from_text("c", PRIOR_CASE_ROW)
