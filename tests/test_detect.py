@@ -1,5 +1,6 @@
 import dataclasses
 
+import pytest
 from hypothesis import given, strategies as st
 
 from maasar.corpus import Decision, segment_sentences
@@ -8,6 +9,7 @@ from maasar.detect import (
     rule_score,
     select_sentence_rule_based,
 )
+from maasar.pipeline import PunishmentExtractor
 from samples import (
     FINE_ROW,
     PRIOR_CASE_ROW,
@@ -155,6 +157,14 @@ class TestMonotonicity:
 
 
 class TestEstimatorApi:
+    def test_get_set_params(self, lexicon):
+        selector = PunishmentExtractor(method="rule_based")
+        assert selector.get_params()["lexicon"] is None
+        selector.set_params(lexicon=lexicon)
+        assert selector.get_params()["lexicon"] is lexicon
+        with pytest.raises(ValueError, match="invalid parameter"):
+            selector.set_params(bogus=1)
+
     def test_threshold_override_via_replace(self, lexicon):
         lenient = dataclasses.replace(lexicon, threshold=-10.0)
         decision = Decision.from_text("c", PRIOR_CASE_ROW)
