@@ -70,7 +70,6 @@ from .pipeline import (
     CrossValConfig,
     PunishmentExtractor,
     cross_validate,
-    evaluate_predictions,
     evaluate_rule_based,
     select_sentence_supervised,
     sentences_above_threshold,

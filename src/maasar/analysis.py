@@ -25,7 +25,7 @@ class SentenceAnalysis:
     sentence: Sentence
     stripped: tuple[str, ...]
     tier_hits: TierHits
-    spans: tuple[NumberSpan, ...]  # detect_spans with include_half=True
+    spans: tuple[NumberSpan, ...]
     fine_positions: tuple[int, ...]
     probation_positions: tuple[int, ...]
     actual_positions: tuple[int, ...]

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from collections import namedtuple
 from pathlib import Path
 
 from .corpus import corpus_stats, load_annotations, load_corpus, prelabel_negatives
@@ -33,7 +32,6 @@ from .pipeline import (
 )
 
 # Scoring knobs, one float flag each: ``--{prefix}{name}`` with ``_`` as ``-``.
-# ``DurationScoringConfig.marker_window`` has no flag.
 _TIER_KNOBS = ("weight_", TIER_NAMES)
 _STRUCTURAL_KNOBS = ("", tuple(f.name for f in dataclasses.fields(StructuralWeights)))
 _DURATION_KNOBS = (
@@ -52,11 +50,8 @@ class _UsageError(Exception):
     pass
 
 
-_MonthsRow = namedtuple("_MonthsRow", "months")
-
-
 def _histogram_csv(months: list, path: str, bucket_months: int) -> None:
-    histogram = punishment_histogram([_MonthsRow(m) for m in months], bucket_months)
+    histogram = punishment_histogram(months, bucket_months)
     _write_atomic(
         path,
         "bucket_start,bucket_end,count\n" + "\n".join(histogram.to_csv_rows()) + "\n",
@@ -353,7 +348,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

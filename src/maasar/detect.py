@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .analysis import SentenceAnalysis, analyse
 from .corpus import Decision, Sentence
-from .lexicon import Lexicon, TierHits
+from .lexicon import Lexicon
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,6 @@ class ScoredSentence:
     @property
     def sentence_index(self) -> int:
         return self.analysis.sentence.index
-
-    @property
-    def tier_hits(self) -> TierHits:
-        return self.analysis.tier_hits
-
-    @property
-    def has_number(self) -> bool:
-        return self.analysis.has_number
-
-    @property
-    def has_time_unit(self) -> bool:
-        return self.analysis.has_time_unit
 
 
 def filter_candidates(decision: Decision, lexicon: Lexicon) -> list[Sentence]:

@@ -5,17 +5,23 @@ verdicts phrased as a total term split into an actual part and a conditional
 part (exactly three duration numbers with first = second + third, the second
 being the served term); otherwise per-span scoring by unit proximity, nearby
 actual-imprisonment markers, probation/fine adjacency penalties, and a mild
-late-position bonus, taking the best span within the sentence.
+late-position bonus, taking the best span within the sentence. Both routes
+read the chosen sentence's ``SentenceAnalysis``: its spans (with "and a
+half" always part of the numeral grammar) and its marker positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .analysis import SentenceAnalysis, analyse
-from .corpus import Decision, Sentence
+from .corpus import Decision
 from .lexicon import Lexicon
-from .numbers import NumberSpan, detect_spans, span_months
+from .numbers import NumberSpan, span_months
+
+# How far (in tokens) a probation or fine marker reaches to penalize a span.
+MARKER_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,6 @@ class DurationScoringConfig:
     probation_penalty: float = 2.5
     fine_penalty: float = 2.5
     position_bonus: float = 0.5
-    marker_window: int = 3
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class ExtractionResult:
         }
 
 
-def decomposition_candidate(spans: list[NumberSpan]) -> DecompositionCandidate | None:
+def decomposition_candidate(spans: Iterable[NumberSpan]) -> DecompositionCandidate | None:
     """The total/actual/conditional triple, when the sentence has that shape.
 
     Requires exactly three duration spans (spans with no resolvable unit,
@@ -75,7 +80,7 @@ def decomposition_candidate(spans: list[NumberSpan]) -> DecompositionCandidate |
     return None
 
 
-def try_decomposition(spans: list[NumberSpan]) -> int | None:
+def try_decomposition(spans: Iterable[NumberSpan]) -> int | None:
     """Served months via the decomposition rule, or None when it does not apply."""
     candidate = decomposition_candidate(spans)
     return span_months(candidate.actual) if candidate else None
@@ -96,20 +101,16 @@ def _distance_to_markers(span: NumberSpan, positions: tuple[int, ...]) -> int | 
 
 
 def score_duration_candidates(
-    sentence: Sentence | SentenceAnalysis,
-    spans: list[NumberSpan],
-    lexicon: Lexicon,
-    config: DurationScoringConfig = DurationScoringConfig(),
+    analysis: SentenceAnalysis, config: DurationScoringConfig
 ) -> int | None:
-    """Best-scoring duration span within the sentence; no absolute threshold.
+    """Best-scoring duration span of the analysed sentence; no absolute threshold.
 
     None when no span has a resolvable unit. Ties go to the later span.
     """
-    candidates = [s for s in spans if s.attached_unit is not None]
+    candidates = [s for s in analysis.spans if s.attached_unit is not None]
     if not candidates:
         return None
 
-    analysis = sentence if isinstance(sentence, SentenceAnalysis) else analyse(sentence, lexicon)
     n_tokens = max(analysis.sentence.token_count, 1)
 
     def score(span: NumberSpan) -> float:
@@ -118,10 +119,10 @@ def score_duration_candidates(
         if d_actual is not None:
             value += config.actual_marker_weight / (1.0 + d_actual)
         d_prob = _distance_to_markers(span, analysis.probation_positions)
-        if d_prob is not None and d_prob <= config.marker_window:
+        if d_prob is not None and d_prob <= MARKER_WINDOW:
             value -= config.probation_penalty
         d_fine = _distance_to_markers(span, analysis.fine_positions)
-        if d_fine is not None and d_fine <= config.marker_window:
+        if d_fine is not None and d_fine <= MARKER_WINDOW:
             value -= config.fine_penalty
         value += config.position_bonus * (span.start_token / max(n_tokens - 1, 1))
         return value
@@ -135,7 +136,6 @@ def extract(
     chosen: int | SentenceAnalysis | None,
     lexicon: Lexicon,
     config: DurationScoringConfig = DurationScoringConfig(),
-    include_half: bool = True,
 ) -> ExtractionResult:
     """Full duration extraction for one decision, given the chosen sentence.
 
@@ -148,17 +148,11 @@ def extract(
         sentence_index, analysis = chosen, analyse(decision.sentences[chosen], lexicon)
     else:
         sentence_index, analysis = chosen.sentence.index, chosen
-    spans = list(analysis.spans)
-    if not include_half:
-        spans = detect_spans(analysis.sentence, lexicon.numerals, False, analysis.stripped)
+    spans = analysis.spans
     months = try_decomposition(spans)
     if months is not None:
-        return ExtractionResult(
-            decision.case_id, sentence_index, months, "decomposition", tuple(spans)
-        )
-    months = score_duration_candidates(analysis, spans, lexicon, config)
+        return ExtractionResult(decision.case_id, sentence_index, months, "decomposition", spans)
+    months = score_duration_candidates(analysis, config)
     if months is not None:
-        return ExtractionResult(
-            decision.case_id, sentence_index, months, "scored", tuple(spans)
-        )
-    return ExtractionResult(decision.case_id, sentence_index, None, "none", tuple(spans))
+        return ExtractionResult(decision.case_id, sentence_index, months, "scored", spans)
+    return ExtractionResult(decision.case_id, sentence_index, None, "none", spans)

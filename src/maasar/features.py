@@ -3,6 +3,8 @@
 The schema mirrors the signals the rule-based scorer uses (tier hit counts,
 number/unit structure, marker counts) plus document-position features. Its
 order is versioned; models refuse vectors from a different schema version.
+Sentence length is normalized by a caller-given token-count scale: the
+pipeline featurizes at scale 1 (the raw count) and rescales per model.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import re
 import numpy as np
 
 from .analysis import analyse
-from .corpus import Decision, Sentence
+from .corpus import Sentence
 from .lexicon import Lexicon
 
 FEATURE_SCHEMA_VERSION = 1
@@ -38,21 +40,14 @@ NUM_FEATURES = len(FEATURE_NAMES)
 DOCKET_RE = re.compile(r"\d+/\d+")
 
 
-def featurize(
-    sentence: Sentence,
-    decision: Decision,
-    lexicon: Lexicon,
-    max_token_count: int | None = None,
-) -> np.ndarray:
-    """Feature vector for one sentence in its decision context.
+def featurize(sentence: Sentence, lexicon: Lexicon, max_token_count: int) -> np.ndarray:
+    """Feature vector for one sentence.
 
-    ``max_token_count`` is the normalization constant for sentence length;
-    when omitted, the longest sentence of the decision is used.
+    ``max_token_count`` is the normalization constant for sentence length
+    (values below 1 count as 1).
     """
     analysis = analyse(sentence, lexicon)
     hits = analysis.tier_hits
-    if max_token_count is None:
-        max_token_count = max((s.token_count for s in decision.sentences), default=1)
     max_token_count = max(max_token_count, 1)
 
     values = (
@@ -74,13 +69,8 @@ def featurize(
 
 
 def featurize_candidates(
-    candidates: list[Sentence],
-    decision: Decision,
-    lexicon: Lexicon,
-    max_token_count: int | None = None,
+    candidates: list[Sentence], lexicon: Lexicon, max_token_count: int
 ) -> np.ndarray:
     if not candidates:
         return np.empty((0, NUM_FEATURES), dtype=float)
-    return np.vstack(
-        [featurize(s, decision, lexicon, max_token_count) for s in candidates]
-    )
+    return np.vstack([featurize(s, lexicon, max_token_count) for s in candidates])

@@ -4,6 +4,9 @@ The lexicon is data, not code: a JSON document with one array per scored
 tier (entries ``{"surface": ..., "weight": optional}``), the filter/marker
 lists, the time-unit surface forms, and a sibling ``numerals`` section.
 A default Hebrew lexicon ships with the package and is meant to be edited.
+``load_lexicon`` checks the JSON type of every section it reads and raises a
+``LexiconError`` naming the section, so a mistyped file is refused, not
+coerced.
 
 Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
 into ``PhraseIndex`` tables keyed by a phrase's first word: one for the four
@@ -152,7 +155,6 @@ class Lexicon:
     moderate_positive: Mapping[str, float]
     moderate_negative: Mapping[str, float]
     strong_negative: Mapping[str, float]
-    time_units: Mapping[str, TimeUnit]
     fine_markers: frozenset[str]
     probation_markers: frozenset[str]
     actual_markers: frozenset[str]
@@ -215,6 +217,36 @@ def _require(doc: dict, key: str) -> object:
     return doc[key]
 
 
+def _shape_error(where: str, expected: str, value: object) -> LexiconError:
+    return LexiconError(f"lexicon section {where!r} must be {expected}, got {value!r}")
+
+
+def _object(value: object, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise _shape_error(where, "an object", value)
+    return value
+
+
+def _strings(value: object, where: str) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise _shape_error(where, "a list of strings", value)
+    return value
+
+
+def _variants(value: object, where: str) -> list[str]:
+    """A non-empty list of strings; the first is the canonical spelling."""
+    if not _strings(value, where):
+        raise _shape_error(where, "a non-empty list of strings", value)
+    return value
+
+
+def _number(value: object, where: str) -> int | float:
+    # bool is an int subclass, but true is not a weight
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _shape_error(where, "a number", value)
+    return value
+
+
 def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
     entries = _require(doc, name)
     if not isinstance(entries, list):
@@ -225,7 +257,8 @@ def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
             surface, weight = entry, default_weight
         elif isinstance(entry, dict) and isinstance(entry.get("surface"), str):
             surface = entry["surface"]
-            weight = float(entry.get("weight", default_weight))
+            weight = entry.get("weight", default_weight)
+            weight = float(_number(weight, f"{name}[{position}].weight"))
         else:
             raise LexiconError(
                 f"lexicon tier {name!r} entry {position} must be a string or an object "
@@ -235,24 +268,30 @@ def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
     return tier
 
 
-def _unit_map(section: Mapping[str, list[str]]) -> dict[str, TimeUnit]:
+def _unit_map(section: object, where: str) -> dict[str, TimeUnit]:
     out: dict[str, TimeUnit] = {}
-    for unit_name, surfaces in section.items():
-        unit = TimeUnit(unit_name)
-        for surface in surfaces:
+    for unit_name, surfaces in _object(section, where).items():
+        try:
+            unit = TimeUnit(unit_name)
+        except ValueError:
+            unknown = f"lexicon section {where!r} has unknown time unit {unit_name!r}"
+            raise LexiconError(unknown) from None
+        for surface in _strings(surfaces, f"{where}.{unit_name}"):
             out[surface] = unit
     return out
 
 
-def _value_map(
-    section: Mapping[str, list[str]], lo: int, hi: int, what: str, step: int = 1
-) -> dict[str, int]:
+def _value_map(numerals: dict, key: str, lo: int, hi: int, step: int = 1) -> dict[str, int]:
+    where = f"numerals.{key}"
     out: dict[str, int] = {}
-    for key, variants in section.items():
-        value = int(key)
+    for value_text, variants in _object(numerals[key], where).items():
+        try:
+            value = int(value_text)
+        except ValueError:
+            raise LexiconError(f"{where} key {value_text!r} is not an integer") from None
         if not (lo <= value <= hi and (value - lo) % step == 0):
-            raise LexiconError(f"{what} value {value} outside its declared range")
-        for variant in variants:
+            raise LexiconError(f"{where} value {value} outside its declared range")
+        for variant in _variants(variants, f"{where}.{value_text}"):
             out[variant] = value
     return out
 
@@ -261,7 +300,8 @@ def _canonical(section: Mapping[str, list[str]]) -> dict[int, str]:
     return {int(k): v[0] for k, v in section.items()}
 
 
-def load_numerals(section: Mapping) -> NumeralLexicon:
+def load_numerals(section: object) -> NumeralLexicon:
+    section = _object(section, "numerals")
     required = (
         "zero", "units_feminine", "units_masculine", "teens_feminine",
         "teens_masculine", "tens", "hundreds", "conjunctions",
@@ -269,24 +309,23 @@ def load_numerals(section: Mapping) -> NumeralLexicon:
     for key in required:
         if key not in section:
             raise LexiconError(f"numerals section is missing {key!r}")
-    zero = {w: 0 for w in section["zero"]}
-    units_f = _value_map(section["units_feminine"], 1, 10, "units")
-    units_m = _value_map(section["units_masculine"], 1, 10, "units")
-    teens_f = _value_map(section["teens_feminine"], 11, 19, "teens")
-    teens_m = _value_map(section["teens_masculine"], 11, 19, "teens")
-    tens = _value_map(section["tens"], 20, 90, "tens", step=10)
-    hundreds = _value_map(section["hundreds"], 100, 900, "hundreds", step=100)
-    conjunctions = tuple(section["conjunctions"])
-    if not conjunctions:
-        raise LexiconError("numerals.conjunctions must not be empty")
-    half = frozenset(section.get("half", []))
+    zero = {w: 0 for w in _variants(section["zero"], "numerals.zero")}
+    units_f = _value_map(section, "units_feminine", 1, 10)
+    units_m = _value_map(section, "units_masculine", 1, 10)
+    teens_f = _value_map(section, "teens_feminine", 11, 19)
+    teens_m = _value_map(section, "teens_masculine", 11, 19)
+    tens = _value_map(section, "tens", 20, 90, step=10)
+    hundreds = _value_map(section, "hundreds", 100, 900, step=100)
+    conjunctions = tuple(_variants(section["conjunctions"], "numerals.conjunctions"))
+    half = frozenset(_strings(section.get("half", []), "numerals.half"))
 
     units = {**units_f, **units_m}
     teens = {**teens_f, **teens_m}
     hundreds_single = {w: v for w, v in hundreds.items() if " " not in w}
-    plural_markers = frozenset(
-        w.split()[1] for w in hundreds if " " in w
-    )
+    phrases = [w.split() for w in hundreds if " " in w]  # unit word + plural marker
+    if any(len(words) != 2 for words in phrases):
+        raise LexiconError("numerals.hundreds variants with a space must be exactly two words")
+    plural_markers = frozenset(words[1] for words in phrases)
     vocab = set(zero) | set(units) | set(tens) | set(hundreds_single) | plural_markers
     for phrase in teens:
         vocab.update(phrase.split())
@@ -337,7 +376,8 @@ def load_lexicon(
         raise LexiconError(f"lexicon file must hold a JSON object, got {type(doc).__name__}")
 
     weights = dict(_DEFAULT_TIER_WEIGHTS)
-    weights.update(doc.get("tier_weights", {}))
+    for name, weight in _object(doc.get("tier_weights", {}), "tier_weights").items():
+        weights[name] = _number(weight, f"tier_weights.{name}")
     if tier_weights:
         weights.update(tier_weights)
     if not (
@@ -363,10 +403,10 @@ def load_lexicon(
     if overlaps:
         raise LexiconError("tier lists must be disjoint; overlapping entries: " + "; ".join(overlaps))
 
-    time_units = _unit_map(_require(doc, "time_units"))
+    time_units = _unit_map(_require(doc, "time_units"), "time_units")
     numerals = load_numerals(_require(doc, "numerals"))
-    unit_only = _unit_map(doc.get("unit_only", {}))
-    duals = _unit_map(doc.get("dual_units", {}))
+    unit_only = _unit_map(doc.get("unit_only", {}), "unit_only")
+    duals = _unit_map(doc.get("dual_units", {}), "dual_units")
     numerals = dataclasses.replace(
         numerals,
         unit_only_words=unit_only,
@@ -374,27 +414,30 @@ def load_lexicon(
         time_unit_words=time_units,
     )
 
-    structural_doc = dict(doc.get("structural", {}))
+    structural_doc = dict(_object(doc.get("structural", {}), "structural"))
     if structural:
         structural_doc.update(structural)
     structural_weights = StructuralWeights(
         **{
-            f.name: float(structural_doc.get(f.name, f.default))
+            f.name: float(_number(structural_doc.get(f.name, f.default), f"structural.{f.name}"))
             for f in dataclasses.fields(StructuralWeights)
         }
     )
+    file_threshold = _number(doc.get("threshold", 2.0), "threshold")
+
+    def markers(name: str) -> frozenset[str]:
+        return frozenset(_strings(doc.get(name, []), name))
 
     return Lexicon(
-        filter_keywords=frozenset(_require(doc, "filter_keywords")),
+        filter_keywords=frozenset(_strings(_require(doc, "filter_keywords"), "filter_keywords")),
         strong_positive=tiers["strong_positive"],
         moderate_positive=tiers["moderate_positive"],
         moderate_negative=tiers["moderate_negative"],
         strong_negative=tiers["strong_negative"],
-        time_units=time_units,
-        fine_markers=frozenset(doc.get("fine_markers", [])),
-        probation_markers=frozenset(doc.get("probation_markers", [])),
-        actual_markers=frozenset(doc.get("actual_markers", [])),
-        threshold=float(threshold if threshold is not None else doc.get("threshold", 2.0)),
+        fine_markers=markers("fine_markers"),
+        probation_markers=markers("probation_markers"),
+        actual_markers=markers("actual_markers"),
+        threshold=float(threshold if threshold is not None else file_threshold),
         tier_weights=weights,
         structural=structural_weights,
         numerals=numerals,

@@ -267,11 +267,11 @@ class Histogram:
         return [f"{start},{end},{count}" for start, end, count in self.buckets]
 
 
-def punishment_histogram(results: Iterable, bucket_months: int) -> Histogram:
-    """Bucketed counts of extracted durations plus headline statistics."""
+def punishment_histogram(months: Iterable[int | None], bucket_months: int) -> Histogram:
+    """Bucketed counts of extracted durations (None skipped) plus headline statistics."""
     if bucket_months < 1:
         raise ValueError("bucket_months must be >= 1")
-    months = [r.months for r in results if getattr(r, "months", None) is not None]
+    months = [m for m in months if m is not None]
     if not months:
         return Histogram(bucket_months, (), None, None)
     counts: dict[int, int] = {}

@@ -40,6 +40,25 @@ MODEL_KINDS = ("linear_margin", "tree_ensemble")
 KIND_ALIASES = {"svm": "linear_margin", "rf": "tree_ensemble"}
 
 
+# JSON types a model file field may hold, as (Python types, description).
+_OBJECT = (dict, "an object")
+_LIST = (list, "a list")
+_INT = (int, "an integer")
+_NUMBER = ((int, float), "a number")
+
+
+def _field(doc: dict, name: str, kind: tuple, where: str):
+    """``doc[name]``, refused with a ValueError naming it when absent or mistyped."""
+    if name not in doc:
+        raise ValueError(f"{where} is missing the {name!r} field")
+    value = doc[name]
+    expected, described = kind
+    # JSON true/false load as bool, which Python counts as an int
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ValueError(f"{where} field {name!r} must be {described}, got {value!r}")
+    return value
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
@@ -129,10 +148,14 @@ class LinearMarginClassifier(ParamsMixin):
         }
 
     def load_state_dict(self, state: dict) -> "LinearMarginClassifier":
-        self.weights_ = np.asarray(state["weights"], dtype=float)
-        self.bias_ = float(state["bias"])
-        self.calibration_scale_ = float(state["calibration"]["scale"])
-        self.calibration_offset_ = float(state["calibration"]["offset"])
+        weights = _field(state, "weights", _LIST, "model state")
+        if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights):
+            raise ValueError(f"model state field 'weights' must hold numbers, got {weights!r}")
+        calibration = _field(state, "calibration", _OBJECT, "model state")
+        self.weights_ = np.asarray(weights, dtype=float)
+        self.bias_ = float(_field(state, "bias", _NUMBER, "model state"))
+        self.calibration_scale_ = float(_field(calibration, "scale", _NUMBER, "calibration"))
+        self.calibration_offset_ = float(_field(calibration, "offset", _NUMBER, "calibration"))
         self.n_features_in_ = self.weights_.shape[0]
         return self
 
@@ -234,22 +257,35 @@ class _FlatTrees:
     right: np.ndarray
 
     @classmethod
-    def from_trees(cls, trees: list[dict]) -> "_FlatTrees":
+    def from_trees(cls, trees: list, n_features: int) -> "_FlatTrees":
+        """Flatten nested-dict trees, refusing (ValueError) a node whose fields
+        are missing or mistyped, a feature outside ``[0, n_features)`` or a
+        vote other than 0 or 1."""
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
         right: list[int] = []
 
-        def ref(node: dict) -> int:
+        def ref(node: object) -> int:
+            if not isinstance(node, dict):
+                raise ValueError(f"model tree node must be an object, got {node!r}")
             if "vote" in node:
-                return -1 - node["vote"]
+                vote = _field(node, "vote", _INT, "model tree leaf")
+                if vote not in (0, 1):
+                    raise ValueError(f"model tree leaf field 'vote' must be 0 or 1, got {vote}")
+                return -1 - vote
+            f = _field(node, "feature", _INT, "model tree node")
+            if not 0 <= f < n_features:
+                raise ValueError(
+                    f"model tree node field 'feature' must be in [0, {n_features}), got {f}"
+                )
             i = len(feature)
-            feature.append(node["feature"])
-            threshold.append(node["threshold"])
+            feature.append(f)
+            threshold.append(_field(node, "threshold", _NUMBER, "model tree node"))
             left.append(0)
             right.append(0)
-            left[i] = ref(node["left"])
-            right[i] = ref(node["right"])
+            left[i] = ref(_field(node, "left", _OBJECT, "model tree node"))
+            right[i] = ref(_field(node, "right", _OBJECT, "model tree node"))
             return i
 
         roots = [ref(tree) for tree in trees]
@@ -328,8 +364,8 @@ class TreeEnsembleClassifier(ParamsMixin):
                     X, y, sample, rng, max_features, self.min_leaf, self.max_depth
                 )
             )
-        self.trees_ = trees
         self.n_features_in_ = X.shape[1]
+        self.flat_trees_ = _FlatTrees.from_trees(trees, self.n_features_in_)
         return self
 
     # The fitted trees live as _FlatTrees; trees_ is their nested-dict form,
@@ -337,10 +373,6 @@ class TreeEnsembleClassifier(ParamsMixin):
     @property
     def trees_(self) -> list[dict]:
         return self.flat_trees_.to_trees()
-
-    @trees_.setter
-    def trees_(self, trees: list[dict]) -> None:
-        self.flat_trees_ = _FlatTrees.from_trees(trees)
 
     def predict_proba(self, X) -> np.ndarray:
         X = check_feature_matrix(X, self.n_features_in_)
@@ -355,8 +387,12 @@ class TreeEnsembleClassifier(ParamsMixin):
         return {"trees": self.trees_, "n_features_in": self.n_features_in_}
 
     def load_state_dict(self, state: dict) -> "TreeEnsembleClassifier":
-        self.trees_ = state["trees"]
-        self.n_features_in_ = int(state.get("n_features_in", NUM_FEATURES))
+        trees = _field(state, "trees", _LIST, "model state")
+        if not trees:
+            raise ValueError("model state field 'trees' must not be empty")
+        n_features = _field(state, "n_features_in", _INT, "model state")
+        self.flat_trees_ = _FlatTrees.from_trees(trees, n_features)
+        self.n_features_in_ = n_features
         return self
 
 
@@ -444,10 +480,11 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 # Required fields of a model file and the JSON type each must hold.
 _MODEL_FIELDS = {
     "kind": (str, "a string"),
-    "feature_schema_version": (int, "an integer"),
-    "rng_seed": (int, "an integer"),
-    "hyperparams": (dict, "an object"),
-    "state": (dict, "an object"),
+    "feature_schema_version": _INT,
+    "rng_seed": _INT,
+    "token_count_scale": _INT,
+    "hyperparams": _OBJECT,
+    "state": _OBJECT,
 }
 
 
@@ -457,11 +494,8 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')}")
-    for name, (expected, described) in _MODEL_FIELDS.items():
-        if name not in doc:
-            raise ValueError(f"model file is missing the {name!r} field")
-        if not isinstance(doc[name], expected):
-            raise ValueError(f"model field {name!r} must be {described}, got {doc[name]!r}")
+    for name, kind in _MODEL_FIELDS.items():
+        _field(doc, name, kind, "model file")
     kind = _normalize_kind(doc["kind"])
     classifier = make_classifier(kind, seed=doc["rng_seed"])
     classifier.set_params(**doc["hyperparams"])
@@ -469,7 +503,7 @@ def load_model(path: str | Path) -> TrainedModel:
     return TrainedModel(
         kind=kind,
         classifier=classifier,
-        feature_schema_version=int(doc["feature_schema_version"]),
-        rng_seed=int(doc["rng_seed"]),
-        token_count_scale=int(doc.get("token_count_scale", 1)),
+        feature_schema_version=doc["feature_schema_version"],
+        rng_seed=doc["rng_seed"],
+        token_count_scale=doc["token_count_scale"],
     )

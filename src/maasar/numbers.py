@@ -4,9 +4,11 @@ Hebrew numerals are gendered, admit several unpointed spellings, compose
 tens and units through a conjunctive prefix (forty-and-eight), and express
 one-year / one-month punishments with a bare unit word. Everything here
 works over whitespace tokens against a loaded numeral lexicon; the grammar
-covers 0-999 which is ample for imprisonment durations. The sentence-level
-finders take the sentence's ``stripped_tokens`` from callers that already
-have them, so a sentence is tokenized once.
+covers 0-999 which is ample for imprisonment durations, and a half word
+right after a time unit ("year and a half") always adds half of that unit
+(``NumberSpan.plus_half``). The sentence-level finders take the sentence's
+``stripped_tokens`` from callers that already have them, so a sentence is
+tokenized once.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def render_number(value: int, numerals: "NumeralLexicon", gender: str = "feminin
 
 
 def _attach_unit(
-    stripped: tuple[str, ...], end_token: int, numerals: "NumeralLexicon", include_half: bool
+    stripped: tuple[str, ...], end_token: int, numerals: "NumeralLexicon"
 ) -> tuple[TimeUnit | None, int, bool]:
     """Nearest forward time unit within the window; stops at another number."""
     n = len(stripped)
@@ -211,10 +213,7 @@ def _attach_unit(
         tok = stripped[k]
         unit = numerals.time_unit_words.get(tok)
         if unit is not None:
-            plus_half = (
-                include_half and k + 1 < n and stripped[k + 1] in numerals.half_words
-            )
-            return unit, dist - 1, plus_half
+            return unit, dist - 1, k + 1 < n and stripped[k + 1] in numerals.half_words
         if _is_numberish(tok, numerals):
             break
     return None, 0, False
@@ -230,10 +229,7 @@ def _is_numberish(stripped: str, numerals: "NumeralLexicon") -> bool:
 
 
 def find_numbers(
-    sentence: "Sentence",
-    numerals: "NumeralLexicon",
-    include_half: bool = True,
-    stripped: tuple[str, ...] | None = None,
+    sentence: "Sentence", numerals: "NumeralLexicon", stripped: tuple[str, ...] | None = None
 ) -> list[NumberSpan]:
     """All digit literals, number-word sequences and dual unit words.
 
@@ -249,7 +245,7 @@ def find_numbers(
         tok = stripped[i]
         value = _digit_value(tok)
         if value is not None:
-            unit, dist, half = _attach_unit(stripped, i, numerals, include_half)
+            unit, dist, half = _attach_unit(stripped, i, numerals)
             spans.append(
                 NumberSpan(i, i, value, "digits", unit, dist, half)
             )
@@ -257,7 +253,7 @@ def find_numbers(
             continue
         dual = numerals.dual_unit_words.get(tok)
         if dual is not None:
-            half = include_half and i + 1 < n and stripped[i + 1] in numerals.half_words
+            half = i + 1 < n and stripped[i + 1] in numerals.half_words
             spans.append(NumberSpan(i, i, 2, "words", dual, 0, half))
             i += 1
             continue
@@ -272,7 +268,7 @@ def find_numbers(
                     break
             value = compose(stripped[i : j + 1], numerals)
             if value is not None:
-                unit, dist, half = _attach_unit(stripped, j, numerals, include_half)
+                unit, dist, half = _attach_unit(stripped, j, numerals)
                 spans.append(NumberSpan(i, j, value, "words", unit, dist, half))
             i = j + 1
             continue
@@ -281,10 +277,7 @@ def find_numbers(
 
 
 def unit_only_elimination(
-    sentence: "Sentence",
-    numerals: "NumeralLexicon",
-    include_half: bool = True,
-    stripped: tuple[str, ...] | None = None,
+    sentence: "Sentence", numerals: "NumeralLexicon", stripped: tuple[str, ...] | None = None
 ) -> list[NumberSpan]:
     """Bare singular unit words with no adjoining number imply value one.
 
@@ -315,21 +308,18 @@ def unit_only_elimination(
                 break
         if bound:
             continue
-        half = include_half and i + 1 < n and stripped[i + 1] in numerals.half_words
+        half = i + 1 < n and stripped[i + 1] in numerals.half_words
         spans.append(NumberSpan(i, i, 1, "unit_only_elimination", unit, 0, half))
     return spans
 
 
 def detect_spans(
-    sentence: "Sentence",
-    numerals: "NumeralLexicon",
-    include_half: bool = True,
-    stripped: tuple[str, ...] | None = None,
+    sentence: "Sentence", numerals: "NumeralLexicon", stripped: tuple[str, ...] | None = None
 ) -> list[NumberSpan]:
     """Union of number spans and unit-only eliminations, in token order."""
     if stripped is None:
         stripped = stripped_tokens(sentence.text)
-    spans = find_numbers(sentence, numerals, include_half, stripped)
-    spans.extend(unit_only_elimination(sentence, numerals, include_half, stripped))
+    spans = find_numbers(sentence, numerals, stripped)
+    spans.extend(unit_only_elimination(sentence, numerals, stripped))
     spans.sort(key=lambda s: (s.start_token, s.end_token))
     return spans

@@ -59,7 +59,7 @@ RawFeatures = tuple[list[int], np.ndarray]
 
 def _raw_features(decision: Decision, lexicon: Lexicon) -> RawFeatures:
     candidates = filter_candidates(decision, lexicon)
-    X = featurize_candidates(candidates, decision, lexicon, max_token_count=1)
+    X = featurize_candidates(candidates, lexicon, max_token_count=1)
     return [s.index for s in candidates], X
 
 
@@ -150,7 +150,7 @@ def build_training_records(
     decisions: list[Decision],
     annotations: list[AnnotationRecord],
     lexicon: Lexicon,
-    token_scale: int | None = None,
+    token_scale: int,
     raw: dict[str, RawFeatures] | None = None,
 ) -> list[tuple[np.ndarray, bool]]:
     """(feature vector, label) pairs over all candidate sentences.
@@ -161,8 +161,6 @@ def build_training_records(
     instead of featurizing again.
     """
     labels = _label_lookup(annotations)
-    if token_scale is None:
-        token_scale = max_token_count(decisions)
     records = []
     for decision in decisions:
         indices, X = raw[decision.case_id] if raw is not None else _raw_features(decision, lexicon)
@@ -178,11 +176,10 @@ def train_on_decisions(
     kind: str,
     seed: int = 0,
     raw: dict[str, RawFeatures] | None = None,
-    **hyperparams,
 ) -> TrainedModel:
     token_scale = max_token_count(decisions)
     records = build_training_records(decisions, annotations, lexicon, token_scale, raw)
-    model = train(records, kind, seed=seed, **hyperparams)
+    model = train(records, kind, seed=seed)
     model.token_count_scale = token_scale
     return model
 
@@ -258,23 +255,6 @@ def assemble_report(
     )
 
 
-def evaluate_predictions(
-    decisions: list[Decision],
-    annotations: list[AnnotationRecord],
-    lexicon: Lexicon,
-    results: list[ExtractionResult],
-    detected: set[tuple[str, int]] | None = None,
-) -> EvaluationReport:
-    """Score a batch of extraction results against annotations."""
-    selections = {r.case_id: r.sentence_index for r in results}
-    months = {r.case_id: r.months for r in results}
-    if detected is None:
-        detected = {
-            (r.case_id, r.sentence_index) for r in results if r.sentence_index is not None
-        }
-    return assemble_report(decisions, annotations, lexicon, selections, detected, months)
-
-
 def evaluate_rule_based(
     decisions: list[Decision],
     annotations: list[AnnotationRecord],
@@ -282,16 +262,19 @@ def evaluate_rule_based(
     scoring: DurationScoringConfig = DurationScoringConfig(),
 ) -> EvaluationReport:
     """Score the rule-based pipeline; detection = candidates above threshold."""
+    selections: dict[str, int | None] = {}
+    months: dict[str, int | None] = {}
     detected: set[tuple[str, int]] = set()
-    results = []
     for decision in decisions:
         scored = score_candidates(decision, lexicon)
         for candidate in scored:
             if candidate.score >= lexicon.threshold:
                 detected.add((decision.case_id, candidate.sentence_index))
         best = best_scored(scored, lexicon.threshold)
-        results.append(extract(decision, best and best.analysis, lexicon, scoring))
-    return evaluate_predictions(decisions, annotations, lexicon, results, detected)
+        result = extract(decision, best and best.analysis, lexicon, scoring)
+        selections[decision.case_id] = result.sentence_index
+        months[decision.case_id] = result.months
+    return assemble_report(decisions, annotations, lexicon, selections, detected, months)
 
 
 def make_folds(case_ids: list[str], num_folds: int, seed: int) -> list[list[str]]:
@@ -309,7 +292,6 @@ def cross_validate(
     kind: str,
     config: CrossValConfig = CrossValConfig(),
     scoring: DurationScoringConfig = DurationScoringConfig(),
-    **hyperparams,
 ) -> EvaluationReport:
     """Document-level k-fold evaluation; every decision is tested once.
 
@@ -336,13 +318,7 @@ def cross_validate(
         ]
         assert test_ids.isdisjoint(d.case_id for d in train_decisions)
         model = train_on_decisions(
-            train_decisions,
-            train_annotations,
-            lexicon,
-            kind,
-            seed=config.seed,
-            raw=raw,
-            **hyperparams,
+            train_decisions, train_annotations, lexicon, kind, seed=config.seed, raw=raw
         )
         for case_id in fold:
             decision = by_id[case_id]
@@ -369,13 +345,11 @@ class PunishmentExtractor(ParamsMixin):
         method: str = "rule_based",
         lexicon: Lexicon | None = None,
         seed: int = 0,
-        detection_threshold: float = 0.5,
         scoring: DurationScoringConfig = DurationScoringConfig(),
     ):
         self.method = method
         self.lexicon = lexicon
         self.seed = seed
-        self.detection_threshold = detection_threshold
         self.scoring = scoring
 
     def _require_lexicon(self) -> Lexicon:

@@ -45,6 +45,9 @@ COURTS = [
     "בית משפט השלום בבאר שבע",
 ]
 
+# Sentences per generated decision, both bounds inclusive.
+MIN_SENTENCES, MAX_SENTENCES = 30, 80
+
 GOLD_FORMS = (
     "digits_months",
     "digits_years",
@@ -125,15 +128,9 @@ def _gold_sentence(
 
 
 def generate_decision(
-    case_id: str,
-    numerals: NumeralLexicon,
-    rng: random.Random,
-    min_sentences: int = 30,
-    max_sentences: int = 80,
-    gold_form: str | None = None,
+    case_id: str, numerals: NumeralLexicon, rng: random.Random, form: str
 ) -> tuple[Decision, GoldInfo]:
-    n_sentences = rng.randint(min_sentences, max_sentences)
-    form = gold_form or rng.choice(GOLD_FORMS)
+    n_sentences = rng.randint(MIN_SENTENCES, MAX_SENTENCES)
     gold_text, months = _gold_sentence(form, rng, numerals)
 
     distractors = _distractors(rng)
@@ -168,11 +165,7 @@ def generate_decision(
 
 
 def generate_corpus(
-    numerals: NumeralLexicon,
-    num_decisions: int = 24,
-    seed: int = 0,
-    min_sentences: int = 30,
-    max_sentences: int = 80,
+    numerals: NumeralLexicon, num_decisions: int = 24, seed: int = 0
 ) -> SyntheticCorpus:
     rng = random.Random(seed)
     decisions = []
@@ -180,10 +173,7 @@ def generate_corpus(
     gold: dict[str, GoldInfo] = {}
     for i in range(num_decisions):
         case_id = f"c{i:03d}"
-        form = GOLD_FORMS[i % len(GOLD_FORMS)]
-        decision, info = generate_decision(
-            case_id, numerals, rng, min_sentences, max_sentences, gold_form=form
-        )
+        decision, info = generate_decision(case_id, numerals, rng, GOLD_FORMS[i % len(GOLD_FORMS)])
         decisions.append(decision)
         gold[case_id] = info
         for sentence in decision.sentences:

@@ -6,7 +6,7 @@ from maasar import analysis as analysis_module
 from maasar.analysis import analyse
 from maasar.cli import run
 from maasar.detect import choose_rule_based, filter_candidates
-from maasar.extraction import extract, score_duration_candidates
+from maasar.extraction import extract
 from maasar.pipeline import evaluate_rule_based
 from maasar.synthetic import SyntheticCorpus, write_corpus
 
@@ -22,13 +22,6 @@ class TestExtractionReadsTheAnalysis:
         for decision, a in candidate_analyses(synthetic.decisions, lexicon):
             index = a.sentence.index
             assert extract(decision, a, lexicon) == extract(decision, index, lexicon)
-            assert extract(decision, a, lexicon, include_half=False) == extract(
-                decision, index, lexicon, include_half=False
-            )
-            spans = list(a.spans)
-            assert score_duration_candidates(a, spans, lexicon) == score_duration_candidates(
-                a.sentence, spans, lexicon
-            )
 
 
 @pytest.fixture

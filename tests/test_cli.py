@@ -23,6 +23,22 @@ def corpus_args(workspace):
     return ["--corpus", str(workspace["corpus_dir"])]
 
 
+def rf_state(doc, state):
+    """A model file of the tree ensemble kind carrying ``state``."""
+    return {**doc, "kind": "rf", "hyperparams": {}, "state": state}
+
+
+def rf_trees(doc, *trees):
+    return rf_state(doc, {"trees": list(trees), "n_features_in": 13})
+
+
+LEAVES = {"threshold": 0.5, "left": {"vote": 0}, "right": {"vote": 1}}
+
+
+def numerals_with(doc, **sections):
+    return {**doc, "numerals": {**doc["numerals"], **sections}}
+
+
 class TestSubcommands:
     def test_segment(self, workspace):
         out = workspace["root"] / "segment.jsonl"
@@ -257,6 +273,15 @@ class TestErrorHandling:
             ("lexicon", lambda doc: [1], "JSON object"),
             ("lexicon", lambda doc: {**doc, "strong_positive": [5]}, "tier 'strong_positive' entry 0"),
             ("lexicon", lambda doc: {**doc, "strong_positive": [{"weight": 3}]}, "'surface' string"),
+            ("model", lambda doc: {**doc, "state": {}}, "missing the 'weights' field"),
+            ("model", lambda doc: rf_state(doc, {}), "missing the 'trees' field"),
+            ("model", lambda doc: rf_trees(doc, {"feature": 0}), "'threshold'"),
+            (
+                "model",
+                lambda doc: rf_trees(doc, {"feature": 99, **LEAVES}),
+                "'feature' must be in [0, 13), got 99",
+            ),
+            ("model", lambda doc: rf_trees(doc, {"vote": 7}), "'vote' must be 0 or 1"),
         ],
         ids=[
             "model-not-object",
@@ -264,6 +289,11 @@ class TestErrorHandling:
             "lexicon-not-object",
             "tier-entry-int",
             "tier-entry-without-surface",
+            "svm-state-empty",
+            "rf-state-empty",
+            "rf-node-without-threshold",
+            "rf-feature-out-of-range",
+            "rf-vote-seven",
         ],
     )
     def test_malformed_model_or_lexicon_exits_one(
@@ -286,6 +316,69 @@ class TestErrorHandling:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize(
+        "breakage, named",
+        [
+            (lambda doc: {**doc, "filter_keywords": "מאסר"}, "'filter_keywords'"),
+            (lambda doc: {**doc, "fine_markers": "קנס"}, "'fine_markers'"),
+            (
+                lambda doc: {**doc, "strong_positive": [{"surface": "גוזר", "weight": True}]},
+                "'strong_positive[0].weight'",
+            ),
+            (lambda doc: {**doc, "tier_weights": [1]}, "'tier_weights'"),
+            (lambda doc: {**doc, "structural": [1]}, "'structural'"),
+            (lambda doc: {**doc, "time_units": ["a"]}, "'time_units'"),
+            (lambda doc: {**doc, "unit_only": ["שנה"]}, "'unit_only'"),
+            (lambda doc: {**doc, "dual_units": "x"}, "'dual_units'"),
+            (lambda doc: {**doc, "probation_markers": 5}, "'probation_markers'"),
+            (lambda doc: numerals_with(doc, zero=5), "'numerals.zero'"),
+            (lambda doc: numerals_with(doc, zero=[]), "'numerals.zero'"),
+            (
+                lambda doc: numerals_with(doc, tens={**doc["numerals"]["tens"], "20": []}),
+                "'numerals.tens.20'",
+            ),
+            (lambda doc: numerals_with(doc, hundreds={"300": ["x "]}), "numerals.hundreds"),
+            (
+                lambda doc: {**doc, "tier_weights": {"strong_positive": "x"}},
+                "'tier_weights.strong_positive'",
+            ),
+        ],
+        ids=[
+            "filter-keywords-string",
+            "fine-markers-string",
+            "tier-weight-true",
+            "tier-weights-list",
+            "structural-list",
+            "time-units-list",
+            "unit-only-list",
+            "dual-units-string",
+            "probation-markers-int",
+            "zero-int",
+            "zero-empty",
+            "tens-variants-empty",
+            "hundreds-variant-one-word",
+            "tier-weight-string",
+        ],
+    )
+    def test_mistyped_lexicon_section_exits_one(
+        self, workspace, capsys, tmp_path, breakage, named
+    ):
+        doc = breakage(json.loads(default_lexicon_path().read_text(encoding="utf-8")))
+        broken = tmp_path / "broken-lexicon.json"
+        broken.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        argv = ["extract", *corpus_args(workspace), "--rule-based", "--lexicon", str(broken)]
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_key_error_is_an_internal_error(self, workspace, capsys, monkeypatch):
+        def broken(args):
+            raise KeyError("oops")
+
+        monkeypatch.setattr(cli, "_cmd_stats", broken)
+        assert run(["stats", *corpus_args(workspace)]) == 2
+        assert capsys.readouterr().err.startswith("internal error: ")
 
     def test_lexicon_env_var(self, workspace, monkeypatch, tmp_path):
         monkeypatch.setenv("MAASAR_LEXICON", str(tmp_path / "missing.json"))

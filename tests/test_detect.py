@@ -53,11 +53,11 @@ class TestRuleScore:
         )
         assert scored.score == expected
         assert scored.score >= lexicon.threshold
-        assert scored.has_number and scored.has_time_unit
+        assert scored.analysis.has_number and scored.analysis.has_time_unit
 
     def test_docket_past_tense_below_threshold(self, lexicon):
         scored = rule_score(sentence(PRIOR_CASE_ROW), lexicon)
-        hits = scored.tier_hits
+        hits = scored.analysis.tier_hits
         expected = (
             hits.moderate_negative * lexicon.tier_weights["moderate_negative"]
             + lexicon.structural.number_with_unit_bonus
@@ -69,7 +69,7 @@ class TestRuleScore:
 
     def test_bare_number_gets_no_unit_penalty(self, lexicon):
         scored = rule_score(sentence(PROCEDURAL_ROW), lexicon)
-        assert scored.has_number and not scored.has_time_unit
+        assert scored.analysis.has_number and not scored.analysis.has_time_unit
         assert scored.score == lexicon.structural.number_without_unit_penalty
         assert scored.score < lexicon.threshold
 
@@ -84,10 +84,11 @@ class TestRuleScore:
     def test_score_recomputable_from_fields(self, lexicon):
         scored = rule_score(sentence(WORKED_EXAMPLE), lexicon)
         structural = lexicon.structural
-        rebuilt = scored.tier_hits.weighted_sum()
-        if scored.has_number and scored.has_time_unit:
+        analysis = scored.analysis
+        rebuilt = analysis.tier_hits.weighted_sum()
+        if analysis.has_number and analysis.has_time_unit:
             rebuilt += structural.number_with_unit_bonus
-        elif scored.has_number:
+        elif analysis.has_number:
             rebuilt += structural.number_without_unit_penalty
         rebuilt += structural.fine_marker_penalty * len(
             lexicon.marker_positions(WORKED_EXAMPLE, lexicon.fine_markers)

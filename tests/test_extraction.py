@@ -1,7 +1,9 @@
 import random
 
 from maasar.corpus import Decision, segment_sentences
+from maasar.analysis import analyse
 from maasar.extraction import (
+    MARKER_WINDOW,
     DurationScoringConfig,
     extract,
     score_duration_candidates,
@@ -87,8 +89,7 @@ class TestDecomposition:
 class TestScoring:
     def test_single_span_with_actual_marker(self, lexicon):
         s = sentence("נגזרו עליו 12 חודשי מאסר בפועל.")
-        spans = detect_spans(s, lexicon.numerals)
-        assert score_duration_candidates(s, spans, lexicon) == 12
+        assert score_duration_candidates(analyse(s, lexicon), DurationScoringConfig()) == 12
 
     def test_actual_beats_probation_adjacent(self, lexicon):
         s = sentence(
@@ -116,7 +117,7 @@ class TestScoring:
             if d_act is not None:
                 value += config.actual_marker_weight / (1 + d_act)
             d_prob = dist(probation_positions)
-            if d_prob is not None and d_prob <= config.marker_window:
+            if d_prob is not None and d_prob <= MARKER_WINDOW:
                 value -= config.probation_penalty
             value += config.position_bonus * span.start_token / (s.token_count - 1)
             return value
@@ -124,18 +125,19 @@ class TestScoring:
         durations = [sp for sp in spans if sp.attached_unit is not None]
         expected = max(durations, key=lambda sp: (manual_score(sp), sp.start_token))
         assert span_months(expected) == 30
-        assert score_duration_candidates(s, spans, lexicon) == 30
+        assert score_duration_candidates(analyse(s, lexicon), config) == 30
 
     def test_all_unitless_returns_none(self, lexicon):
         s = sentence("ראו תיק 1124/04 מיום 31.5.12.")
-        spans = detect_spans(s, lexicon.numerals)
-        assert spans
-        assert score_duration_candidates(s, spans, lexicon) is None
+        analysis = analyse(s, lexicon)
+        assert analysis.spans
+        assert score_duration_candidates(analysis, DurationScoringConfig()) is None
 
     def test_tie_goes_to_later_span(self, lexicon):
-        spans = [month_span(2, 10), month_span(8, 20)]
         s = sentence("א ב 10 חודשים ג ד ה ו 20 חודשים.")
-        assert score_duration_candidates(s, spans, lexicon) == 20
+        analysis = analyse(s, lexicon)
+        assert analysis.spans == (month_span(2, 10), month_span(8, 20))
+        assert score_duration_candidates(analysis, DurationScoringConfig()) == 20
 
 
 class TestExtract:

@@ -40,8 +40,8 @@ class TestLoad:
             > weights["strong_negative"]
         )
         assert lexicon.filter_keywords
-        assert lexicon.time_units["חודשים"] is TimeUnit.MONTH
-        assert lexicon.time_units["שנות"] is TimeUnit.YEAR
+        assert lexicon.numerals.time_unit_words["חודשים"] is TimeUnit.MONTH
+        assert lexicon.numerals.time_unit_words["שנות"] is TimeUnit.YEAR
 
     def test_overlapping_tiers_rejected(self, tmp_path):
         doc = default_doc()

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maasar.corpus import segment_sentences
-from maasar.extraction import ExtractionResult
 from maasar.metrics import (
     ErrorCategory,
     categorize_error,
@@ -18,13 +17,6 @@ from samples import ERROR_EXAMPLES
 
 def sentence(text):
     return segment_sentences(text)[0]
-
-
-def results(months_list):
-    return [
-        ExtractionResult(f"c{i}", 0 if m is not None else None, m, "scored")
-        for i, m in enumerate(months_list)
-    ]
 
 
 class TestDetectionPrf:
@@ -276,28 +268,28 @@ class TestCategorizeError:
 
 class TestHistogram:
     def test_buckets_and_median(self):
-        histogram = punishment_histogram(results([6, 6, 30]), bucket_months=12)
+        histogram = punishment_histogram([6, 6, 30], bucket_months=12)
         assert histogram.buckets == ((0, 11, 2), (24, 35, 1))
         assert histogram.median == 6.0
 
     def test_empty(self):
-        histogram = punishment_histogram(results([None, None]), bucket_months=12)
+        histogram = punishment_histogram([None, None], bucket_months=12)
         assert histogram.buckets == ()
         assert histogram.median is None
         assert histogram.fraction_at_or_below_15 is None
 
     def test_median_odd(self):
-        histogram = punishment_histogram(results([12, 36, 60]), bucket_months=12)
+        histogram = punishment_histogram([12, 36, 60], bucket_months=12)
         assert histogram.median == 36.0
 
     def test_fraction_at_or_below_15(self):
-        histogram = punishment_histogram(results([6, 15, 16, 36]), bucket_months=12)
+        histogram = punishment_histogram([6, 15, 16, 36], bucket_months=12)
         assert histogram.fraction_at_or_below_15 == pytest.approx(0.5)
 
     def test_csv_rows(self):
-        histogram = punishment_histogram(results([6, 30]), bucket_months=12)
+        histogram = punishment_histogram([6, 30], bucket_months=12)
         assert histogram.to_csv_rows() == ["0,11,1", "24,35,1"]
 
     def test_invalid_bucket(self):
         with pytest.raises(ValueError):
-            punishment_histogram(results([6]), bucket_months=0)
+            punishment_histogram([6], bucket_months=0)

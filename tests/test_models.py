@@ -39,7 +39,7 @@ class TestFeaturize:
 
     def test_keyword_free_sentence_zero_counts(self, lexicon):
         decision = Decision.from_text("c", "ריק לחלוטין. עוד משפט כאן.")
-        fv = featurize(decision.sentences[0], decision, lexicon)
+        fv = featurize(decision.sentences[0], lexicon, 1)
         assert fv.shape == (NUM_FEATURES,)
         assert fv[:10].sum() == 0
         assert np.isfinite(fv).all()
@@ -47,11 +47,7 @@ class TestFeaturize:
     def test_empty_sentence_positions_still_defined(self, lexicon):
         from maasar.corpus import Sentence
 
-        empty = Sentence(1, "", 0, 1.0)
-        decision = Decision(
-            case_id="c", year=0, court="", raw_text="א.", sentences=(Sentence(0, "א.", 1, 0.0), empty)
-        )
-        fv = featurize(empty, decision, lexicon)
+        fv = featurize(Sentence(1, "", 0, 1.0), lexicon, 1)
         assert fv[:10].sum() == 0
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
         assert np.isfinite(fv).all()
@@ -59,24 +55,24 @@ class TestFeaturize:
     def test_two_strong_positive_hits(self, lexicon):
         verbs = sorted(lexicon.strong_positive)[:2]
         decision = Decision.from_text("c", f"אני {verbs[0]} וגם {verbs[1]} עונש.")
-        fv = featurize(decision.sentences[0], decision, lexicon)
+        fv = featurize(decision.sentences[0], lexicon, 1)
         assert fv[FEATURE_NAMES.index("strong_positive_count")] == 2
 
     def test_last_sentence_positions(self, lexicon):
         decision = Decision.from_text("c", "ראשון כאן. שני כאן. אחרון ממש.")
-        fv = featurize(decision.sentences[-1], decision, lexicon)
+        fv = featurize(decision.sentences[-1], lexicon, 1)
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
         assert fv[FEATURE_NAMES.index("distance_to_document_end")] == 0.0
 
     def test_docket_marker_count(self, lexicon):
         decision = Decision.from_text("c", "ראו 1049/12 וגם 33/98 לעניין מאסר.")
-        fv = featurize(decision.sentences[0], decision, lexicon)
+        fv = featurize(decision.sentences[0], lexicon, 1)
         assert fv[FEATURE_NAMES.index("docket_marker_count")] == 2
 
     def test_indicators_are_binary(self, lexicon, synthetic):
         decision = synthetic.decisions[0]
         for s in decision.sentences[:10]:
-            fv = featurize(s, decision, lexicon)
+            fv = featurize(s, lexicon, 1)
             assert fv[FEATURE_NAMES.index("has_number")] in (0.0, 1.0)
             assert fv[FEATURE_NAMES.index("has_time_unit")] in (0.0, 1.0)
 
@@ -124,7 +120,8 @@ class TestTreeEnsemble:
     def test_probability_is_exact_vote_fraction(self):
         X, y = separable_data()
         clf = TreeEnsembleClassifier(n_trees=100, seed=0).fit(X, y)
-        clf.trees_ = [{"vote": 1}] * 80 + [{"vote": 0}] * 20
+        trees = [{"vote": 1}] * 80 + [{"vote": 0}] * 20
+        clf.load_state_dict({"trees": trees, "n_features_in": NUM_FEATURES})
         proba = clf.predict_proba(X[:1])[0, 1]
         assert proba == 80 / 100
 
@@ -342,8 +339,7 @@ class TestSplitterAgainstReference:
         )
 
         reference = TreeEnsembleClassifier(**clf.get_params())
-        reference.trees_ = expected
-        reference.n_features_in_ = clf.n_features_in_
+        reference.load_state_dict({"trees": expected, "n_features_in": clf.n_features_in_})
         directory = tmp_path_factory.mktemp("models")
         files = []
         for name, classifier in (("fast", clf), ("reference", reference)):
@@ -379,8 +375,7 @@ class TestSplitterAgainstReference:
             },
         ]
         clf = TreeEnsembleClassifier(n_trees=3)
-        clf.trees_ = trees
-        clf.n_features_in_ = 3
+        clf.load_state_dict({"trees": trees, "n_features_in": 3})
         assert clf.trees_ == trees
         X = np.array([[-2.0, 3.0, 0.5], [-1.25, 3.5, 0.75], [0.0, 0.0, 0.0]])
         assert clf.predict_proba(X).tobytes() == reference_predict_proba(trees, X).tobytes()

@@ -199,12 +199,6 @@ class TestUnitOnlyElimination:
         assert year_spans[0].plus_half
         assert span_months(year_spans[0]) == 18
 
-    def test_half_support_is_toggleable(self, numerals):
-        spans = detect_spans(sentence(YEAR_AND_HALF_SENTENCE), numerals, include_half=False)
-        year_spans = [s for s in spans if s.attached_unit is TimeUnit.YEAR]
-        assert year_spans and not year_spans[0].plus_half
-        assert span_months(year_spans[0]) == 12
-
 
 class TestToMonths:
     def test_years(self):

@@ -254,7 +254,7 @@ class TestFeaturizeOnceCrossValidation:
             candidates = filter_candidates(decision, lexicon)
             assert indices == [s.index for s in candidates]
             for scale in (0, 1, 7, 33, max_token_count(decisions)):
-                direct = featurize_candidates(candidates, decision, lexicon, scale)
+                direct = featurize_candidates(candidates, lexicon, scale)
                 assert _rescale(raw, scale).tobytes() == direct.tobytes()
 
 
