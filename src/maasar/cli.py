@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -72,6 +73,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    # argparse's float takes "nan" and "inf"; no score or weight may be either
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _write_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
@@ -108,7 +117,9 @@ def _load_corpus_or_fail(args) -> list:
 def _add_knob_args(parser: argparse.ArgumentParser, knobs) -> None:
     prefix, names = knobs
     for name in names:
-        parser.add_argument("--" + (prefix + name).replace("_", "-"), type=float, default=None)
+        parser.add_argument(
+            "--" + (prefix + name).replace("_", "-"), type=_finite_float, default=None
+        )
 
 
 def _knob_overrides(args, knobs) -> dict[str, float]:
@@ -268,7 +279,7 @@ def _add_lexicon_args(parser: argparse.ArgumentParser) -> None:
         help="lexicon file (default: $MAASAR_LEXICON or the bundled lexicon)",
     )
     parser.add_argument(
-        "--threshold", type=float, default=None, help="override the rule-score floor"
+        "--threshold", type=_finite_float, default=None, help="override the rule-score floor"
     )
     _add_knob_args(parser, _TIER_KNOBS)
     _add_knob_args(parser, _STRUCTURAL_KNOBS)
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model-kind", choices=["svm", "rf"], default=None)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--detection-threshold", type=float, default=0.5)
+    p.add_argument("--detection-threshold", type=_finite_float, default=0.5)
     p.add_argument("--out", default=None)
     p.add_argument("--histogram-csv", default=None)
     p.add_argument("--bucket-months", type=_positive_int, default=12)

@@ -15,14 +15,19 @@ tiers and one for each marker list. ``match_tiers`` and
 sentence costs O(tokens) however long the lists are; this is the token-level
 case of Aho-Corasick multi-pattern matching. Single-character marker
 entries of the tiers (docket slash, brackets) are kept in a short list and
-found in the raw text.
+found in the raw text. The filter keywords are compiled into one regular
+expression, so ``contains_filter_keyword`` is a single search per sentence,
+and the numeral lexicon maps every bare and conjunction-prefixed number
+word to its parts (``NumeralLexicon.word_forms``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -140,6 +145,21 @@ class NumeralLexicon:
     canonical_teens: Mapping[str, Mapping[int, str]]
     canonical_tens: Mapping[int, str]
     canonical_hundreds: Mapping[int, str]
+    # (has conjunction, bare word) for every number word with or without a
+    # conjunction prefix; derived from the fields above, per instance.
+    word_forms: Mapping[str, tuple[bool, str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        forms: dict[str, tuple[bool, str]] = {}
+        # The first conjunction form that leaves a vocabulary word wins, and
+        # a prefixed reading beats a bare one ("ושש" is "and six").
+        for conj in self.conjunction_forms:
+            for word in self.vocabulary:
+                if word:
+                    forms.setdefault(conj + word, (True, word))
+        for word in self.vocabulary:
+            forms.setdefault(word, (False, word))
+        object.__setattr__(self, "word_forms", forms)
 
     @property
     def canonical_conjunction(self) -> str:
@@ -181,12 +201,16 @@ class Lexicon:
             "_marker_indexes",
             {frozenset(m): PhraseIndex((p, None) for p in m) for m in marker_lists},
         )
+        # with no keywords nothing is a candidate; "(?!)" never matches
+        keywords = sorted(self.filter_keywords)
+        pattern = "|".join(map(re.escape, keywords)) if keywords else "(?!)"
+        object.__setattr__(self, "_filter_search", re.compile(pattern).search)
 
     def tier(self, name: str) -> Mapping[str, float]:
         return getattr(self, name)
 
     def contains_filter_keyword(self, text: str) -> bool:
-        return any(keyword in text for keyword in self.filter_keywords)
+        return self._filter_search(text) is not None
 
     def marker_positions(
         self, text: str, markers: Iterable[str], stripped: tuple[str, ...] | None = None
@@ -241,9 +265,12 @@ def _variants(value: object, where: str) -> list[str]:
 
 
 def _number(value: object, where: str) -> int | float:
-    # bool is an int subclass, but true is not a weight
+    # bool is an int subclass, but true is not a weight; NaN never compares
+    # true, so a NaN threshold or weight would silently select nothing
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _shape_error(where, "a number", value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _shape_error(where, "a finite number", value)
     return value
 
 
@@ -378,8 +405,8 @@ def load_lexicon(
     weights = dict(_DEFAULT_TIER_WEIGHTS)
     for name, weight in _object(doc.get("tier_weights", {}), "tier_weights").items():
         weights[name] = _number(weight, f"tier_weights.{name}")
-    if tier_weights:
-        weights.update(tier_weights)
+    for name, weight in (tier_weights or {}).items():
+        weights[name] = _number(weight, f"tier_weights.{name}")
     if not (
         weights["strong_positive"]
         > weights["moderate_positive"]
@@ -428,8 +455,14 @@ def load_lexicon(
     def markers(name: str) -> frozenset[str]:
         return frozenset(_strings(doc.get(name, []), name))
 
+    filter_keywords = _strings(_require(doc, "filter_keywords"), "filter_keywords")
+    for position, keyword in enumerate(filter_keywords):
+        if not keyword.strip():
+            # a blank keyword is found in (nearly) every sentence
+            raise LexiconError(f"lexicon section 'filter_keywords' entry {position} is empty")
+
     return Lexicon(
-        filter_keywords=frozenset(_strings(_require(doc, "filter_keywords"), "filter_keywords")),
+        filter_keywords=frozenset(filter_keywords),
         strong_positive=tiers["strong_positive"],
         moderate_positive=tiers["moderate_positive"],
         moderate_negative=tiers["moderate_negative"],
@@ -437,7 +470,7 @@ def load_lexicon(
         fine_markers=markers("fine_markers"),
         probation_markers=markers("probation_markers"),
         actual_markers=markers("actual_markers"),
-        threshold=float(threshold if threshold is not None else file_threshold),
+        threshold=float(file_threshold if threshold is None else _number(threshold, "threshold")),
         tier_weights=weights,
         structural=structural_weights,
         numerals=numerals,

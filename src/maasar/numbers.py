@@ -9,6 +9,13 @@ right after a time unit ("year and a half") always adds half of that unit
 (``NumberSpan.plus_half``). The sentence-level finders take the sentence's
 ``stripped_tokens`` from callers that already have them, so a sentence is
 tokenized once.
+
+The numeral lexicon compiles its conjunction forms once, when it is built,
+into ``NumeralLexicon.word_forms``: every number word, bare or with a
+conjunction prefix ("ושמונה"), maps to whether it carries the conjunction
+and its bare word. ``find_numbers`` looks each token up there once while it
+extends a number run and hands the looked-up words to the composer, so no
+token is split or stripped twice.
 """
 
 from __future__ import annotations
@@ -94,18 +101,12 @@ def span_months(span: NumberSpan) -> int | None:
 
 def _digit_value(stripped: str) -> int | None:
     """Value of the first digit run in a token; grouped thousands supported."""
+    m = _DIGIT_RUN_RE.search(stripped)
+    if m is None:
+        return None
     if _THOUSANDS_RE.match(stripped):
         return int(stripped.replace(",", ""))
-    m = _DIGIT_RUN_RE.search(stripped)
-    return int(m.group()) if m else None
-
-
-def _split_conjunction(word: str, numerals: "NumeralLexicon") -> tuple[bool, str]:
-    for conj in numerals.conjunction_forms:
-        rest = word[len(conj) :]
-        if word.startswith(conj) and rest and rest in numerals.vocabulary:
-            return True, rest
-    return False, word
+    return int(m.group())
 
 
 def compose(word_tokens: Iterable[str], numerals: "NumeralLexicon") -> int | None:
@@ -115,15 +116,20 @@ def compose(word_tokens: Iterable[str], numerals: "NumeralLexicon") -> int | Non
     bare tens; rejects ill-formed orders (e.g. units before tens) by
     returning None.
     """
-    words = [strip_token(t) for t in word_tokens]
-    if not words or any(not w for w in words):
-        return None
-    norm: list[tuple[bool, str]] = []
-    for w in words:
-        conj, bare = _split_conjunction(w, numerals)
-        if bare not in numerals.vocabulary:
+    norm = []
+    for token in word_tokens:
+        form = numerals.word_forms.get(strip_token(token))
+        if form is None:
             return None
-        norm.append((conj, bare))
+        norm.append(form)
+    return _compose_forms(norm, numerals)
+
+
+def _compose_forms(norm: list[tuple[bool, str]], numerals: "NumeralLexicon") -> int | None:
+    """``compose`` over ``word_forms`` entries, one per token."""
+    # an empty token is never part of a number, even if "" is listed
+    if not norm or any(not bare for _, bare in norm):
+        return None
 
     n = len(norm)
     total = 0
@@ -220,12 +226,11 @@ def _attach_unit(
 
 
 def _is_numberish(stripped: str, numerals: "NumeralLexicon") -> bool:
-    if _DIGIT_RUN_RE.search(stripped):
-        return True
-    if stripped in numerals.vocabulary or stripped in numerals.dual_unit_words:
-        return True
-    _, bare = _split_conjunction(stripped, numerals)
-    return bare in numerals.vocabulary
+    return (
+        _DIGIT_RUN_RE.search(stripped) is not None
+        or stripped in numerals.word_forms
+        or stripped in numerals.dual_unit_words
+    )
 
 
 def find_numbers(
@@ -238,6 +243,7 @@ def find_numbers(
     """
     if stripped is None:
         stripped = stripped_tokens(sentence.text)
+    forms = numerals.word_forms
     spans: list[NumberSpan] = []
     i = 0
     n = len(stripped)
@@ -257,16 +263,14 @@ def find_numbers(
             spans.append(NumberSpan(i, i, 2, "words", dual, 0, half))
             i += 1
             continue
-        conj, bare = _split_conjunction(tok, numerals)
-        if bare in numerals.vocabulary:
+        form = forms.get(tok)
+        if form is not None:
+            norm = [form]
             j = i
-            while j + 1 < n:
-                _, nxt = _split_conjunction(stripped[j + 1], numerals)
-                if nxt in numerals.vocabulary:
-                    j += 1
-                else:
-                    break
-            value = compose(stripped[i : j + 1], numerals)
+            while j + 1 < n and (form := forms.get(stripped[j + 1])) is not None:
+                norm.append(form)
+                j += 1
+            value = _compose_forms(norm, numerals)
             if value is not None:
                 unit, dist, half = _attach_unit(stripped, j, numerals)
                 spans.append(NumberSpan(i, j, value, "words", unit, dist, half))

@@ -343,6 +343,17 @@ class TestErrorHandling:
                 lambda doc: {**doc, "tier_weights": {"strong_positive": "x"}},
                 "'tier_weights.strong_positive'",
             ),
+            (lambda doc: {**doc, "threshold": float("nan")}, "'threshold'"),
+            (
+                lambda doc: {**doc, "structural": {"fine_marker_penalty": float("-inf")}},
+                "'structural.fine_marker_penalty'",
+            ),
+            (
+                lambda doc: {**doc, "tier_weights": {"strong_positive": float("inf")}},
+                "'tier_weights.strong_positive'",
+            ),
+            (lambda doc: {**doc, "filter_keywords": ["מאסר", ""]}, "'filter_keywords'"),
+            (lambda doc: {**doc, "filter_keywords": [" "]}, "'filter_keywords'"),
         ],
         ids=[
             "filter-keywords-string",
@@ -359,6 +370,11 @@ class TestErrorHandling:
             "tens-variants-empty",
             "hundreds-variant-one-word",
             "tier-weight-string",
+            "threshold-nan",
+            "structural-minus-inf",
+            "tier-weight-inf",
+            "filter-keyword-empty",
+            "filter-keyword-blank",
         ],
     )
     def test_mistyped_lexicon_section_exits_one(
@@ -451,6 +467,16 @@ class TestWeightOverrides:
         assert field(seen["lexicon"], seen["scoring"]) == value
         defaults = (load_lexicon(), DurationScoringConfig())
         assert field(*defaults) != value
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", [f[0] for f in SCORING_FLAGS] + ["--detection-threshold"])
+    def test_non_finite_flag_exits_one(self, workspace, capsys, tmp_path, flag, value):
+        out = tmp_path / "report.json"
+        annotations = ["--annotations", str(workspace["annotations"])]
+        argv = ["eval", *corpus_args(workspace), *annotations, "--rule-based"]
+        assert run([*argv, f"{flag}={value}", "--out", str(out)]) == 1
+        assert f"argument {flag}: must be a finite number, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tier_weight_flag_applies(self, workspace, tmp_path):
         # raising the score floor above the boosted verdict score still selects

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maasar.corpus import (
     DEFAULT_ABBREVIATIONS,
@@ -125,10 +125,14 @@ _texts = st.lists(
 
 class TestRunBasedSplitterEquivalence:
     @given(_texts)
+    @example("x ((ת.פ. 5 y. z")  # openers before a default abbreviation
     def test_default_abbreviations(self, text):
         assert segment_sentences(text) == reference_segment(text)
 
     @given(_texts, st.sets(st.sampled_from(["א", "x", "בית.", "(א", "7", "3", ""]), max_size=3))
+    @example("(א. ב", {"(א"})  # openers are stripped from the word, so this splits
+    @example("x (. y . z", {""})  # the empty entry matches no word
+    @example("בית. x בית.. y", {"בית."})  # a word before a lone period has no final "."
     def test_custom_abbreviations(self, text, abbreviations):
         expected = reference_segment(text, abbreviations)
         assert segment_sentences(text, abbreviations) == expected

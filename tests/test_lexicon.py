@@ -219,11 +219,36 @@ class TestCompiledIndexEquivalence:
             assert lex.marker_positions(text, markers, stripped) == expected
         assert lex.marker_positions(text, extra) == reference_marker_positions(text, extra)
 
+    @given(
+        st.sets(st.sampled_from(["מאסר", "מאסר בפועל", "a.b", "x|y", "(", "\\", ""]), max_size=3),
+        st.lists(st.sampled_from(["מאסר", "למאסר", "aab", "a.b", "x", "|y", "(", "\\", " "])).map(
+            "".join
+        ),
+    )
+    def test_filter_keyword_search_equals_substring_test(self, lexicon, keywords, text):
+        lex = dataclasses.replace(lexicon, filter_keywords=frozenset(keywords))
+        assert lex.contains_filter_keyword(text) == any(k in text for k in keywords)
+
     def test_replace_recompiles(self, lexicon):
         verb = sorted(lexicon.strong_positive)[0]
         text = f"השופט {verb} על הנאשם."
         assert match_tiers(text, phrase_lexicon(lexicon)).strong_positive == 2
         assert match_tiers(text, lexicon).strong_positive == 1
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"threshold": float("nan")}, "'threshold'"),
+            ({"tier_weights": {"strong_positive": float("inf")}}, "'tier_weights.strong_positive'"),
+            (
+                {"structural": {"fine_marker_penalty": float("-inf")}},
+                "'structural.fine_marker_penalty'",
+            ),
+        ],
+    )
+    def test_non_finite_override_rejected(self, overrides, named):
+        with pytest.raises(LexiconError, match=named):
+            load_lexicon(**overrides)
 
     def test_empty_entry_rejected(self, tmp_path):
         doc = default_doc()

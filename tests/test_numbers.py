@@ -1,8 +1,14 @@
-import pytest
-from hypothesis import given, strategies as st
+import dataclasses
+import re
 
-from maasar.corpus import segment_sentences
+import pytest
+from hypothesis import example, given, strategies as st
+
+from maasar.corpus import Sentence, segment_sentences
+from maasar.lexicon import load_lexicon
 from maasar.numbers import (
+    UNIT_ATTACH_WINDOW,
+    NumberSpan,
     TimeUnit,
     compose,
     detect_spans,
@@ -12,6 +18,7 @@ from maasar.numbers import (
     to_months,
     unit_only_elimination,
 )
+from maasar.tokens import strip_token, stripped_tokens
 from samples import TWENTY_YEAR_SENTENCE, YEAR_AND_HALF_SENTENCE
 
 # Hand-written reference table (independent of render_number): each entry
@@ -223,3 +230,234 @@ class TestToMonths:
         lo, hi = sorted((a, b))
         for unit in TimeUnit:
             assert to_months(lo, unit) <= to_months(hi, unit)
+
+
+# The numeral scanner before the numeral lexicon's word_forms map: each
+# token is split for conjunctions wherever it is looked at, and compose
+# strips and splits its tokens again. Kept as the reference that
+# detect_spans and compose must match.
+_THOUSANDS_RE = re.compile(r"^\d{1,3}(?:,\d{3})+$")
+_DIGIT_RUN_RE = re.compile(r"\d+")
+
+
+def reference_digit_value(stripped):
+    if _THOUSANDS_RE.match(stripped):
+        return int(stripped.replace(",", ""))
+    m = _DIGIT_RUN_RE.search(stripped)
+    return int(m.group()) if m else None
+
+
+def reference_split_conjunction(word, numerals):
+    for conj in numerals.conjunction_forms:
+        rest = word[len(conj) :]
+        if word.startswith(conj) and rest and rest in numerals.vocabulary:
+            return True, rest
+    return False, word
+
+
+def reference_compose(word_tokens, numerals):
+    words = [strip_token(t) for t in word_tokens]
+    if not words or any(not w for w in words):
+        return None
+    norm = []
+    for w in words:
+        conj, bare = reference_split_conjunction(w, numerals)
+        if bare not in numerals.vocabulary:
+            return None
+        norm.append((conj, bare))
+    n = len(norm)
+    total = 0
+    i = 0
+    if n == 1 and norm[0][1] in numerals.zero_words:
+        return 0
+    first = norm[0][1]
+    if first in numerals.hundreds_single:
+        total += numerals.hundreds_single[first]
+        i = 1
+    elif (
+        n >= 2
+        and norm[1][1] in numerals.hundred_plural_markers
+        and not norm[1][0]
+        and first in numerals.units_words
+        and 2 <= numerals.units_words[first] <= 9
+    ):
+        total += numerals.units_words[first] * 100
+        i = 2
+    if i < n:
+        pair = f"{norm[i][1]} {norm[i + 1][1]}" if i + 1 < n else None
+        if pair is not None and pair in numerals.teens_words and not norm[i + 1][0]:
+            total += numerals.teens_words[pair]
+            i += 2
+        elif norm[i][1] in numerals.tens_words:
+            total += numerals.tens_words[norm[i][1]]
+            i += 1
+            if i < n:
+                conj, bare = norm[i]
+                if conj and bare in numerals.units_words and numerals.units_words[bare] <= 9:
+                    total += numerals.units_words[bare]
+                    i += 1
+                else:
+                    return None
+        elif norm[i][1] in numerals.units_words:
+            total += numerals.units_words[norm[i][1]]
+            i += 1
+    if i != n:
+        return None
+    return total
+
+
+def reference_is_numberish(stripped, numerals):
+    if _DIGIT_RUN_RE.search(stripped):
+        return True
+    if stripped in numerals.vocabulary or stripped in numerals.dual_unit_words:
+        return True
+    _, bare = reference_split_conjunction(stripped, numerals)
+    return bare in numerals.vocabulary
+
+
+def reference_attach_unit(stripped, end_token, numerals):
+    n = len(stripped)
+    for dist in range(1, UNIT_ATTACH_WINDOW + 1):
+        k = end_token + dist
+        if k >= n:
+            break
+        tok = stripped[k]
+        unit = numerals.time_unit_words.get(tok)
+        if unit is not None:
+            return unit, dist - 1, k + 1 < n and stripped[k + 1] in numerals.half_words
+        if reference_is_numberish(tok, numerals):
+            break
+    return None, 0, False
+
+
+def reference_find_numbers(stripped, numerals):
+    spans = []
+    i = 0
+    n = len(stripped)
+    while i < n:
+        tok = stripped[i]
+        value = reference_digit_value(tok)
+        if value is not None:
+            unit, dist, half = reference_attach_unit(stripped, i, numerals)
+            spans.append(NumberSpan(i, i, value, "digits", unit, dist, half))
+            i += 1
+            continue
+        dual = numerals.dual_unit_words.get(tok)
+        if dual is not None:
+            half = i + 1 < n and stripped[i + 1] in numerals.half_words
+            spans.append(NumberSpan(i, i, 2, "words", dual, 0, half))
+            i += 1
+            continue
+        conj, bare = reference_split_conjunction(tok, numerals)
+        if bare in numerals.vocabulary:
+            j = i
+            while j + 1 < n:
+                _, nxt = reference_split_conjunction(stripped[j + 1], numerals)
+                if nxt in numerals.vocabulary:
+                    j += 1
+                else:
+                    break
+            value = reference_compose(stripped[i : j + 1], numerals)
+            if value is not None:
+                unit, dist, half = reference_attach_unit(stripped, j, numerals)
+                spans.append(NumberSpan(i, j, value, "words", unit, dist, half))
+            i = j + 1
+            continue
+        i += 1
+    return spans
+
+
+def reference_unit_only_elimination(stripped, numerals):
+    spans = []
+    n = len(stripped)
+    for i, tok in enumerate(stripped):
+        unit = numerals.unit_only_words.get(tok)
+        if unit is None:
+            continue
+        if i + 1 < n and _DIGIT_RUN_RE.search(stripped[i + 1]):
+            continue
+        bound = False
+        for dist in range(1, UNIT_ATTACH_WINDOW + 1):
+            k = i - dist
+            if k < 0:
+                break
+            prev = stripped[k]
+            if prev in numerals.time_unit_words:
+                break
+            if reference_is_numberish(prev, numerals):
+                bound = True
+                break
+        if bound:
+            continue
+        half = i + 1 < n and stripped[i + 1] in numerals.half_words
+        spans.append(NumberSpan(i, i, 1, "unit_only_elimination", unit, 0, half))
+    return spans
+
+
+def reference_detect_spans(text, numerals):
+    stripped = stripped_tokens(text)
+    spans = reference_find_numbers(stripped, numerals)
+    spans.extend(reference_unit_only_elimination(stripped, numerals))
+    spans.sort(key=lambda s: (s.start_token, s.end_token))
+    return spans
+
+
+def _scanner_pool(numerals):
+    words = sorted(numerals.vocabulary)
+    return (
+        words
+        + [conj + word for conj in numerals.conjunction_forms for word in words]
+        + sorted(numerals.teens_words)  # two tokens each
+        + sorted(numerals.time_unit_words)
+        + sorted(numerals.unit_only_words)
+        + sorted(numerals.dual_unit_words)
+        + sorted(numerals.half_words)
+        + ["12", "7", "0", "5,000", "1,200,000", "12,34", "ל-36", "1124/04", "31.5.12"]
+        + ["מאסר", "בפועל", "הנאשם", "על", "-", "ו"]
+    )
+
+
+_POOL = _scanner_pool(load_lexicon().numerals)
+_scanner_token = st.tuples(
+    st.sampled_from(["", "", "", "(", '"']),
+    st.sampled_from(_POOL),
+    st.sampled_from(["", "", "", ".", ",", ")", ":"]),
+).map("".join)
+_scanner_texts = st.lists(_scanner_token, max_size=16).map(" ".join)
+
+
+@pytest.fixture(scope="module")
+def numeral_variants(numerals):
+    """The default numerals, one whose conjunctions include the empty form
+    (every number word then reads as prefixed), and one that lists the empty
+    word as a unit, as a lexicon file may (a token of bare punctuation then
+    extends a number run, and the run must not compose)."""
+    return [
+        numerals,
+        dataclasses.replace(numerals, conjunction_forms=(*numerals.conjunction_forms, "")),
+        dataclasses.replace(
+            numerals,
+            units_words={**numerals.units_words, "": 5},
+            vocabulary=numerals.vocabulary | {""},
+        ),
+    ]
+
+
+class TestScannerEquivalence:
+    @given(_scanner_texts)
+    @example("עשרים ושמונה חודשים")
+    @example("שלוש מאות ארבעים וחמש ימים וחצי")
+    @example("שנים עשר חודשים , שנתיים וחצי")
+    @example("בין 30 ל-36 חודשים ו-5,000 שנה")
+    @example("שלוש . עשרה שנה")
+    @example("ו שנה , ו")
+    @example("5 ושלוש שנה")
+    def test_detect_spans_equals_reference(self, numeral_variants, text):
+        for numerals in numeral_variants:
+            expected = reference_detect_spans(text, numerals)
+            assert detect_spans(Sentence(0, text, 0, 0.0), numerals) == expected
+
+    @given(st.lists(_scanner_token, max_size=6))
+    def test_compose_equals_reference(self, numeral_variants, tokens):
+        for numerals in numeral_variants:
+            assert compose(tokens, numerals) == reference_compose(tokens, numerals)
