@@ -41,6 +41,7 @@ from .metrics import (
     categorize_error,
     cohen_kappa,
     detection_prf,
+    error_category,
     extraction_f1_and_error,
     fleiss_kappa,
     punishment_histogram,

@@ -1,17 +1,19 @@
 """One analysis per candidate sentence, shared by every consumer.
 
 Rule scoring, featurization, duration extraction and error categorization
-read the same facts about a sentence: its punctuation-stripped tokens, its
-tier hits, its number spans, and where the fine, probation and
-actual-imprisonment markers are. ``analyse`` strips the tokens once and
-derives the rest through the public matchers (``match_tiers``,
-``detect_spans``, ``Lexicon.marker_positions``). The rule scorer keeps the
-analysis in its ``ScoredSentence``, and duration extraction accepts it in
-place of a sentence index, so the chosen sentence is not analysed again.
+read the same facts about a sentence: its tier hits, its number spans, and
+where the fine, probation and actual-imprisonment markers are. ``analyse``
+strips the tokens once and derives the rest through the public matchers
+(``match_tiers``, ``detect_spans``, ``Lexicon.marker_positions``). Both
+selectors hand back the chosen sentence's analysis: the rule scorer keeps it
+in its ``ScoredSentence`` and the supervised path keeps each candidate's
+analysis beside its feature row. Duration extraction and the error report
+read that analysis, so the chosen sentence is not analysed again.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .corpus import Sentence
@@ -19,11 +21,14 @@ from .lexicon import Lexicon, TierHits, match_tiers
 from .numbers import NumberSpan, detect_spans
 from .tokens import stripped_tokens
 
+# A docket number such as 1124/04: a prior case, counted as a feature and
+# read by the error taxonomy.
+DOCKET_RE = re.compile(r"\d+/\d+")
+
 
 @dataclass(frozen=True)
 class SentenceAnalysis:
     sentence: Sentence
-    stripped: tuple[str, ...]
     tier_hits: TierHits
     spans: tuple[NumberSpan, ...]
     fine_positions: tuple[int, ...]
@@ -44,7 +49,6 @@ def analyse(sentence: Sentence, lexicon: Lexicon) -> SentenceAnalysis:
     stripped = stripped_tokens(text)
     return SentenceAnalysis(
         sentence=sentence,
-        stripped=stripped,
         tier_hits=match_tiers(sentence, lexicon, stripped),
         spans=tuple(detect_spans(sentence, lexicon.numerals, stripped=stripped)),
         fine_positions=tuple(lexicon.marker_positions(text, lexicon.fine_markers, stripped)),

@@ -35,16 +35,7 @@ from .pipeline import (
 # Scoring knobs, one float flag each: ``--{prefix}{name}`` with ``_`` as ``-``.
 _TIER_KNOBS = ("weight_", TIER_NAMES)
 _STRUCTURAL_KNOBS = ("", tuple(f.name for f in dataclasses.fields(StructuralWeights)))
-_DURATION_KNOBS = (
-    "duration_",
-    (
-        "unit_proximity_weight",
-        "actual_marker_weight",
-        "probation_penalty",
-        "fine_penalty",
-        "position_bonus",
-    ),
-)
+_DURATION_KNOBS = ("duration_", tuple(f.name for f in dataclasses.fields(DurationScoringConfig)))
 
 
 class _UsageError(Exception):

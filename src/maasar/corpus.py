@@ -32,7 +32,8 @@ logger = logging.getLogger(__name__)
 
 # Legal abbreviations whose trailing period must not end a sentence.
 # Entries are compared against the whole whitespace-delimited word that
-# precedes the period, after stripping opening brackets/quotes.
+# precedes the period, after stripping opening brackets/quotes. An entry may
+# be written with its own trailing period ("עמ." works like "עמ").
 DEFAULT_ABBREVIATIONS = frozenset(
     ["ת.פ", "ע.פ", "ת.א", "בג.ץ", "מ.י", "ד.נ", "פרופ", "עמ", "מס", "טל"]
 )
@@ -157,13 +158,6 @@ def _json_bool(obj: dict, key: str) -> bool:
     return value
 
 
-def _is_abbreviation(word: str, abbreviations: frozenset) -> bool:
-    word = word.lstrip(_OPENERS)
-    if not word:
-        return False
-    return word in abbreviations or word.rstrip(".") in abbreviations
-
-
 def _word_before(text: str, start: int, end: int) -> str:
     """The whitespace-delimited word of ``text[start:end]`` that ends at ``end``."""
     if end == start or text[end - 1].isspace():
@@ -180,12 +174,16 @@ def segment_sentences(
     end of text, which keeps decimal numbers, dates (31.5.12) and docket
     tokens (1124/04) intact; a lone period never splits after a configured
     abbreviation (the word back to the previous whitespace, opening
-    brackets and quotes stripped).
+    brackets and quotes stripped). An abbreviation listed with one trailing
+    period works like the same entry without it.
     """
-    abbrev = frozenset(abbreviations)
+    # The word before a lone period never ends in a period (it would have
+    # joined the terminal run), so an entry drops its one trailing period;
+    # the empty entry matches no word.
+    abbrev = frozenset(a.removesuffix(".") for a in abbreviations) - {""}
     # An abbreviation that the word before a period matches is a suffix of
     # the text before that period, so a period after none needs no word.
-    suffixes = tuple(a for a in abbrev if a)
+    suffixes = tuple(abbrev)
     chunks: list[str] = []
     start = 0
     for run in _SPLIT_RUN.finditer(raw_text):
@@ -194,7 +192,7 @@ def segment_sentences(
             end - i == 1
             and raw_text[i] == "."
             and raw_text.endswith(suffixes, start, i)
-            and _is_abbreviation(_word_before(raw_text, start, i), abbrev)
+            and _word_before(raw_text, start, i).lstrip(_OPENERS) in abbrev
         ):
             continue
         chunks.append(raw_text[start:end])

@@ -139,8 +139,10 @@ def extract(
 ) -> ExtractionResult:
     """Full duration extraction for one decision, given the chosen sentence.
 
-    ``chosen`` is the sentence's index, or its analysis when the selector
-    already made one (``detect.ScoredSentence.analysis``).
+    ``chosen`` is the chosen sentence's analysis, as both selectors hand it
+    back (``pipeline.choose_sentence``), or None. The index form is the
+    public entry point for callers that hold only an index: the sentence is
+    analysed here.
     """
     if chosen is None:
         return ExtractionResult(decision.case_id, None, None, "none")

@@ -3,19 +3,17 @@
 The schema mirrors the signals the rule-based scorer uses (tier hit counts,
 number/unit structure, marker counts) plus document-position features. Its
 order is versioned; models refuse vectors from a different schema version.
+``featurize`` reads a candidate's ``SentenceAnalysis``, which the pipeline
+keeps for extraction and the error report, so featurizing analyses nothing.
 Sentence length is normalized by a caller-given token-count scale: the
 pipeline featurizes at scale 1 (the raw count) and rescales per model.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
-from .analysis import analyse
-from .corpus import Sentence
-from .lexicon import Lexicon
+from .analysis import DOCKET_RE, SentenceAnalysis
 
 FEATURE_SCHEMA_VERSION = 1
 
@@ -37,16 +35,14 @@ FEATURE_NAMES = (
 
 NUM_FEATURES = len(FEATURE_NAMES)
 
-DOCKET_RE = re.compile(r"\d+/\d+")
 
-
-def featurize(sentence: Sentence, lexicon: Lexicon, max_token_count: int) -> np.ndarray:
-    """Feature vector for one sentence.
+def featurize(analysis: SentenceAnalysis, max_token_count: int) -> np.ndarray:
+    """Feature vector for one analysed sentence.
 
     ``max_token_count`` is the normalization constant for sentence length
     (values below 1 count as 1).
     """
-    analysis = analyse(sentence, lexicon)
+    sentence = analysis.sentence
     hits = analysis.tier_hits
     max_token_count = max(max_token_count, 1)
 
@@ -66,11 +62,3 @@ def featurize(sentence: Sentence, lexicon: Lexicon, max_token_count: int) -> np.
         1.0 - sentence.relative_position,
     )
     return np.array(values, dtype=float)
-
-
-def featurize_candidates(
-    candidates: list[Sentence], lexicon: Lexicon, max_token_count: int
-) -> np.ndarray:
-    if not candidates:
-        return np.empty((0, NUM_FEATURES), dtype=float)
-    return np.vstack([featurize(s, lexicon, max_token_count) for s in candidates])

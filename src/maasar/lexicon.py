@@ -1,7 +1,8 @@
 """Tiered keyword lists and the numeral lexicon.
 
 The lexicon is data, not code: a JSON document with one array per scored
-tier (entries ``{"surface": ..., "weight": optional}``), the filter/marker
+tier (entries ``{"surface": ..., "weight": optional}``), the default
+weight of each tier (``tier_weights``, all four required), the filter/marker
 lists, the time-unit surface forms, and a sibling ``numerals`` section.
 A default Hebrew lexicon ships with the package and is meant to be edited.
 ``load_lexicon`` checks the JSON type of every section it reads and raises a
@@ -39,14 +40,6 @@ from .tokens import stripped_tokens
 LEXICON_ENV_VAR = "MAASAR_LEXICON"
 
 TIER_NAMES = ("strong_positive", "moderate_positive", "moderate_negative", "strong_negative")
-
-_DEFAULT_TIER_WEIGHTS = {
-    "strong_positive": 3.0,
-    "moderate_positive": 1.0,
-    "moderate_negative": -1.0,
-    "strong_negative": -3.0,
-}
-
 
 class LexiconError(ValueError):
     """Raised when a lexicon file is missing sections or violates invariants."""
@@ -402,9 +395,13 @@ def load_lexicon(
     if not isinstance(doc, dict):
         raise LexiconError(f"lexicon file must hold a JSON object, got {type(doc).__name__}")
 
-    weights = dict(_DEFAULT_TIER_WEIGHTS)
-    for name, weight in _object(doc.get("tier_weights", {}), "tier_weights").items():
-        weights[name] = _number(weight, f"tier_weights.{name}")
+    weights = {
+        name: _number(weight, f"tier_weights.{name}")
+        for name, weight in _object(_require(doc, "tier_weights"), "tier_weights").items()
+    }
+    for name in TIER_NAMES:
+        if name not in weights:
+            raise LexiconError(f"lexicon section 'tier_weights' is missing {name!r}")
     for name, weight in (tier_weights or {}).items():
         weights[name] = _number(weight, f"tier_weights.{name}")
     if not (

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .analysis import analyse
+from .analysis import DOCKET_RE, SentenceAnalysis, analyse
 from .corpus import Sentence
-from .features import DOCKET_RE
 from .lexicon import Lexicon
 
 
@@ -224,17 +223,16 @@ def fleiss_kappa(ratings: Sequence[Sequence], num_classes: int) -> float:
     return (observed - expected) / (1.0 - expected)
 
 
-def categorize_error(predicted_sentence: Sentence, lexicon: Lexicon) -> ErrorCategory:
-    """Why a wrongly selected sentence fooled the model.
+def error_category(analysis: SentenceAnalysis) -> ErrorCategory:
+    """Why a wrongly selected sentence, given its analysis, fooled the model.
 
     Precedence: probation, then prior-case reference (docket pattern or a
     past-tense sentencing verb), then fine, then procedural (number present
     without a time unit), else misc.
     """
-    analysis = analyse(predicted_sentence, lexicon)
     if analysis.probation_positions:
         return ErrorCategory.PROBATION
-    if DOCKET_RE.search(predicted_sentence.text):
+    if DOCKET_RE.search(analysis.sentence.text):
         return ErrorCategory.PRIOR_CASE_REFERENCE
     if any(
         h.tier == "moderate_negative" and len(h.surface) > 1
@@ -246,6 +244,11 @@ def categorize_error(predicted_sentence: Sentence, lexicon: Lexicon) -> ErrorCat
     if analysis.has_number and not analysis.has_time_unit:
         return ErrorCategory.PROCEDURAL
     return ErrorCategory.MISC
+
+
+def categorize_error(predicted_sentence: Sentence, lexicon: Lexicon) -> ErrorCategory:
+    """``error_category`` of a sentence that has not been analysed yet."""
+    return error_category(analyse(predicted_sentence, lexicon))
 
 
 @dataclass(frozen=True)

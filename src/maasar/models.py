@@ -110,7 +110,6 @@ class LinearMarginClassifier(ParamsMixin):
         self.bias_ = b
         self.n_features_in_ = d
         self.calibration_scale_ = self._fit_calibration(self.decision_function(X), y)
-        self.calibration_offset_ = 0.0
         return self
 
     @staticmethod
@@ -141,10 +140,9 @@ class LinearMarginClassifier(ParamsMixin):
         return {
             "weights": self.weights_.tolist(),
             "bias": self.bias_,
-            "calibration": {
-                "scale": self.calibration_scale_,
-                "offset": self.calibration_offset_,
-            },
+            # the sigmoid is symmetric: the file format keeps an offset field,
+            # and it is always 0
+            "calibration": {"scale": self.calibration_scale_, "offset": 0.0},
         }
 
     def load_state_dict(self, state: dict) -> "LinearMarginClassifier":
@@ -155,7 +153,12 @@ class LinearMarginClassifier(ParamsMixin):
         self.weights_ = np.asarray(weights, dtype=float)
         self.bias_ = float(_field(state, "bias", _NUMBER, "model state"))
         self.calibration_scale_ = float(_field(calibration, "scale", _NUMBER, "calibration"))
-        self.calibration_offset_ = float(_field(calibration, "offset", _NUMBER, "calibration"))
+        offset = _field(calibration, "offset", _NUMBER, "calibration")
+        if offset != 0:
+            raise ValueError(
+                f"model state field 'calibration.offset' must be 0 (the calibration "
+                f"sigmoid is symmetric), got {offset!r}"
+            )
         self.n_features_in_ = self.weights_.shape[0]
         return self
 
@@ -289,7 +292,6 @@ class _FlatTrees:
             return i
 
         roots = [ref(tree) for tree in trees]
-        # int32 keeps the pickled pool payload smaller than the nested dicts
         return cls(
             roots=np.array(roots, dtype=np.int32),
             feature=np.array(feature, dtype=np.int32),
@@ -422,10 +424,7 @@ class TrainedModel:
     @property
     def calibration(self) -> dict | None:
         if isinstance(self.classifier, LinearMarginClassifier):
-            return {
-                "scale": self.classifier.calibration_scale_,
-                "offset": self.classifier.calibration_offset_,
-            }
+            return {"scale": self.classifier.calibration_scale_, "offset": 0.0}
         return None
 
 

@@ -6,6 +6,10 @@ classifier; the detection stage keeps every candidate above a probability
 threshold, while the per-document selection takes the argmax, breaking
 ties toward the end of the decision. Cross-validation folds partition
 whole decisions so no document's sentences straddle the train/test line.
+
+Each candidate's ``SentenceAnalysis`` is kept beside its feature row, so
+both selectors hand back the chosen sentence's analysis (``choose_sentence``)
+and ``extract`` and the error report read it instead of analysing again.
 """
 
 from __future__ import annotations
@@ -14,19 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SentenceAnalysis
+from .analysis import SentenceAnalysis, analyse
 from .base import ParamsMixin
 from .corpus import AnnotationRecord, Decision
 from .detect import best_scored, choose_rule_based, filter_candidates, score_candidates
 from .extraction import DurationScoringConfig, ExtractionResult, extract
-from .features import FEATURE_NAMES, featurize_candidates
+from .features import FEATURE_NAMES, NUM_FEATURES, featurize
 from .lexicon import Lexicon
 from .metrics import (
     ErrorCategory,
     EvaluationReport,
     PerCaseResult,
-    categorize_error,
     detection_prf,
+    error_category,
     extraction_f1_and_error,
     selection_f1,
 )
@@ -50,17 +54,17 @@ class CrossValConfig:
 
 _TOKEN_COUNT_COLUMN = FEATURE_NAMES.index("token_count_norm")
 
-# Candidate indices and feature rows of one decision, featurized with a
+# Candidate analyses and feature rows of one decision, featurized with a
 # token-count scale of 1 so that the token_count_norm column holds the raw
 # count; ``_rescale`` applies a model's scale, so cross-validation can
 # featurize once and rescale per fold.
-RawFeatures = tuple[list[int], np.ndarray]
+RawFeatures = tuple[list[SentenceAnalysis], np.ndarray]
 
 
 def _raw_features(decision: Decision, lexicon: Lexicon) -> RawFeatures:
-    candidates = filter_candidates(decision, lexicon)
-    X = featurize_candidates(candidates, lexicon, max_token_count=1)
-    return [s.index for s in candidates], X
+    analyses = [analyse(s, lexicon) for s in filter_candidates(decision, lexicon)]
+    X = np.array([featurize(a, max_token_count=1) for a in analyses]).reshape(-1, NUM_FEATURES)
+    return analyses, X
 
 
 def _rescale(X: np.ndarray, token_scale: int) -> np.ndarray:
@@ -71,51 +75,54 @@ def _rescale(X: np.ndarray, token_scale: int) -> np.ndarray:
 
 
 def _candidate_probabilities(
-    model: TrainedModel, decision: Decision, lexicon: Lexicon, raw: RawFeatures | None = None
-) -> tuple[list[int], np.ndarray]:
-    indices, X = raw if raw is not None else _raw_features(decision, lexicon)
-    if not indices:
+    model: TrainedModel, raw: RawFeatures
+) -> tuple[list[SentenceAnalysis], np.ndarray]:
+    analyses, X = raw
+    if not analyses:
         return [], np.empty(0)
-    return indices, model.predict_proba(_rescale(X, model.token_count_scale))
+    return analyses, model.predict_proba(_rescale(X, model.token_count_scale))
 
 
-def _above_threshold(indices: list[int], probs: np.ndarray, threshold: float) -> list[int]:
-    return [idx for idx, p in zip(indices, probs) if p >= threshold]
+def _above_threshold(
+    analyses: list[SentenceAnalysis], probs: np.ndarray, threshold: float
+) -> list[int]:
+    return [a.sentence.index for a, p in zip(analyses, probs) if p >= threshold]
 
 
-def _most_probable(indices: list[int], probs: np.ndarray) -> int | None:
-    if not indices:
+def _most_probable(analyses: list[SentenceAnalysis], probs: np.ndarray) -> SentenceAnalysis | None:
+    if not analyses:
         return None
-    return max(zip(probs, indices))[1]
+    return max(zip(probs, analyses), key=lambda pair: (pair[0], pair[1].sentence.index))[1]
 
 
 def sentences_above_threshold(
     model: TrainedModel, decision: Decision, lexicon: Lexicon, threshold: float
 ) -> list[int]:
     """Candidate sentence indices whose punishment probability >= threshold."""
-    return _above_threshold(*_candidate_probabilities(model, decision, lexicon), threshold)
+    probabilities = _candidate_probabilities(model, _raw_features(decision, lexicon))
+    return _above_threshold(*probabilities, threshold)
 
 
 def select_sentence_supervised(
     model: TrainedModel, decision: Decision, lexicon: Lexicon
 ) -> int | None:
     """Most probable candidate sentence; ties go to the later sentence."""
-    return _most_probable(*_candidate_probabilities(model, decision, lexicon))
+    chosen = _most_probable(*_candidate_probabilities(model, _raw_features(decision, lexicon)))
+    return chosen.sentence.index if chosen else None
 
 
 def choose_sentence(
     decision: Decision, lexicon: Lexicon, model: TrainedModel | None = None
-) -> int | SentenceAnalysis | None:
-    """The sentence to extract from, as ``extraction.extract`` takes it.
+) -> SentenceAnalysis | None:
+    """The analysis of the sentence to extract from, as ``extract`` takes it.
 
-    Without a model this is the rule-based choice, with its analysis, so
-    ``extract`` reuses it; with one it is the model's most probable
-    candidate index (``select_sentence_supervised``).
+    Without a model this is the rule-based choice; with one it is the
+    model's most probable candidate (ties go to the later sentence).
     """
     if model is None:
         best = choose_rule_based(decision, lexicon)
         return best and best.analysis
-    return select_sentence_supervised(model, decision, lexicon)
+    return _most_probable(*_candidate_probabilities(model, _raw_features(decision, lexicon)))
 
 
 def _gold_maps(
@@ -163,9 +170,9 @@ def build_training_records(
     labels = _label_lookup(annotations)
     records = []
     for decision in decisions:
-        indices, X = raw[decision.case_id] if raw is not None else _raw_features(decision, lexicon)
-        for row, index in zip(_rescale(X, token_scale), indices):
-            records.append((row, labels.get((decision.case_id, index), False)))
+        analyses, X = raw[decision.case_id] if raw is not None else _raw_features(decision, lexicon)
+        for row, a in zip(_rescale(X, token_scale), analyses):
+            records.append((row, labels.get((decision.case_id, a.sentence.index), False)))
     return records
 
 
@@ -188,13 +195,23 @@ def assemble_report(
     decisions: list[Decision],
     annotations: list[AnnotationRecord],
     lexicon: Lexicon,
-    selections: dict[str, int | None],
+    chosen: dict[str, SentenceAnalysis | None],
     detected: set[tuple[str, int]],
-    months: dict[str, int | None],
+    scoring: DurationScoringConfig = DurationScoringConfig(),
 ) -> EvaluationReport:
-    """Pool per-case predictions into the full evaluation report."""
+    """Pool per-case predictions into the full evaluation report.
+
+    ``chosen`` maps each case to its selected sentence's analysis (or None);
+    the months are extracted from it and a wrong selection is categorised
+    from it (``metrics.error_category``), so no sentence is analysed here.
+    """
     gold_indices, gold_months = _gold_maps(annotations)
     by_id = {d.case_id: d for d in decisions}
+    selections: dict[str, int | None] = {}
+    months: dict[str, int | None] = {}
+    for case_id, analysis in chosen.items():
+        result = extract(by_id[case_id], analysis, lexicon, scoring)
+        selections[case_id], months[case_id] = result.sentence_index, result.months
     gold_pairs = {
         (case_id, idx)
         for case_id, indices in gold_indices.items()
@@ -220,14 +237,15 @@ def assemble_report(
         acc_given_correct = None
 
     wrong = [
-        (case_id, idx)
-        for case_id, idx in selections.items()
-        if idx is not None and idx not in gold_indices.get(case_id, set())
+        (case_id, analysis)
+        for case_id, analysis in chosen.items()
+        if analysis is not None
+        and analysis.sentence.index not in gold_indices.get(case_id, set())
     ]
     breakdown = {category.value: 0.0 for category in ErrorCategory}
     per_case_categories: dict[str, str] = {}
-    for case_id, idx in wrong:
-        category = categorize_error(by_id[case_id].sentences[idx], lexicon)
+    for case_id, analysis in wrong:
+        category = error_category(analysis)
         per_case_categories[case_id] = category.value
         breakdown[category.value] += 1
     if wrong:
@@ -262,8 +280,7 @@ def evaluate_rule_based(
     scoring: DurationScoringConfig = DurationScoringConfig(),
 ) -> EvaluationReport:
     """Score the rule-based pipeline; detection = candidates above threshold."""
-    selections: dict[str, int | None] = {}
-    months: dict[str, int | None] = {}
+    chosen: dict[str, SentenceAnalysis | None] = {}
     detected: set[tuple[str, int]] = set()
     for decision in decisions:
         scored = score_candidates(decision, lexicon)
@@ -271,10 +288,8 @@ def evaluate_rule_based(
             if candidate.score >= lexicon.threshold:
                 detected.add((decision.case_id, candidate.sentence_index))
         best = best_scored(scored, lexicon.threshold)
-        result = extract(decision, best and best.analysis, lexicon, scoring)
-        selections[decision.case_id] = result.sentence_index
-        months[decision.case_id] = result.months
-    return assemble_report(decisions, annotations, lexicon, selections, detected, months)
+        chosen[decision.case_id] = best and best.analysis
+    return assemble_report(decisions, annotations, lexicon, chosen, detected, scoring)
 
 
 def make_folds(case_ids: list[str], num_folds: int, seed: int) -> list[list[str]]:
@@ -295,9 +310,10 @@ def cross_validate(
 ) -> EvaluationReport:
     """Document-level k-fold evaluation; every decision is tested once.
 
-    Each decision is filtered and featurized once; every fold rescales the
-    token counts to its own training scale and scores each test decision's
-    candidates once, for both the detection threshold and the argmax.
+    Each decision is filtered, analysed and featurized once; every fold
+    rescales the token counts to its own training scale and scores each test
+    decision's candidates once, for both the detection threshold and the
+    argmax, whose analysis the report extracts from.
     """
     if len(decisions) < config.num_folds:
         raise ValueError(
@@ -307,8 +323,7 @@ def cross_validate(
     by_id = {d.case_id: d for d in decisions}
     raw = {d.case_id: _raw_features(d, lexicon) for d in decisions}
 
-    selections: dict[str, int | None] = {}
-    months: dict[str, int | None] = {}
+    chosen: dict[str, SentenceAnalysis | None] = {}
     detected: set[tuple[str, int]] = set()
     for fold in folds:
         test_ids = set(fold)
@@ -321,15 +336,12 @@ def cross_validate(
             train_decisions, train_annotations, lexicon, kind, seed=config.seed, raw=raw
         )
         for case_id in fold:
-            decision = by_id[case_id]
-            indices, probs = _candidate_probabilities(model, decision, lexicon, raw[case_id])
-            for idx in _above_threshold(indices, probs, config.detection_threshold):
+            analyses, probs = _candidate_probabilities(model, raw[case_id])
+            for idx in _above_threshold(analyses, probs, config.detection_threshold):
                 detected.add((case_id, idx))
-            chosen = _most_probable(indices, probs)
-            selections[case_id] = chosen
-            months[case_id] = extract(decision, chosen, lexicon, scoring).months
+            chosen[case_id] = _most_probable(analyses, probs)
 
-    return assemble_report(decisions, annotations, lexicon, selections, detected, months)
+    return assemble_report(decisions, annotations, lexicon, chosen, detected, scoring)
 
 
 class PunishmentExtractor(ParamsMixin):
@@ -369,7 +381,7 @@ class PunishmentExtractor(ParamsMixin):
         )
         return self
 
-    def _choose(self, decision: Decision) -> int | SentenceAnalysis | None:
+    def _choose(self, decision: Decision) -> SentenceAnalysis | None:
         lexicon = self._require_lexicon()
         model = None
         if self.method != "rule_based":
@@ -380,7 +392,7 @@ class PunishmentExtractor(ParamsMixin):
 
     def select(self, decision: Decision) -> int | None:
         chosen = self._choose(decision)
-        return chosen.sentence.index if isinstance(chosen, SentenceAnalysis) else chosen
+        return chosen.sentence.index if chosen else None
 
     def predict(self, decisions: list[Decision]) -> list[ExtractionResult]:
         lexicon = self._require_lexicon()

@@ -7,7 +7,8 @@ from maasar.analysis import analyse
 from maasar.cli import run
 from maasar.detect import choose_rule_based, filter_candidates
 from maasar.extraction import extract
-from maasar.pipeline import evaluate_rule_based
+from maasar.models import save_model
+from maasar.pipeline import PunishmentExtractor, evaluate_rule_based, train_on_decisions
 from maasar.synthetic import SyntheticCorpus, write_corpus
 
 
@@ -62,3 +63,33 @@ class TestEachCandidateAnalysedOnce:
         detected = rows("detect")
         assert len(span_calls) == candidates
         assert [r["score"] for r in detected] == [b.score for b in best]
+
+    def test_supervised_cli_extract(self, lexicon, synthetic, span_calls, tmp_path):
+        decisions = synthetic.decisions[:3]
+        paths = write_corpus(SyntheticCorpus(decisions, [], {}), tmp_path)
+        model = tmp_path / "model.json"
+        fitted = train_on_decisions(synthetic.decisions, synthetic.annotations, lexicon, "rf")
+        save_model(fitted, model)
+        candidates = sum(len(filter_candidates(d, lexicon)) for d in decisions)
+        span_calls.clear()
+        argv = ["extract", "--model", str(model), "--corpus", str(paths["corpus_dir"])]
+        assert run([*argv, "--out", str(tmp_path / "rows.jsonl")]) == 0
+        assert len(span_calls) == candidates
+
+    def test_supervised_cli_eval(self, lexicon, synthetic, span_calls, tmp_path):
+        paths = write_corpus(synthetic, tmp_path)
+        candidates = sum(len(filter_candidates(d, lexicon)) for d in synthetic.decisions)
+        span_calls.clear()
+        argv = ["eval", "--model-kind", "rf", "--corpus", str(paths["corpus_dir"])]
+        argv += ["--annotations", str(paths["annotations"]), "--out", str(tmp_path / "r.json")]
+        assert run(argv) == 0
+        assert len(span_calls) == candidates
+
+    def test_supervised_estimator_predict(self, lexicon, synthetic, span_calls):
+        extractor = PunishmentExtractor(method="rf", lexicon=lexicon)
+        extractor.fit(synthetic.decisions, synthetic.annotations)
+        decisions = synthetic.decisions[:6]
+        span_calls.clear()
+        results = extractor.predict(decisions)
+        assert len(span_calls) == sum(len(filter_candidates(d, lexicon)) for d in decisions)
+        assert all(r.sentence_index is not None for r in results)

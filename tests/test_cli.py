@@ -35,6 +35,12 @@ def rf_trees(doc, *trees):
 LEAVES = {"threshold": 0.5, "left": {"vote": 0}, "right": {"vote": 1}}
 
 
+def svm_offset(doc, offset):
+    """A linear model file whose calibration carries ``offset``."""
+    calibration = {**doc["state"]["calibration"], "offset": offset}
+    return {**doc, "state": {**doc["state"], "calibration": calibration}}
+
+
 def numerals_with(doc, **sections):
     return {**doc, "numerals": {**doc["numerals"], **sections}}
 
@@ -282,6 +288,7 @@ class TestErrorHandling:
                 "'feature' must be in [0, 13), got 99",
             ),
             ("model", lambda doc: rf_trees(doc, {"vote": 7}), "'vote' must be 0 or 1"),
+            ("model", lambda doc: svm_offset(doc, 40), "'calibration.offset' must be 0"),
         ],
         ids=[
             "model-not-object",
@@ -294,6 +301,7 @@ class TestErrorHandling:
             "rf-node-without-threshold",
             "rf-feature-out-of-range",
             "rf-vote-seven",
+            "svm-calibration-offset",
         ],
     )
     def test_malformed_model_or_lexicon_exits_one(
@@ -354,6 +362,10 @@ class TestErrorHandling:
             ),
             (lambda doc: {**doc, "filter_keywords": ["מאסר", ""]}, "'filter_keywords'"),
             (lambda doc: {**doc, "filter_keywords": [" "]}, "'filter_keywords'"),
+            (
+                lambda doc: {**doc, "tier_weights": {"strong_positive": 3}},
+                "'tier_weights' is missing 'moderate_positive'",
+            ),
         ],
         ids=[
             "filter-keywords-string",
@@ -375,6 +387,7 @@ class TestErrorHandling:
             "tier-weight-inf",
             "filter-keyword-empty",
             "filter-keyword-blank",
+            "tier-weight-missing",
         ],
     )
     def test_mistyped_lexicon_section_exits_one(

@@ -9,7 +9,6 @@ from maasar.corpus import (
     AnnotationRecord,
     Decision,
     Sentence,
-    _is_abbreviation,
     corpus_stats,
     load_annotations,
     load_corpus,
@@ -54,6 +53,11 @@ class TestSegmentation:
         assert len(segment_sentences(text)) == 2
         assert len(segment_sentences(text, abbreviations={"מ"})) == 1
 
+    @pytest.mark.parametrize("entry", ["בית", "בית."])
+    def test_abbreviation_with_trailing_period(self, entry):
+        texts = [s.text for s in segment_sentences("בית. x (בית. y. z", {entry})]
+        assert texts == ["בית. x (בית. y.", "z"]
+
     def test_indices_and_positions(self):
         sentences = segment_sentences("א ב ג. ד ה. ו.")
         assert [s.index for s in sentences] == [0, 1, 2]
@@ -82,8 +86,10 @@ class TestSegmentation:
 
 
 def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
-    """The character-by-character splitter that segment_sentences replaced."""
-    abbrev = frozenset(abbreviations)
+    """The character-by-character splitter that segment_sentences replaced,
+    with the documented abbreviation rule: an entry, less one trailing
+    period, equals the non-empty word before a lone period, openers stripped."""
+    abbrev = {a[:-1] if a.endswith(".") else a for a in abbreviations}
     chunks = []
     start = 0
     i = 0
@@ -97,8 +103,8 @@ def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
                 word_start = i
                 while word_start > start and not raw_text[word_start - 1].isspace():
                     word_start -= 1
-                word = raw_text[word_start:i]
-                if not (raw_text[i] == "." and i == j and _is_abbreviation(word, abbrev)):
+                word = raw_text[word_start:i].lstrip("([{\"'")
+                if not (raw_text[i] == "." and i == j and word and word in abbrev):
                     chunks.append(raw_text[start : j + 1])
                     start = j + 1
             i = j + 1
@@ -132,7 +138,7 @@ class TestRunBasedSplitterEquivalence:
     @given(_texts, st.sets(st.sampled_from(["א", "x", "בית.", "(א", "7", "3", ""]), max_size=3))
     @example("(א. ב", {"(א"})  # openers are stripped from the word, so this splits
     @example("x (. y . z", {""})  # the empty entry matches no word
-    @example("בית. x בית.. y", {"בית."})  # a word before a lone period has no final "."
+    @example("בית. x בית.. y", {"בית."})  # the entry's one trailing period is ignored
     def test_custom_abbreviations(self, text, abbreviations):
         expected = reference_segment(text, abbreviations)
         assert segment_sentences(text, abbreviations) == expected

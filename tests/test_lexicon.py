@@ -52,12 +52,13 @@ class TestLoad:
             load_lexicon(path)
 
     def test_missing_section_rejected(self, tmp_path):
-        doc = default_doc()
-        del doc["time_units"]
-        path = tmp_path / "lex.json"
-        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-        with pytest.raises(LexiconError, match="time_units"):
-            load_lexicon(path)
+        for section in ("time_units", "tier_weights"):
+            doc = default_doc()
+            del doc[section]
+            path = tmp_path / "lex.json"
+            path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+            with pytest.raises(LexiconError, match=section):
+                load_lexicon(path)
 
     def test_missing_numeral_section_rejected(self, tmp_path):
         doc = default_doc()

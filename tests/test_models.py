@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maasar.analysis import analyse
 from maasar.corpus import Decision
 from maasar.features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, NUM_FEATURES, featurize
 from maasar.models import (
@@ -39,7 +40,7 @@ class TestFeaturize:
 
     def test_keyword_free_sentence_zero_counts(self, lexicon):
         decision = Decision.from_text("c", "ריק לחלוטין. עוד משפט כאן.")
-        fv = featurize(decision.sentences[0], lexicon, 1)
+        fv = featurize(analyse(decision.sentences[0], lexicon), 1)
         assert fv.shape == (NUM_FEATURES,)
         assert fv[:10].sum() == 0
         assert np.isfinite(fv).all()
@@ -47,7 +48,7 @@ class TestFeaturize:
     def test_empty_sentence_positions_still_defined(self, lexicon):
         from maasar.corpus import Sentence
 
-        fv = featurize(Sentence(1, "", 0, 1.0), lexicon, 1)
+        fv = featurize(analyse(Sentence(1, "", 0, 1.0), lexicon), 1)
         assert fv[:10].sum() == 0
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
         assert np.isfinite(fv).all()
@@ -55,24 +56,24 @@ class TestFeaturize:
     def test_two_strong_positive_hits(self, lexicon):
         verbs = sorted(lexicon.strong_positive)[:2]
         decision = Decision.from_text("c", f"אני {verbs[0]} וגם {verbs[1]} עונש.")
-        fv = featurize(decision.sentences[0], lexicon, 1)
+        fv = featurize(analyse(decision.sentences[0], lexicon), 1)
         assert fv[FEATURE_NAMES.index("strong_positive_count")] == 2
 
     def test_last_sentence_positions(self, lexicon):
         decision = Decision.from_text("c", "ראשון כאן. שני כאן. אחרון ממש.")
-        fv = featurize(decision.sentences[-1], lexicon, 1)
+        fv = featurize(analyse(decision.sentences[-1], lexicon), 1)
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
         assert fv[FEATURE_NAMES.index("distance_to_document_end")] == 0.0
 
     def test_docket_marker_count(self, lexicon):
         decision = Decision.from_text("c", "ראו 1049/12 וגם 33/98 לעניין מאסר.")
-        fv = featurize(decision.sentences[0], lexicon, 1)
+        fv = featurize(analyse(decision.sentences[0], lexicon), 1)
         assert fv[FEATURE_NAMES.index("docket_marker_count")] == 2
 
     def test_indicators_are_binary(self, lexicon, synthetic):
         decision = synthetic.decisions[0]
         for s in decision.sentences[:10]:
-            fv = featurize(s, lexicon, 1)
+            fv = featurize(analyse(s, lexicon), 1)
             assert fv[FEATURE_NAMES.index("has_number")] in (0.0, 1.0)
             assert fv[FEATURE_NAMES.index("has_time_unit")] in (0.0, 1.0)
 

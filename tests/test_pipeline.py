@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from maasar import pipeline
+from maasar.analysis import analyse
 from maasar.corpus import Decision
 from maasar.detect import filter_candidates
-from maasar.extraction import extract
-from maasar.features import featurize_candidates
+from maasar.features import featurize
 from maasar.models import TrainedModel
 from maasar.pipeline import (
     CrossValConfig,
@@ -169,7 +169,7 @@ def per_fold_report(decisions, annotations, lexicon, kind, config):
     """cross_validate assembled fold by fold from the public per-decision
     path, which featurizes every fold's decisions again at its own scale."""
     by_id = {d.case_id: d for d in decisions}
-    selections, months, detected = {}, {}, set()
+    chosen, detected = {}, set()
     for fold in make_folds(list(by_id), config.num_folds, config.seed):
         test_ids = set(fold)
         model = train_on_decisions(
@@ -184,9 +184,9 @@ def per_fold_report(decisions, annotations, lexicon, kind, config):
             threshold = config.detection_threshold
             for idx in sentences_above_threshold(model, decision, lexicon, threshold):
                 detected.add((case_id, idx))
-            selections[case_id] = select_sentence_supervised(model, decision, lexicon)
-            months[case_id] = extract(decision, selections[case_id], lexicon).months
-    return assemble_report(decisions, annotations, lexicon, selections, detected, months)
+            index = select_sentence_supervised(model, decision, lexicon)
+            chosen[case_id] = None if index is None else analyse(decision.sentences[index], lexicon)
+    return assemble_report(decisions, annotations, lexicon, chosen, detected)
 
 
 class TestFeaturizeOnceCrossValidation:
@@ -250,12 +250,12 @@ class TestFeaturizeOnceCrossValidation:
     def test_rescaled_rows_equal_featurized_rows(self, lexicon, corpus):
         decisions, _ = corpus
         for decision in decisions:
-            indices, raw = _raw_features(decision, lexicon)
+            analyses, raw = _raw_features(decision, lexicon)
             candidates = filter_candidates(decision, lexicon)
-            assert indices == [s.index for s in candidates]
+            assert analyses == [analyse(s, lexicon) for s in candidates]
             for scale in (0, 1, 7, 33, max_token_count(decisions)):
-                direct = featurize_candidates(candidates, lexicon, scale)
-                assert _rescale(raw, scale).tobytes() == direct.tobytes()
+                direct = [featurize(analyse(s, lexicon), scale) for s in candidates]
+                assert _rescale(raw, scale).tobytes() == b"".join(r.tobytes() for r in direct)
 
 
 class TestRuleBasedEvaluation:
