@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: segment, prelabel, detect, train, extract, eval, stats.
-Each runs in one process, as one loop over the decisions. All outputs are
-written atomically (temp file + rename) and are byte-identical across runs
-given the same inputs, flags and seed.
+Each runs in one process, as one loop over the decisions, in case-id order
+(``load_corpus`` sorts them). Every JSON output goes through one writer,
+which serializes a record from its own dataclass fields with sorted keys,
+so ``ExtractionResult``, ``EvaluationReport``, ``CorpusStats`` and
+``Sentence`` define the output shapes. All outputs are written atomically
+(temp file + rename) and are byte-identical across runs given the same
+inputs, flags and seed.
 Exit codes: 0 success, 1 input/usage error, 2 internal error.
 """
 
@@ -21,7 +25,7 @@ from pathlib import Path
 from .corpus import corpus_stats, load_annotations, load_corpus, prelabel_negatives
 from .detect import choose_rule_based
 from .extraction import DurationScoringConfig, extract
-from .lexicon import TIER_NAMES, Lexicon, StructuralWeights, load_lexicon
+from .lexicon import STRUCTURAL_NAMES, TIER_NAMES, Lexicon, load_lexicon
 from .metrics import punishment_histogram
 from .models import load_model, save_model
 from .pipeline import (
@@ -34,7 +38,7 @@ from .pipeline import (
 
 # Scoring knobs, one float flag each: ``--{prefix}{name}`` with ``_`` as ``-``.
 _TIER_KNOBS = ("weight_", TIER_NAMES)
-_STRUCTURAL_KNOBS = ("", tuple(f.name for f in dataclasses.fields(StructuralWeights)))
+_STRUCTURAL_KNOBS = ("", STRUCTURAL_NAMES)
 _DURATION_KNOBS = ("duration_", tuple(f.name for f in dataclasses.fields(DurationScoringConfig)))
 
 
@@ -92,8 +96,18 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _jsonl(records: list[dict]) -> str:
-    return "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records)
+def _json(record, indent: int | None = None) -> str:
+    # One writer for every output. A dataclass record is written as
+    # vars(record), its own __dict__, so nested records (the spans of a
+    # result, the cases of a report) are never copied. That __dict__ holds
+    # exactly the dataclass fields as long as the class sets no attribute
+    # beside them; tests/test_cli.py checks this for every written class.
+    # TimeUnit and ErrorCategory are str enums and encode as their value.
+    return json.dumps(record, default=vars, ensure_ascii=False, sort_keys=True, indent=indent)
+
+
+def _jsonl(records) -> str:
+    return "".join(_json(r) + "\n" for r in records)
 
 
 def _load_corpus_or_fail(args) -> list:
@@ -151,18 +165,7 @@ def _detect_one(lexicon: Lexicon, decision):
 def _cmd_segment(args) -> int:
     decisions = _load_corpus_or_fail(args)
     records = [
-        {
-            "case_id": d.case_id,
-            "sentences": [
-                {
-                    "index": s.index,
-                    "text": s.text,
-                    "token_count": s.token_count,
-                    "relative_position": s.relative_position,
-                }
-                for s in d.sentences
-            ],
-        }
+        {"case_id": d.case_id, "sentences": [s._asdict() for s in d.sentences]}
         for d in decisions
     ]
     _emit(args.out, _jsonl(records))
@@ -189,9 +192,7 @@ def _cmd_prelabel(args) -> int:
 def _cmd_detect(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
-    rows = [_detect_one(lexicon, d) for d in decisions]
-    rows.sort(key=lambda r: r["case_id"])
-    _emit(args.out, _jsonl(rows))
+    _emit(args.out, _jsonl(_detect_one(lexicon, d) for d in decisions))
     return 0
 
 
@@ -209,14 +210,12 @@ def _cmd_extract(args) -> int:
     lexicon = _load_lexicon_with_overrides(args)
     scoring = _scoring_config(args)
     model = load_model(args.model) if args.model else None
-    rows = [
-        extract(d, choose_sentence(d, lexicon, model), lexicon, scoring).to_dict()
-        for d in decisions
+    results = [
+        extract(d, choose_sentence(d, lexicon, model), lexicon, scoring) for d in decisions
     ]
-    rows.sort(key=lambda r: r["case_id"])
-    _emit(args.out, _jsonl(rows))
+    _emit(args.out, _jsonl(results))
     if args.histogram_csv:
-        _histogram_csv([r["months"] for r in rows], args.histogram_csv, args.bucket_months)
+        _histogram_csv([r.months for r in results], args.histogram_csv, args.bucket_months)
     return 0
 
 
@@ -239,7 +238,7 @@ def _cmd_eval(args) -> int:
             )
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-    _emit(args.out, json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    _emit(args.out, _json(report, indent=2) + "\n")
     if args.histogram_csv:
         _histogram_csv(
             [c.predicted_months for c in report.per_case],
@@ -251,8 +250,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_stats(args) -> int:
     decisions = _load_corpus_or_fail(args)
-    stats = corpus_stats(decisions)
-    _emit(args.out, json.dumps(stats.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    _emit(args.out, _json(corpus_stats(decisions), indent=2) + "\n")
     return 0
 
 

@@ -73,14 +73,13 @@ class Decision:
         raw_text: str,
         year: int = 0,
         court: str = "",
-        abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS,
     ) -> "Decision":
         return cls(
             case_id=case_id,
             year=year,
             court=court,
             raw_text=raw_text,
-            sentences=tuple(segment_sentences(raw_text, abbreviations)),
+            sentences=tuple(segment_sentences(raw_text)),
         )
 
 
@@ -114,17 +113,6 @@ class CorpusStats:
     sentence_length_std: float
     sentence_length_min: int
     sentence_length_max: int
-
-    def to_dict(self) -> dict:
-        return {
-            "num_cases": self.num_cases,
-            "num_sentences": self.num_sentences,
-            "num_words": self.num_words,
-            "sentence_length_mean": self.sentence_length_mean,
-            "sentence_length_std": self.sentence_length_std,
-            "sentence_length_min": self.sentence_length_min,
-            "sentence_length_max": self.sentence_length_max,
-        }
 
 
 class LoadError(NamedTuple):
@@ -213,7 +201,6 @@ def segment_sentences(
 def load_corpus(
     directory_path: str | Path,
     metadata_path: str | Path | None = None,
-    abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS,
 ) -> CorpusLoadResult:
     """Load every ``.txt`` decision in a directory, sorted by case_id.
 
@@ -286,7 +273,6 @@ def load_corpus(
                 raw_text=text,
                 year=year,
                 court=str(meta.get("court", "")),
-                abbreviations=abbreviations,
             )
         )
     for filename in sorted(set(by_filename) - seen_files):

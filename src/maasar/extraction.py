@@ -53,16 +53,6 @@ class ExtractionResult:
     candidates: tuple[NumberSpan, ...] = field(default_factory=tuple)
     error_category: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "sentence_index": self.sentence_index,
-            "months": self.months,
-            "method": self.method,
-            "candidates": [c.to_dict() for c in self.candidates],
-            "error_category": self.error_category,
-        }
-
 
 def decomposition_candidate(spans: Iterable[NumberSpan]) -> DecompositionCandidate | None:
     """The total/actual/conditional triple, when the sentence has that shape.

@@ -2,12 +2,15 @@
 
 The lexicon is data, not code: a JSON document with one array per scored
 tier (entries ``{"surface": ..., "weight": optional}``), the default
-weight of each tier (``tier_weights``, all four required), the filter/marker
-lists, the time-unit surface forms, and a sibling ``numerals`` section.
-A default Hebrew lexicon ships with the package and is meant to be edited.
+weight of each tier (``tier_weights``, all four required), the rule-score
+``threshold``, the ``structural`` adjustments (all three required), the
+filter/marker lists, the time-unit surface forms, and a sibling
+``numerals`` section. A default Hebrew lexicon ships with the package, is
+meant to be edited, and is the one place these values are set.
 ``load_lexicon`` checks the JSON type of every section it reads and raises a
 ``LexiconError`` naming the section, so a mistyped file is refused, not
-coerced.
+coerced; a weight name that ``tier_weights`` or ``structural`` does not
+have is refused too, in the file or in a keyword override.
 
 Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
 into ``PhraseIndex`` tables keyed by a phrase's first word: one for the four
@@ -49,9 +52,12 @@ class LexiconError(ValueError):
 class StructuralWeights:
     """Score adjustments applied on top of tier hits."""
 
-    number_with_unit_bonus: float = 1.0
-    number_without_unit_penalty: float = -1.0
-    fine_marker_penalty: float = -1.0
+    number_with_unit_bonus: float
+    number_without_unit_penalty: float
+    fine_marker_penalty: float
+
+
+STRUCTURAL_NAMES = tuple(f.name for f in dataclasses.fields(StructuralWeights))
 
 
 @dataclass(frozen=True)
@@ -173,8 +179,8 @@ class Lexicon:
     actual_markers: frozenset[str]
     threshold: float
     tier_weights: Mapping[str, float]
-    structural: StructuralWeights = field(default_factory=StructuralWeights)
-    numerals: NumeralLexicon | None = None
+    structural: StructuralWeights
+    numerals: NumeralLexicon
 
     def __post_init__(self):
         # Compiled per instance, so dataclasses.replace recompiles the copy.
@@ -267,6 +273,22 @@ def _number(value: object, where: str) -> int | float:
     return value
 
 
+def _weights(
+    doc: dict, where: str, names: tuple[str, ...], overrides: Mapping[str, float] | None
+) -> dict[str, float]:
+    """A required section of named weights, each name present, then the overrides."""
+    weights: dict[str, float] = {}
+    for section in (_object(_require(doc, where), where), overrides or {}):
+        for name, value in section.items():
+            if name not in names:
+                raise LexiconError(f"lexicon section {where!r} has no weight named {name!r}")
+            weights[name] = _number(value, f"{where}.{name}")
+        for name in names:
+            if name not in weights:
+                raise LexiconError(f"lexicon section {where!r} is missing {name!r}")
+    return weights
+
+
 def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
     entries = _require(doc, name)
     if not isinstance(entries, list):
@@ -320,7 +342,12 @@ def _canonical(section: Mapping[str, list[str]]) -> dict[int, str]:
     return {int(k): v[0] for k, v in section.items()}
 
 
-def load_numerals(section: object) -> NumeralLexicon:
+def load_numerals(
+    section: object,
+    time_units: Mapping[str, TimeUnit],
+    unit_only: Mapping[str, TimeUnit],
+    duals: Mapping[str, TimeUnit],
+) -> NumeralLexicon:
     section = _object(section, "numerals")
     required = (
         "zero", "units_feminine", "units_masculine", "teens_feminine",
@@ -358,10 +385,10 @@ def load_numerals(section: object) -> NumeralLexicon:
         hundreds_single=hundreds_single,
         hundred_plural_markers=plural_markers,
         conjunction_forms=conjunctions,
-        unit_only_words={},
-        dual_unit_words={},
+        unit_only_words=unit_only,
+        dual_unit_words=duals,
         half_words=half,
-        time_unit_words={},
+        time_unit_words=time_units,
         vocabulary=frozenset(vocab),
         canonical_zero=section["zero"][0],
         canonical_units={
@@ -388,22 +415,14 @@ def load_lexicon(
 
     Keyword overrides replace the file's threshold, tier default weights or
     structural adjustments, which is how CLI flags tune the scorer without
-    editing the lexicon.
+    editing the lexicon; an override may name only weights the file has.
     """
     path = Path(path) if path is not None else default_lexicon_path()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise LexiconError(f"lexicon file must hold a JSON object, got {type(doc).__name__}")
 
-    weights = {
-        name: _number(weight, f"tier_weights.{name}")
-        for name, weight in _object(_require(doc, "tier_weights"), "tier_weights").items()
-    }
-    for name in TIER_NAMES:
-        if name not in weights:
-            raise LexiconError(f"lexicon section 'tier_weights' is missing {name!r}")
-    for name, weight in (tier_weights or {}).items():
-        weights[name] = _number(weight, f"tier_weights.{name}")
+    weights = _weights(doc, "tier_weights", TIER_NAMES, tier_weights)
     if not (
         weights["strong_positive"]
         > weights["moderate_positive"]
@@ -428,26 +447,19 @@ def load_lexicon(
         raise LexiconError("tier lists must be disjoint; overlapping entries: " + "; ".join(overlaps))
 
     time_units = _unit_map(_require(doc, "time_units"), "time_units")
-    numerals = load_numerals(_require(doc, "numerals"))
-    unit_only = _unit_map(doc.get("unit_only", {}), "unit_only")
-    duals = _unit_map(doc.get("dual_units", {}), "dual_units")
-    numerals = dataclasses.replace(
-        numerals,
-        unit_only_words=unit_only,
-        dual_unit_words=duals,
-        time_unit_words=time_units,
+    numerals = load_numerals(
+        _require(doc, "numerals"),
+        time_units,
+        _unit_map(doc.get("unit_only", {}), "unit_only"),
+        _unit_map(doc.get("dual_units", {}), "dual_units"),
     )
-
-    structural_doc = dict(_object(doc.get("structural", {}), "structural"))
-    if structural:
-        structural_doc.update(structural)
     structural_weights = StructuralWeights(
         **{
-            f.name: float(_number(structural_doc.get(f.name, f.default), f"structural.{f.name}"))
-            for f in dataclasses.fields(StructuralWeights)
+            name: float(weight)
+            for name, weight in _weights(doc, "structural", STRUCTURAL_NAMES, structural).items()
         }
     )
-    file_threshold = _number(doc.get("threshold", 2.0), "threshold")
+    file_threshold = _number(_require(doc, "threshold"), "threshold")
 
     def markers(name: str) -> frozenset[str]:
         return frozenset(_strings(doc.get(name, []), name))

@@ -26,14 +26,6 @@ class PRF:
     f1: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "flags": list(self.flags),
-        }
-
 
 class ErrorCategory(str, Enum):
     PROBATION = "probation"
@@ -52,16 +44,6 @@ class PerCaseResult:
     gold_months: int
     error_category: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "predicted_index": self.predicted_index,
-            "gold_indices": list(self.gold_indices),
-            "predicted_months": self.predicted_months,
-            "gold_months": self.gold_months,
-            "error_category": self.error_category,
-        }
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -72,19 +54,6 @@ class EvaluationReport:
     duration_accuracy_given_correct_sentence: float | None
     error_breakdown: Mapping[str, float]
     per_case: tuple[PerCaseResult, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "detection": self.detection.to_dict(),
-            "sentence_selection_f1": self.sentence_selection_f1,
-            "extraction_f1": self.extraction_f1,
-            "avg_month_error": self.avg_month_error,
-            "duration_accuracy_given_correct_sentence": (
-                self.duration_accuracy_given_correct_sentence
-            ),
-            "error_breakdown": dict(self.error_breakdown),
-            "per_case": [c.to_dict() for c in self.per_case],
-        }
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -257,14 +226,6 @@ class Histogram:
     buckets: tuple[tuple[int, int, int], ...]  # (start, end inclusive, count)
     median: float | None
     fraction_at_or_below_15: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "bucket_months": self.bucket_months,
-            "buckets": [list(b) for b in self.buckets],
-            "median": self.median,
-            "fraction_at_or_below_15": self.fraction_at_or_below_15,
-        }
 
     def to_csv_rows(self) -> list[str]:
         return [f"{start},{end},{count}" for start, end, count in self.buckets]

@@ -421,12 +421,6 @@ class TrainedModel:
             )
         return self.classifier.predict_proba(X)[:, 1]
 
-    @property
-    def calibration(self) -> dict | None:
-        if isinstance(self.classifier, LinearMarginClassifier):
-            return {"scale": self.classifier.calibration_scale_, "offset": 0.0}
-        return None
-
 
 def _normalize_kind(kind: str) -> str:
     kind = KIND_ALIASES.get(kind, kind)
@@ -435,21 +429,21 @@ def _normalize_kind(kind: str) -> str:
     return kind
 
 
-def make_classifier(kind: str, seed: int, **hyperparams):
+def make_classifier(kind: str, seed: int):
     kind = _normalize_kind(kind)
     if kind == "linear_margin":
-        return LinearMarginClassifier(seed=seed, **hyperparams)
-    return TreeEnsembleClassifier(seed=seed, **hyperparams)
+        return LinearMarginClassifier(seed=seed)
+    return TreeEnsembleClassifier(seed=seed)
 
 
-def train(records, kind: str, seed: int = 0, **hyperparams) -> TrainedModel:
+def train(records, kind: str, seed: int = 0) -> TrainedModel:
     """Fit a model on (feature_vector, label) records."""
     records = list(records)
     if not records:
         raise ValueError("no training records")
     X = np.vstack([np.asarray(fv, dtype=float) for fv, _ in records])
     y = np.array([1 if label else 0 for _, label in records], dtype=int)
-    classifier = make_classifier(kind, seed, **hyperparams).fit(X, y)
+    classifier = make_classifier(kind, seed).fit(X, y)
     return TrainedModel(
         kind=_normalize_kind(kind),
         classifier=classifier,

@@ -64,17 +64,6 @@ class NumberSpan:
     unit_distance: int = 0
     plus_half: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "start_token": self.start_token,
-            "end_token": self.end_token,
-            "value": self.value,
-            "source": self.source,
-            "attached_unit": self.attached_unit.value if self.attached_unit else None,
-            "unit_distance": self.unit_distance,
-            "plus_half": self.plus_half,
-        }
-
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))

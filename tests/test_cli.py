@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -5,8 +6,12 @@ import pytest
 
 from maasar import cli
 from maasar.cli import run
-from maasar.extraction import DurationScoringConfig, extract
+from maasar.corpus import CorpusStats, corpus_stats, load_annotations, load_corpus
+from maasar.extraction import DurationScoringConfig, ExtractionResult, extract
 from maasar.lexicon import default_lexicon_path, load_lexicon
+from maasar.metrics import PRF, EvaluationReport, PerCaseResult
+from maasar.numbers import NumberSpan
+from maasar.pipeline import choose_sentence, evaluate_rule_based
 from maasar.synthetic import generate_corpus, write_corpus
 
 
@@ -43,6 +48,10 @@ def svm_offset(doc, offset):
 
 def numerals_with(doc, **sections):
     return {**doc, "numerals": {**doc["numerals"], **sections}}
+
+
+def weights_with(doc, section, **weights):
+    return {**doc, section: {**doc[section], **weights}}
 
 
 class TestSubcommands:
@@ -158,6 +167,29 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["num_cases"] == 10
         assert doc["num_words"] > 0
+
+
+class TestRecordFields:
+    def test_written_records_hold_only_their_fields(self, workspace):
+        # cli writes each record as vars(record), so its __dict__ must be
+        # exactly its dataclass fields
+        decisions = load_corpus(workspace["corpus_dir"]).decisions
+        annotations = load_annotations(workspace["annotations"]).records
+        lexicon = load_lexicon()
+        results = [extract(d, choose_sentence(d, lexicon), lexicon) for d in decisions]
+        report = evaluate_rule_based(decisions, annotations, lexicon)
+        records = [
+            *results,
+            *(span for r in results for span in r.candidates),
+            report,
+            report.detection,
+            *report.per_case,
+            corpus_stats(decisions),
+        ]
+        written = {ExtractionResult, NumberSpan, EvaluationReport, PRF, PerCaseResult, CorpusStats}
+        assert {type(r) for r in records} == written
+        for record in records:
+            assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
 
 
 class TestDeterminismAndJobs:
@@ -366,6 +398,21 @@ class TestErrorHandling:
                 lambda doc: {**doc, "tier_weights": {"strong_positive": 3}},
                 "'tier_weights' is missing 'moderate_positive'",
             ),
+            (
+                lambda doc: weights_with(doc, "tier_weights", strong_postive=9.0),
+                "'strong_postive'",
+            ),
+            (
+                lambda doc: weights_with(doc, "structural", fine_marker_penaltyy=9.0),
+                "'fine_marker_penaltyy'",
+            ),
+            (
+                lambda doc: {
+                    **doc,
+                    "structural": {"number_with_unit_bonus": 1.0, "fine_marker_penalty": -1.0},
+                },
+                "'structural' is missing 'number_without_unit_penalty'",
+            ),
         ],
         ids=[
             "filter-keywords-string",
@@ -388,6 +435,9 @@ class TestErrorHandling:
             "filter-keyword-empty",
             "filter-keyword-blank",
             "tier-weight-missing",
+            "tier-weight-misspelt",
+            "structural-weight-misspelt",
+            "structural-weight-missing",
         ],
     )
     def test_mistyped_lexicon_section_exits_one(
@@ -520,7 +570,7 @@ class TestWeightOverrides:
 _LOOSE_RULE = ["--fine-marker-penalty", "5", "--number-with-unit-bonus", "-2", "--threshold", "0"]
 GOLDEN_RUNS = {
     "detect.jsonl": (["detect", "{corpus}"], "2cedd0d5b623fef95a4e4768d854ac186aaa5fcd260ac0eb6613e9071f94546b"),
-    "extract-rule.jsonl": (["extract", "{corpus}", "--rule-based"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
+    "extract-rule.jsonl": (["extract", "{corpus}", "--rule-based", "{histogram}"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
     "rf-model.json": (["train", "{corpus}", "{annotations}", "--model", "rf", "--seed", "3"], "cd7ff08863d01ed7593b86990dfa5cb2f3e4f78a714ca7da03f2725d7f1cf92a"),
     "extract-rf.jsonl": (["extract", "{corpus}", "--model", "{model}"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
     "eval-svm.json": (["eval", "{corpus}", "{annotations}", "--model-kind", "svm", "--folds", "5", "--seed", "3"], "41b95e469974aa6382138a2ba9dca222e8949472dd3786faa5e74758876e9487"),
@@ -528,7 +578,16 @@ GOLDEN_RUNS = {
     "detect-fine.jsonl": (["detect", "{corpus}", *_LOOSE_RULE], "7069940feb2299825450bbffc7bfad65e20d49fe3a111b20d423aede9117ceb4"),
     "extract-fine.jsonl": (["extract", "{corpus}", "--rule-based", *_LOOSE_RULE, "--duration-fine-penalty", "-3", "--duration-probation-penalty", "-2", "--duration-actual-marker-weight", "-1"], "67057bbfcf61c0eef7b19761d87793fd4a8c129a1e1acb3f963ecf34b068bbb1"),
     "eval-fine.json": (["eval", "{corpus}", "{annotations}", "--rule-based", *_LOOSE_RULE, "--duration-fine-penalty", "-3"], "33e1b187934e4647cbf958d84a635c157794a068e2a4689dd7b52be0df530582"),
+    # recorded before every record was serialized from its own fields
+    "segment.jsonl": (["segment", "{corpus}"], "ca118766ffc7750bfe4d0d085ea8f6b2c32c84dade51b4b58be3f3b49e57a3af"),
+    "prelabel.jsonl": (["prelabel", "{corpus}"], "ad305d49b1240f148411e006427d3df1a0703d499fdae94493157557d5e18db6"),
+    "stats.json": (["stats", "{corpus}"], "726e3995eb3a2f9b484b7701182e465feb1578cc2d910e3b4a8df1bdfac12a53"),
 }  # fmt: skip
+# Files written beside --out, by the flag that names them in a run above;
+# recorded with the segment, prelabel and stats outputs.
+GOLDEN_SIDE_FILES = {
+    "histogram.csv": "99e52b72b3de059ff8b2272c701b1b4fce7bc6ba6a20585e4c1f03e56abc7035",
+}
 
 
 class TestGoldenOutputs:
@@ -541,14 +600,20 @@ class TestGoldenOutputs:
             "{corpus}": ["--corpus", str(paths["corpus_dir"])],
             "{annotations}": ["--annotations", str(paths["annotations"])],
             "{model}": [str(root / "rf-model.json")],
+            "{histogram}": ["--histogram-csv", str(root / "histogram.csv")],
         }
         digests = {}
         for name, (template, _) in GOLDEN_RUNS.items():  # in order: train before extract-rf
             argv = [arg for item in template for arg in fields.get(item, [item])]
             assert run(argv + ["--out", str(root / name)]) == 0, name
+        for name in [*GOLDEN_RUNS, *GOLDEN_SIDE_FILES]:
             digests[name] = hashlib.sha256((root / name).read_bytes()).hexdigest()
         return digests
 
     @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
     def test_output_bytes_unchanged(self, golden, name):
         assert golden[name] == GOLDEN_RUNS[name][1]
+
+    @pytest.mark.parametrize("name", list(GOLDEN_SIDE_FILES))
+    def test_side_file_bytes_unchanged(self, golden, name):
+        assert golden[name] == GOLDEN_SIDE_FILES[name]

@@ -52,7 +52,7 @@ class TestLoad:
             load_lexicon(path)
 
     def test_missing_section_rejected(self, tmp_path):
-        for section in ("time_units", "tier_weights"):
+        for section in ("time_units", "tier_weights", "threshold", "structural"):
             doc = default_doc()
             del doc[section]
             path = tmp_path / "lex.json"
@@ -248,6 +248,17 @@ class TestCompiledIndexEquivalence:
         ],
     )
     def test_non_finite_override_rejected(self, overrides, named):
+        with pytest.raises(LexiconError, match=named):
+            load_lexicon(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"tier_weights": {"strong_postive": 9.0}}, "'strong_postive'"),
+            ({"structural": {"fine_marker_penaltyy": 9.0}}, "'fine_marker_penaltyy'"),
+        ],
+    )
+    def test_unknown_weight_override_rejected(self, overrides, named):
         with pytest.raises(LexiconError, match=named):
             load_lexicon(**overrides)
 

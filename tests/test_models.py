@@ -153,14 +153,14 @@ class TestLinearMargin:
     def test_calibration_exposed(self):
         X, y = separable_data()
         model = train([(x, bool(label)) for x, label in zip(X, y)], "linear_margin")
-        assert model.calibration is not None
-        assert model.calibration["offset"] == 0.0
-        assert model.calibration["scale"] > 0
+        assert model.classifier.state_dict()["calibration"]["offset"] == 0.0
+        assert model.classifier.calibration_scale_ > 0
 
     def test_tree_model_has_no_calibration(self):
         X, y = separable_data()
         model = train([(x, bool(label)) for x, label in zip(X, y)], "tree_ensemble")
-        assert model.calibration is None
+        assert "calibration" not in model.classifier.state_dict()
+        assert not hasattr(model.classifier, "calibration_scale_")
 
 
 class TestSchemaGuard:

@@ -152,7 +152,7 @@ class TestCrossValidate:
         config = CrossValConfig(num_folds=5, seed=4)
         r1 = cross_validate(decisions, annotations, lexicon, "svm", config)
         r2 = cross_validate(decisions, annotations, lexicon, "svm", config)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1 == r2
 
     def test_separable_corpus_full_recall(self, lexicon, synthetic):
         report = cross_validate(
