@@ -25,14 +25,20 @@ from .detect import (
     select_sentence_rule_based,
 )
 from .extraction import (
-    DurationScoringConfig,
     ExtractionResult,
     extract,
     score_duration_candidates,
     try_decomposition,
 )
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, featurize
-from .lexicon import Lexicon, NumeralLexicon, TierHits, load_lexicon, match_tiers
+from .lexicon import (
+    DurationScoringConfig,
+    Lexicon,
+    NumeralLexicon,
+    TierHits,
+    load_lexicon,
+    match_tiers,
+)
 from .metrics import (
     ErrorCategory,
     EvaluationReport,

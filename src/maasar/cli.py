@@ -7,14 +7,15 @@ which serializes a record from its own dataclass fields with sorted keys,
 so ``ExtractionResult``, ``EvaluationReport``, ``CorpusStats`` and
 ``Sentence`` define the output shapes. All outputs are written atomically
 (temp file + rename) and are byte-identical across runs given the same
-inputs, flags and seed.
+inputs, flags and seed. Every scoring value is read from the lexicon;
+the scoring flags (``--threshold``, the tier, structural and, for extract
+and eval, ``--duration-*`` weights) are ``load_lexicon`` overrides.
 Exit codes: 0 success, 1 input/usage error, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -24,8 +25,8 @@ from pathlib import Path
 
 from .corpus import corpus_stats, load_annotations, load_corpus, prelabel_negatives
 from .detect import choose_rule_based
-from .extraction import DurationScoringConfig, extract
-from .lexicon import STRUCTURAL_NAMES, TIER_NAMES, Lexicon, load_lexicon
+from .extraction import extract
+from .lexicon import DURATION_NAMES, STRUCTURAL_NAMES, TIER_NAMES, Lexicon, load_lexicon
 from .metrics import punishment_histogram
 from .models import load_model, save_model
 from .pipeline import (
@@ -39,7 +40,7 @@ from .pipeline import (
 # Scoring knobs, one float flag each: ``--{prefix}{name}`` with ``_`` as ``-``.
 _TIER_KNOBS = ("weight_", TIER_NAMES)
 _STRUCTURAL_KNOBS = ("", STRUCTURAL_NAMES)
-_DURATION_KNOBS = ("duration_", tuple(f.name for f in dataclasses.fields(DurationScoringConfig)))
+_DURATION_KNOBS = ("duration_", DURATION_NAMES)
 
 
 class _UsageError(Exception):
@@ -128,8 +129,9 @@ def _add_knob_args(parser: argparse.ArgumentParser, knobs) -> None:
 
 
 def _knob_overrides(args, knobs) -> dict[str, float]:
+    # a subcommand without a knob's flag (detect has no --duration-*) reads None
     prefix, names = knobs
-    return {name: value for name in names if (value := getattr(args, prefix + name)) is not None}
+    return {n: v for n in names if (v := getattr(args, prefix + n, None)) is not None}
 
 
 def _load_lexicon_with_overrides(args) -> Lexicon:
@@ -138,11 +140,8 @@ def _load_lexicon_with_overrides(args) -> Lexicon:
         threshold=args.threshold,
         tier_weights=_knob_overrides(args, _TIER_KNOBS) or None,
         structural=_knob_overrides(args, _STRUCTURAL_KNOBS) or None,
+        duration=_knob_overrides(args, _DURATION_KNOBS) or None,
     )
-
-
-def _scoring_config(args) -> DurationScoringConfig:
-    return DurationScoringConfig(**_knob_overrides(args, _DURATION_KNOBS))
 
 
 def _annotations_or_fail(args) -> list:
@@ -208,11 +207,8 @@ def _cmd_train(args) -> int:
 def _cmd_extract(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
-    scoring = _scoring_config(args)
     model = load_model(args.model) if args.model else None
-    results = [
-        extract(d, choose_sentence(d, lexicon, model), lexicon, scoring) for d in decisions
-    ]
+    results = [extract(d, choose_sentence(d, lexicon, model), lexicon) for d in decisions]
     _emit(args.out, _jsonl(results))
     if args.histogram_csv:
         _histogram_csv([r.months for r in results], args.histogram_csv, args.bucket_months)
@@ -223,9 +219,8 @@ def _cmd_eval(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
     annotations = _annotations_or_fail(args)
-    scoring = _scoring_config(args)
     if args.rule_based:
-        report = evaluate_rule_based(decisions, annotations, lexicon, scoring)
+        report = evaluate_rule_based(decisions, annotations, lexicon)
     else:
         config = CrossValConfig(
             num_folds=args.folds,
@@ -233,9 +228,7 @@ def _cmd_eval(args) -> int:
             detection_threshold=args.detection_threshold,
         )
         try:
-            report = cross_validate(
-                decisions, annotations, lexicon, args.model_kind, config, scoring
-            )
+            report = cross_validate(decisions, annotations, lexicon, args.model_kind, config)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     _emit(args.out, _json(report, indent=2) + "\n")

@@ -10,6 +10,8 @@ Each candidate is analysed once (``analysis.SentenceAnalysis``) and its
 ``ScoredSentence`` carries that analysis, so a caller that goes on to
 extract the months (``choose_rule_based`` then ``extraction.extract``) or to
 report the score reuses it instead of analysing the chosen sentence again.
+The supervised selector wraps each candidate's probability in a
+``ScoredSentence`` too, so ``best_scored`` is the one chooser of both routes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .lexicon import Lexicon
 @dataclass(frozen=True)
 class ScoredSentence:
     analysis: SentenceAnalysis
-    score: float
+    score: float  # the rule score, or a model's punishment probability
 
     @property
     def sentence_index(self) -> int:
@@ -59,18 +61,18 @@ def score_candidates(decision: Decision, lexicon: Lexicon) -> list[ScoredSentenc
     return [rule_score(s, lexicon) for s in filter_candidates(decision, lexicon)]
 
 
+def at_or_above(scored: Iterable[ScoredSentence], threshold: float) -> list[ScoredSentence]:
+    """The candidates scoring at or above the threshold, in their order."""
+    return [candidate for candidate in scored if candidate.score >= threshold]
+
+
 def best_scored(scored: Iterable[ScoredSentence], threshold: float) -> ScoredSentence | None:
     """Highest-scoring candidate at or above the threshold; ties go late."""
-    best: ScoredSentence | None = None
-    for candidate in scored:
-        if candidate.score < threshold:
-            continue
-        if best is None or (candidate.score, candidate.sentence_index) > (
-            best.score,
-            best.sentence_index,
-        ):
-            best = candidate
-    return best
+    return max(
+        at_or_above(scored, threshold),
+        key=lambda candidate: (candidate.score, candidate.sentence_index),
+        default=None,
+    )
 
 
 def choose_rule_based(decision: Decision, lexicon: Lexicon) -> ScoredSentence | None:

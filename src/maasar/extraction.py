@@ -7,7 +7,8 @@ being the served term); otherwise per-span scoring by unit proximity, nearby
 actual-imprisonment markers, probation/fine adjacency penalties, and a mild
 late-position bonus, taking the best span within the sentence. Both routes
 read the chosen sentence's ``SentenceAnalysis``: its spans (with "and a
-half" always part of the numeral grammar) and its marker positions.
+half" always part of the numeral grammar) and its marker positions. The
+per-span weights are ``Lexicon.duration``, the lexicon file's ``duration``.
 """
 
 from __future__ import annotations
@@ -17,31 +18,11 @@ from typing import Iterable
 
 from .analysis import SentenceAnalysis, analyse
 from .corpus import Decision
-from .lexicon import Lexicon
+from .lexicon import DurationScoringConfig, Lexicon
 from .numbers import NumberSpan, span_months
 
 # How far (in tokens) a probation or fine marker reaches to penalize a span.
 MARKER_WINDOW = 3
-
-
-@dataclass(frozen=True)
-class DecompositionCandidate:
-    """Total/actual/conditional span triple satisfying total = actual + conditional."""
-
-    total: NumberSpan
-    actual: NumberSpan
-    conditional: NumberSpan
-
-
-@dataclass(frozen=True)
-class DurationScoringConfig:
-    """Weights for the per-span fallback scorer."""
-
-    unit_proximity_weight: float = 2.0
-    actual_marker_weight: float = 2.0
-    probation_penalty: float = 2.5
-    fine_penalty: float = 2.5
-    position_bonus: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -54,26 +35,19 @@ class ExtractionResult:
     error_category: str | None = None
 
 
-def decomposition_candidate(spans: Iterable[NumberSpan]) -> DecompositionCandidate | None:
-    """The total/actual/conditional triple, when the sentence has that shape.
+def try_decomposition(spans: Iterable[NumberSpan]) -> int | None:
+    """Served months via the decomposition rule, or None when it does not apply.
 
-    Requires exactly three duration spans (spans with no resolvable unit,
-    e.g. docket fragments or dates, do not count) whose first equals the sum
-    of the latter two once normalized to months.
+    The rule needs exactly three duration spans (spans with no resolvable
+    unit, e.g. docket fragments or dates, do not count), total, actual and
+    conditional, whose first equals the sum of the latter two once
+    normalized to months; the actual one is the served term.
     """
     durations = [s for s in spans if s.attached_unit is not None]
     if len(durations) != 3:
         return None
-    total, actual, conditional = durations
-    if span_months(total) == span_months(actual) + span_months(conditional):
-        return DecompositionCandidate(total, actual, conditional)
-    return None
-
-
-def try_decomposition(spans: Iterable[NumberSpan]) -> int | None:
-    """Served months via the decomposition rule, or None when it does not apply."""
-    candidate = decomposition_candidate(spans)
-    return span_months(candidate.actual) if candidate else None
+    total, actual, conditional = map(span_months, durations)
+    return actual if total == actual + conditional else None
 
 
 def _distance_to_markers(span: NumberSpan, positions: tuple[int, ...]) -> int | None:
@@ -91,11 +65,12 @@ def _distance_to_markers(span: NumberSpan, positions: tuple[int, ...]) -> int | 
 
 
 def score_duration_candidates(
-    analysis: SentenceAnalysis, config: DurationScoringConfig
+    analysis: SentenceAnalysis, weights: DurationScoringConfig
 ) -> int | None:
     """Best-scoring duration span of the analysed sentence; no absolute threshold.
 
-    None when no span has a resolvable unit. Ties go to the later span.
+    ``weights`` is the lexicon's ``duration`` section. None when no span has
+    a resolvable unit. Ties go to the later span.
     """
     candidates = [s for s in analysis.spans if s.attached_unit is not None]
     if not candidates:
@@ -104,17 +79,17 @@ def score_duration_candidates(
     n_tokens = max(analysis.sentence.token_count, 1)
 
     def score(span: NumberSpan) -> float:
-        value = config.unit_proximity_weight / (1.0 + span.unit_distance)
+        value = weights.unit_proximity_weight / (1.0 + span.unit_distance)
         d_actual = _distance_to_markers(span, analysis.actual_positions)
         if d_actual is not None:
-            value += config.actual_marker_weight / (1.0 + d_actual)
+            value += weights.actual_marker_weight / (1.0 + d_actual)
         d_prob = _distance_to_markers(span, analysis.probation_positions)
         if d_prob is not None and d_prob <= MARKER_WINDOW:
-            value -= config.probation_penalty
+            value -= weights.probation_penalty
         d_fine = _distance_to_markers(span, analysis.fine_positions)
         if d_fine is not None and d_fine <= MARKER_WINDOW:
-            value -= config.fine_penalty
-        value += config.position_bonus * (span.start_token / max(n_tokens - 1, 1))
+            value -= weights.fine_penalty
+        value += weights.position_bonus * (span.start_token / max(n_tokens - 1, 1))
         return value
 
     best = max(candidates, key=lambda s: (score(s), s.start_token))
@@ -122,17 +97,14 @@ def score_duration_candidates(
 
 
 def extract(
-    decision: Decision,
-    chosen: int | SentenceAnalysis | None,
-    lexicon: Lexicon,
-    config: DurationScoringConfig = DurationScoringConfig(),
+    decision: Decision, chosen: int | SentenceAnalysis | None, lexicon: Lexicon
 ) -> ExtractionResult:
     """Full duration extraction for one decision, given the chosen sentence.
 
     ``chosen`` is the chosen sentence's analysis, as both selectors hand it
     back (``pipeline.choose_sentence``), or None. The index form is the
     public entry point for callers that hold only an index: the sentence is
-    analysed here.
+    analysed here. The span scorer reads ``lexicon.duration``.
     """
     if chosen is None:
         return ExtractionResult(decision.case_id, None, None, "none")
@@ -144,7 +116,7 @@ def extract(
     months = try_decomposition(spans)
     if months is not None:
         return ExtractionResult(decision.case_id, sentence_index, months, "decomposition", spans)
-    months = score_duration_candidates(analysis, config)
+    months = score_duration_candidates(analysis, lexicon.duration)
     if months is not None:
         return ExtractionResult(decision.case_id, sentence_index, months, "scored", spans)
     return ExtractionResult(decision.case_id, sentence_index, None, "none", spans)

@@ -4,13 +4,16 @@ The lexicon is data, not code: a JSON document with one array per scored
 tier (entries ``{"surface": ..., "weight": optional}``), the default
 weight of each tier (``tier_weights``, all four required), the rule-score
 ``threshold``, the ``structural`` adjustments (all three required), the
-filter/marker lists, the time-unit surface forms, and a sibling
-``numerals`` section. A default Hebrew lexicon ships with the package, is
-meant to be edited, and is the one place these values are set.
-``load_lexicon`` checks the JSON type of every section it reads and raises a
-``LexiconError`` naming the section, so a mistyped file is refused, not
-coerced; a weight name that ``tier_weights`` or ``structural`` does not
-have is refused too, in the file or in a keyword override.
+``duration`` weights of the per-span duration scorer (all five required),
+the filter/marker lists, the time-unit surface forms, and a sibling
+``numerals`` section. Every section is required. A default Hebrew lexicon
+ships with the package, is meant to be edited, and is the one place these
+values are set: every scoring value reaches the code through the
+``Lexicon``. ``load_lexicon`` checks the JSON type of every section it
+reads and raises a ``LexiconError`` naming the section, so a mistyped file
+is refused, not coerced; a weight name that ``tier_weights``,
+``structural`` or ``duration`` does not have is refused too, in the file or
+in a keyword override.
 
 Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
 into ``PhraseIndex`` tables keyed by a phrase's first word: one for the four
@@ -58,6 +61,20 @@ class StructuralWeights:
 
 
 STRUCTURAL_NAMES = tuple(f.name for f in dataclasses.fields(StructuralWeights))
+
+
+@dataclass(frozen=True)
+class DurationScoringConfig:
+    """Weights of the per-span duration scorer (``extraction.score_duration_candidates``)."""
+
+    unit_proximity_weight: float
+    actual_marker_weight: float
+    probation_penalty: float
+    fine_penalty: float
+    position_bonus: float
+
+
+DURATION_NAMES = tuple(f.name for f in dataclasses.fields(DurationScoringConfig))
 
 
 @dataclass(frozen=True)
@@ -180,6 +197,7 @@ class Lexicon:
     threshold: float
     tier_weights: Mapping[str, float]
     structural: StructuralWeights
+    duration: DurationScoringConfig
     numerals: NumeralLexicon
 
     def __post_init__(self):
@@ -289,6 +307,12 @@ def _weights(
     return weights
 
 
+def _weight_record(doc: dict, where: str, cls: type, overrides: Mapping[str, float] | None):
+    """A ``_weights`` section as the record ``cls``, whose fields are its weight names."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return cls(**{name: float(w) for name, w in _weights(doc, where, names, overrides).items()})
+
+
 def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
     entries = _require(doc, name)
     if not isinstance(entries, list):
@@ -351,7 +375,7 @@ def load_numerals(
     section = _object(section, "numerals")
     required = (
         "zero", "units_feminine", "units_masculine", "teens_feminine",
-        "teens_masculine", "tens", "hundreds", "conjunctions",
+        "teens_masculine", "tens", "hundreds", "conjunctions", "half",
     )
     for key in required:
         if key not in section:
@@ -364,7 +388,7 @@ def load_numerals(
     tens = _value_map(section, "tens", 20, 90, step=10)
     hundreds = _value_map(section, "hundreds", 100, 900, step=100)
     conjunctions = tuple(_variants(section["conjunctions"], "numerals.conjunctions"))
-    half = frozenset(_strings(section.get("half", []), "numerals.half"))
+    half = frozenset(_strings(section["half"], "numerals.half"))
 
     units = {**units_f, **units_m}
     teens = {**teens_f, **teens_m}
@@ -410,12 +434,14 @@ def load_lexicon(
     threshold: float | None = None,
     tier_weights: Mapping[str, float] | None = None,
     structural: Mapping[str, float] | None = None,
+    duration: Mapping[str, float] | None = None,
 ) -> Lexicon:
     """Load and validate a lexicon file; None loads the bundled default.
 
-    Keyword overrides replace the file's threshold, tier default weights or
-    structural adjustments, which is how CLI flags tune the scorer without
-    editing the lexicon; an override may name only weights the file has.
+    Keyword overrides replace the file's threshold, tier default weights,
+    structural adjustments or duration weights, which is how CLI flags tune
+    the scorers without editing the lexicon; an override may name only
+    weights the file has.
     """
     path = Path(path) if path is not None else default_lexicon_path()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -450,19 +476,15 @@ def load_lexicon(
     numerals = load_numerals(
         _require(doc, "numerals"),
         time_units,
-        _unit_map(doc.get("unit_only", {}), "unit_only"),
-        _unit_map(doc.get("dual_units", {}), "dual_units"),
+        _unit_map(_require(doc, "unit_only"), "unit_only"),
+        _unit_map(_require(doc, "dual_units"), "dual_units"),
     )
-    structural_weights = StructuralWeights(
-        **{
-            name: float(weight)
-            for name, weight in _weights(doc, "structural", STRUCTURAL_NAMES, structural).items()
-        }
-    )
+    structural_weights = _weight_record(doc, "structural", StructuralWeights, structural)
+    duration_weights = _weight_record(doc, "duration", DurationScoringConfig, duration)
     file_threshold = _number(_require(doc, "threshold"), "threshold")
 
     def markers(name: str) -> frozenset[str]:
-        return frozenset(_strings(doc.get(name, []), name))
+        return frozenset(_strings(_require(doc, name), name))
 
     filter_keywords = _strings(_require(doc, "filter_keywords"), "filter_keywords")
     for position, keyword in enumerate(filter_keywords):
@@ -482,6 +504,7 @@ def load_lexicon(
         threshold=float(file_threshold if threshold is None else _number(threshold, "threshold")),
         tier_weights=weights,
         structural=structural_weights,
+        duration=duration_weights,
         numerals=numerals,
     )
 

@@ -7,22 +7,33 @@ threshold, while the per-document selection takes the argmax, breaking
 ties toward the end of the decision. Cross-validation folds partition
 whole decisions so no document's sentences straddle the train/test line.
 
-Each candidate's ``SentenceAnalysis`` is kept beside its feature row, so
-both selectors hand back the chosen sentence's analysis (``choose_sentence``)
-and ``extract`` and the error report read it instead of analysing again.
+Each candidate's ``SentenceAnalysis`` is kept beside its feature row, and
+its probability is wrapped with it in a ``ScoredSentence``, so both
+selectors go through ``detect.at_or_above`` and ``detect.best_scored`` and
+hand back the chosen sentence's analysis (``choose_sentence``); ``extract``
+and the error report read it instead of analysing again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .analysis import SentenceAnalysis, analyse
 from .base import ParamsMixin
 from .corpus import AnnotationRecord, Decision
-from .detect import best_scored, choose_rule_based, filter_candidates, score_candidates
-from .extraction import DurationScoringConfig, ExtractionResult, extract
+from .detect import (
+    ScoredSentence,
+    at_or_above,
+    best_scored,
+    choose_rule_based,
+    filter_candidates,
+    score_candidates,
+)
+from .extraction import ExtractionResult, extract
 from .features import FEATURE_NAMES, NUM_FEATURES, featurize
 from .lexicon import Lexicon
 from .metrics import (
@@ -74,40 +85,28 @@ def _rescale(X: np.ndarray, token_scale: int) -> np.ndarray:
     return X
 
 
-def _candidate_probabilities(
-    model: TrainedModel, raw: RawFeatures
-) -> tuple[list[SentenceAnalysis], np.ndarray]:
+def _model_scored(model: TrainedModel, raw: RawFeatures) -> list[ScoredSentence]:
+    """Each candidate with the model's punishment probability as its score."""
     analyses, X = raw
     if not analyses:
-        return [], np.empty(0)
-    return analyses, model.predict_proba(_rescale(X, model.token_count_scale))
-
-
-def _above_threshold(
-    analyses: list[SentenceAnalysis], probs: np.ndarray, threshold: float
-) -> list[int]:
-    return [a.sentence.index for a, p in zip(analyses, probs) if p >= threshold]
-
-
-def _most_probable(analyses: list[SentenceAnalysis], probs: np.ndarray) -> SentenceAnalysis | None:
-    if not analyses:
-        return None
-    return max(zip(probs, analyses), key=lambda pair: (pair[0], pair[1].sentence.index))[1]
+        return []
+    probs = model.predict_proba(_rescale(X, model.token_count_scale))
+    return [ScoredSentence(a, p) for a, p in zip(analyses, probs)]
 
 
 def sentences_above_threshold(
     model: TrainedModel, decision: Decision, lexicon: Lexicon, threshold: float
 ) -> list[int]:
     """Candidate sentence indices whose punishment probability >= threshold."""
-    probabilities = _candidate_probabilities(model, _raw_features(decision, lexicon))
-    return _above_threshold(*probabilities, threshold)
+    scored = _model_scored(model, _raw_features(decision, lexicon))
+    return [candidate.sentence_index for candidate in at_or_above(scored, threshold)]
 
 
 def select_sentence_supervised(
     model: TrainedModel, decision: Decision, lexicon: Lexicon
 ) -> int | None:
     """Most probable candidate sentence; ties go to the later sentence."""
-    chosen = _most_probable(*_candidate_probabilities(model, _raw_features(decision, lexicon)))
+    chosen = choose_sentence(decision, lexicon, model)
     return chosen.sentence.index if chosen else None
 
 
@@ -117,12 +116,31 @@ def choose_sentence(
     """The analysis of the sentence to extract from, as ``extract`` takes it.
 
     Without a model this is the rule-based choice; with one it is the
-    model's most probable candidate (ties go to the later sentence).
+    model's most probable candidate, however low (ties go to the later
+    sentence).
     """
     if model is None:
         best = choose_rule_based(decision, lexicon)
-        return best and best.analysis
-    return _most_probable(*_candidate_probabilities(model, _raw_features(decision, lexicon)))
+    else:
+        best = best_scored(_model_scored(model, _raw_features(decision, lexicon)), -math.inf)
+    return best and best.analysis
+
+
+def _chosen_and_detected(
+    scored_cases: Iterable[tuple[str, list[ScoredSentence]]],
+    detection_threshold: float,
+    selection_threshold: float,
+) -> tuple[dict[str, SentenceAnalysis | None], set[tuple[str, int]]]:
+    """Each case's chosen analysis and every (case, index) detected, as
+    ``assemble_report`` takes them, from each case's scored candidates."""
+    chosen: dict[str, SentenceAnalysis | None] = {}
+    detected: set[tuple[str, int]] = set()
+    for case_id, scored in scored_cases:
+        for candidate in at_or_above(scored, detection_threshold):
+            detected.add((case_id, candidate.sentence_index))
+        best = best_scored(scored, selection_threshold)
+        chosen[case_id] = best and best.analysis
+    return chosen, detected
 
 
 def _gold_maps(
@@ -197,7 +215,6 @@ def assemble_report(
     lexicon: Lexicon,
     chosen: dict[str, SentenceAnalysis | None],
     detected: set[tuple[str, int]],
-    scoring: DurationScoringConfig = DurationScoringConfig(),
 ) -> EvaluationReport:
     """Pool per-case predictions into the full evaluation report.
 
@@ -210,7 +227,7 @@ def assemble_report(
     selections: dict[str, int | None] = {}
     months: dict[str, int | None] = {}
     for case_id, analysis in chosen.items():
-        result = extract(by_id[case_id], analysis, lexicon, scoring)
+        result = extract(by_id[case_id], analysis, lexicon)
         selections[case_id], months[case_id] = result.sentence_index, result.months
     gold_pairs = {
         (case_id, idx)
@@ -277,19 +294,11 @@ def evaluate_rule_based(
     decisions: list[Decision],
     annotations: list[AnnotationRecord],
     lexicon: Lexicon,
-    scoring: DurationScoringConfig = DurationScoringConfig(),
 ) -> EvaluationReport:
     """Score the rule-based pipeline; detection = candidates above threshold."""
-    chosen: dict[str, SentenceAnalysis | None] = {}
-    detected: set[tuple[str, int]] = set()
-    for decision in decisions:
-        scored = score_candidates(decision, lexicon)
-        for candidate in scored:
-            if candidate.score >= lexicon.threshold:
-                detected.add((decision.case_id, candidate.sentence_index))
-        best = best_scored(scored, lexicon.threshold)
-        chosen[decision.case_id] = best and best.analysis
-    return assemble_report(decisions, annotations, lexicon, chosen, detected, scoring)
+    scored_cases = ((d.case_id, score_candidates(d, lexicon)) for d in decisions)
+    chosen, detected = _chosen_and_detected(scored_cases, lexicon.threshold, lexicon.threshold)
+    return assemble_report(decisions, annotations, lexicon, chosen, detected)
 
 
 def make_folds(case_ids: list[str], num_folds: int, seed: int) -> list[list[str]]:
@@ -306,7 +315,6 @@ def cross_validate(
     lexicon: Lexicon,
     kind: str,
     config: CrossValConfig = CrossValConfig(),
-    scoring: DurationScoringConfig = DurationScoringConfig(),
 ) -> EvaluationReport:
     """Document-level k-fold evaluation; every decision is tested once.
 
@@ -320,11 +328,9 @@ def cross_validate(
             f"fewer decisions than folds ({len(decisions)} < {config.num_folds})"
         )
     folds = make_folds([d.case_id for d in decisions], config.num_folds, config.seed)
-    by_id = {d.case_id: d for d in decisions}
     raw = {d.case_id: _raw_features(d, lexicon) for d in decisions}
 
-    chosen: dict[str, SentenceAnalysis | None] = {}
-    detected: set[tuple[str, int]] = set()
+    scored_cases: list[tuple[str, list[ScoredSentence]]] = []
     for fold in folds:
         test_ids = set(fold)
         train_decisions = [d for d in decisions if d.case_id not in test_ids]
@@ -335,13 +341,10 @@ def cross_validate(
         model = train_on_decisions(
             train_decisions, train_annotations, lexicon, kind, seed=config.seed, raw=raw
         )
-        for case_id in fold:
-            analyses, probs = _candidate_probabilities(model, raw[case_id])
-            for idx in _above_threshold(analyses, probs, config.detection_threshold):
-                detected.add((case_id, idx))
-            chosen[case_id] = _most_probable(analyses, probs)
+        scored_cases += [(case_id, _model_scored(model, raw[case_id])) for case_id in fold]
 
-    return assemble_report(decisions, annotations, lexicon, chosen, detected, scoring)
+    chosen, detected = _chosen_and_detected(scored_cases, config.detection_threshold, -math.inf)
+    return assemble_report(decisions, annotations, lexicon, chosen, detected)
 
 
 class PunishmentExtractor(ParamsMixin):
@@ -352,17 +355,10 @@ class PunishmentExtractor(ParamsMixin):
     ready as soon as it has a lexicon.
     """
 
-    def __init__(
-        self,
-        method: str = "rule_based",
-        lexicon: Lexicon | None = None,
-        seed: int = 0,
-        scoring: DurationScoringConfig = DurationScoringConfig(),
-    ):
+    def __init__(self, method: str = "rule_based", lexicon: Lexicon | None = None, seed: int = 0):
         self.method = method
         self.lexicon = lexicon
         self.seed = seed
-        self.scoring = scoring
 
     def _require_lexicon(self) -> Lexicon:
         if self.lexicon is None:
@@ -396,4 +392,4 @@ class PunishmentExtractor(ParamsMixin):
 
     def predict(self, decisions: list[Decision]) -> list[ExtractionResult]:
         lexicon = self._require_lexicon()
-        return [extract(d, self._choose(d), lexicon, self.scoring) for d in decisions]
+        return [extract(d, self._choose(d), lexicon) for d in decisions]

@@ -7,7 +7,7 @@ import pytest
 from maasar import cli
 from maasar.cli import run
 from maasar.corpus import CorpusStats, corpus_stats, load_annotations, load_corpus
-from maasar.extraction import DurationScoringConfig, ExtractionResult, extract
+from maasar.extraction import ExtractionResult, extract
 from maasar.lexicon import default_lexicon_path, load_lexicon
 from maasar.metrics import PRF, EvaluationReport, PerCaseResult
 from maasar.numbers import NumberSpan
@@ -413,6 +413,10 @@ class TestErrorHandling:
                 },
                 "'structural' is missing 'number_without_unit_penalty'",
             ),
+            (
+                lambda doc: weights_with(doc, "duration", probation_penaltyy=9.0),
+                "'probation_penaltyy'",
+            ),
         ],
         ids=[
             "filter-keywords-string",
@@ -438,6 +442,7 @@ class TestErrorHandling:
             "tier-weight-misspelt",
             "structural-weight-misspelt",
             "structural-weight-missing",
+            "duration-weight-misspelt",
         ],
     )
     def test_mistyped_lexicon_section_exits_one(
@@ -466,25 +471,25 @@ class TestErrorHandling:
 
 
 # Each scoring flag, a value other than its default, and where it must land
-# (in the Lexicon or the DurationScoringConfig that extract receives).
+# in the Lexicon that extract receives.
 SCORING_FLAGS = [
-    ("--weight-strong-positive", 3.5, lambda lex, cfg: lex.tier_weights["strong_positive"]),
-    ("--weight-moderate-positive", 0.5, lambda lex, cfg: lex.tier_weights["moderate_positive"]),
-    ("--weight-moderate-negative", -0.5, lambda lex, cfg: lex.tier_weights["moderate_negative"]),
-    ("--weight-strong-negative", -3.5, lambda lex, cfg: lex.tier_weights["strong_negative"]),
-    ("--number-with-unit-bonus", 1.25, lambda lex, cfg: lex.structural.number_with_unit_bonus),
+    ("--weight-strong-positive", 3.5, lambda lex: lex.tier_weights["strong_positive"]),
+    ("--weight-moderate-positive", 0.5, lambda lex: lex.tier_weights["moderate_positive"]),
+    ("--weight-moderate-negative", -0.5, lambda lex: lex.tier_weights["moderate_negative"]),
+    ("--weight-strong-negative", -3.5, lambda lex: lex.tier_weights["strong_negative"]),
+    ("--number-with-unit-bonus", 1.25, lambda lex: lex.structural.number_with_unit_bonus),
     (
         "--number-without-unit-penalty",
         -1.25,
-        lambda lex, cfg: lex.structural.number_without_unit_penalty,
+        lambda lex: lex.structural.number_without_unit_penalty,
     ),
-    ("--fine-marker-penalty", -1.75, lambda lex, cfg: lex.structural.fine_marker_penalty),
-    ("--duration-unit-proximity-weight", 2.25, lambda lex, cfg: cfg.unit_proximity_weight),
-    ("--duration-actual-marker-weight", 2.75, lambda lex, cfg: cfg.actual_marker_weight),
-    ("--duration-probation-penalty", 3.25, lambda lex, cfg: cfg.probation_penalty),
-    ("--duration-fine-penalty", 3.75, lambda lex, cfg: cfg.fine_penalty),
-    ("--duration-position-bonus", 0.75, lambda lex, cfg: cfg.position_bonus),
-    ("--threshold", 2.5, lambda lex, cfg: lex.threshold),
+    ("--fine-marker-penalty", -1.75, lambda lex: lex.structural.fine_marker_penalty),
+    ("--duration-unit-proximity-weight", 2.25, lambda lex: lex.duration.unit_proximity_weight),
+    ("--duration-actual-marker-weight", 2.75, lambda lex: lex.duration.actual_marker_weight),
+    ("--duration-probation-penalty", 3.25, lambda lex: lex.duration.probation_penalty),
+    ("--duration-fine-penalty", 3.75, lambda lex: lex.duration.fine_penalty),
+    ("--duration-position-bonus", 0.75, lambda lex: lex.duration.position_bonus),
+    ("--threshold", 2.5, lambda lex: lex.threshold),
 ]
 
 
@@ -521,15 +526,14 @@ class TestWeightOverrides:
     def test_scoring_flag_reaches_its_field(self, workspace, monkeypatch, flag, value, field):
         seen = {}
 
-        def spy(decision, chosen, lexicon, scoring):
-            seen.update(lexicon=lexicon, scoring=scoring)
-            return extract(decision, chosen, lexicon, scoring)
+        def spy(decision, chosen, lexicon):
+            seen.update(lexicon=lexicon)
+            return extract(decision, chosen, lexicon)
 
         monkeypatch.setattr(cli, "extract", spy)
         assert run(["extract", *corpus_args(workspace), "--rule-based", flag, str(value)]) == 0
-        assert field(seen["lexicon"], seen["scoring"]) == value
-        defaults = (load_lexicon(), DurationScoringConfig())
-        assert field(*defaults) != value
+        assert field(seen["lexicon"]) == value
+        assert field(load_lexicon()) != value
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", [f[0] for f in SCORING_FLAGS] + ["--detection-threshold"])

@@ -4,7 +4,6 @@ from maasar.corpus import Decision, segment_sentences
 from maasar.analysis import analyse
 from maasar.extraction import (
     MARKER_WINDOW,
-    DurationScoringConfig,
     extract,
     score_duration_candidates,
     try_decomposition,
@@ -89,14 +88,14 @@ class TestDecomposition:
 class TestScoring:
     def test_single_span_with_actual_marker(self, lexicon):
         s = sentence("נגזרו עליו 12 חודשי מאסר בפועל.")
-        assert score_duration_candidates(analyse(s, lexicon), DurationScoringConfig()) == 12
+        assert score_duration_candidates(analyse(s, lexicon), lexicon.duration) == 12
 
     def test_actual_beats_probation_adjacent(self, lexicon):
         s = sentence(
             "הנאשם ירצה 30 חודשים במאסר בפועל ועוד 18 חודשים מאסר על תנאי."
         )
         spans = detect_spans(s, lexicon.numerals)
-        config = DurationScoringConfig()
+        config = lexicon.duration
         # independent re-derivation of the two span scores
         actual_positions = lexicon.marker_positions(s.text, lexicon.actual_markers)
         probation_positions = lexicon.marker_positions(s.text, lexicon.probation_markers)
@@ -131,13 +130,13 @@ class TestScoring:
         s = sentence("ראו תיק 1124/04 מיום 31.5.12.")
         analysis = analyse(s, lexicon)
         assert analysis.spans
-        assert score_duration_candidates(analysis, DurationScoringConfig()) is None
+        assert score_duration_candidates(analysis, lexicon.duration) is None
 
     def test_tie_goes_to_later_span(self, lexicon):
         s = sentence("א ב 10 חודשים ג ד ה ו 20 חודשים.")
         analysis = analyse(s, lexicon)
         assert analysis.spans == (month_span(2, 10), month_span(8, 20))
-        assert score_duration_candidates(analysis, DurationScoringConfig()) == 20
+        assert score_duration_candidates(analysis, lexicon.duration) == 20
 
 
 class TestExtract:

@@ -52,7 +52,10 @@ class TestLoad:
             load_lexicon(path)
 
     def test_missing_section_rejected(self, tmp_path):
-        for section in ("time_units", "tier_weights", "threshold", "structural"):
+        for section in (
+            "time_units", "tier_weights", "threshold", "structural", "duration",
+            "actual_markers", "fine_markers", "probation_markers", "unit_only", "dual_units",
+        ):
             doc = default_doc()
             del doc[section]
             path = tmp_path / "lex.json"
@@ -61,12 +64,13 @@ class TestLoad:
                 load_lexicon(path)
 
     def test_missing_numeral_section_rejected(self, tmp_path):
-        doc = default_doc()
-        del doc["numerals"]["tens"]
-        path = tmp_path / "lex.json"
-        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-        with pytest.raises(LexiconError, match="tens"):
-            load_lexicon(path)
+        for section in ("tens", "half"):
+            doc = default_doc()
+            del doc["numerals"][section]
+            path = tmp_path / "lex.json"
+            path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+            with pytest.raises(LexiconError, match=section):
+                load_lexicon(path)
 
 
 class TestMatchTiers:
@@ -245,6 +249,7 @@ class TestCompiledIndexEquivalence:
                 {"structural": {"fine_marker_penalty": float("-inf")}},
                 "'structural.fine_marker_penalty'",
             ),
+            ({"duration": {"probation_penalty": float("nan")}}, "'duration.probation_penalty'"),
         ],
     )
     def test_non_finite_override_rejected(self, overrides, named):
@@ -256,6 +261,7 @@ class TestCompiledIndexEquivalence:
         [
             ({"tier_weights": {"strong_postive": 9.0}}, "'strong_postive'"),
             ({"structural": {"fine_marker_penaltyy": 9.0}}, "'fine_marker_penaltyy'"),
+            ({"duration": {"probation_penaltyy": 9.0}}, "'probation_penaltyy'"),
         ],
     )
     def test_unknown_weight_override_rejected(self, overrides, named):
