@@ -31,7 +31,7 @@ from .metrics import punishment_histogram
 from .models import load_model, save_model
 from .pipeline import (
     CrossValConfig,
-    choose_sentence,
+    choose_sentences,
     cross_validate,
     evaluate_rule_based,
     train_on_decisions,
@@ -208,7 +208,8 @@ def _cmd_extract(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
     model = load_model(args.model) if args.model else None
-    results = [extract(d, choose_sentence(d, lexicon, model), lexicon) for d in decisions]
+    chosen = choose_sentences(decisions, lexicon, model)
+    results = [extract(d, c, lexicon) for d, c in zip(decisions, chosen)]
     _emit(args.out, _jsonl(results))
     if args.histogram_csv:
         _histogram_csv([r.months for r in results], args.histogram_csv, args.bucket_months)

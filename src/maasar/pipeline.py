@@ -10,15 +10,22 @@ whole decisions so no document's sentences straddle the train/test line.
 Each candidate's ``SentenceAnalysis`` is kept beside its feature row, and
 its probability is wrapped with it in a ``ScoredSentence``, so both
 selectors go through ``detect.at_or_above`` and ``detect.best_scored`` and
-hand back the chosen sentence's analysis (``choose_sentence``); ``extract``
+hand back the chosen sentence's analysis (``choose_sentences``); ``extract``
 and the error report read it instead of analysing again.
+
+The model scores many decisions per call: ``_model_scored`` stacks their
+rows, makes one ``predict_proba`` call and splits the probabilities back by
+candidate count. ``choose_sentences`` does this for ``SCORING_CHUNK``
+decisions at a time, so memory stays flat on a large corpus, and
+cross-validation does it once per fold's test decisions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,6 +78,11 @@ _TOKEN_COUNT_COLUMN = FEATURE_NAMES.index("token_count_norm")
 # featurize once and rescale per fold.
 RawFeatures = tuple[list[SentenceAnalysis], np.ndarray]
 
+# Decisions featurized and scored per predict_proba call on the model route
+# of ``choose_sentences``: one call per chunk instead of one per decision,
+# while a chunk's analyses and rows stay small beside the corpus.
+SCORING_CHUNK = 256
+
 
 def _raw_features(decision: Decision, lexicon: Lexicon) -> RawFeatures:
     analyses = [analyse(s, lexicon) for s in filter_candidates(decision, lexicon)]
@@ -85,20 +97,27 @@ def _rescale(X: np.ndarray, token_scale: int) -> np.ndarray:
     return X
 
 
-def _model_scored(model: TrainedModel, raw: RawFeatures) -> list[ScoredSentence]:
-    """Each candidate with the model's punishment probability as its score."""
-    analyses, X = raw
-    if not analyses:
-        return []
+def _model_scored(model: TrainedModel, raws: list[RawFeatures]) -> list[list[ScoredSentence]]:
+    """Each decision's candidates with the model's punishment probability as
+    their score, from one ``predict_proba`` call over all the decisions'
+    stacked rows (none when there are no rows)."""
+    counts = [len(analyses) for analyses, _ in raws]
+    if not any(counts):
+        return [[] for _ in raws]
+    X = np.concatenate([X for _, X in raws])
     probs = model.predict_proba(_rescale(X, model.token_count_scale))
-    return [ScoredSentence(a, p) for a, p in zip(analyses, probs)]
+    per_decision = np.split(probs, np.cumsum(counts)[:-1])
+    return [
+        [ScoredSentence(a, p) for a, p in zip(analyses, decision_probs)]
+        for (analyses, _), decision_probs in zip(raws, per_decision)
+    ]
 
 
 def sentences_above_threshold(
     model: TrainedModel, decision: Decision, lexicon: Lexicon, threshold: float
 ) -> list[int]:
     """Candidate sentence indices whose punishment probability >= threshold."""
-    scored = _model_scored(model, _raw_features(decision, lexicon))
+    [scored] = _model_scored(model, [_raw_features(decision, lexicon)])
     return [candidate.sentence_index for candidate in at_or_above(scored, threshold)]
 
 
@@ -110,20 +129,34 @@ def select_sentence_supervised(
     return chosen.sentence.index if chosen else None
 
 
-def choose_sentence(
-    decision: Decision, lexicon: Lexicon, model: TrainedModel | None = None
-) -> SentenceAnalysis | None:
-    """The analysis of the sentence to extract from, as ``extract`` takes it.
+def choose_sentences(
+    decisions: Iterable[Decision], lexicon: Lexicon, model: TrainedModel | None = None
+) -> Iterator[SentenceAnalysis | None]:
+    """The analysis of the sentence to extract from, per decision and in
+    order, as ``extract`` takes it.
 
     Without a model this is the rule-based choice; with one it is the
     model's most probable candidate, however low (ties go to the later
-    sentence).
+    sentence), scored ``SCORING_CHUNK`` decisions per ``predict_proba`` call.
     """
     if model is None:
-        best = choose_rule_based(decision, lexicon)
-    else:
-        best = best_scored(_model_scored(model, _raw_features(decision, lexicon)), -math.inf)
-    return best and best.analysis
+        for decision in decisions:
+            best = choose_rule_based(decision, lexicon)
+            yield best and best.analysis
+        return
+    decisions = iter(decisions)
+    while chunk := list(islice(decisions, SCORING_CHUNK)):
+        raws = [_raw_features(decision, lexicon) for decision in chunk]
+        for scored in _model_scored(model, raws):
+            best = best_scored(scored, -math.inf)
+            yield best and best.analysis
+
+
+def choose_sentence(
+    decision: Decision, lexicon: Lexicon, model: TrainedModel | None = None
+) -> SentenceAnalysis | None:
+    """``choose_sentences`` for one decision."""
+    return next(choose_sentences([decision], lexicon, model))
 
 
 def _chosen_and_detected(
@@ -319,9 +352,9 @@ def cross_validate(
     """Document-level k-fold evaluation; every decision is tested once.
 
     Each decision is filtered, analysed and featurized once; every fold
-    rescales the token counts to its own training scale and scores each test
-    decision's candidates once, for both the detection threshold and the
-    argmax, whose analysis the report extracts from.
+    rescales the token counts to its own training scale and scores all its
+    test decisions' candidates in one call, once for both the detection
+    threshold and the argmax, whose analysis the report extracts from.
     """
     if len(decisions) < config.num_folds:
         raise ValueError(
@@ -341,7 +374,7 @@ def cross_validate(
         model = train_on_decisions(
             train_decisions, train_annotations, lexicon, kind, seed=config.seed, raw=raw
         )
-        scored_cases += [(case_id, _model_scored(model, raw[case_id])) for case_id in fold]
+        scored_cases += zip(fold, _model_scored(model, [raw[case_id] for case_id in fold]))
 
     chosen, detected = _chosen_and_detected(scored_cases, config.detection_threshold, -math.inf)
     return assemble_report(decisions, annotations, lexicon, chosen, detected)
@@ -377,19 +410,19 @@ class PunishmentExtractor(ParamsMixin):
         )
         return self
 
-    def _choose(self, decision: Decision) -> SentenceAnalysis | None:
-        lexicon = self._require_lexicon()
-        model = None
-        if self.method != "rule_based":
-            model = getattr(self, "model_", None)
-            if model is None:
-                raise ValueError("supervised extractor is not fitted")
-        return choose_sentence(decision, lexicon, model)
+    def _model(self) -> TrainedModel | None:
+        if self.method == "rule_based":
+            return None
+        model = getattr(self, "model_", None)
+        if model is None:
+            raise ValueError("supervised extractor is not fitted")
+        return model
 
     def select(self, decision: Decision) -> int | None:
-        chosen = self._choose(decision)
+        chosen = choose_sentence(decision, self._require_lexicon(), self._model())
         return chosen.sentence.index if chosen else None
 
     def predict(self, decisions: list[Decision]) -> list[ExtractionResult]:
         lexicon = self._require_lexicon()
-        return [extract(d, self._choose(d), lexicon) for d in decisions]
+        chosen = choose_sentences(decisions, lexicon, self._model())
+        return [extract(d, c, lexicon) for d, c in zip(decisions, chosen)]

@@ -40,6 +40,11 @@ def rf_trees(doc, *trees):
 LEAVES = {"threshold": 0.5, "left": {"vote": 0}, "right": {"vote": 1}}
 
 
+def svm_weights(doc, count):
+    """A linear model file keeping only its first ``count`` weights."""
+    return {**doc, "state": {**doc["state"], "weights": doc["state"]["weights"][:count]}}
+
+
 def svm_offset(doc, offset):
     """A linear model file whose calibration carries ``offset``."""
     calibration = {**doc["state"]["calibration"], "offset": offset}
@@ -321,6 +326,15 @@ class TestErrorHandling:
             ),
             ("model", lambda doc: rf_trees(doc, {"vote": 7}), "'vote' must be 0 or 1"),
             ("model", lambda doc: svm_offset(doc, 40), "'calibration.offset' must be 0"),
+            ("model", lambda doc: {**doc, "token_count_scale": 0}, "'token_count_scale'"),
+            ("model", lambda doc: {**doc, "token_count_scale": -3}, "'token_count_scale'"),
+            ("model", lambda doc: {**doc, "feature_schema_version": 2}, "'feature_schema_version'"),
+            ("model", lambda doc: svm_weights(doc, 12), "'weights' describes 12 features"),
+            (
+                "model",
+                lambda doc: rf_state(doc, {"trees": [{"vote": 1}], "n_features_in": 12}),
+                "'n_features_in' describes 12 features",
+            ),
         ],
         ids=[
             "model-not-object",
@@ -334,6 +348,11 @@ class TestErrorHandling:
             "rf-feature-out-of-range",
             "rf-vote-seven",
             "svm-calibration-offset",
+            "token-count-scale-zero",
+            "token-count-scale-negative",
+            "feature-schema-two",
+            "svm-twelve-weights",
+            "rf-twelve-features",
         ],
     )
     def test_malformed_model_or_lexicon_exits_one(

@@ -8,11 +8,15 @@ from maasar.detect import filter_candidates
 from maasar.features import featurize
 from maasar.models import TrainedModel
 from maasar.pipeline import (
+    SCORING_CHUNK,
     CrossValConfig,
     PunishmentExtractor,
+    _model_scored,
     _raw_features,
     _rescale,
     assemble_report,
+    choose_sentence,
+    choose_sentences,
     cross_validate,
     evaluate_rule_based,
     make_folds,
@@ -218,7 +222,9 @@ class TestFeaturizeOnceCrossValidation:
     @pytest.mark.parametrize("kind", ["rf", "svm"])
     def test_learner_sees_the_per_fold_rows(self, lexicon, corpus, kind, monkeypatch):
         """Byte-equal training and scoring inputs, fold by fold, so a wrong
-        token_count_norm scale shows even where it flips no prediction."""
+        token_count_norm scale shows even where it flips no prediction. Each
+        fold scores its test decisions in one call, on the per-decision rows
+        of the per-fold path concatenated in fold order."""
         decisions, annotations = corpus
         config = CrossValConfig(num_folds=5, seed=3)
         seen = []
@@ -244,7 +250,10 @@ class TestFeaturizeOnceCrossValidation:
             if entry[0] == "score":
                 # threshold and argmax each score the test decision again
                 assert next(entries) == entry
+                if per_fold[-1][0] == "score":
+                    entry = ("score", per_fold.pop()[1] + entry[1])
             per_fold.append(entry)
+        assert [kind for kind, _ in featurize_once] == ["fit", "score"] * config.num_folds
         assert featurize_once == per_fold
 
     def test_rescaled_rows_equal_featurized_rows(self, lexicon, corpus):
@@ -256,6 +265,73 @@ class TestFeaturizeOnceCrossValidation:
             for scale in (0, 1, 7, 33, max_token_count(decisions)):
                 direct = [featurize(analyse(s, lexicon), scale) for s in candidates]
                 assert _rescale(raw, scale).tobytes() == b"".join(r.tobytes() for r in direct)
+
+
+class FailingModel:
+    """A model that must not be asked: any scoring call fails."""
+
+    token_count_scale = 1
+
+    def predict_proba(self, X):
+        raise AssertionError(f"predict_proba called on {len(X)} rows")
+
+
+class TestBatchedScoring:
+    @pytest.fixture(scope="class")
+    def decisions(self, lexicon):
+        """More than one chunk of decisions, one of them without candidates
+        in the middle of the first chunk."""
+        decisions = list(generate_corpus(lexicon.numerals, num_decisions=310, seed=41).decisions)
+        decisions.insert(100, Decision.from_text("no-candidates", f"{FILLER} {FILLER}"))
+        assert len(decisions) > SCORING_CHUNK
+        return decisions
+
+    @pytest.fixture(scope="class")
+    def models(self, lexicon):
+        corpus = generate_corpus(lexicon.numerals, num_decisions=60, seed=42)
+        return {
+            kind: train_on_decisions(corpus.decisions, corpus.annotations, lexicon, kind, seed=5)
+            for kind in ("rf", "svm")
+        }
+
+    def test_batched_scores_equal_one_decision_at_a_time(self, lexicon, decisions, models):
+        model = models["rf"]
+        raws = [_raw_features(d, lexicon) for d in decisions]
+        batched = _model_scored(model, raws)
+        assert len(batched) == len(raws)
+        assert batched[100] == []
+        for raw, scored in zip(raws, batched):
+            [alone] = _model_scored(model, [raw])
+            assert [c.analysis for c in scored] == [c.analysis for c in alone]
+            scores = np.array([c.score for c in scored], dtype=float)
+            assert scores.tobytes() == np.array([c.score for c in alone], dtype=float).tobytes()
+
+    @pytest.mark.parametrize("kind", ["rule_based", "rf", "svm"])
+    def test_choose_sentences_equals_choose_sentence(self, lexicon, decisions, models, kind):
+        model = models.get(kind)
+        one_at_a_time = [choose_sentence(d, lexicon, model) for d in decisions]
+        assert one_at_a_time[100] is None
+        assert list(choose_sentences(decisions, lexicon, model)) == one_at_a_time
+
+    def test_one_call_per_chunk_with_candidates(self, lexicon, decisions, models, monkeypatch):
+        calls = []
+        original_predict = TrainedModel.predict_proba
+
+        def recording_predict(model, features):
+            calls.append(len(features))
+            return original_predict(model, features)
+
+        monkeypatch.setattr(TrainedModel, "predict_proba", recording_predict)
+        free = [decisions[100]] * SCORING_CHUNK  # a whole chunk without candidates
+        chosen = list(choose_sentences(free + decisions, lexicon, models["rf"]))
+        assert chosen[:SCORING_CHUNK] == [None] * SCORING_CHUNK
+        assert len(calls) == -(-len(decisions) // SCORING_CHUNK)
+        assert sum(calls) == sum(len(_raw_features(d, lexicon)[0]) for d in decisions)
+
+    def test_candidate_free_chunk_makes_no_call(self, lexicon, decisions):
+        free = [decisions[100]] * (SCORING_CHUNK + 1)
+        assert list(choose_sentences(free, lexicon, FailingModel())) == [None] * len(free)
+        assert _model_scored(FailingModel(), []) == []
 
 
 class TestRuleBasedEvaluation:
