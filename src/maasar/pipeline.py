@@ -23,7 +23,7 @@ cross-validation does it once per fold's test decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -93,7 +93,7 @@ def _raw_features(decision: Decision, lexicon: Lexicon) -> RawFeatures:
 def _rescale(X: np.ndarray, token_scale: int) -> np.ndarray:
     """Raw rows as featurize gives them for ``token_scale``: the same floats."""
     X = X.copy()
-    X[:, _TOKEN_COUNT_COLUMN] /= max(token_scale, 1)
+    X[:, _TOKEN_COUNT_COLUMN] /= token_scale
     return X
 
 
@@ -237,9 +237,7 @@ def train_on_decisions(
 ) -> TrainedModel:
     token_scale = max_token_count(decisions)
     records = build_training_records(decisions, annotations, lexicon, token_scale, raw)
-    model = train(records, kind, seed=seed)
-    model.token_count_scale = token_scale
-    return model
+    return replace(train(records, kind, seed=seed), token_count_scale=token_scale)
 
 
 def assemble_report(

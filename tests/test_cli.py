@@ -597,6 +597,7 @@ GOLDEN_RUNS = {
     "rf-model.json": (["train", "{corpus}", "{annotations}", "--model", "rf", "--seed", "3"], "cd7ff08863d01ed7593b86990dfa5cb2f3e4f78a714ca7da03f2725d7f1cf92a"),
     "extract-rf.jsonl": (["extract", "{corpus}", "--model", "{model}"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
     "eval-svm.json": (["eval", "{corpus}", "{annotations}", "--model-kind", "svm", "--folds", "5", "--seed", "3"], "41b95e469974aa6382138a2ba9dca222e8949472dd3786faa5e74758876e9487"),
+    "eval-rf.json": (["eval", "{corpus}", "{annotations}", "--model-kind", "rf", "--folds", "5", "--seed", "3"], "41b95e469974aa6382138a2ba9dca222e8949472dd3786faa5e74758876e9487"),
     "eval-rule-loose.json": (["eval", "{corpus}", "{annotations}", "--rule-based", "--threshold", "0", "--fine-marker-penalty", "0", "--weight-strong-positive", "1.5"], "60f3c4c54591e3fd2af45b4b2ad874fca24437a555b7299f0b6932e7d14fbba6"),
     "detect-fine.jsonl": (["detect", "{corpus}", *_LOOSE_RULE], "7069940feb2299825450bbffc7bfad65e20d49fe3a111b20d423aede9117ceb4"),
     "extract-fine.jsonl": (["extract", "{corpus}", "--rule-based", *_LOOSE_RULE, "--duration-fine-penalty", "-3", "--duration-probation-penalty", "-2", "--duration-actual-marker-weight", "-1"], "67057bbfcf61c0eef7b19761d87793fd4a8c129a1e1acb3f963ecf34b068bbb1"),

@@ -12,6 +12,7 @@ from maasar.models import (
     TreeEnsembleClassifier,
     _cut_impurities,
     _grow_tree,
+    _rank_columns,
     load_model,
     predict_proba,
     save_model,
@@ -177,6 +178,13 @@ class TestSchemaGuard:
         with pytest.raises(ValueError, match="schema"):
             model.predict_proba(X[:1])
 
+    @pytest.mark.parametrize("scale", [0, -3])
+    def test_token_count_scale_below_one_refused(self, scale):
+        X, y = separable_data()
+        model = train([(x, bool(label)) for x, label in zip(X, y)], "tree_ensemble")
+        with pytest.raises(ValueError, match="'token_count_scale' must be at least 1"):
+            TrainedModel(model.kind, model.classifier, FEATURE_SCHEMA_VERSION, 0, scale)
+
     def test_predict_proba_scalar_helper(self):
         X, y = separable_data()
         model = train([(x, bool(label)) for x, label in zip(X, y)], "tree_ensemble")
@@ -289,7 +297,17 @@ def tied_problems(draw):
     """Small matrices drawn from a few values, so that ties are frequent."""
     n = draw(st.integers(2, 24))
     d = draw(st.integers(1, 4))
-    levels = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (-1.0, 0.0, 0.25, 2.0, 3.5)]))
+    levels = draw(
+        st.sampled_from(
+            [
+                (0.0, 1.0),
+                (0.0, 0.5, 1.0),
+                (-1.0, 0.0, 0.25, 2.0, 3.5),
+                # signed zeros tie; the midpoint of two adjacent floats rounds
+                (-0.0, 0.0, 1.0, float(np.nextafter(1.0, 2.0))),
+            ]
+        )
+    )
     cells = draw(st.lists(st.sampled_from(levels), min_size=n * d, max_size=n * d))
     labels = draw(
         st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda v: 0 < sum(v) < n)
@@ -312,7 +330,8 @@ class TestSplitterAgainstReference:
             left = np.array([left_n - left_pos, left_pos], dtype=float)
             right = np.array([right_n - right_pos, right_pos], dtype=float)
             expected.append((left_n * reference_gini(left) + right_n * reference_gini(right)) / n)
-        assert _cut_impurities(labels, cuts).tobytes() == np.array(expected).tobytes()
+        impurities = _cut_impurities(cuts + 1, pos_prefix[cuts], n, int(pos_prefix[-1]))
+        assert impurities.tobytes() == np.array(expected).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -335,7 +354,8 @@ class TestSplitterAgainstReference:
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         indices = np.arange(len(y))
         resolved = clf._resolve_max_features(X.shape[1])
-        assert _grow_tree(X, y, indices, rng_a, resolved, min_leaf, max_depth) == (
+        columns = _rank_columns(X)
+        assert _grow_tree(X, y, columns, indices, rng_a, resolved, min_leaf, max_depth) == (
             reference_grow_tree(X, y, indices, rng_b, resolved, min_leaf, max_depth)
         )
 
@@ -348,6 +368,25 @@ class TestSplitterAgainstReference:
             model = TrainedModel("tree_ensemble", classifier, FEATURE_SCHEMA_VERSION, seed)
             save_model(model, files[-1])
         assert files[0].read_bytes() == files[1].read_bytes()
+
+    def test_same_trees_on_a_wide_training_matrix(self):
+        """Thirteen columns shaped like the feature schema, with hundreds of
+        distinct positions and token counts, where the tied problems above
+        have at most 4 columns and 5 levels."""
+        rng = np.random.default_rng(17)
+        n = 600
+        X = np.zeros((n, NUM_FEATURES))
+        X[:, :4] = rng.integers(0, 3, size=(n, 4))
+        X[:, 4:6] = rng.integers(0, 2, size=(n, 2))
+        X[:, 6:10] = rng.integers(0, 4, size=(n, 4))
+        X[:, 10] = rng.integers(0, 400, size=n) / 399
+        X[:, 11] = rng.integers(1, 300, size=n) / 299
+        X[:, 12] = 1.0 - X[:, 10]
+        y = ((X[:, 0] > 0) & (X[:, 4] == 1) & (X[:, 10] > 0.3)).astype(int)
+        y[rng.random(n) < 0.05] ^= 1  # label noise grows deep trees
+        assert min(np.unique(X[:, f]).size for f in (10, 11, 12)) > 200
+        clf = TreeEnsembleClassifier(n_trees=6, seed=4).fit(X, y)
+        assert clf.trees_ == reference_fit_trees(clf, X, y)
 
     @settings(max_examples=150, deadline=None)
     @given(
