@@ -3,7 +3,14 @@
 Two-stage pipeline: find the sentence that pronounces the punishment, then
 parse and normalize its duration to months. Ships rule-based and trainable
 selectors, a Hebrew numeral parser, an evaluation harness, and a CLI.
+
+The rule path imports no numpy. The supervised names (``features``,
+``models``, ``pipeline`` and ``base``, and the names exported from the
+first three) are exported lazily (PEP 562): the first access imports their
+module, and numpy with it.
 """
+
+import importlib as _importlib
 
 from .analysis import SentenceAnalysis, analyse
 from .corpus import (
@@ -30,7 +37,6 @@ from .extraction import (
     score_duration_candidates,
     try_decomposition,
 )
-from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, featurize
 from .lexicon import (
     DurationScoringConfig,
     Lexicon,
@@ -48,19 +54,11 @@ from .metrics import (
     cohen_kappa,
     detection_prf,
     error_category,
+    evaluate_rule_based,
     extraction_f1_and_error,
     fleiss_kappa,
     punishment_histogram,
     selection_f1,
-)
-from .models import (
-    LinearMarginClassifier,
-    TrainedModel,
-    TreeEnsembleClassifier,
-    load_model,
-    predict_proba,
-    save_model,
-    train,
 )
 from .numbers import (
     NumberSpan,
@@ -73,16 +71,45 @@ from .numbers import (
     to_months,
     unit_only_elimination,
 )
-from .pipeline import (
-    CrossValConfig,
-    PunishmentExtractor,
-    cross_validate,
-    evaluate_rule_based,
-    select_sentence_supervised,
-    sentences_above_threshold,
-    train_on_decisions,
-)
+
+# Supervised module -> the names exported from it.
+_LAZY_MODULES = {
+    "base": (),
+    "features": ("FEATURE_NAMES", "FEATURE_SCHEMA_VERSION", "featurize"),
+    "models": (
+        "LinearMarginClassifier",
+        "TrainedModel",
+        "TreeEnsembleClassifier",
+        "load_model",
+        "predict_proba",
+        "save_model",
+        "train",
+    ),
+    "pipeline": (
+        "CrossValConfig",
+        "PunishmentExtractor",
+        "cross_validate",
+        "select_sentence_supervised",
+        "sentences_above_threshold",
+        "train_on_decisions",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    {*(name for name in globals() if not name.startswith("_")), *_LAZY_MODULES, *_LAZY_NAMES}
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return _importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        return getattr(_importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

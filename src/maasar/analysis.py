@@ -3,12 +3,13 @@
 Rule scoring, featurization, duration extraction and error categorization
 read the same facts about a sentence: its tier hits, its number spans, and
 where the fine, probation and actual-imprisonment markers are. ``analyse``
-strips the tokens once and derives the rest through the public matchers
-(``match_tiers``, ``detect_spans``, ``Lexicon.marker_positions``). Both
-selectors hand back the chosen sentence's analysis: the rule scorer keeps it
-in its ``ScoredSentence`` and the supervised path keeps each candidate's
-analysis beside its feature row. Duration extraction and the error report
-read that analysis, so the chosen sentence is not analysed again.
+strips the tokens once, finds the tier hits and all three marker lists in one
+pass over the lexicon's one index (``Lexicon.scan``), and the number spans
+with ``detect_spans``. Both selectors hand back the chosen sentence's
+analysis: the rule scorer keeps it in its ``ScoredSentence`` and the
+supervised path keeps each candidate's analysis beside its feature row.
+Duration extraction and the error report read that analysis, so the chosen
+sentence is not analysed again.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .corpus import Sentence
-from .lexicon import Lexicon, TierHits, match_tiers
+from .lexicon import Lexicon, TierHits
 from .numbers import NumberSpan, detect_spans
 from .tokens import stripped_tokens
 
@@ -47,13 +48,12 @@ class SentenceAnalysis:
 def analyse(sentence: Sentence, lexicon: Lexicon) -> SentenceAnalysis:
     text = sentence.text
     stripped = stripped_tokens(text)
+    tier_hits, fine, probation, actual = lexicon.scan(text, stripped)
     return SentenceAnalysis(
         sentence=sentence,
-        tier_hits=match_tiers(sentence, lexicon, stripped),
+        tier_hits=tier_hits,
         spans=tuple(detect_spans(sentence, lexicon.numerals, stripped=stripped)),
-        fine_positions=tuple(lexicon.marker_positions(text, lexicon.fine_markers, stripped)),
-        probation_positions=tuple(
-            lexicon.marker_positions(text, lexicon.probation_markers, stripped)
-        ),
-        actual_positions=tuple(lexicon.marker_positions(text, lexicon.actual_markers, stripped)),
+        fine_positions=fine,
+        probation_positions=probation,
+        actual_positions=actual,
     )

@@ -11,6 +11,10 @@ inputs, flags and seed. Every scoring value is read from the lexicon;
 the scoring flags (``--threshold``, the tier, structural and, for extract
 and eval, ``--duration-*`` weights) are ``load_lexicon`` overrides.
 Exit codes: 0 success, 1 input/usage error, 2 internal error.
+
+The rule-based subcommands never import numpy: ``models`` and ``pipeline``
+are imported only inside ``train``, ``extract --model`` and
+``eval --model-kind``.
 """
 
 from __future__ import annotations
@@ -24,18 +28,10 @@ import tempfile
 from pathlib import Path
 
 from .corpus import corpus_stats, load_annotations, load_corpus, prelabel_negatives
-from .detect import choose_rule_based
+from .detect import choose_rule_based, rule_based_choices
 from .extraction import extract
 from .lexicon import DURATION_NAMES, STRUCTURAL_NAMES, TIER_NAMES, Lexicon, load_lexicon
-from .metrics import punishment_histogram
-from .models import load_model, save_model
-from .pipeline import (
-    CrossValConfig,
-    choose_sentences,
-    cross_validate,
-    evaluate_rule_based,
-    train_on_decisions,
-)
+from .metrics import evaluate_rule_based, punishment_histogram
 
 # Scoring knobs, one float flag each: ``--{prefix}{name}`` with ``_`` as ``-``.
 _TIER_KNOBS = ("weight_", TIER_NAMES)
@@ -199,6 +195,9 @@ def _cmd_train(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
     annotations = _annotations_or_fail(args)
+    from .models import save_model
+    from .pipeline import train_on_decisions
+
     model = train_on_decisions(decisions, annotations, lexicon, args.model, seed=args.seed)
     save_model(model, args.out)
     return 0
@@ -207,8 +206,13 @@ def _cmd_train(args) -> int:
 def _cmd_extract(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
-    model = load_model(args.model) if args.model else None
-    chosen = choose_sentences(decisions, lexicon, model)
+    if args.model:
+        from .models import load_model
+        from .pipeline import choose_sentences
+
+        chosen = choose_sentences(decisions, lexicon, load_model(args.model))
+    else:
+        chosen = rule_based_choices(decisions, lexicon)
     results = [extract(d, c, lexicon) for d, c in zip(decisions, chosen)]
     _emit(args.out, _jsonl(results))
     if args.histogram_csv:
@@ -223,6 +227,8 @@ def _cmd_eval(args) -> int:
     if args.rule_based:
         report = evaluate_rule_based(decisions, annotations, lexicon)
     else:
+        from .pipeline import CrossValConfig, cross_validate
+
         config = CrossValConfig(
             num_folds=args.folds,
             seed=args.seed,

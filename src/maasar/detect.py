@@ -17,7 +17,7 @@ The supervised selector wraps each candidate's probability in a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analysis import SentenceAnalysis, analyse
 from .corpus import Decision, Sentence
@@ -78,6 +78,16 @@ def best_scored(scored: Iterable[ScoredSentence], threshold: float) -> ScoredSen
 def choose_rule_based(decision: Decision, lexicon: Lexicon) -> ScoredSentence | None:
     """The decision's best candidate (see ``best_scored``), with its analysis."""
     return best_scored(score_candidates(decision, lexicon), lexicon.threshold)
+
+
+def rule_based_choices(
+    decisions: Iterable[Decision], lexicon: Lexicon
+) -> Iterator[SentenceAnalysis | None]:
+    """The analysis of each decision's ``choose_rule_based`` sentence (None
+    when no candidate reaches the threshold), in order, as ``extract`` takes it."""
+    for decision in decisions:
+        best = choose_rule_based(decision, lexicon)
+        yield best and best.analysis
 
 
 def select_sentence_rule_based(decision: Decision, lexicon: Lexicon) -> int | None:

@@ -39,12 +39,13 @@ NUM_FEATURES = len(FEATURE_NAMES)
 def featurize(analysis: SentenceAnalysis, max_token_count: int) -> np.ndarray:
     """Feature vector for one analysed sentence.
 
-    ``max_token_count`` is the normalization constant for sentence length
-    (values below 1 count as 1).
+    ``max_token_count`` is the normalization constant for sentence length;
+    below 1 it is refused, as ``TrainedModel`` refuses such a scale.
     """
+    if max_token_count < 1:
+        raise ValueError(f"'max_token_count' must be at least 1, got {max_token_count}")
     sentence = analysis.sentence
     hits = analysis.tier_hits
-    max_token_count = max(max_token_count, 1)
 
     values = (
         float(hits.strong_positive),

@@ -16,16 +16,17 @@ is refused, not coerced; a weight name that ``tier_weights``,
 in a keyword override.
 
 Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
-into ``PhraseIndex`` tables keyed by a phrase's first word: one for the four
-tiers and one for each marker list. ``match_tiers`` and
-``Lexicon.marker_positions`` then look each stripped token up once, so a
-sentence costs O(tokens) however long the lists are; this is the token-level
-case of Aho-Corasick multi-pattern matching. Single-character marker
-entries of the tiers (docket slash, brackets) are kept in a short list and
-found in the raw text. The filter keywords are compiled into one regular
-expression, so ``contains_filter_keyword`` is a single search per sentence,
-and the numeral lexicon maps every bare and conjunction-prefixed number
-word to its parts (``NumeralLexicon.word_forms``).
+into one ``PhraseIndex`` keyed by a phrase's first word, over the four tiers
+and the fine, probation and actual marker lists, each entry tagged with its
+list. ``Lexicon.scan`` looks each stripped token up once and splits the hits
+by tag into the tier hits and the three marker lists' positions, so a
+sentence costs one pass of O(tokens) however long the lists are; this is
+the token-level case of Aho-Corasick multi-pattern matching.
+Single-character marker entries of the tiers (docket slash, brackets) are
+kept in a short list and found in the raw text. The filter keywords are
+compiled into one regular expression, so ``contains_filter_keyword`` is a
+single search per sentence, and the numeral lexicon maps every bare and
+conjunction-prefixed number word to its parts (``NumeralLexicon.word_forms``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .tokens import stripped_tokens
 LEXICON_ENV_VAR = "MAASAR_LEXICON"
 
 TIER_NAMES = ("strong_positive", "moderate_positive", "moderate_negative", "strong_negative")
+# The marker lists, in the order ``Lexicon.scan`` returns their positions.
+MARKER_LISTS = ("fine_markers", "probation_markers", "actual_markers")
+
 
 class LexiconError(ValueError):
     """Raised when a lexicon file is missing sections or violates invariants."""
@@ -202,6 +206,8 @@ class Lexicon:
 
     def __post_init__(self):
         # Compiled per instance, so dataclasses.replace recompiles the copy.
+        # One index over every list: a payload is (list, surface, weight),
+        # the list being a tier name or a MARKER_LISTS name (weight None).
         char_markers, phrases = [], []
         for tier in TIER_NAMES:
             for surface, weight in self.tier(tier).items():
@@ -210,14 +216,10 @@ class Lexicon:
                     char_markers.append(entry)
                 else:
                     phrases.append((surface, entry))
-        marker_lists = (self.fine_markers, self.probation_markers, self.actual_markers)
+        for name in MARKER_LISTS:
+            phrases += ((marker, (name, marker, None)) for marker in getattr(self, name))
         object.__setattr__(self, "_tier_chars", tuple(char_markers))
-        object.__setattr__(self, "_tier_index", PhraseIndex(phrases))
-        object.__setattr__(
-            self,
-            "_marker_indexes",
-            {frozenset(m): PhraseIndex((p, None) for p in m) for m in marker_lists},
-        )
+        object.__setattr__(self, "_index", PhraseIndex(phrases))
         # with no keywords nothing is a candidate; "(?!)" never matches
         keywords = sorted(self.filter_keywords)
         pattern = "|".join(map(re.escape, keywords)) if keywords else "(?!)"
@@ -229,20 +231,47 @@ class Lexicon:
     def contains_filter_keyword(self, text: str) -> bool:
         return self._filter_search(text) is not None
 
+    def scan(
+        self, text: str, stripped: tuple[str, ...] | None = None
+    ) -> tuple[TierHits, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Tier hits and the start token of every fine, probation and actual
+        marker occurrence, from one pass over the tokens.
+
+        Tier hits are sorted by (tier, position, surface); word entries match
+        whole (punctuation-stripped) tokens, phrases match consecutive tokens,
+        and single-character tier entries (docket slash, brackets) match
+        anywhere in the raw text. Marker positions are in token order.
+        ``stripped`` is ``stripped_tokens(text)``, for callers that have it.
+        """
+        if stripped is None:
+            stripped = stripped_tokens(text)
+        hits = []
+        positions: dict[str, list[int]] = {name: [] for name in MARKER_LISTS}
+        for i, (tag, surface, weight) in self._index.find(stripped):
+            if weight is None:
+                positions[tag].append(i)
+            else:
+                hits.append(TierHit(tag, surface, i, weight))
+        for tier, surface, weight in self._tier_chars:
+            pos = text.find(surface)
+            while pos >= 0:
+                hits.append(TierHit(tier, surface, pos, weight))
+                pos = text.find(surface, pos + 1)
+        hits.sort(key=lambda h: (h.tier, h.position, h.surface))
+        fine, probation, actual = (tuple(positions[name]) for name in MARKER_LISTS)
+        return TierHits(tuple(hits)), fine, probation, actual
+
     def marker_positions(
         self, text: str, markers: Iterable[str], stripped: tuple[str, ...] | None = None
     ) -> list[int]:
-        """Start token index of every marker occurrence (phrases supported).
+        """Start token index of every occurrence of ``markers`` (phrases
+        supported), for any list; ``scan`` finds the lexicon's own lists.
 
         ``stripped`` is ``stripped_tokens(text)``, for callers that have it.
-        The lexicon's own marker lists use their compiled index.
         """
-        index = self._marker_indexes.get(markers) if isinstance(markers, frozenset) else None
-        if index is None:
-            index = PhraseIndex((marker, None) for marker in markers)
         if stripped is None:
             stripped = stripped_tokens(text)
-        return [i for i, _ in index.find(stripped)]
+        return [i for i, _ in PhraseIndex((marker, None) for marker in markers).find(stripped)]
 
 
 def default_lexicon_path() -> Path:
@@ -510,24 +539,8 @@ def load_lexicon(
 
 
 def match_tiers(sentence, lexicon: Lexicon, stripped: tuple[str, ...] | None = None) -> TierHits:
-    """Tier hits in a sentence, sorted by (tier, position, surface).
-
-    Word entries match whole (punctuation-stripped) tokens, phrases match
-    consecutive tokens; single-character marker entries (docket slash,
-    brackets) match anywhere in the raw text. ``stripped`` is
-    ``stripped_tokens`` of the text, for callers that have it.
-    """
+    """Tier hits in a sentence (see ``Lexicon.scan``), sorted by (tier,
+    position, surface). ``stripped`` is ``stripped_tokens`` of the text, for
+    callers that have it."""
     text = sentence.text if hasattr(sentence, "text") else str(sentence)
-    if stripped is None:
-        stripped = stripped_tokens(text)
-    hits = [
-        TierHit(tier, surface, i, weight)
-        for i, (tier, surface, weight) in lexicon._tier_index.find(stripped)
-    ]
-    for tier, surface, weight in lexicon._tier_chars:
-        pos = text.find(surface)
-        while pos >= 0:
-            hits.append(TierHit(tier, surface, pos, weight))
-            pos = text.find(surface, pos + 1)
-    hits.sort(key=lambda h: (h.tier, h.position, h.surface))
-    return TierHits(tuple(hits))
+    return lexicon.scan(text, stripped)[0]

@@ -1,5 +1,7 @@
 """Evaluation metrics: detection P/R/F1, per-case selection and duration
-accuracy, agreement coefficients, error taxonomy, and duration histograms.
+accuracy, agreement coefficients, error taxonomy, duration histograms, and
+the evaluation report both routes share (``assemble_report``), with the
+rule-based evaluation that builds it (``evaluate_rule_based``).
 
 Selecting exactly one sentence per case makes every false positive pair up
 with a false negative, so the per-case selection and duration scores have
@@ -15,7 +17,9 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .analysis import DOCKET_RE, SentenceAnalysis, analyse
-from .corpus import Sentence
+from .corpus import AnnotationRecord, Decision, Sentence
+from .detect import ScoredSentence, at_or_above, best_scored, score_candidates
+from .extraction import extract
 from .lexicon import Lexicon
 
 
@@ -218,6 +222,132 @@ def error_category(analysis: SentenceAnalysis) -> ErrorCategory:
 def categorize_error(predicted_sentence: Sentence, lexicon: Lexicon) -> ErrorCategory:
     """``error_category`` of a sentence that has not been analysed yet."""
     return error_category(analyse(predicted_sentence, lexicon))
+
+
+def _chosen_and_detected(
+    scored_cases: Iterable[tuple[str, list[ScoredSentence]]],
+    detection_threshold: float,
+    selection_threshold: float,
+) -> tuple[dict[str, SentenceAnalysis | None], set[tuple[str, int]]]:
+    """Each case's chosen analysis and every (case, index) detected, as
+    ``assemble_report`` takes them, from each case's scored candidates."""
+    chosen: dict[str, SentenceAnalysis | None] = {}
+    detected: set[tuple[str, int]] = set()
+    for case_id, scored in scored_cases:
+        for candidate in at_or_above(scored, detection_threshold):
+            detected.add((case_id, candidate.sentence_index))
+        best = best_scored(scored, selection_threshold)
+        chosen[case_id] = best and best.analysis
+    return chosen, detected
+
+
+def _gold_maps(
+    annotations: list[AnnotationRecord],
+) -> tuple[dict[str, set[int]], dict[str, int]]:
+    gold_indices: dict[str, set[int]] = {}
+    months_by_case: dict[str, dict[int, int]] = {}
+    for record in annotations:
+        if record.is_punishment:
+            gold_indices.setdefault(record.case_id, set()).add(record.sentence_index)
+            months_by_case.setdefault(record.case_id, {})[record.sentence_index] = (
+                record.months or 0
+            )
+    gold_months = {
+        case_id: months[min(months)] for case_id, months in months_by_case.items()
+    }
+    return gold_indices, gold_months
+
+
+def assemble_report(
+    decisions: list[Decision],
+    annotations: list[AnnotationRecord],
+    lexicon: Lexicon,
+    chosen: dict[str, SentenceAnalysis | None],
+    detected: set[tuple[str, int]],
+) -> EvaluationReport:
+    """Pool per-case predictions into the full evaluation report.
+
+    ``chosen`` maps each case to its selected sentence's analysis (or None);
+    the months are extracted from it and a wrong selection is categorised
+    from it (``metrics.error_category``), so no sentence is analysed here.
+    """
+    gold_indices, gold_months = _gold_maps(annotations)
+    by_id = {d.case_id: d for d in decisions}
+    selections: dict[str, int | None] = {}
+    months: dict[str, int | None] = {}
+    for case_id, analysis in chosen.items():
+        result = extract(by_id[case_id], analysis, lexicon)
+        selections[case_id], months[case_id] = result.sentence_index, result.months
+    gold_pairs = {
+        (case_id, idx)
+        for case_id, indices in gold_indices.items()
+        if case_id in by_id
+        for idx in indices
+    }
+    detection = detection_prf(detected, gold_pairs)
+
+    full_gold_months = {d.case_id: gold_months.get(d.case_id, 0) for d in decisions}
+    sel_f1 = selection_f1(selections, gold_indices)
+    score = extraction_f1_and_error(months, full_gold_months)
+
+    correct_sel = [
+        case_id
+        for case_id, idx in selections.items()
+        if idx is not None and idx in gold_indices.get(case_id, set())
+    ]
+    if correct_sel:
+        acc_given_correct = sum(
+            months.get(c) == full_gold_months[c] for c in correct_sel
+        ) / len(correct_sel)
+    else:
+        acc_given_correct = None
+
+    wrong = [
+        (case_id, analysis)
+        for case_id, analysis in chosen.items()
+        if analysis is not None
+        and analysis.sentence.index not in gold_indices.get(case_id, set())
+    ]
+    breakdown = {category.value: 0.0 for category in ErrorCategory}
+    per_case_categories: dict[str, str] = {}
+    for case_id, analysis in wrong:
+        category = error_category(analysis)
+        per_case_categories[case_id] = category.value
+        breakdown[category.value] += 1
+    if wrong:
+        breakdown = {k: v / len(wrong) for k, v in breakdown.items()}
+
+    per_case = tuple(
+        PerCaseResult(
+            case_id=d.case_id,
+            predicted_index=selections.get(d.case_id),
+            gold_indices=tuple(sorted(gold_indices.get(d.case_id, set()))),
+            predicted_months=months.get(d.case_id),
+            gold_months=full_gold_months[d.case_id],
+            error_category=per_case_categories.get(d.case_id),
+        )
+        for d in decisions
+    )
+    return EvaluationReport(
+        detection=detection,
+        sentence_selection_f1=sel_f1,
+        extraction_f1=score.extraction_f1,
+        avg_month_error=score.avg_month_error,
+        duration_accuracy_given_correct_sentence=acc_given_correct,
+        error_breakdown=breakdown,
+        per_case=per_case,
+    )
+
+
+def evaluate_rule_based(
+    decisions: list[Decision],
+    annotations: list[AnnotationRecord],
+    lexicon: Lexicon,
+) -> EvaluationReport:
+    """Score the rule-based pipeline; detection = candidates above threshold."""
+    scored_cases = ((d.case_id, score_candidates(d, lexicon)) for d in decisions)
+    chosen, detected = _chosen_and_detected(scored_cases, lexicon.threshold, lexicon.threshold)
+    return assemble_report(decisions, annotations, lexicon, chosen, detected)
 
 
 @dataclass(frozen=True)

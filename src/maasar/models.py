@@ -16,8 +16,10 @@ Two learners, both self-contained and deterministic under a fixed seed:
   then scored in one vectorised pass, with the per-cut float expression and
   the ``(impurity, feature, threshold)`` tie-break of the CART splitter
   (Breiman et al., 1984), so trees do not depend on how cuts are counted.
-  A threshold is the midpoint of two adjacent present values, and children
-  are routed by ``value <= threshold`` on the floats, not by rank. Ranking
+  A threshold is the midpoint of two adjacent present values, or the lower
+  one where the midpoint rounds onto the upper (adjacent floats) or
+  overflows, and children are routed by ``value <= threshold`` on the
+  floats, not by rank. Ranking
   per fit and not presorting per tree (SLIQ, Mehta et al., EDBT 1996) is
   deliberate: a forest fitted on a cross-validation fold splits about 4
   times per tree, so a per-tree presort of all 13 columns would cost about
@@ -261,7 +263,11 @@ def _best_split(
     # least feature among the lowest impurities, then its first (lowest) cut
     ties = np.nonzero(impurity == lowest)[0]
     at = ties[np.argmin(features[ties])]
-    return features[at], (lower[at] + upper[at]) / 2.0
+    # the midpoint of two adjacent floats can round onto the upper one, and
+    # of two huge ones overflow; either would send every row to one side
+    with np.errstate(over="ignore"):
+        midpoint = (lower[at] + upper[at]) / 2.0
+    return features[at], midpoint if lower[at] <= midpoint < upper[at] else lower[at]
 
 
 def _grow_tree(
@@ -284,8 +290,7 @@ def _grow_tree(
     if split is None:
         return {"vote": 1 if 2 * positive > n else 0}
 
-    # routed by the float threshold: a midpoint that rounds onto the upper
-    # of two adjacent values sends that value left too
+    # routed by the float threshold, which lies below the cut's upper value
     feature, threshold = split
     mask = X[indices, feature] <= threshold
     args = (rng, max_features, min_leaf, max_depth, depth + 1)

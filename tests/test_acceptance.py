@@ -20,6 +20,7 @@ from maasar.metrics import (
     categorize_error,
     cohen_kappa,
     detection_prf,
+    evaluate_rule_based,
     extraction_f1_and_error,
     fleiss_kappa,
     selection_f1,
@@ -28,7 +29,6 @@ from maasar.numbers import TimeUnit, compose, detect_spans, render_number, span_
 from maasar.pipeline import (
     CrossValConfig,
     cross_validate,
-    evaluate_rule_based,
     make_folds,
     select_sentence_supervised,
 )

@@ -7,8 +7,9 @@ from maasar.analysis import analyse
 from maasar.cli import run
 from maasar.detect import choose_rule_based, filter_candidates
 from maasar.extraction import extract
+from maasar.metrics import evaluate_rule_based
 from maasar.models import save_model
-from maasar.pipeline import PunishmentExtractor, evaluate_rule_based, train_on_decisions
+from maasar.pipeline import PunishmentExtractor, train_on_decisions
 from maasar.synthetic import SyntheticCorpus, write_corpus
 
 

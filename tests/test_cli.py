@@ -9,9 +9,9 @@ from maasar.cli import run
 from maasar.corpus import CorpusStats, corpus_stats, load_annotations, load_corpus
 from maasar.extraction import ExtractionResult, extract
 from maasar.lexicon import default_lexicon_path, load_lexicon
-from maasar.metrics import PRF, EvaluationReport, PerCaseResult
+from maasar.metrics import PRF, EvaluationReport, PerCaseResult, evaluate_rule_based
 from maasar.numbers import NumberSpan
-from maasar.pipeline import choose_sentence, evaluate_rule_based
+from maasar.pipeline import choose_sentence
 from maasar.synthetic import generate_corpus, write_corpus
 
 

@@ -133,7 +133,8 @@ class TestMatchTiers:
 
 
 # The per-entry loops that match_tiers and Lexicon.marker_positions used
-# before the lexicon was compiled into first-word indexes, kept as references.
+# before the lexicon was compiled into one first-word index, kept as
+# references for Lexicon.scan and the ad hoc marker_positions.
 def reference_match_tiers(text, lexicon):
     stripped = [strip_token(t) for t in text.split()]
     hits = []
@@ -217,8 +218,10 @@ class TestCompiledIndexEquivalence:
     @given(_texts, st.lists(st.sampled_from(_WORDS), max_size=6))
     def test_marker_positions_equal_reference(self, lexicon, text, extra):
         lex = phrase_lexicon(lexicon)
-        for markers in (lex.fine_markers, lex.probation_markers, lex.actual_markers):
+        lists = (lex.fine_markers, lex.probation_markers, lex.actual_markers)
+        for markers, scanned in zip(lists, lex.scan(text)[1:]):
             expected = reference_marker_positions(text, markers)
+            assert list(scanned) == expected
             assert lex.marker_positions(text, markers) == expected
             stripped = stripped_tokens(text)
             assert lex.marker_positions(text, markers, stripped) == expected

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,12 @@ class TestFeaturize:
         fv = featurize(analyse(decision.sentences[0], lexicon), 1)
         assert fv[FEATURE_NAMES.index("docket_marker_count")] == 2
 
+    @pytest.mark.parametrize("scale", [0, -3])
+    def test_token_count_scale_below_one_refused(self, lexicon, scale):
+        decision = Decision.from_text("c", "נגזר עליו מאסר בפועל של 3 שנים.")
+        with pytest.raises(ValueError, match="'max_token_count' must be at least 1"):
+            featurize(analyse(decision.sentences[0], lexicon), scale)
+
     def test_indicators_are_binary(self, lexicon, synthetic):
         decision = synthetic.decisions[0]
         for s in decision.sentences[:10]:
@@ -133,6 +141,24 @@ class TestTreeEnsemble:
         probs = clf.predict_proba(X)[:, 1]
         votes = probs * 25
         assert np.allclose(votes, np.round(votes))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # the midpoint of the last two rounds onto the upper one
+            [1.0, 1.0 + math.ulp(1.0), 1.0 + 2 * math.ulp(1.0), 1.0 + 2 * math.ulp(1.0)],
+            # the midpoints overflow to -inf and +inf
+            [-1.7e308, -1.7e308, -1.6e308, -1.6e308],
+            [1.6e308, 1.6e308, 1.7e308, 1.7e308],
+        ],
+        ids=["adjacent", "negative-overflow", "positive-overflow"],
+    )
+    def test_split_threshold_separates_its_cut(self, values):
+        X = [[v] for v in values]
+        clf = TreeEnsembleClassifier(n_trees=1, seed=0).fit(X, [0, 0, 1, 1])
+        [tree] = clf.trees_
+        assert values[1] <= tree["threshold"] < values[2]
+        assert clf.predict(X).tolist() == [0, 0, 1, 1]
 
     def test_get_params(self):
         clf = TreeEnsembleClassifier(n_trees=10, seed=4)

@@ -6,6 +6,7 @@ from maasar.analysis import analyse
 from maasar.corpus import Decision
 from maasar.detect import filter_candidates
 from maasar.features import featurize
+from maasar.metrics import assemble_report, evaluate_rule_based
 from maasar.models import TrainedModel
 from maasar.pipeline import (
     SCORING_CHUNK,
@@ -14,11 +15,9 @@ from maasar.pipeline import (
     _model_scored,
     _raw_features,
     _rescale,
-    assemble_report,
     choose_sentence,
     choose_sentences,
     cross_validate,
-    evaluate_rule_based,
     make_folds,
     max_token_count,
     select_sentence_supervised,
