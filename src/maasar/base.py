@@ -3,7 +3,8 @@
 Estimators in this package follow the scikit-learn protocol (``get_params`` /
 ``set_params``, ``fit`` returning ``self``) without depending on scikit-learn
 itself, so they can be dropped into pipelines, grid searches and clones from
-that ecosystem.
+that ecosystem. An unknown parameter name and training labels of a single
+class describe the caller's data, so they raise ``InputError``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import inspect
 
 import numpy as np
+
+from .corpus import InputError
 
 
 class ParamsMixin:
@@ -41,7 +44,7 @@ class ParamsMixin:
         valid = set(self._param_names())
         for name, value in params.items():
             if name not in valid:
-                raise ValueError(
+                raise InputError(
                     f"invalid parameter {name!r} for {type(self).__name__}; "
                     f"valid parameters: {sorted(valid)}"
                 )
@@ -81,5 +84,5 @@ def check_binary_labels(y, n_samples: int | None = None) -> np.ndarray:
         raise ValueError(f"labels must be binary 0/1, got values {sorted(values)}")
     y = y.astype(int)
     if len(np.unique(y)) < 2:
-        raise ValueError("training data contains a single class")
+        raise InputError("training data contains a single class")
     return y

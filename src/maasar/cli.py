@@ -10,7 +10,9 @@ so ``ExtractionResult``, ``EvaluationReport``, ``CorpusStats`` and
 inputs, flags and seed. Every scoring value is read from the lexicon;
 the scoring flags (``--threshold``, the tier, structural and, for extract
 and eval, ``--duration-*`` weights) are ``load_lexicon`` overrides.
-Exit codes: 0 success, 1 input/usage error, 2 internal error.
+Exit codes: 0 success; 1 bad input, which is an ``InputError`` (a usage
+error, a malformed file or value) or an ``OSError``; 2 anything else, which
+is a bug.
 
 The rule-based subcommands never import numpy: ``models`` and ``pipeline``
 are imported only inside ``train``, ``extract --model`` and
@@ -27,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .corpus import corpus_stats, load_annotations, load_corpus, prelabel_negatives
+from .corpus import InputError, corpus_stats, load_annotations, load_corpus, prelabel_negatives
 from .detect import choose_rule_based, rule_based_choices
 from .extraction import extract
 from .lexicon import DURATION_NAMES, STRUCTURAL_NAMES, TIER_NAMES, Lexicon, load_lexicon
@@ -37,10 +39,6 @@ from .metrics import evaluate_rule_based, punishment_histogram
 _TIER_KNOBS = ("weight_", TIER_NAMES)
 _STRUCTURAL_KNOBS = ("", STRUCTURAL_NAMES)
 _DURATION_KNOBS = ("duration_", DURATION_NAMES)
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _histogram_csv(months: list, path: str, bucket_months: int) -> None:
@@ -55,14 +53,18 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; the contract here is exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise InputError(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    # numpy's generators refuse a negative seed, and a bucket must be a month
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _finite_float(text: str) -> float:
@@ -112,7 +114,7 @@ def _load_corpus_or_fail(args) -> list:
     for error in result.errors:
         print(f"warning: {error.source}: {error.message}", file=sys.stderr)
     if not result.decisions and result.errors:
-        raise _UsageError("no decisions could be loaded")
+        raise InputError("no decisions could be loaded")
     return result.decisions
 
 
@@ -234,10 +236,7 @@ def _cmd_eval(args) -> int:
             seed=args.seed,
             detection_threshold=args.detection_threshold,
         )
-        try:
-            report = cross_validate(decisions, annotations, lexicon, args.model_kind, config)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        report = cross_validate(decisions, annotations, lexicon, args.model_kind, config)
     _emit(args.out, _json(report, indent=2) + "\n")
     if args.histogram_csv:
         _histogram_csv(
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lexicon_args(p)
     p.add_argument("--annotations", required=True)
     p.add_argument("--model", choices=["svm", "rf"], required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=_cmd_train)
 
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--rule-based", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--histogram-csv", default=None)
-    p.add_argument("--bucket-months", type=_positive_int, default=12)
+    p.add_argument("--bucket-months", type=_int_at_least(1), default=12)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("eval", help="evaluate against annotations")
@@ -325,11 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--rule-based", action="store_true")
     group.add_argument("--model-kind", choices=["svm", "rf"], default=None)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--detection-threshold", type=_finite_float, default=0.5)
     p.add_argument("--out", default=None)
     p.add_argument("--histogram-csv", default=None)
-    p.add_argument("--bucket-months", type=_positive_int, default=12)
+    p.add_argument("--bucket-months", type=_int_at_least(1), default=12)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("stats", help="corpus statistics")
@@ -345,13 +344,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # internal failure
+    except Exception as exc:  # a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

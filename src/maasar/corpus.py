@@ -5,8 +5,14 @@ A corpus is a directory of UTF-8 ``.txt`` files (one decision each) plus a
 objects. Annotations are line-delimited JSON records with keys ``case_id``,
 ``sentence_index``, ``is_punishment`` and (for positives) ``months``. A
 malformed metadata entry, file or annotation line becomes a ``LoadError``
-for that record and loading goes on. Integer and boolean fields must have
-their JSON type: ``"false"`` is not false and ``1.9`` is not a month count.
+for that record and loading goes on. Every field must have its JSON type:
+``case_id`` and ``court`` are strings (``null`` is no case id, ``12`` no
+court), ``"false"`` is not false and ``1.9`` is not a month count.
+
+Every loader checks its input here, without numpy: ``read_input`` reads a
+UTF-8 (JSON) file and ``field`` checks one field against its JSON kind.
+They raise ``InputError``, the one exception meaning bad input: the CLI
+exits 1 on it or an ``OSError``, and 2 on anything else, a bug.
 
 ``segment_sentences`` jumps with a compiled regular expression from one run
 of terminal punctuation followed by whitespace (or the end of the text) to
@@ -20,13 +26,16 @@ which is cheap to build for every sentence of a corpus.
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -64,7 +73,7 @@ class Decision:
     year: int
     court: str
     raw_text: str
-    sentences: tuple[Sentence, ...] = field(default_factory=tuple)
+    sentences: tuple[Sentence, ...] = dataclasses.field(default_factory=tuple)
 
     @classmethod
     def from_text(
@@ -115,6 +124,80 @@ class CorpusStats:
     sentence_length_max: int
 
 
+class InputError(ValueError):
+    """A file or value given to the program that it refuses: bad input, not a bug."""
+
+
+def _is_number(value: object) -> bool:
+    # bool is an int subclass, but true is not a number; NaN compares false, so
+    # a NaN weight or threshold would silently select nothing; and an integer
+    # past the float range is not finite as a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
+# A JSON "\ud800" escape loads as a lone surrogate, which is not text: no
+# UTF-8 output can hold it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _is_text(value: object) -> bool:
+    return isinstance(value, str) and not _SURROGATE.search(value)
+
+
+def _list_of(test: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, list) and all(map(test, v))
+
+
+_texts = _list_of(_is_text)
+
+# The JSON kinds ``field`` checks: kind -> (test, description).
+_KINDS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "string": (_is_text, "a Unicode string"),
+    "strings": (_texts, "a list of Unicode strings"),
+    "nonempty_strings": (lambda v: _texts(v) and v != [], "a non-empty list of Unicode strings"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "number": (_is_number, "a finite number"),
+    "numbers": (_list_of(_is_number), "a list of finite numbers"),
+}
+
+
+def field(doc: dict, name: str, kind: str, where: str, error: type = InputError):
+    """``doc[name]``, refused with ``error`` (an ``InputError``) when it is
+    missing or not of ``kind`` (a key of ``_KINDS``).
+
+    ``where`` is the dotted path of ``doc``, starting with the label of its
+    document ("model file", "lexicon.numerals.tens"); the error names the
+    field by the rest of that path and ``name`` ("'numerals.tens.20'").
+    """
+    test, described = _KINDS[kind]
+    if name in doc and test(doc[name]):
+        return doc[name]
+    label, _, parent = where.partition(".")
+    path = f"{parent}.{name}" if parent else name
+    if name not in doc:
+        raise error(f"{label} is missing the {path!r} field")
+    raise error(f"{label} field {path!r} must be {described}, got {doc[name]!r}")
+
+
+def read_input(path: str | Path, parse: Callable[[str], object] = json.loads):
+    """``parse`` of the text of the UTF-8 file at ``path`` (``str`` for the
+    text itself). A file that is not UTF-8, or not JSON when ``parse`` is
+    ``json.loads``, is refused with an InputError naming it."""
+    try:
+        return parse(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
+    except (ValueError, RecursionError) as exc:
+        # json.loads raises a ValueError on an integer of over 4300 digits
+        # too, and a RecursionError on nesting too deep for it
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+
+
 class LoadError(NamedTuple):
     """One recoverable ingestion problem, attributed to its source."""
 
@@ -130,20 +213,6 @@ class CorpusLoadResult(NamedTuple):
 class AnnotationLoadResult(NamedTuple):
     records: list[AnnotationRecord]
     errors: list[LoadError]
-
-
-def _json_int(obj: dict, key: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_bool(obj: dict, key: str) -> bool:
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
-    return value
 
 
 def _word_before(text: str, start: int, end: int) -> str:
@@ -217,8 +286,8 @@ def load_corpus(
     if not Path(metadata_path).exists() and not any(directory.glob("*.txt")):
         return CorpusLoadResult([], [])
     try:
-        raw_meta = json.loads(Path(metadata_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        raw_meta = read_input(metadata_path)
+    except (OSError, InputError) as exc:
         return CorpusLoadResult([], [LoadError(str(metadata_path), str(exc))])
 
     if not isinstance(raw_meta, list):
@@ -244,37 +313,21 @@ def load_corpus(
             errors.append(LoadError(path.name, "file has no metadata entry"))
             continue
         try:
-            data = path.read_bytes()
-            text = data.decode("utf-8")
-        except OSError as exc:
-            errors.append(LoadError(path.name, f"unreadable: {exc}"))
+            text = read_input(path, str)
+            case_id = field(meta, "case_id", "string", "metadata entry")
+            year = field(meta, "year", "int", "metadata entry") if "year" in meta else 0
+            court = field(meta, "court", "string", "metadata entry") if "court" in meta else ""
+        except (OSError, InputError) as exc:
+            errors.append(LoadError(path.name, str(exc)))
             continue
-        except UnicodeDecodeError as exc:
-            errors.append(
-                LoadError(path.name, f"not valid UTF-8 at byte offset {exc.start}")
-            )
-            continue
-        case_id = str(meta.get("case_id", ""))
         if not case_id:
             errors.append(LoadError(path.name, "empty case_id"))
             continue
         if case_id in seen_ids:
             errors.append(LoadError(path.name, f"duplicate case_id {case_id!r}"))
             continue
-        try:
-            year = _json_int(meta, "year") if "year" in meta else 0
-        except TypeError as exc:
-            errors.append(LoadError(path.name, str(exc)))
-            continue
         seen_ids.add(case_id)
-        decisions.append(
-            Decision.from_text(
-                case_id=case_id,
-                raw_text=text,
-                year=year,
-                court=str(meta.get("court", "")),
-            )
-        )
+        decisions.append(Decision.from_text(case_id, text, year, court))
     for filename in sorted(set(by_filename) - seen_files):
         errors.append(LoadError(filename, "listed in metadata but file not found"))
 
@@ -290,32 +343,35 @@ def load_annotations(path: str | Path) -> AnnotationLoadResult:
     """
     errors: list[LoadError] = []
     by_key: dict[tuple[str, int], AnnotationRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            source = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(LoadError(source, f"bad JSON: {exc}"))
-                continue
-            try:
-                record = AnnotationRecord(
-                    case_id=str(obj["case_id"]),
-                    sentence_index=_json_int(obj, "sentence_index"),
-                    is_punishment=_json_bool(obj, "is_punishment"),
-                    months=_json_int(obj, "months") if "months" in obj else None,
-                )
-                record.validate()
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(LoadError(source, f"rejected: {exc}"))
-                continue
-            key = (record.case_id, record.sentence_index)
-            if key in by_key:
-                logger.warning("duplicate annotation for %s; keeping the later record", key)
-            by_key[key] = record
+    # universal newlines, as a text-mode file reads its lines
+    lines = io.StringIO(read_input(path, str), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        source = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # as in read_input
+            errors.append(LoadError(source, f"bad JSON: {exc}"))
+            continue
+        try:
+            if not isinstance(obj, dict):
+                raise InputError(f"annotation must be a JSON object, got {obj!r}")
+            record = AnnotationRecord(
+                case_id=field(obj, "case_id", "string", "annotation"),
+                sentence_index=field(obj, "sentence_index", "int", "annotation"),
+                is_punishment=field(obj, "is_punishment", "bool", "annotation"),
+                months=field(obj, "months", "int", "annotation") if "months" in obj else None,
+            )
+            record.validate()
+        except ValueError as exc:
+            errors.append(LoadError(source, f"rejected: {exc}"))
+            continue
+        key = (record.case_id, record.sentence_index)
+        if key in by_key:
+            logger.warning("duplicate annotation for %s; keeping the later record", key)
+        by_key[key] = record
     return AnnotationLoadResult(list(by_key.values()), errors)
 
 

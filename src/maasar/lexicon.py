@@ -9,11 +9,12 @@ the filter/marker lists, the time-unit surface forms, and a sibling
 ``numerals`` section. Every section is required. A default Hebrew lexicon
 ships with the package, is meant to be edited, and is the one place these
 values are set: every scoring value reaches the code through the
-``Lexicon``. ``load_lexicon`` checks the JSON type of every section it
-reads and raises a ``LexiconError`` naming the section, so a mistyped file
-is refused, not coerced; a weight name that ``tier_weights``,
-``structural`` or ``duration`` does not have is refused too, in the file or
-in a keyword override.
+``Lexicon``. ``load_lexicon`` checks every field it reads with
+``corpus.field`` (numbers must be finite) and raises a ``LexiconError``, an
+``InputError`` (exit 1 in the CLI), naming the field by its dotted path, so
+a mistyped file is refused, not coerced; a weight name that
+``tier_weights``, ``structural`` or ``duration`` does not have is refused
+too, in the file or in a keyword override.
 
 Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
 into one ``PhraseIndex`` keyed by a phrase's first word, over the four tiers
@@ -32,15 +33,15 @@ conjunction-prefixed number word to its parts (``NumeralLexicon.word_forms``).
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .corpus import InputError, field, read_input
 from .numbers import TimeUnit
 from .tokens import stripped_tokens
 
@@ -51,7 +52,7 @@ TIER_NAMES = ("strong_positive", "moderate_positive", "moderate_negative", "stro
 MARKER_LISTS = ("fine_markers", "probation_markers", "actual_markers")
 
 
-class LexiconError(ValueError):
+class LexiconError(InputError):
     """Raised when a lexicon file is missing sections or violates invariants."""
 
 
@@ -167,7 +168,9 @@ class NumeralLexicon:
     canonical_hundreds: Mapping[int, str]
     # (has conjunction, bare word) for every number word with or without a
     # conjunction prefix; derived from the fields above, per instance.
-    word_forms: Mapping[str, tuple[bool, str]] = field(init=False, repr=False, compare=False)
+    word_forms: Mapping[str, tuple[bool, str]] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         forms: dict[str, tuple[bool, str]] = {}
@@ -281,43 +284,8 @@ def default_lexicon_path() -> Path:
     return Path(str(resources.files("maasar").joinpath("data/default_lexicon.json")))
 
 
-def _require(doc: dict, key: str) -> object:
-    if key not in doc:
-        raise LexiconError(f"lexicon file is missing required section {key!r}")
-    return doc[key]
-
-
-def _shape_error(where: str, expected: str, value: object) -> LexiconError:
-    return LexiconError(f"lexicon section {where!r} must be {expected}, got {value!r}")
-
-
-def _object(value: object, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise _shape_error(where, "an object", value)
-    return value
-
-
-def _strings(value: object, where: str) -> list[str]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise _shape_error(where, "a list of strings", value)
-    return value
-
-
-def _variants(value: object, where: str) -> list[str]:
-    """A non-empty list of strings; the first is the canonical spelling."""
-    if not _strings(value, where):
-        raise _shape_error(where, "a non-empty list of strings", value)
-    return value
-
-
-def _number(value: object, where: str) -> int | float:
-    # bool is an int subclass, but true is not a weight; NaN never compares
-    # true, so a NaN threshold or weight would silently select nothing
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _shape_error(where, "a number", value)
-    if isinstance(value, float) and not math.isfinite(value):
-        raise _shape_error(where, "a finite number", value)
-    return value
+# Every lexicon field is checked through ``corpus.field``, as a LexiconError.
+_checked = partial(field, error=LexiconError)
 
 
 def _weights(
@@ -325,11 +293,11 @@ def _weights(
 ) -> dict[str, float]:
     """A required section of named weights, each name present, then the overrides."""
     weights: dict[str, float] = {}
-    for section in (_object(_require(doc, where), where), overrides or {}):
-        for name, value in section.items():
+    for section in (_checked(doc, where, "object", "lexicon"), overrides or {}):
+        for name in section:
             if name not in names:
                 raise LexiconError(f"lexicon section {where!r} has no weight named {name!r}")
-            weights[name] = _number(value, f"{where}.{name}")
+            weights[name] = _checked(section, name, "number", f"lexicon.{where}")
         for name in names:
             if name not in weights:
                 raise LexiconError(f"lexicon section {where!r} is missing {name!r}")
@@ -343,17 +311,14 @@ def _weight_record(doc: dict, where: str, cls: type, overrides: Mapping[str, flo
 
 
 def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
-    entries = _require(doc, name)
-    if not isinstance(entries, list):
-        raise LexiconError(f"lexicon tier {name!r} must be a list")
     tier: dict[str, float] = {}
-    for position, entry in enumerate(entries):
+    for position, entry in enumerate(_checked(doc, name, "list", "lexicon")):
         if isinstance(entry, str):
             surface, weight = entry, default_weight
         elif isinstance(entry, dict) and isinstance(entry.get("surface"), str):
-            surface = entry["surface"]
-            weight = entry.get("weight", default_weight)
-            weight = float(_number(weight, f"{name}[{position}].weight"))
+            surface, weight = entry["surface"], default_weight
+            if "weight" in entry:
+                weight = float(_checked(entry, "weight", "number", f"lexicon.{name}[{position}]"))
         else:
             raise LexiconError(
                 f"lexicon tier {name!r} entry {position} must be a string or an object "
@@ -363,15 +328,16 @@ def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
     return tier
 
 
-def _unit_map(section: object, where: str) -> dict[str, TimeUnit]:
+def _unit_map(doc: dict, key: str) -> dict[str, TimeUnit]:
     out: dict[str, TimeUnit] = {}
-    for unit_name, surfaces in _object(section, where).items():
+    section = _checked(doc, key, "object", "lexicon")
+    for unit_name in section:
         try:
             unit = TimeUnit(unit_name)
         except ValueError:
-            unknown = f"lexicon section {where!r} has unknown time unit {unit_name!r}"
+            unknown = f"lexicon section {key!r} has unknown time unit {unit_name!r}"
             raise LexiconError(unknown) from None
-        for surface in _strings(surfaces, f"{where}.{unit_name}"):
+        for surface in _checked(section, unit_name, "strings", f"lexicon.{key}"):
             out[surface] = unit
     return out
 
@@ -379,14 +345,15 @@ def _unit_map(section: object, where: str) -> dict[str, TimeUnit]:
 def _value_map(numerals: dict, key: str, lo: int, hi: int, step: int = 1) -> dict[str, int]:
     where = f"numerals.{key}"
     out: dict[str, int] = {}
-    for value_text, variants in _object(numerals[key], where).items():
+    section = _checked(numerals, key, "object", "lexicon.numerals")
+    for value_text in section:
         try:
             value = int(value_text)
         except ValueError:
             raise LexiconError(f"{where} key {value_text!r} is not an integer") from None
         if not (lo <= value <= hi and (value - lo) % step == 0):
             raise LexiconError(f"{where} value {value} outside its declared range")
-        for variant in _variants(variants, f"{where}.{value_text}"):
+        for variant in _checked(section, value_text, "nonempty_strings", f"lexicon.{where}"):
             out[variant] = value
     return out
 
@@ -396,28 +363,21 @@ def _canonical(section: Mapping[str, list[str]]) -> dict[int, str]:
 
 
 def load_numerals(
-    section: object,
+    section: dict,
     time_units: Mapping[str, TimeUnit],
     unit_only: Mapping[str, TimeUnit],
     duals: Mapping[str, TimeUnit],
 ) -> NumeralLexicon:
-    section = _object(section, "numerals")
-    required = (
-        "zero", "units_feminine", "units_masculine", "teens_feminine",
-        "teens_masculine", "tens", "hundreds", "conjunctions", "half",
-    )
-    for key in required:
-        if key not in section:
-            raise LexiconError(f"numerals section is missing {key!r}")
-    zero = {w: 0 for w in _variants(section["zero"], "numerals.zero")}
+    """The numeral lexicon of a lexicon file's ``numerals`` object."""
+    zero = {w: 0 for w in _checked(section, "zero", "nonempty_strings", "lexicon.numerals")}
     units_f = _value_map(section, "units_feminine", 1, 10)
     units_m = _value_map(section, "units_masculine", 1, 10)
     teens_f = _value_map(section, "teens_feminine", 11, 19)
     teens_m = _value_map(section, "teens_masculine", 11, 19)
     tens = _value_map(section, "tens", 20, 90, step=10)
     hundreds = _value_map(section, "hundreds", 100, 900, step=100)
-    conjunctions = tuple(_variants(section["conjunctions"], "numerals.conjunctions"))
-    half = frozenset(_strings(section["half"], "numerals.half"))
+    conjunctions = _checked(section, "conjunctions", "nonempty_strings", "lexicon.numerals")
+    half = frozenset(_checked(section, "half", "strings", "lexicon.numerals"))
 
     units = {**units_f, **units_m}
     teens = {**teens_f, **teens_m}
@@ -437,7 +397,7 @@ def load_numerals(
         hundreds_words=hundreds,
         hundreds_single=hundreds_single,
         hundred_plural_markers=plural_markers,
-        conjunction_forms=conjunctions,
+        conjunction_forms=tuple(conjunctions),
         unit_only_words=unit_only,
         dual_unit_words=duals,
         half_words=half,
@@ -473,7 +433,7 @@ def load_lexicon(
     weights the file has.
     """
     path = Path(path) if path is not None else default_lexicon_path()
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_input(path)
     if not isinstance(doc, dict):
         raise LexiconError(f"lexicon file must hold a JSON object, got {type(doc).__name__}")
 
@@ -501,21 +461,22 @@ def load_lexicon(
     if overlaps:
         raise LexiconError("tier lists must be disjoint; overlapping entries: " + "; ".join(overlaps))
 
-    time_units = _unit_map(_require(doc, "time_units"), "time_units")
     numerals = load_numerals(
-        _require(doc, "numerals"),
-        time_units,
-        _unit_map(_require(doc, "unit_only"), "unit_only"),
-        _unit_map(_require(doc, "dual_units"), "dual_units"),
+        _checked(doc, "numerals", "object", "lexicon"),
+        _unit_map(doc, "time_units"),
+        _unit_map(doc, "unit_only"),
+        _unit_map(doc, "dual_units"),
     )
     structural_weights = _weight_record(doc, "structural", StructuralWeights, structural)
     duration_weights = _weight_record(doc, "duration", DurationScoringConfig, duration)
-    file_threshold = _number(_require(doc, "threshold"), "threshold")
+    file_threshold = _checked(doc, "threshold", "number", "lexicon")
+    if threshold is not None:
+        _checked({"threshold": threshold}, "threshold", "number", "lexicon")
 
     def markers(name: str) -> frozenset[str]:
-        return frozenset(_strings(_require(doc, name), name))
+        return frozenset(_checked(doc, name, "strings", "lexicon"))
 
-    filter_keywords = _strings(_require(doc, "filter_keywords"), "filter_keywords")
+    filter_keywords = _checked(doc, "filter_keywords", "strings", "lexicon")
     for position, keyword in enumerate(filter_keywords):
         if not keyword.strip():
             # a blank keyword is found in (nearly) every sentence
@@ -530,7 +491,7 @@ def load_lexicon(
         fine_markers=markers("fine_markers"),
         probation_markers=markers("probation_markers"),
         actual_markers=markers("actual_markers"),
-        threshold=float(file_threshold if threshold is None else _number(threshold, "threshold")),
+        threshold=float(file_threshold if threshold is None else threshold),
         tier_weights=weights,
         structural=structural_weights,
         duration=duration_weights,

@@ -41,21 +41,26 @@ of one moved 294 margins by at most 8.9e-16 and changed no choice. The
 margin stays ``X @ w`` so that linear model files do not move.
 
 Model files are versioned JSON carrying the kind, feature schema version,
-seed and all fitted state. ``load_model`` refuses a file that scoring could
-not use: another feature schema version, a feature count other than the
-schema's, or a token-count scale below 1, which ``TrainedModel`` itself
-refuses however it is built.
+seed and all fitted state. ``load_model`` checks every field with
+``corpus.field``, so every number is finite, and refuses a file that scoring
+could not use: an unknown format version, kind or hyperparameter, another
+feature schema version, a feature count other than the schema's, or a
+token-count scale below 1 or past the float range, which ``TrainedModel``
+itself refuses however it is built. Each of these, and training data with no records or a single
+class, raises ``InputError`` (exit 1 in the CLI); anything else is a bug.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .base import ParamsMixin, check_binary_labels, check_feature_matrix
+from .corpus import InputError, field, read_input
 from .features import FEATURE_SCHEMA_VERSION, NUM_FEATURES
 
 MODEL_FORMAT_VERSION = 1
@@ -64,25 +69,6 @@ MODEL_KINDS = ("linear_margin", "tree_ensemble")
 
 # CLI-facing aliases for the two learners.
 KIND_ALIASES = {"svm": "linear_margin", "rf": "tree_ensemble"}
-
-
-# JSON types a model file field may hold, as (Python types, description).
-_OBJECT = (dict, "an object")
-_LIST = (list, "a list")
-_INT = (int, "an integer")
-_NUMBER = ((int, float), "a number")
-
-
-def _field(doc: dict, name: str, kind: tuple, where: str):
-    """``doc[name]``, refused with a ValueError naming it when absent or mistyped."""
-    if name not in doc:
-        raise ValueError(f"{where} is missing the {name!r} field")
-    value = doc[name]
-    expected, described = kind
-    # JSON true/false load as bool, which Python counts as an int
-    if isinstance(value, bool) or not isinstance(value, expected):
-        raise ValueError(f"{where} field {name!r} must be {described}, got {value!r}")
-    return value
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -172,16 +158,14 @@ class LinearMarginClassifier(ParamsMixin):
         }
 
     def load_state_dict(self, state: dict) -> "LinearMarginClassifier":
-        weights = _field(state, "weights", _LIST, "model state")
-        if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights):
-            raise ValueError(f"model state field 'weights' must hold numbers, got {weights!r}")
-        calibration = _field(state, "calibration", _OBJECT, "model state")
-        self.weights_ = np.asarray(weights, dtype=float)
-        self.bias_ = float(_field(state, "bias", _NUMBER, "model state"))
-        self.calibration_scale_ = float(_field(calibration, "scale", _NUMBER, "calibration"))
-        offset = _field(calibration, "offset", _NUMBER, "calibration")
+        self.weights_ = np.asarray(field(state, "weights", "numbers", "model state"), dtype=float)
+        self.bias_ = float(field(state, "bias", "number", "model state"))
+        calibration = field(state, "calibration", "object", "model state")
+        where = "model state.calibration"
+        self.calibration_scale_ = float(field(calibration, "scale", "number", where))
+        offset = field(calibration, "offset", "number", where)
         if offset != 0:
-            raise ValueError(
+            raise InputError(
                 f"model state field 'calibration.offset' must be 0 (the calibration "
                 f"sigmoid is symmetric), got {offset!r}"
             )
@@ -315,7 +299,7 @@ class _FlatTrees:
 
     @classmethod
     def from_trees(cls, trees: list, n_features: int) -> "_FlatTrees":
-        """Flatten nested-dict trees, refusing (ValueError) a node whose fields
+        """Flatten nested-dict trees, refusing (InputError) a node whose fields
         are missing or mistyped, a feature outside ``[0, n_features)`` or a
         vote other than 0 or 1."""
         feature: list[int] = []
@@ -325,24 +309,24 @@ class _FlatTrees:
 
         def ref(node: object) -> int:
             if not isinstance(node, dict):
-                raise ValueError(f"model tree node must be an object, got {node!r}")
+                raise InputError(f"model tree node must be an object, got {node!r}")
             if "vote" in node:
-                vote = _field(node, "vote", _INT, "model tree leaf")
+                vote = field(node, "vote", "int", "model tree leaf")
                 if vote not in (0, 1):
-                    raise ValueError(f"model tree leaf field 'vote' must be 0 or 1, got {vote}")
+                    raise InputError(f"model tree leaf field 'vote' must be 0 or 1, got {vote}")
                 return -1 - vote
-            f = _field(node, "feature", _INT, "model tree node")
+            f = field(node, "feature", "int", "model tree node")
             if not 0 <= f < n_features:
-                raise ValueError(
+                raise InputError(
                     f"model tree node field 'feature' must be in [0, {n_features}), got {f}"
                 )
             i = len(feature)
             feature.append(f)
-            threshold.append(_field(node, "threshold", _NUMBER, "model tree node"))
+            threshold.append(field(node, "threshold", "number", "model tree node"))
             left.append(0)
             right.append(0)
-            left[i] = ref(_field(node, "left", _OBJECT, "model tree node"))
-            right[i] = ref(_field(node, "right", _OBJECT, "model tree node"))
+            left[i] = ref(field(node, "left", "object", "model tree node"))
+            right[i] = ref(field(node, "right", "object", "model tree node"))
             return i
 
         roots = [ref(tree) for tree in trees]
@@ -444,10 +428,10 @@ class TreeEnsembleClassifier(ParamsMixin):
         return {"trees": self.trees_, "n_features_in": self.n_features_in_}
 
     def load_state_dict(self, state: dict) -> "TreeEnsembleClassifier":
-        trees = _field(state, "trees", _LIST, "model state")
+        trees = field(state, "trees", "list", "model state")
         if not trees:
-            raise ValueError("model state field 'trees' must not be empty")
-        n_features = _field(state, "n_features_in", _INT, "model state")
+            raise InputError("model state field 'trees' must not be empty")
+        n_features = field(state, "n_features_in", "int", "model state")
         self.flat_trees_ = _FlatTrees.from_trees(trees, n_features)
         self.n_features_in_ = n_features
         return self
@@ -464,10 +448,11 @@ class TrainedModel:
     token_count_scale: int = 1
 
     def __post_init__(self):
-        if self.token_count_scale < 1:
-            raise ValueError(
-                f"model field 'token_count_scale' must be at least 1, "
-                f"got {self.token_count_scale}"
+        # the scale divides a float column, so a float must hold it
+        if not 1 <= self.token_count_scale <= sys.float_info.max:
+            raise InputError(
+                f"model field 'token_count_scale' must be at least 1 and at most "
+                f"{sys.float_info.max:g}, got {self.token_count_scale}"
             )
 
     def predict_proba(self, features) -> np.ndarray:
@@ -487,7 +472,7 @@ class TrainedModel:
 def _normalize_kind(kind: str) -> str:
     kind = KIND_ALIASES.get(kind, kind)
     if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        raise InputError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     return kind
 
 
@@ -502,7 +487,7 @@ def train(records, kind: str, seed: int = 0) -> TrainedModel:
     """Fit a model on (feature_vector, label) records."""
     records = list(records)
     if not records:
-        raise ValueError("no training records")
+        raise InputError("no training records")
     X = np.vstack([np.asarray(fv, dtype=float) for fv, _ in records])
     y = np.array([1 if label else 0 for _, label in records], dtype=int)
     classifier = make_classifier(kind, seed).fit(X, y)
@@ -535,43 +520,33 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 # The model-state field that fixes each learner's feature count.
 _FEATURE_COUNT_FIELD = {"linear_margin": "weights", "tree_ensemble": "n_features_in"}
 
-# Required fields of a model file and the JSON type each must hold.
-_MODEL_FIELDS = {
-    "kind": (str, "a string"),
-    "feature_schema_version": _INT,
-    "rng_seed": _INT,
-    "token_count_scale": _INT,
-    "hyperparams": _OBJECT,
-    "state": _OBJECT,
-}
-
 
 def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_input(path)
     if not isinstance(doc, dict):
-        raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('format_version')}")
-    for name, kind in _MODEL_FIELDS.items():
-        _field(doc, name, kind, "model file")
-    if doc["feature_schema_version"] != FEATURE_SCHEMA_VERSION:
-        raise ValueError(
+        raise InputError(f"model file must hold a JSON object, got {type(doc).__name__}")
+    version = field(doc, "format_version", "int", "model file")
+    if version != MODEL_FORMAT_VERSION:
+        raise InputError(f"unsupported model format version {version}")
+    schema = field(doc, "feature_schema_version", "int", "model file")
+    if schema != FEATURE_SCHEMA_VERSION:
+        raise InputError(
             f"model file field 'feature_schema_version' must be {FEATURE_SCHEMA_VERSION} "
-            f"(the library's feature schema), got {doc['feature_schema_version']}"
+            f"(the library's feature schema), got {schema}"
         )
-    kind = _normalize_kind(doc["kind"])
-    classifier = make_classifier(kind, seed=doc["rng_seed"])
-    classifier.set_params(**doc["hyperparams"])
-    classifier.load_state_dict(doc["state"])
+    kind = _normalize_kind(field(doc, "kind", "string", "model file"))
+    classifier = make_classifier(kind, seed=field(doc, "rng_seed", "int", "model file"))
+    classifier.set_params(**field(doc, "hyperparams", "object", "model file"))
+    classifier.load_state_dict(field(doc, "state", "object", "model file"))
     if classifier.n_features_in_ != NUM_FEATURES:
-        raise ValueError(
+        raise InputError(
             f"model state field {_FEATURE_COUNT_FIELD[kind]!r} describes "
             f"{classifier.n_features_in_} features, the feature schema has {NUM_FEATURES}"
         )
     return TrainedModel(
         kind=kind,
         classifier=classifier,
-        feature_schema_version=doc["feature_schema_version"],
+        feature_schema_version=schema,
         rng_seed=doc["rng_seed"],
-        token_count_scale=doc["token_count_scale"],
+        token_count_scale=field(doc, "token_count_scale", "int", "model file"),
     )

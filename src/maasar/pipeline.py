@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import SentenceAnalysis, analyse
 from .base import ParamsMixin
-from .corpus import AnnotationRecord, Decision
+from .corpus import AnnotationRecord, Decision, InputError
 from .detect import ScoredSentence, at_or_above, best_scored, filter_candidates, rule_based_choices
 from .extraction import ExtractionResult, extract
 from .features import FEATURE_NAMES, NUM_FEATURES, featurize
@@ -52,9 +52,9 @@ class CrossValConfig:
 
     def __post_init__(self):
         if self.num_folds < 2:
-            raise ValueError("num_folds must be >= 2")
+            raise InputError("num_folds must be >= 2")
         if not 0.0 <= self.detection_threshold < 1.0:
-            raise ValueError("detection_threshold must be in [0, 1)")
+            raise InputError("detection_threshold must be in [0, 1)")
 
 
 _TOKEN_COUNT_COLUMN = FEATURE_NAMES.index("token_count_norm")
@@ -214,7 +214,7 @@ def cross_validate(
     threshold and the argmax, whose analysis the report extracts from.
     """
     if len(decisions) < config.num_folds:
-        raise ValueError(
+        raise InputError(
             f"fewer decisions than folds ({len(decisions)} < {config.num_folds})"
         )
     folds = make_folds([d.case_id for d in decisions], config.num_folds, config.seed)

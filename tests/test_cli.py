@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -45,6 +46,11 @@ def svm_weights(doc, count):
     return {**doc, "state": {**doc["state"], "weights": doc["state"]["weights"][:count]}}
 
 
+def svm_state(doc, **fields):
+    """A linear model file whose state has ``fields`` replaced."""
+    return {**doc, "state": {**doc["state"], **fields}}
+
+
 def svm_offset(doc, offset):
     """A linear model file whose calibration carries ``offset``."""
     calibration = {**doc["state"]["calibration"], "offset": offset}
@@ -57,6 +63,99 @@ def numerals_with(doc, **sections):
 
 def weights_with(doc, section, **weights):
     return {**doc, section: {**doc[section], **weights}}
+
+
+@pytest.fixture(scope="module")
+def svm_model_doc(workspace):
+    """The document of an svm model file trained on the workspace corpus."""
+    path = workspace["root"] / "svm-model.json"
+    annotations = ["--annotations", str(workspace["annotations"])]
+    argv = ["train", *corpus_args(workspace), *annotations, "--model", "svm"]
+    assert run([*argv, "--out", str(path)]) == 0
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def written(path, content):
+    """``path``, after writing ``content`` (bytes, or a document as JSON) to it."""
+    if not isinstance(content, bytes):
+        content = json.dumps(content, ensure_ascii=False).encode("utf-8")
+    path.write_bytes(content)
+    return str(path)
+
+
+def extract_with_lexicon(ws, tmp_path, content):
+    lexicon = written(tmp_path / "lexicon.json", content)
+    return ["extract", *corpus_args(ws), "--rule-based", "--lexicon", lexicon]
+
+
+def extract_with_model(ws, tmp_path, doc):
+    model = written(tmp_path / "model.json", doc)
+    return ["extract", *corpus_args(ws), "--model", model, "--out", str(tmp_path / "o")]
+
+
+def eval_rf(ws, tmp_path, *flags):
+    annotations = ["--annotations", str(ws["annotations"])]
+    return ["eval", *corpus_args(ws), *annotations, "--model-kind", "rf", *flags]
+
+
+def train_on(corpus_dir, annotations, tmp_path):
+    inputs = ["--corpus", str(corpus_dir), "--annotations", annotations]
+    return ["train", *inputs, "--model", "rf", "--out", str(tmp_path / "model.json")]
+
+
+def corpus_with_metadata(tmp_path, metadata):
+    """A one-decision corpus whose ``metadata.json`` holds the bytes ``metadata``."""
+    corpus_dir = tmp_path / "one"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.txt").write_text("נגזרו על הנאשם 8 חודשי מאסר בפועל.", encoding="utf-8")
+    written(corpus_dir / "metadata.json", metadata)
+    return ["--corpus", str(corpus_dir)]
+
+
+def corpus_without_candidates(tmp_path):
+    """A one-decision corpus in which no sentence has a filter keyword."""
+    corpus_dir = tmp_path / "plain"
+    corpus_dir.mkdir()
+    (corpus_dir / "p1.txt").write_text("הדיון נדחה. הצדדים טענו.", encoding="utf-8")
+    written(corpus_dir / "metadata.json", [{"filename": "p1.txt", "case_id": "p1"}])
+    return corpus_dir
+
+
+# Input that the CLI must refuse with exit 1: each builds its argv from the
+# workspace, the document of an svm model file and a scratch directory.
+BAD_INPUTS = {
+    "lexicon-invalid-json": lambda ws, doc, tmp: extract_with_lexicon(ws, tmp, b'{"a": '),
+    "lexicon-not-utf8": lambda ws, doc, tmp: extract_with_lexicon(ws, tmp, b"\xff\xfe{}"),
+    "annotations-not-utf8": lambda ws, doc, tmp: [
+        "eval", *corpus_args(ws), "--rule-based",
+        "--annotations", written(tmp / "ann.jsonl", b'{"case_id": "\xff"}\n'),
+    ],
+    "model-kind-knn": lambda ws, doc, tmp: extract_with_model(ws, tmp, {**doc, "kind": "knn"}),
+    "model-unknown-hyperparameter": lambda ws, doc, tmp: extract_with_model(
+        ws, tmp, {**doc, "hyperparams": {**doc["hyperparams"], "bogus": 1}}
+    ),
+    "model-format-version-9": lambda ws, doc, tmp: extract_with_model(
+        ws, tmp, {**doc, "format_version": 9}
+    ),
+    "eval-one-fold": lambda ws, doc, tmp: eval_rf(ws, tmp, "--folds", "1"),
+    "eval-detection-threshold": lambda ws, doc, tmp: eval_rf(
+        ws, tmp, "--detection-threshold", "1.5"
+    ),
+    "train-single-class": lambda ws, doc, tmp: train_on(
+        ws["corpus_dir"], written(tmp / "ann.jsonl", b""), tmp
+    ),
+    "train-no-training-records": lambda ws, doc, tmp: train_on(
+        corpus_without_candidates(tmp), written(tmp / "ann.jsonl", b""), tmp
+    ),
+    "train-negative-seed": lambda ws, doc, tmp: [
+        *train_on(ws["corpus_dir"], str(ws["annotations"]), tmp), "--seed", "-1"
+    ],
+    "eval-negative-seed": lambda ws, doc, tmp: eval_rf(ws, tmp, "--seed", "-1"),
+    "metadata-case-id-lone-surrogate": lambda ws, doc, tmp: [
+        "extract", "--rule-based", "--out", str(tmp / "o"),
+        *corpus_with_metadata(tmp, b'[{"filename": "a.txt", "case_id": "a\\ud800"}]'),
+    ],
+}
 
 
 class TestSubcommands:
@@ -328,12 +427,29 @@ class TestErrorHandling:
             ("model", lambda doc: svm_offset(doc, 40), "'calibration.offset' must be 0"),
             ("model", lambda doc: {**doc, "token_count_scale": 0}, "'token_count_scale'"),
             ("model", lambda doc: {**doc, "token_count_scale": -3}, "'token_count_scale'"),
+            ("model", lambda doc: {**doc, "token_count_scale": 10**400}, "'token_count_scale'"),
             ("model", lambda doc: {**doc, "feature_schema_version": 2}, "'feature_schema_version'"),
             ("model", lambda doc: svm_weights(doc, 12), "'weights' describes 12 features"),
             (
                 "model",
                 lambda doc: rf_state(doc, {"trees": [{"vote": 1}], "n_features_in": 12}),
                 "'n_features_in' describes 12 features",
+            ),
+            (
+                "model",
+                lambda doc: svm_state(doc, weights=[math.nan, *doc["state"]["weights"][1:]]),
+                "'weights' must be a list of finite numbers",
+            ),
+            ("model", lambda doc: svm_state(doc, bias=math.inf), "'bias' must be a finite number"),
+            (
+                "model",
+                lambda doc: svm_state(doc, calibration={"scale": math.nan, "offset": 0.0}),
+                "'calibration.scale' must be a finite number",
+            ),
+            (
+                "model",
+                lambda doc: rf_trees(doc, {"feature": 0, **LEAVES, "threshold": math.nan}),
+                "'threshold' must be a finite number",
             ),
         ],
         ids=[
@@ -350,9 +466,14 @@ class TestErrorHandling:
             "svm-calibration-offset",
             "token-count-scale-zero",
             "token-count-scale-negative",
+            "token-count-scale-huge",
             "feature-schema-two",
             "svm-twelve-weights",
             "rf-twelve-features",
+            "svm-weight-nan",
+            "svm-bias-infinity",
+            "svm-calibration-scale-nan",
+            "rf-threshold-nan",
         ],
     )
     def test_malformed_model_or_lexicon_exits_one(
@@ -482,6 +603,60 @@ class TestErrorHandling:
         monkeypatch.setattr(cli, "_cmd_stats", broken)
         assert run(["stats", *corpus_args(workspace)]) == 2
         assert capsys.readouterr().err.startswith("internal error: ")
+
+    def test_value_error_is_an_internal_error(self, workspace, capsys, monkeypatch):
+        # a ValueError from our own code is a bug, not bad input
+        def broken(args):
+            raise ValueError("oops")
+
+        monkeypatch.setattr(cli, "_cmd_stats", broken)
+        assert run(["stats", *corpus_args(workspace)]) == 2
+        assert capsys.readouterr().err.startswith("internal error: ")
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS), ids=list(BAD_INPUTS))
+    def test_bad_input_exits_one(self, workspace, svm_model_doc, capsys, tmp_path, case):
+        argv = BAD_INPUTS[case](workspace, svm_model_doc, tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err  # a usage error prints the usage first
+        assert "error: " in err and "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "what, content",
+        [
+            ("lexicon", b'{"threshold": '),
+            ("lexicon", b"\xff{}"),
+            ("model", b'{"kind": '),
+            ("model", b"\xff{}"),
+            ("metadata", b"[{"),
+            ("metadata", b"\xff[]"),
+            ("annotations", b"\xff\n"),
+            ("model", b"[" * 100_000),
+            ("model", b"[" + b"1" * 5000 + b"]"),
+        ],
+        ids=[
+            "lexicon-not-json",
+            "lexicon-not-utf8",
+            "model-not-json",
+            "model-not-utf8",
+            "metadata-not-json",
+            "metadata-not-utf8",
+            "annotations-not-utf8",
+            "model-nested-too-deeply",
+            "model-integer-too-long",
+        ],
+    )
+    def test_undecodable_file_is_named(self, workspace, capsys, tmp_path, what, content):
+        path = written(tmp_path / f"{what}.json", content)
+        argv = {
+            "lexicon": ["extract", "--rule-based", "--lexicon", path],
+            "model": ["extract", "--model", path],
+            "metadata": ["stats", "--metadata", path],
+            "annotations": ["eval", "--rule-based", "--annotations", path],
+        }[what]
+        assert run([*argv, *corpus_args(workspace), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not valid" in err and "error: " in err
 
     def test_lexicon_env_var(self, workspace, monkeypatch, tmp_path):
         monkeypatch.setenv("MAASAR_LEXICON", str(tmp_path / "missing.json"))

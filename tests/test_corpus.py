@@ -246,7 +246,37 @@ class TestLoadCorpus:
         decisions, errors = load_corpus(tmp_path)
         assert [(d.case_id, d.year) for d in decisions] == [("d", 2003)]
         assert [e.source for e in errors] == ["a.txt", "b.txt", "c.txt"]
-        assert all("year must be a JSON integer" in e.message for e in errors)
+        assert all("field 'year' must be an integer" in e.message for e in errors)
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"case_id": None}, "field 'case_id' must be a Unicode string, got None"),
+            ({"case_id": 12}, "field 'case_id' must be a Unicode string, got 12"),
+            ({"case_id": "a\ud800"}, "field 'case_id' must be a Unicode string"),
+            ({"case_id": "a", "court": ["x"]}, "field 'court' must be a Unicode string"),
+            ({"case_id": "a", "court": None}, "field 'court' must be a Unicode string, got None"),
+            ({}, "is missing the 'case_id' field"),
+        ],
+        ids=[
+            "case-id-null",
+            "case-id-int",
+            "case-id-lone-surrogate",
+            "court-list",
+            "court-null",
+            "case-id-missing",
+        ],
+    )
+    def test_case_id_and_court_must_be_strings(self, tmp_path, entry, named):
+        self._write(tmp_path, "a.txt", "א.")
+        self._write(tmp_path, "b.txt", "ב.")
+        meta = [{"filename": "a.txt", **entry}, {"filename": "b.txt", "case_id": "b"}]
+        # ASCII JSON, so that a lone surrogate is written as its escape
+        (tmp_path / "metadata.json").write_text(json.dumps(meta), encoding="utf-8")
+        decisions, errors = load_corpus(tmp_path)
+        assert [d.case_id for d in decisions] == ["b"]
+        assert [e.source for e in errors] == ["a.txt"]
+        assert named in errors[0].message
 
     def test_cli_reports_malformed_metadata_as_input_error(self, tmp_path, capsys):
         from maasar.cli import run
@@ -299,21 +329,53 @@ class TestLoadAnnotations:
             tmp_path, ['{"case_id":"c1","sentence_index":2,"is_punishment":"false"}']
         )
         assert records == []
-        assert "is_punishment must be a JSON boolean" in errors[0].message
+        assert "field 'is_punishment' must be a boolean" in errors[0].message
 
     @pytest.mark.parametrize("months", ["1.9", '"12"', "true", "null"])
     def test_non_integer_months_rejected(self, tmp_path, months):
         line = '{"case_id":"c1","sentence_index":2,"is_punishment":true,"months":%s}' % months
         records, errors = self._load(tmp_path, [line])
         assert records == []
-        assert "months must be a JSON integer" in errors[0].message
+        assert "field 'months' must be an integer" in errors[0].message
 
     def test_non_integer_sentence_index_rejected(self, tmp_path):
         records, errors = self._load(
             tmp_path, ['{"case_id":"c1","sentence_index":"2","is_punishment":false}']
         )
         assert records == []
-        assert "sentence_index must be a JSON integer" in errors[0].message
+        assert "field 'sentence_index' must be an integer" in errors[0].message
+
+    @pytest.mark.parametrize("case_id", ["null", "12", '["c1"]'])
+    def test_non_string_case_id_rejected(self, tmp_path, case_id):
+        line = '{"case_id":%s,"sentence_index":2,"is_punishment":false}' % case_id
+        records, errors = self._load(tmp_path, [line])
+        assert records == []
+        assert "field 'case_id' must be a Unicode string" in errors[0].message
+
+    def test_null_case_ids_label_nothing(self, tmp_path):
+        # a null case id named neither a decision nor the annotation of one
+        (tmp_path / "a.txt").write_text("א.", encoding="utf-8")
+        meta = [{"filename": "a.txt", "case_id": None}]
+        (tmp_path / "metadata.json").write_text(json.dumps(meta), encoding="utf-8")
+        records, _ = self._load(
+            tmp_path, ['{"case_id":null,"sentence_index":0,"is_punishment":true,"months":3}']
+        )
+        assert load_corpus(tmp_path).decisions == [] and records == []
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ('{"sentence_index":2,"is_punishment":false}', "is missing the 'case_id' field"),
+            ('["c1", 2, false]', "must be a JSON object"),
+            ("[" * 100_000, "bad JSON"),
+            ('{"sentence_index": %s}' % ("1" * 5000), "bad JSON"),
+        ],
+        ids=["case-id-missing", "not-an-object", "nested-too-deeply", "integer-too-long"],
+    )
+    def test_malformed_record_named(self, tmp_path, line, named):
+        records, errors = self._load(tmp_path, [line])
+        assert records == []
+        assert named in errors[0].message
 
     def test_duplicate_last_wins_with_warning(self, tmp_path, caplog):
         import logging

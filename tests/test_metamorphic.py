@@ -2,17 +2,19 @@
 Ribeiro et al., ACL 2020): rewrites of a seeded synthetic decision that must
 leave its extracted months unchanged."""
 
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maasar.analysis import DOCKET_RE
 from maasar.corpus import Decision
 from maasar.extraction import extract
 from maasar.numbers import render_number
 from maasar.pipeline import choose_sentence
-from maasar.synthetic import FILLERS, generate_corpus
+from maasar.synthetic import FILLERS, _distractors, generate_corpus
 
 NUM_DECISIONS = 60
 
@@ -64,5 +66,44 @@ def test_rendering_gold_numbers_as_words(lexicon, corpus, gender, index):
     texts[gold] = SHORT_NUMBER_RE.sub(
         lambda m: render_number(int(m.group()), lexicon.numerals, gender), texts[gold]
     )
+    expected = rule_based_months(decision, lexicon)
+    assert rule_based_months(rebuilt(decision, texts), lexicon) == expected
+
+
+def prior_case_confusers(seed):
+    """The generator's confusers that cite a prior case by its docket number."""
+    return [text for text in _distractors(random.Random(seed)) if DOCKET_RE.search(text)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=decision_indices,
+    insertions=st.lists(
+        st.tuples(st.floats(0, 1), st.integers(0, 2**32 - 1), st.integers(0, 1)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_inserting_prior_case_confusers_before_the_verdict(lexicon, corpus, index, insertions):
+    decision = corpus.decisions[index]
+    gold = corpus.gold[decision.case_id].sentence_index
+    texts = [s.text for s in decision.sentences]
+    for where, seed, pick in insertions:
+        confusers = prior_case_confusers(seed)
+        texts.insert(round(where * gold), confusers[pick % len(confusers)])
+        gold += 1
+    expected = rule_based_months(decision, lexicon)
+    assert rule_based_months(rebuilt(decision, texts), lexicon) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=decision_indices, where=st.floats(0, 1))
+def test_moving_the_verdict_within_the_last_30_percent(lexicon, corpus, index, where):
+    decision = corpus.decisions[index]
+    texts = [s.text for s in decision.sentences]
+    verdict = texts.pop(corpus.gold[decision.case_id].sentence_index)
+    # where the generator places a verdict: after 70% of the other sentences
+    start = int(len(texts) * 0.7)
+    texts.insert(start + round(where * (len(texts) - start)), verdict)
     expected = rule_based_months(decision, lexicon)
     assert rule_based_months(rebuilt(decision, texts), lexicon) == expected
