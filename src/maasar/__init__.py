@@ -29,7 +29,6 @@ from .detect import (
     choose_rule_based,
     filter_candidates,
     rule_score,
-    select_sentence_rule_based,
 )
 from .extraction import (
     ExtractionResult,
@@ -43,14 +42,12 @@ from .lexicon import (
     NumeralLexicon,
     TierHits,
     load_lexicon,
-    match_tiers,
 )
 from .metrics import (
     ErrorCategory,
     EvaluationReport,
     Histogram,
     PRF,
-    categorize_error,
     cohen_kappa,
     detection_prf,
     error_category,
@@ -81,7 +78,6 @@ _LAZY_MODULES = {
         "TrainedModel",
         "TreeEnsembleClassifier",
         "load_model",
-        "predict_proba",
         "save_model",
         "train",
     ),
@@ -89,8 +85,6 @@ _LAZY_MODULES = {
         "CrossValConfig",
         "PunishmentExtractor",
         "cross_validate",
-        "select_sentence_supervised",
-        "sentences_above_threshold",
         "train_on_decisions",
     ),
 }

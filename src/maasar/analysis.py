@@ -3,13 +3,15 @@
 Rule scoring, featurization, duration extraction and error categorization
 read the same facts about a sentence: its tier hits, its number spans, and
 where the fine, probation and actual-imprisonment markers are. ``analyse``
-strips the tokens once, finds the tier hits and all three marker lists in one
-pass over the lexicon's one index (``Lexicon.scan``), and the number spans
-with ``detect_spans``. Both selectors hand back the chosen sentence's
-analysis: the rule scorer keeps it in its ``ScoredSentence`` and the
-supervised path keeps each candidate's analysis beside its feature row.
-Duration extraction and the error report read that analysis, so the chosen
-sentence is not analysed again.
+is the one place that tokenizes and analyses a sentence: it strips the
+tokens once, finds the tier hits and all three marker lists in one pass over
+the lexicon's one index (``Lexicon.scan``), and the number spans with
+``detect_spans``, both of which take those stripped tokens. Both selectors
+hand back the chosen sentence's analysis: the rule scorer keeps it in its
+``ScoredSentence`` and the supervised path keeps each candidate's analysis
+beside its feature row. Duration extraction and the error report take that
+analysis, never a sentence or an index, so the chosen sentence is not
+analysed again.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def analyse(sentence: Sentence, lexicon: Lexicon) -> SentenceAnalysis:
     return SentenceAnalysis(
         sentence=sentence,
         tier_hits=tier_hits,
-        spans=tuple(detect_spans(sentence, lexicon.numerals, stripped=stripped)),
+        spans=tuple(detect_spans(stripped, lexicon.numerals)),
         fine_positions=fine,
         probation_positions=probation,
         actual_positions=actual,

@@ -42,11 +42,8 @@ _DURATION_KNOBS = ("duration_", DURATION_NAMES)
 
 
 def _histogram_csv(months: list, path: str, bucket_months: int) -> None:
-    histogram = punishment_histogram(months, bucket_months)
-    _write_atomic(
-        path,
-        "bucket_start,bucket_end,count\n" + "\n".join(histogram.to_csv_rows()) + "\n",
-    )
+    rows = punishment_histogram(months, bucket_months).to_csv_rows()
+    _write_atomic(path, "".join(f"{row}\n" for row in ["bucket_start,bucket_end,count", *rows]))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -88,8 +88,3 @@ def rule_based_choices(
     for decision in decisions:
         best = choose_rule_based(decision, lexicon)
         yield best and best.analysis
-
-
-def select_sentence_rule_based(decision: Decision, lexicon: Lexicon) -> int | None:
-    best = choose_rule_based(decision, lexicon)
-    return best.sentence_index if best else None

@@ -6,9 +6,10 @@ part (exactly three duration numbers with first = second + third, the second
 being the served term); otherwise per-span scoring by unit proximity, nearby
 actual-imprisonment markers, probation/fine adjacency penalties, and a mild
 late-position bonus, taking the best span within the sentence. Both routes
-read the chosen sentence's ``SentenceAnalysis``: its spans (with "and a
-half" always part of the numeral grammar) and its marker positions. The
-per-span weights are ``Lexicon.duration``, the lexicon file's ``duration``.
+read the chosen sentence's ``SentenceAnalysis``, as the selectors hand it
+back: its spans (with "and a half" always part of the numeral grammar) and
+its marker positions. The per-span weights are ``Lexicon.duration``, the
+lexicon file's ``duration``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .analysis import SentenceAnalysis, analyse
+from .analysis import SentenceAnalysis
 from .corpus import Decision
 from .lexicon import DurationScoringConfig, Lexicon
 from .numbers import NumberSpan, span_months
@@ -97,26 +98,21 @@ def score_duration_candidates(
 
 
 def extract(
-    decision: Decision, chosen: int | SentenceAnalysis | None, lexicon: Lexicon
+    decision: Decision, chosen: SentenceAnalysis | None, lexicon: Lexicon
 ) -> ExtractionResult:
     """Full duration extraction for one decision, given the chosen sentence.
 
     ``chosen`` is the chosen sentence's analysis, as both selectors hand it
-    back (``pipeline.choose_sentence``), or None. The index form is the
-    public entry point for callers that hold only an index: the sentence is
-    analysed here. The span scorer reads ``lexicon.duration``.
+    back (``detect.choose_rule_based``, ``pipeline.choose_sentences``), or
+    None. The span scorer reads ``lexicon.duration``.
     """
     if chosen is None:
         return ExtractionResult(decision.case_id, None, None, "none")
-    if isinstance(chosen, int):
-        sentence_index, analysis = chosen, analyse(decision.sentences[chosen], lexicon)
-    else:
-        sentence_index, analysis = chosen.sentence.index, chosen
-    spans = analysis.spans
+    sentence_index, spans = chosen.sentence.index, chosen.spans
     months = try_decomposition(spans)
     if months is not None:
         return ExtractionResult(decision.case_id, sentence_index, months, "decomposition", spans)
-    months = score_duration_candidates(analysis, lexicon.duration)
+    months = score_duration_candidates(chosen, lexicon.duration)
     if months is not None:
         return ExtractionResult(decision.case_id, sentence_index, months, "scored", spans)
     return ExtractionResult(decision.case_id, sentence_index, None, "none", spans)

@@ -5,8 +5,8 @@ number/unit structure, marker counts) plus document-position features. Its
 order is versioned; models refuse vectors from a different schema version.
 ``featurize`` reads a candidate's ``SentenceAnalysis``, which the pipeline
 keeps for extraction and the error report, so featurizing analyses nothing.
-Sentence length is normalized by a caller-given token-count scale: the
-pipeline featurizes at scale 1 (the raw count) and rescales per model.
+The ``token_count_norm`` column holds the raw token count; the pipeline
+divides it by each model's token-count scale (``pipeline._rescale``).
 """
 
 from __future__ import annotations
@@ -36,14 +36,8 @@ FEATURE_NAMES = (
 NUM_FEATURES = len(FEATURE_NAMES)
 
 
-def featurize(analysis: SentenceAnalysis, max_token_count: int) -> np.ndarray:
-    """Feature vector for one analysed sentence.
-
-    ``max_token_count`` is the normalization constant for sentence length;
-    below 1 it is refused, as ``TrainedModel`` refuses such a scale.
-    """
-    if max_token_count < 1:
-        raise ValueError(f"'max_token_count' must be at least 1, got {max_token_count}")
+def featurize(analysis: SentenceAnalysis) -> np.ndarray:
+    """Feature vector for one analysed sentence, with its raw token count."""
     sentence = analysis.sentence
     hits = analysis.tier_hits
 
@@ -59,7 +53,7 @@ def featurize(analysis: SentenceAnalysis, max_token_count: int) -> np.ndarray:
         float(len(analysis.probation_positions)),
         float(len(DOCKET_RE.findall(sentence.text))),
         sentence.relative_position,
-        sentence.token_count / max_token_count,
+        float(sentence.token_count),
         1.0 - sentence.relative_position,
     )
     return np.array(values, dtype=float)

@@ -14,13 +14,15 @@ values are set: every scoring value reaches the code through the
 ``InputError`` (exit 1 in the CLI), naming the field by its dotted path, so
 a mistyped file is refused, not coerced; a weight name that
 ``tier_weights``, ``structural`` or ``duration`` does not have is refused
-too, in the file or in a keyword override.
+too, in the file or in a keyword override, and so are a blank entry in any
+word list and a ``numerals`` key that is not a plain ASCII decimal.
 
 Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
 into one ``PhraseIndex`` keyed by a phrase's first word, over the four tiers
 and the fine, probation and actual marker lists, each entry tagged with its
-list. ``Lexicon.scan`` looks each stripped token up once and splits the hits
-by tag into the tier hits and the three marker lists' positions, so a
+list. ``Lexicon.scan`` takes a sentence's stripped tokens, which
+``analysis.analyse`` computes once, looks each one up once and splits the
+hits by tag into the tier hits and the three marker lists' positions, so a
 sentence costs one pass of O(tokens) however long the lists are; this is
 the token-level case of Aho-Corasick multi-pattern matching.
 Single-character marker entries of the tiers (docket slash, brackets) are
@@ -43,7 +45,6 @@ from typing import Iterable, Mapping
 
 from .corpus import InputError, field, read_input
 from .numbers import TimeUnit
-from .tokens import stripped_tokens
 
 LEXICON_ENV_VAR = "MAASAR_LEXICON"
 
@@ -235,7 +236,7 @@ class Lexicon:
         return self._filter_search(text) is not None
 
     def scan(
-        self, text: str, stripped: tuple[str, ...] | None = None
+        self, text: str, stripped: tuple[str, ...]
     ) -> tuple[TierHits, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Tier hits and the start token of every fine, probation and actual
         marker occurrence, from one pass over the tokens.
@@ -244,10 +245,8 @@ class Lexicon:
         whole (punctuation-stripped) tokens, phrases match consecutive tokens,
         and single-character tier entries (docket slash, brackets) match
         anywhere in the raw text. Marker positions are in token order.
-        ``stripped`` is ``stripped_tokens(text)``, for callers that have it.
+        ``stripped`` is ``tokens.stripped_tokens(text)``.
         """
-        if stripped is None:
-            stripped = stripped_tokens(text)
         hits = []
         positions: dict[str, list[int]] = {name: [] for name in MARKER_LISTS}
         for i, (tag, surface, weight) in self._index.find(stripped):
@@ -263,18 +262,6 @@ class Lexicon:
         hits.sort(key=lambda h: (h.tier, h.position, h.surface))
         fine, probation, actual = (tuple(positions[name]) for name in MARKER_LISTS)
         return TierHits(tuple(hits)), fine, probation, actual
-
-    def marker_positions(
-        self, text: str, markers: Iterable[str], stripped: tuple[str, ...] | None = None
-    ) -> list[int]:
-        """Start token index of every occurrence of ``markers`` (phrases
-        supported), for any list; ``scan`` finds the lexicon's own lists.
-
-        ``stripped`` is ``stripped_tokens(text)``, for callers that have it.
-        """
-        if stripped is None:
-            stripped = stripped_tokens(text)
-        return [i for i, _ in PhraseIndex((marker, None) for marker in markers).find(stripped)]
 
 
 def default_lexicon_path() -> Path:
@@ -328,6 +315,19 @@ def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
     return tier
 
 
+def _words(doc: dict, name: str, where: str, kind: str = "strings") -> list[str]:
+    """``_checked(doc, name, kind, where)``, a list of strings, none of them
+    blank: a blank filter keyword is found in (nearly) every sentence, and a
+    blank word matches a token that is all punctuation."""
+    words = _checked(doc, name, kind, where)
+    parent = where.partition(".")[2]
+    for position, word in enumerate(words):
+        if not word.strip():
+            section = f"{parent}.{name}" if parent else name
+            raise LexiconError(f"lexicon section {section!r} entry {position} is empty")
+    return words
+
+
 def _unit_map(doc: dict, key: str) -> dict[str, TimeUnit]:
     out: dict[str, TimeUnit] = {}
     section = _checked(doc, key, "object", "lexicon")
@@ -337,29 +337,32 @@ def _unit_map(doc: dict, key: str) -> dict[str, TimeUnit]:
         except ValueError:
             unknown = f"lexicon section {key!r} has unknown time unit {unit_name!r}"
             raise LexiconError(unknown) from None
-        for surface in _checked(section, unit_name, "strings", f"lexicon.{key}"):
+        for surface in _words(section, unit_name, f"lexicon.{key}"):
             out[surface] = unit
     return out
 
 
-def _value_map(numerals: dict, key: str, lo: int, hi: int, step: int = 1) -> dict[str, int]:
+def _value_map(
+    numerals: dict, key: str, lo: int, hi: int, step: int = 1
+) -> tuple[dict[str, int], dict[int, str]]:
+    """The variant -> value map of a section keyed by plain decimal values,
+    and each value's canonical (first) variant."""
     where = f"numerals.{key}"
     out: dict[str, int] = {}
+    canonical: dict[int, str] = {}
     section = _checked(numerals, key, "object", "lexicon.numerals")
     for value_text in section:
-        try:
-            value = int(value_text)
-        except ValueError:
-            raise LexiconError(f"{where} key {value_text!r} is not an integer") from None
+        # int() alone also reads "2_0", " 20", "+20", "020" and non-ASCII digits
+        value = int(value_text) if value_text.isascii() and value_text.isdigit() else None
+        if value is None or str(value) != value_text:
+            raise LexiconError(f"{where} key {value_text!r} is not a plain decimal integer")
         if not (lo <= value <= hi and (value - lo) % step == 0):
             raise LexiconError(f"{where} value {value} outside its declared range")
-        for variant in _checked(section, value_text, "nonempty_strings", f"lexicon.{where}"):
+        variants = _words(section, value_text, f"lexicon.{where}", "nonempty_strings")
+        canonical[value] = variants[0]
+        for variant in variants:
             out[variant] = value
-    return out
-
-
-def _canonical(section: Mapping[str, list[str]]) -> dict[int, str]:
-    return {int(k): v[0] for k, v in section.items()}
+    return out, canonical
 
 
 def load_numerals(
@@ -369,15 +372,15 @@ def load_numerals(
     duals: Mapping[str, TimeUnit],
 ) -> NumeralLexicon:
     """The numeral lexicon of a lexicon file's ``numerals`` object."""
-    zero = {w: 0 for w in _checked(section, "zero", "nonempty_strings", "lexicon.numerals")}
-    units_f = _value_map(section, "units_feminine", 1, 10)
-    units_m = _value_map(section, "units_masculine", 1, 10)
-    teens_f = _value_map(section, "teens_feminine", 11, 19)
-    teens_m = _value_map(section, "teens_masculine", 11, 19)
-    tens = _value_map(section, "tens", 20, 90, step=10)
-    hundreds = _value_map(section, "hundreds", 100, 900, step=100)
-    conjunctions = _checked(section, "conjunctions", "nonempty_strings", "lexicon.numerals")
-    half = frozenset(_checked(section, "half", "strings", "lexicon.numerals"))
+    zero = _words(section, "zero", "lexicon.numerals", "nonempty_strings")
+    units_f, canonical_units_f = _value_map(section, "units_feminine", 1, 10)
+    units_m, canonical_units_m = _value_map(section, "units_masculine", 1, 10)
+    teens_f, canonical_teens_f = _value_map(section, "teens_feminine", 11, 19)
+    teens_m, canonical_teens_m = _value_map(section, "teens_masculine", 11, 19)
+    tens, canonical_tens = _value_map(section, "tens", 20, 90, step=10)
+    hundreds, canonical_hundreds = _value_map(section, "hundreds", 100, 900, step=100)
+    conjunctions = _words(section, "conjunctions", "lexicon.numerals", "nonempty_strings")
+    half = frozenset(_words(section, "half", "lexicon.numerals"))
 
     units = {**units_f, **units_m}
     teens = {**teens_f, **teens_m}
@@ -390,7 +393,7 @@ def load_numerals(
     for phrase in teens:
         vocab.update(phrase.split())
     return NumeralLexicon(
-        zero_words=zero,
+        zero_words=dict.fromkeys(zero, 0),
         units_words=units,
         teens_words=teens,
         tens_words=tens,
@@ -403,17 +406,11 @@ def load_numerals(
         half_words=half,
         time_unit_words=time_units,
         vocabulary=frozenset(vocab),
-        canonical_zero=section["zero"][0],
-        canonical_units={
-            "feminine": _canonical(section["units_feminine"]),
-            "masculine": _canonical(section["units_masculine"]),
-        },
-        canonical_teens={
-            "feminine": _canonical(section["teens_feminine"]),
-            "masculine": _canonical(section["teens_masculine"]),
-        },
-        canonical_tens=_canonical(section["tens"]),
-        canonical_hundreds=_canonical(section["hundreds"]),
+        canonical_zero=zero[0],
+        canonical_units={"feminine": canonical_units_f, "masculine": canonical_units_m},
+        canonical_teens={"feminine": canonical_teens_f, "masculine": canonical_teens_m},
+        canonical_tens=canonical_tens,
+        canonical_hundreds=canonical_hundreds,
     )
 
 
@@ -476,14 +473,8 @@ def load_lexicon(
     def markers(name: str) -> frozenset[str]:
         return frozenset(_checked(doc, name, "strings", "lexicon"))
 
-    filter_keywords = _checked(doc, "filter_keywords", "strings", "lexicon")
-    for position, keyword in enumerate(filter_keywords):
-        if not keyword.strip():
-            # a blank keyword is found in (nearly) every sentence
-            raise LexiconError(f"lexicon section 'filter_keywords' entry {position} is empty")
-
     return Lexicon(
-        filter_keywords=frozenset(filter_keywords),
+        filter_keywords=frozenset(_words(doc, "filter_keywords", "lexicon")),
         strong_positive=tiers["strong_positive"],
         moderate_positive=tiers["moderate_positive"],
         moderate_negative=tiers["moderate_negative"],
@@ -497,11 +488,3 @@ def load_lexicon(
         duration=duration_weights,
         numerals=numerals,
     )
-
-
-def match_tiers(sentence, lexicon: Lexicon, stripped: tuple[str, ...] | None = None) -> TierHits:
-    """Tier hits in a sentence (see ``Lexicon.scan``), sorted by (tier,
-    position, surface). ``stripped`` is ``stripped_tokens`` of the text, for
-    callers that have it."""
-    text = sentence.text if hasattr(sentence, "text") else str(sentence)
-    return lexicon.scan(text, stripped)[0]

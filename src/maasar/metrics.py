@@ -10,14 +10,13 @@ precision = recall and are reported as a single F1 number.
 
 from __future__ import annotations
 
-import statistics
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .analysis import DOCKET_RE, SentenceAnalysis, analyse
-from .corpus import AnnotationRecord, Decision, Sentence
+from .analysis import DOCKET_RE, SentenceAnalysis
+from .corpus import AnnotationRecord, Decision
 from .detect import ScoredSentence, at_or_above, best_scored, score_candidates
 from .extraction import extract
 from .lexicon import Lexicon
@@ -219,11 +218,6 @@ def error_category(analysis: SentenceAnalysis) -> ErrorCategory:
     return ErrorCategory.MISC
 
 
-def categorize_error(predicted_sentence: Sentence, lexicon: Lexicon) -> ErrorCategory:
-    """``error_category`` of a sentence that has not been analysed yet."""
-    return error_category(analyse(predicted_sentence, lexicon))
-
-
 def _chosen_and_detected(
     scored_cases: Iterable[tuple[str, list[ScoredSentence]]],
     detection_threshold: float,
@@ -352,32 +346,23 @@ def evaluate_rule_based(
 
 @dataclass(frozen=True)
 class Histogram:
-    bucket_months: int
     buckets: tuple[tuple[int, int, int], ...]  # (start, end inclusive, count)
-    median: float | None
-    fraction_at_or_below_15: float | None
 
     def to_csv_rows(self) -> list[str]:
         return [f"{start},{end},{count}" for start, end, count in self.buckets]
 
 
 def punishment_histogram(months: Iterable[int | None], bucket_months: int) -> Histogram:
-    """Bucketed counts of extracted durations (None skipped) plus headline statistics."""
+    """Bucketed counts of extracted durations (None skipped)."""
     if bucket_months < 1:
         raise ValueError("bucket_months must be >= 1")
-    months = [m for m in months if m is not None]
-    if not months:
-        return Histogram(bucket_months, (), None, None)
     counts: dict[int, int] = {}
     for m in months:
-        counts[m // bucket_months] = counts.get(m // bucket_months, 0) + 1
-    buckets = tuple(
-        (k * bucket_months, (k + 1) * bucket_months - 1, counts[k])
-        for k in sorted(counts)
-    )
+        if m is not None:
+            counts[m // bucket_months] = counts.get(m // bucket_months, 0) + 1
     return Histogram(
-        bucket_months,
-        buckets,
-        float(statistics.median(months)),
-        sum(m <= 15 for m in months) / len(months),
+        tuple(
+            (k * bucket_months, (k + 1) * bucket_months - 1, counts[k])
+            for k in sorted(counts)
+        )
     )

@@ -499,11 +499,6 @@ def train(records, kind: str, seed: int = 0) -> TrainedModel:
     )
 
 
-def predict_proba(model: TrainedModel, feature_vector) -> float:
-    """Probability that a single sentence carries the punishment."""
-    return float(model.predict_proba(np.asarray(feature_vector, dtype=float).reshape(1, -1))[0])
-
-
 def save_model(model: TrainedModel, path: str | Path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,

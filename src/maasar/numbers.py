@@ -7,8 +7,8 @@ works over whitespace tokens against a loaded numeral lexicon; the grammar
 covers 0-999 which is ample for imprisonment durations, and a half word
 right after a time unit ("year and a half") always adds half of that unit
 (``NumberSpan.plus_half``). The sentence-level finders take the sentence's
-``stripped_tokens`` from callers that already have them, so a sentence is
-tokenized once.
+``tokens.stripped_tokens``, which ``analysis.analyse`` computes once per
+sentence.
 
 The numeral lexicon compiles its conjunction forms once, when it is built,
 into ``NumeralLexicon.word_forms``: every number word, bare or with a
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
-from .tokens import strip_token, stripped_tokens
+from .tokens import strip_token
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .corpus import Sentence
     from .lexicon import NumeralLexicon
 
 
@@ -222,16 +221,12 @@ def _is_numberish(stripped: str, numerals: "NumeralLexicon") -> bool:
     )
 
 
-def find_numbers(
-    sentence: "Sentence", numerals: "NumeralLexicon", stripped: tuple[str, ...] | None = None
-) -> list[NumberSpan]:
+def find_numbers(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[NumberSpan]:
     """All digit literals, number-word sequences and dual unit words.
 
     Unparseable word sequences are skipped. Each span greedily attaches to
     the nearest following time-unit token within the attachment window.
     """
-    if stripped is None:
-        stripped = stripped_tokens(sentence.text)
     forms = numerals.word_forms
     spans: list[NumberSpan] = []
     i = 0
@@ -270,7 +265,7 @@ def find_numbers(
 
 
 def unit_only_elimination(
-    sentence: "Sentence", numerals: "NumeralLexicon", stripped: tuple[str, ...] | None = None
+    stripped: tuple[str, ...], numerals: "NumeralLexicon"
 ) -> list[NumberSpan]:
     """Bare singular unit words with no adjoining number imply value one.
 
@@ -278,8 +273,6 @@ def unit_only_elimination(
     bound to it ("20 שנה" is twenty years), and a unit directly followed by
     digits is a calendar reference, not a duration; neither yields a span.
     """
-    if stripped is None:
-        stripped = stripped_tokens(sentence.text)
     spans: list[NumberSpan] = []
     n = len(stripped)
     for i, tok in enumerate(stripped):
@@ -306,13 +299,9 @@ def unit_only_elimination(
     return spans
 
 
-def detect_spans(
-    sentence: "Sentence", numerals: "NumeralLexicon", stripped: tuple[str, ...] | None = None
-) -> list[NumberSpan]:
+def detect_spans(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[NumberSpan]:
     """Union of number spans and unit-only eliminations, in token order."""
-    if stripped is None:
-        stripped = stripped_tokens(sentence.text)
-    spans = find_numbers(sentence, numerals, stripped)
-    spans.extend(unit_only_elimination(sentence, numerals, stripped))
+    spans = find_numbers(stripped, numerals)
+    spans.extend(unit_only_elimination(stripped, numerals))
     spans.sort(key=lambda s: (s.start_token, s.end_token))
     return spans

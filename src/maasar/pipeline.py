@@ -2,18 +2,22 @@
 extraction estimator.
 
 Candidate sentences (keyword filter survivors) are scored by a trained
-classifier; the detection stage keeps every candidate above a probability
-threshold, while the per-document selection takes the argmax, breaking
-ties toward the end of the decision. Cross-validation folds partition
-whole decisions so no document's sentences straddle the train/test line.
+classifier; the detection stage keeps every candidate at or above a
+probability threshold (``detect.at_or_above``), while the per-document
+selection takes the argmax (``detect.best_scored``), breaking ties toward
+the end of the decision. Cross-validation folds partition whole decisions
+so no document's sentences straddle the train/test line.
 
 Each candidate's ``SentenceAnalysis`` is kept beside its feature row, and
-its probability is wrapped with it in a ``ScoredSentence``, so both
-selectors go through ``detect.at_or_above`` and ``detect.best_scored`` and
-hand back the chosen sentence's analysis (``choose_sentences``); ``extract``
-and the error report read it instead of analysing again. Cross-validation
-builds its report with ``metrics.assemble_report``, which the rule-based
-evaluation shares and which, unlike this module, imports no numpy.
+its probability is wrapped with it in a ``ScoredSentence``.
+``choose_sentences`` is the one selector of both routes: per decision it
+hands back the chosen sentence's analysis, which ``extract`` and the error
+report read instead of analysing again. Feature rows hold the raw token
+count, and ``_rescale`` is the one place that divides it by a model's
+token-count scale, so cross-validation featurizes once and rescales per
+fold. Cross-validation builds its report with ``metrics.assemble_report``,
+which the rule-based evaluation shares and which, unlike this module,
+imports no numpy.
 
 The model scores many decisions per call: ``_model_scored`` stacks their
 rows, makes one ``predict_proba`` call and splits the probabilities back by
@@ -34,7 +38,7 @@ import numpy as np
 from .analysis import SentenceAnalysis, analyse
 from .base import ParamsMixin
 from .corpus import AnnotationRecord, Decision, InputError
-from .detect import ScoredSentence, at_or_above, best_scored, filter_candidates, rule_based_choices
+from .detect import ScoredSentence, best_scored, filter_candidates, rule_based_choices
 from .extraction import ExtractionResult, extract
 from .features import FEATURE_NAMES, NUM_FEATURES, featurize
 from .lexicon import Lexicon
@@ -59,10 +63,8 @@ class CrossValConfig:
 
 _TOKEN_COUNT_COLUMN = FEATURE_NAMES.index("token_count_norm")
 
-# Candidate analyses and feature rows of one decision, featurized with a
-# token-count scale of 1 so that the token_count_norm column holds the raw
-# count; ``_rescale`` applies a model's scale, so cross-validation can
-# featurize once and rescale per fold.
+# Candidate analyses and feature rows of one decision, whose token_count_norm
+# column holds the raw count until ``_rescale`` applies a model's scale.
 RawFeatures = tuple[list[SentenceAnalysis], np.ndarray]
 
 # Decisions featurized and scored per predict_proba call on the model route
@@ -73,12 +75,12 @@ SCORING_CHUNK = 256
 
 def _raw_features(decision: Decision, lexicon: Lexicon) -> RawFeatures:
     analyses = [analyse(s, lexicon) for s in filter_candidates(decision, lexicon)]
-    X = np.array([featurize(a, max_token_count=1) for a in analyses]).reshape(-1, NUM_FEATURES)
+    X = np.array([featurize(a) for a in analyses]).reshape(-1, NUM_FEATURES)
     return analyses, X
 
 
 def _rescale(X: np.ndarray, token_scale: int) -> np.ndarray:
-    """Raw rows as featurize gives them for ``token_scale``: the same floats."""
+    """Raw rows with the token_count_norm column divided by ``token_scale``."""
     X = X.copy()
     X[:, _TOKEN_COUNT_COLUMN] /= token_scale
     return X
@@ -100,22 +102,6 @@ def _model_scored(model: TrainedModel, raws: list[RawFeatures]) -> list[list[Sco
     ]
 
 
-def sentences_above_threshold(
-    model: TrainedModel, decision: Decision, lexicon: Lexicon, threshold: float
-) -> list[int]:
-    """Candidate sentence indices whose punishment probability >= threshold."""
-    [scored] = _model_scored(model, [_raw_features(decision, lexicon)])
-    return [candidate.sentence_index for candidate in at_or_above(scored, threshold)]
-
-
-def select_sentence_supervised(
-    model: TrainedModel, decision: Decision, lexicon: Lexicon
-) -> int | None:
-    """Most probable candidate sentence; ties go to the later sentence."""
-    chosen = choose_sentence(decision, lexicon, model)
-    return chosen.sentence.index if chosen else None
-
-
 def choose_sentences(
     decisions: Iterable[Decision], lexicon: Lexicon, model: TrainedModel | None = None
 ) -> Iterator[SentenceAnalysis | None]:
@@ -135,13 +121,6 @@ def choose_sentences(
         for scored in _model_scored(model, raws):
             best = best_scored(scored, -math.inf)
             yield best and best.analysis
-
-
-def choose_sentence(
-    decision: Decision, lexicon: Lexicon, model: TrainedModel | None = None
-) -> SentenceAnalysis | None:
-    """``choose_sentences`` for one decision."""
-    return next(choose_sentences([decision], lexicon, model))
 
 
 def _label_lookup(annotations: list[AnnotationRecord]) -> dict[tuple[str, int], bool]:
@@ -274,10 +253,6 @@ class PunishmentExtractor(ParamsMixin):
         if model is None:
             raise ValueError("supervised extractor is not fitted")
         return model
-
-    def select(self, decision: Decision) -> int | None:
-        chosen = choose_sentence(decision, self._require_lexicon(), self._model())
-        return chosen.sentence.index if chosen else None
 
     def predict(self, decisions: list[Decision]) -> list[ExtractionResult]:
         lexicon = self._require_lexicon()

@@ -11,15 +11,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from maasar.analysis import analyse
 from maasar.corpus import Decision, segment_sentences
-from maasar.detect import select_sentence_rule_based
+from maasar.detect import choose_rule_based
 from maasar.extraction import extract, try_decomposition
 from maasar.lexicon import load_lexicon
 from maasar.metrics import (
     ErrorCategory,
-    categorize_error,
     cohen_kappa,
     detection_prf,
+    error_category,
     evaluate_rule_based,
     extraction_f1_and_error,
     fleiss_kappa,
@@ -28,11 +29,12 @@ from maasar.metrics import (
 from maasar.numbers import TimeUnit, compose, detect_spans, render_number, span_months
 from maasar.pipeline import (
     CrossValConfig,
+    choose_sentences,
     cross_validate,
     make_folds,
-    select_sentence_supervised,
 )
 from maasar.synthetic import generate_corpus
+from maasar.tokens import stripped_tokens
 from samples import (
     BEHAVIOR_SUITE,
     ERROR_EXAMPLES,
@@ -55,6 +57,11 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number:2d} PASS — {description}")
 
 
+def spans_of(text, numerals):
+    """The number spans of the first sentence of ``text``."""
+    return detect_spans(stripped_tokens(segment_sentences(text)[0].text), numerals)
+
+
 @pytest.fixture(scope="module")
 def lex():
     return load_lexicon()
@@ -70,9 +77,9 @@ def test_01_worked_example_end_to_end(lex):
         start = time.perf_counter()
         texts = [FILLER] * 20 + [WORKED_EXAMPLE] + [FILLER] * 3
         decision = Decision.from_text("worked", " ".join(texts))
-        chosen = select_sentence_rule_based(decision, lex)
-        assert chosen == 20
-        result = extract(decision, chosen, lex)
+        best = choose_rule_based(decision, lex)
+        assert best.sentence_index == 20
+        result = extract(decision, best.analysis, lex)
         assert result.months == WORKED_EXAMPLE_MONTHS
         assert result.method == "decomposition"
         assert time.perf_counter() - start < 1.0
@@ -99,19 +106,17 @@ def test_02_numeral_round_trip(lex):
 def test_03_unit_only_elimination(lex):
     with criterion(3, "unit-only elimination and the >20 singular-unit form"):
         numerals = lex.numerals
-        spans = detect_spans(segment_sentences(UNIT_ONLY_SENTENCE)[0], numerals)
+        spans = spans_of(UNIT_ONLY_SENTENCE, numerals)
         year_spans = [s for s in spans if s.attached_unit is TimeUnit.YEAR]
         assert len(year_spans) == 1
         assert year_spans[0].value == 1
         assert span_months(year_spans[0]) == 12
 
-        month_spans = detect_spans(
-            segment_sentences("חודש מאסר ירוצה בעבודות שירות.")[0], numerals
-        )
+        month_spans = spans_of("חודש מאסר ירוצה בעבודות שירות.", numerals)
         month_values = [s.value for s in month_spans if s.attached_unit is TimeUnit.MONTH]
         assert month_values == [1]
 
-        spans = detect_spans(segment_sentences(TWENTY_YEAR_SENTENCE)[0], numerals)
+        spans = spans_of(TWENTY_YEAR_SENTENCE, numerals)
         twenty = [s for s in spans if s.value == 20]
         assert twenty and twenty[0].attached_unit is TimeUnit.YEAR
         assert span_months(twenty[0]) == 240
@@ -131,7 +136,7 @@ def test_04_decomposition_heuristic(lex):
             text = template.format(
                 total=actual + conditional, actual=actual, conditional=conditional
             )
-            spans = detect_spans(segment_sentences(text)[0], numerals)
+            spans = spans_of(text, numerals)
             assert try_decomposition(spans) == actual
         for _ in range(1000):
             actual = rng.randint(1, 160)
@@ -142,7 +147,7 @@ def test_04_decomposition_heuristic(lex):
                 actual=actual,
                 conditional=conditional,
             )
-            spans = detect_spans(segment_sentences(text)[0], numerals)
+            spans = spans_of(text, numerals)
             assert try_decomposition(spans) is None
 
 
@@ -151,19 +156,19 @@ def test_05_behavior_suite(lex):
         outcomes = {}
         for name, (text, gold_months) in BEHAVIOR_SUITE.items():
             decision = Decision.from_text(name, " ".join([FILLER, text, FILLER]))
-            chosen = select_sentence_rule_based(decision, lex)
-            if chosen is None:
+            best = choose_rule_based(decision, lex)
+            if best is None:
                 outcomes[name] = 0
             else:
-                outcomes[name] = extract(decision, chosen, lex).months or 0
+                outcomes[name] = extract(decision, best.analysis, lex).months or 0
             assert outcomes[name] == gold_months, (name, outcomes[name])
         # all five rows in one decision: only the combined verdict is selected
         combined = Decision.from_text(
             "combined", " ".join(text for text, _ in BEHAVIOR_SUITE.values())
         )
-        chosen = select_sentence_rule_based(combined, lex)
-        assert combined.sentences[chosen].text == WORKED_EXAMPLE
-        assert extract(combined, chosen, lex).months == WORKED_EXAMPLE_MONTHS
+        best = choose_rule_based(combined, lex)
+        assert best.analysis.sentence.text == WORKED_EXAMPLE
+        assert extract(combined, best.analysis, lex).months == WORKED_EXAMPLE_MONTHS
 
 
 def test_06_synthetic_gold_corpus(lex, gold_corpus):
@@ -332,21 +337,18 @@ def test_09_argmax_invariance(lex):
         rng = np.random.default_rng(99)
         for _ in range(100):
             probs = rng.random(4)
-            baseline = select_sentence_supervised(Stub(probs), decision, lex)
+            [baseline] = choose_sentences([decision], lex, Stub(probs))
             scale = rng.uniform(0.05, 9.0)
             shift = rng.uniform(-5.0, 5.0)
             ranked = np.sort(rng.random(4))  # arbitrary order-preserving table
             order = np.argsort(np.argsort(probs))
             transforms = (probs * scale + shift, probs**3, np.tanh(probs), ranked[order])
             for transformed in transforms:
-                assert (
-                    select_sentence_supervised(Stub(transformed), decision, lex)
-                    == baseline
-                )
+                assert list(choose_sentences([decision], lex, Stub(transformed))) == [baseline]
 
 
 def test_10_error_taxonomy(lex):
     with criterion(10, "published error examples map to their categories exactly"):
         for expected, text in ERROR_EXAMPLES.items():
-            got = categorize_error(segment_sentences(text)[0], lex)
+            got = error_category(analyse(segment_sentences(text)[0], lex))
             assert got is ErrorCategory(expected), (text, got)

@@ -3,27 +3,12 @@ import json
 import pytest
 
 from maasar import analysis as analysis_module
-from maasar.analysis import analyse
 from maasar.cli import run
 from maasar.detect import choose_rule_based, filter_candidates
-from maasar.extraction import extract
 from maasar.metrics import evaluate_rule_based
 from maasar.models import save_model
 from maasar.pipeline import PunishmentExtractor, train_on_decisions
 from maasar.synthetic import SyntheticCorpus, write_corpus
-
-
-def candidate_analyses(decisions, lexicon):
-    return [(d, analyse(s, lexicon)) for d in decisions for s in filter_candidates(d, lexicon)]
-
-
-class TestExtractionReadsTheAnalysis:
-    """Passing the chosen sentence's analysis gives what passing its index gives."""
-
-    def test_extract_and_duration_scoring(self, lexicon, synthetic):
-        for decision, a in candidate_analyses(synthetic.decisions, lexicon):
-            index = a.sentence.index
-            assert extract(decision, a, lexicon) == extract(decision, index, lexicon)
 
 
 @pytest.fixture
@@ -31,9 +16,9 @@ def span_calls(monkeypatch):
     calls = []
     original = analysis_module.detect_spans
 
-    def counting(sentence, *args, **kwargs):
-        calls.append((sentence.text, sentence.index))
-        return original(sentence, *args, **kwargs)
+    def counting(stripped, *args, **kwargs):
+        calls.append(stripped)
+        return original(stripped, *args, **kwargs)
 
     monkeypatch.setattr(analysis_module, "detect_spans", counting)
     return calls

@@ -12,7 +12,7 @@ from maasar.extraction import ExtractionResult, extract
 from maasar.lexicon import default_lexicon_path, load_lexicon
 from maasar.metrics import PRF, EvaluationReport, PerCaseResult, evaluate_rule_based
 from maasar.numbers import NumberSpan
-from maasar.pipeline import choose_sentence
+from maasar.pipeline import choose_sentences
 from maasar.synthetic import generate_corpus, write_corpus
 
 
@@ -63,6 +63,17 @@ def numerals_with(doc, **sections):
 
 def weights_with(doc, section, **weights):
     return {**doc, section: {**doc[section], **weights}}
+
+
+def tens_key_renamed(doc, key):
+    """``doc`` with its ``numerals.tens`` key "20" written as ``key``."""
+    tens = doc["numerals"]["tens"]
+    return numerals_with(doc, tens={key if k == "20" else k: words for k, words in tens.items()})
+
+
+def entry_added(doc, section, key, entry):
+    """``doc`` with ``entry`` appended to the word list ``doc[section][key]``."""
+    return {**doc, section: {**doc[section], key: [*doc[section][key], entry]}}
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +225,12 @@ class TestSubcommands:
         assert header == "bucket_start,bucket_end,count"
         assert data
 
+    def test_histogram_without_months_is_the_header(self, tmp_path):
+        hist = tmp_path / "hist.csv"
+        argv = ["extract", "--rule-based", "--corpus", str(corpus_without_candidates(tmp_path))]
+        assert run([*argv, "--out", str(tmp_path / "o.jsonl"), "--histogram-csv", str(hist)]) == 0
+        assert hist.read_bytes() == b"bucket_start,bucket_end,count\n"
+
     def test_train_then_extract_with_model(self, workspace):
         model_path = workspace["root"] / "model.json"
         code = run(
@@ -280,7 +297,8 @@ class TestRecordFields:
         decisions = load_corpus(workspace["corpus_dir"]).decisions
         annotations = load_annotations(workspace["annotations"]).records
         lexicon = load_lexicon()
-        results = [extract(d, choose_sentence(d, lexicon), lexicon) for d in decisions]
+        chosen = choose_sentences(decisions, lexicon)
+        results = [extract(d, c, lexicon) for d, c in zip(decisions, chosen)]
         report = evaluate_rule_based(decisions, annotations, lexicon)
         records = [
             *results,
@@ -557,6 +575,26 @@ class TestErrorHandling:
                 lambda doc: weights_with(doc, "duration", probation_penaltyy=9.0),
                 "'probation_penaltyy'",
             ),
+            (lambda doc: tens_key_renamed(doc, "2_0"), "numerals.tens key '2_0'"),
+            (lambda doc: tens_key_renamed(doc, " 20"), "numerals.tens key ' 20'"),
+            (lambda doc: tens_key_renamed(doc, "+20"), "numerals.tens key '+20'"),
+            (lambda doc: tens_key_renamed(doc, "٢٠"), "numerals.tens key '٢٠'"),
+            (lambda doc: tens_key_renamed(doc, "020"), "numerals.tens key '020'"),
+            (
+                lambda doc: entry_added(doc, "time_units", "month", ""),
+                "'time_units.month' entry 4 is empty",
+            ),
+            (lambda doc: entry_added(doc, "unit_only", "year", ""), "'unit_only.year'"),
+            (lambda doc: entry_added(doc, "dual_units", "day", " "), "'dual_units.day'"),
+            (lambda doc: numerals_with(doc, zero=["", "אפס"]), "'numerals.zero' entry 0"),
+            (
+                lambda doc: numerals_with(
+                    doc, tens={**doc["numerals"]["tens"], "20": ["עשרים", ""]}
+                ),
+                "'numerals.tens.20' entry 1 is empty",
+            ),
+            (lambda doc: numerals_with(doc, conjunctions=["ו", ""]), "'numerals.conjunctions'"),
+            (lambda doc: numerals_with(doc, half=[""]), "'numerals.half'"),
         ],
         ids=[
             "filter-keywords-string",
@@ -583,6 +621,18 @@ class TestErrorHandling:
             "structural-weight-misspelt",
             "structural-weight-missing",
             "duration-weight-misspelt",
+            "tens-key-underscore",
+            "tens-key-space",
+            "tens-key-plus",
+            "tens-key-arabic-indic-digits",
+            "tens-key-leading-zero",
+            "time-units-blank",
+            "unit-only-blank",
+            "dual-units-blank",
+            "zero-blank",
+            "tens-variant-blank",
+            "conjunction-blank",
+            "half-blank",
         ],
     )
     def test_mistyped_lexicon_section_exits_one(

@@ -5,11 +5,12 @@ from hypothesis import given, strategies as st
 
 from maasar.corpus import Decision, segment_sentences
 from maasar.detect import (
+    choose_rule_based,
     filter_candidates,
     rule_score,
-    select_sentence_rule_based,
 )
 from maasar.pipeline import PunishmentExtractor
+from maasar.tokens import stripped_tokens
 from samples import (
     FINE_ROW,
     PRIOR_CASE_ROW,
@@ -90,9 +91,8 @@ class TestRuleScore:
             rebuilt += structural.number_with_unit_bonus
         elif analysis.has_number:
             rebuilt += structural.number_without_unit_penalty
-        rebuilt += structural.fine_marker_penalty * len(
-            lexicon.marker_positions(WORKED_EXAMPLE, lexicon.fine_markers)
-        )
+        _, fine, _, _ = lexicon.scan(WORKED_EXAMPLE, stripped_tokens(WORKED_EXAMPLE))
+        rebuilt += structural.fine_marker_penalty * len(fine)
         assert scored.score == rebuilt
 
 
@@ -101,23 +101,24 @@ class TestSelect:
         decision = Decision.from_text(
             "c", " ".join([PRIOR_CASE_ROW, FILLER, WORKED_EXAMPLE])
         )
-        assert select_sentence_rule_based(decision, lexicon) == 2
+        assert choose_rule_based(decision, lexicon).sentence_index == 2
 
     def test_none_when_below_threshold(self, lexicon):
         decision = Decision.from_text("c", " ".join([PRIOR_CASE_ROW, FINE_ROW]))
-        assert select_sentence_rule_based(decision, lexicon) is None
+        assert choose_rule_based(decision, lexicon) is None
 
     def test_tie_breaks_toward_document_end(self, lexicon):
         verdict = SIMPLE_VERDICT.format(months=24)
         texts = [verdict] + [FILLER] * 27 + [verdict] + [FILLER] * 10
         decision = Decision.from_text("c", " ".join(texts))
-        assert select_sentence_rule_based(decision, lexicon) == 28
+        assert choose_rule_based(decision, lexicon).sentence_index == 28
 
     def test_selection_is_always_a_candidate(self, lexicon, synthetic):
         for decision in synthetic.decisions:
-            chosen = select_sentence_rule_based(decision, lexicon)
+            chosen = choose_rule_based(decision, lexicon)
             if chosen is not None:
-                assert chosen in {s.index for s in filter_candidates(decision, lexicon)}
+                candidates = filter_candidates(decision, lexicon)
+                assert chosen.sentence_index in {s.index for s in candidates}
 
     def test_duplicating_sentence_elsewhere_keeps_scores(self, lexicon):
         base = Decision.from_text("c", " ".join([FILLER, WORKED_EXAMPLE]))
@@ -169,5 +170,5 @@ class TestEstimatorApi:
     def test_threshold_override_via_replace(self, lexicon):
         lenient = dataclasses.replace(lexicon, threshold=-10.0)
         decision = Decision.from_text("c", PRIOR_CASE_ROW)
-        assert select_sentence_rule_based(decision, lenient) == 0
-        assert select_sentence_rule_based(decision, lexicon) is None
+        assert choose_rule_based(decision, lenient).sentence_index == 0
+        assert choose_rule_based(decision, lexicon) is None

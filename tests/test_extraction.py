@@ -9,11 +9,17 @@ from maasar.extraction import (
     try_decomposition,
 )
 from maasar.numbers import NumberSpan, TimeUnit, detect_spans, span_months
+from maasar.tokens import stripped_tokens
 from samples import UNIT_ONLY_SENTENCE, WORKED_EXAMPLE, WORKED_EXAMPLE_MONTHS
 
 
 def sentence(text):
     return segment_sentences(text)[0]
+
+
+def extract_first(decision, lexicon):
+    """``extract`` with the decision's first sentence chosen."""
+    return extract(decision, analyse(decision.sentences[0], lexicon), lexicon)
 
 
 def month_span(start, value, unit=TimeUnit.MONTH, unit_distance=0):
@@ -58,10 +64,10 @@ class TestDecomposition:
         assert try_decomposition(spans) == 36
 
     def test_on_worked_example_sentence(self, lexicon):
-        spans = detect_spans(sentence(WORKED_EXAMPLE), lexicon.numerals)
+        spans = analyse(sentence(WORKED_EXAMPLE), lexicon).spans
         assert try_decomposition(spans) == WORKED_EXAMPLE_MONTHS
 
-    def test_generated_triples(self, numerals, lexicon):
+    def test_generated_triples(self, lexicon):
         rng = random.Random(11)
         template = (
             "בית המשפט גוזר על הנאשם {total} חודשי מאסר, מהם ירצה {actual} "
@@ -73,7 +79,7 @@ class TestDecomposition:
             text = template.format(
                 total=actual + conditional, actual=actual, conditional=conditional
             )
-            spans = detect_spans(sentence(text), numerals)
+            spans = analyse(sentence(text), lexicon).spans
             assert try_decomposition(spans) == actual
             # perturb the total so the sum check fails
             bad = template.format(
@@ -81,7 +87,7 @@ class TestDecomposition:
                 actual=actual,
                 conditional=conditional,
             )
-            spans = detect_spans(sentence(bad), numerals)
+            spans = analyse(sentence(bad), lexicon).spans
             assert try_decomposition(spans) is None
 
 
@@ -94,11 +100,11 @@ class TestScoring:
         s = sentence(
             "הנאשם ירצה 30 חודשים במאסר בפועל ועוד 18 חודשים מאסר על תנאי."
         )
-        spans = detect_spans(s, lexicon.numerals)
+        stripped = stripped_tokens(s.text)
+        spans = detect_spans(stripped, lexicon.numerals)
         config = lexicon.duration
         # independent re-derivation of the two span scores
-        actual_positions = lexicon.marker_positions(s.text, lexicon.actual_markers)
-        probation_positions = lexicon.marker_positions(s.text, lexicon.probation_markers)
+        _, _, probation_positions, actual_positions = lexicon.scan(s.text, stripped)
 
         def manual_score(span):
             def dist(positions):
@@ -145,7 +151,7 @@ class TestExtract:
 
     def test_worked_example_decomposition(self, lexicon):
         decision = self.make_decision(WORKED_EXAMPLE)
-        result = extract(decision, 0, lexicon)
+        result = extract_first(decision, lexicon)
         assert result.months == WORKED_EXAMPLE_MONTHS
         assert result.method == "decomposition"
         assert result.candidates
@@ -155,13 +161,13 @@ class TestExtract:
         # not disturb the three-duration decomposition
         cited = WORKED_EXAMPLE[:-1] + ' (ת"פ 1124/04).'
         decision = self.make_decision(cited)
-        result = extract(decision, 0, lexicon)
+        result = extract_first(decision, lexicon)
         assert result.months == WORKED_EXAMPLE_MONTHS
         assert result.method == "decomposition"
 
     def test_unit_only_year_scored(self, lexicon):
         decision = self.make_decision(UNIT_ONLY_SENTENCE)
-        result = extract(decision, 0, lexicon)
+        result = extract_first(decision, lexicon)
         assert result.months == 12
         assert result.method == "scored"
 
@@ -174,14 +180,14 @@ class TestExtract:
 
     def test_no_resolvable_unit_yields_none(self, lexicon):
         decision = self.make_decision("המאסר יחל ביום 31.")
-        result = extract(decision, 0, lexicon)
+        result = extract_first(decision, lexicon)
         assert result.months is None
         assert result.method == "none"
         assert result.candidates  # audit trail keeps the unit-less span
 
     def test_zero_months_is_legal(self, lexicon):
         decision = self.make_decision("אני גוזר על הנאשם 0 חודשי מאסר בפועל.")
-        result = extract(decision, 0, lexicon)
+        result = extract_first(decision, lexicon)
         assert result.months == 0
 
     def test_decomposition_takes_precedence_over_scoring(self, lexicon):
@@ -189,7 +195,7 @@ class TestExtract:
         # decomposition rule must still return the middle term
         text = "סך הכל 48 חודשים, מהם 30 חודשים לריצוי ועוד 18 חודשים בפועל."
         decision = self.make_decision(text)
-        result = extract(decision, 0, lexicon)
+        result = extract_first(decision, lexicon)
         assert result.method == "decomposition"
         assert result.months == 30
 
@@ -200,14 +206,14 @@ class TestExtract:
         without_marker = self.make_decision(
             "הוטלו 48 חודשים, מהם 30 חודשים בפועל ועוד 18 חודשים על תנאי."
         )
-        assert extract(with_marker, 0, lexicon).months == 30
-        assert extract(without_marker, 0, lexicon).months == 30
+        assert extract_first(with_marker, lexicon).months == 30
+        assert extract_first(without_marker, lexicon).months == 30
 
     def test_result_months_always_from_a_span(self, lexicon, synthetic):
-        from maasar.detect import select_sentence_rule_based
+        from maasar.detect import rule_based_choices
 
-        for decision in synthetic.decisions:
-            chosen = select_sentence_rule_based(decision, lexicon)
+        decisions = synthetic.decisions
+        for decision, chosen in zip(decisions, rule_based_choices(decisions, lexicon)):
             result = extract(decision, chosen, lexicon)
             if result.months is not None:
                 span_values = {span_months(s) for s in result.candidates}
@@ -218,4 +224,4 @@ class TestExtract:
         shuffled = "אני גוזר על הנאשם 24 חודשי מאסר בפועל לאחר דעת שיקול וממושך מעמיק."
         d1 = self.make_decision(base)
         d2 = self.make_decision(shuffled)
-        assert extract(d1, 0, lexicon).months == extract(d2, 0, lexicon).months == 24
+        assert extract_first(d1, lexicon).months == extract_first(d2, lexicon).months == 24

@@ -13,24 +13,22 @@ from maasar.synthetic import generate_corpus, write_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Every name ``maasar`` exported before the supervised names became lazy.
+# Every name ``maasar`` exports, the lazily imported supervised names included.
 EXPORTED = [
     "AnnotationRecord", "CorpusStats", "CrossValConfig", "Decision", "DurationScoringConfig",
     "ErrorCategory", "EvaluationReport", "ExtractionResult", "FEATURE_NAMES",
     "FEATURE_SCHEMA_VERSION", "Histogram", "Lexicon", "LinearMarginClassifier", "NumberSpan",
     "NumeralLexicon", "PRF", "PunishmentExtractor", "ScoredSentence", "Sentence",
     "SentenceAnalysis", "TierHits", "TimeUnit", "TrainedModel", "TreeEnsembleClassifier",
-    "analyse", "analysis", "base", "categorize_error", "choose_rule_based", "cohen_kappa",
-    "compose", "corpus", "corpus_stats", "cross_validate", "detect", "detect_spans",
-    "detection_prf", "error_category", "evaluate_rule_based", "extract", "extraction",
+    "analyse", "analysis", "base", "choose_rule_based", "cohen_kappa", "compose", "corpus",
+    "corpus_stats", "cross_validate", "detect", "detect_spans", "detection_prf",
+    "error_category", "evaluate_rule_based", "extract", "extraction",
     "extraction_f1_and_error", "features", "featurize", "filter_candidates", "find_numbers",
     "fleiss_kappa", "lexicon", "load_annotations", "load_corpus", "load_lexicon", "load_model",
-    "match_tiers", "metrics", "models", "numbers", "pipeline", "predict_proba",
-    "prelabel_negatives", "punishment_histogram", "render_number", "rule_score", "save_model",
-    "score_duration_candidates", "segment_sentences", "select_sentence_rule_based",
-    "select_sentence_supervised", "selection_f1", "sentences_above_threshold", "span_months",
-    "to_months", "tokens", "train", "train_on_decisions", "try_decomposition",
-    "unit_only_elimination",
+    "metrics", "models", "numbers", "pipeline", "prelabel_negatives", "punishment_histogram",
+    "render_number", "rule_score", "save_model", "score_duration_candidates",
+    "segment_sentences", "selection_f1", "span_months", "to_months", "tokens", "train",
+    "train_on_decisions", "try_decomposition", "unit_only_elimination",
 ]  # fmt: skip
 
 RULE_COMMANDS = {

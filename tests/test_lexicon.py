@@ -11,7 +11,6 @@ from maasar.lexicon import (
     TierHit,
     default_lexicon_path,
     load_lexicon,
-    match_tiers,
 )
 from maasar.numbers import TimeUnit
 from maasar.tokens import strip_token, stripped_tokens
@@ -19,6 +18,10 @@ from maasar.tokens import strip_token, stripped_tokens
 
 def sentence(text):
     return segment_sentences(text)[0]
+
+
+def tier_hits(text, lexicon):
+    return lexicon.scan(text, stripped_tokens(text))[0]
 
 
 def default_doc():
@@ -76,16 +79,16 @@ class TestLoad:
 class TestMatchTiers:
     def test_strong_positive_with_time_unit(self, lexicon):
         verb = sorted(lexicon.strong_positive)[0]
-        hits = match_tiers(sentence(f"השופט {verb} עונש של 10 חודשים."), lexicon)
+        hits = tier_hits(sentence(f"השופט {verb} עונש של 10 חודשים.").text, lexicon)
         assert hits.strong_positive == 1
 
     def test_docket_slash_hits_moderate_negative(self, lexicon):
-        hits = match_tiers(sentence("ראו תיק 1049/12 בעניין אחר."), lexicon)
+        hits = tier_hits(sentence("ראו תיק 1049/12 בעניין אחר.").text, lexicon)
         assert hits.moderate_negative >= 1
         assert any(h.surface == "/" for h in hits.hits)
 
     def test_empty_sentence_all_zero(self, lexicon):
-        hits = match_tiers("", lexicon)
+        hits = tier_hits("", lexicon)
         assert (
             hits.strong_positive
             == hits.moderate_positive
@@ -98,13 +101,13 @@ class TestMatchTiers:
         verb = sorted(lexicon.strong_positive)[0]
         text = f"אני {verb} עונש."
         padded = f"   {text}  "
-        assert match_tiers(sentence(text), lexicon).hits == match_tiers(padded, lexicon).hits
+        assert tier_hits(sentence(text).text, lexicon).hits == tier_hits(padded, lexicon).hits
 
     def test_phrase_matching_is_token_anchored(self, lexicon):
         # a word embedded inside a longer token must not match a tier entry
         verb = sorted(lexicon.strong_positive)[0]
         embedded = f"מילה{verb}דבוקה"
-        hits = match_tiers(embedded, lexicon)
+        hits = tier_hits(embedded, lexicon)
         assert hits.strong_positive == 0
 
     @given(st.integers(0, 13))
@@ -112,19 +115,19 @@ class TestMatchTiers:
         words = sorted(lexicon.strong_positive) + sorted(lexicon.strong_negative)
         word = words[seed % len(words)]
         text = f"פתיח {word} ועוד 12/3 (סוגריים) סיום."
-        hits = match_tiers(text, lexicon)
+        hits = tier_hits(text, lexicon)
         assert hits.strong_positive + hits.strong_negative >= 1
         cleaned = " ".join(
             t for t in text.split() if t not in words
         ).replace("/", " ").replace("(", " ").replace(")", " ")
-        cleaned_hits = match_tiers(cleaned, lexicon)
+        cleaned_hits = tier_hits(cleaned, lexicon)
         assert cleaned_hits.strong_positive == cleaned_hits.strong_negative == 0
         assert cleaned_hits.moderate_negative == 0
 
     def test_marker_positions_phrases(self, lexicon):
         text = "הוטל עליו מאסר על תנאי למשך שנה."
-        positions = lexicon.marker_positions(text, lexicon.probation_markers)
-        assert positions == [3]
+        _, _, probation, _ = lexicon.scan(text, stripped_tokens(text))
+        assert probation == (3,)
 
     def test_filter_keyword_substring(self, lexicon):
         assert lexicon.contains_filter_keyword("נגזר עליו עונש של מאסר בפועל")
@@ -132,9 +135,9 @@ class TestMatchTiers:
         assert not lexicon.contains_filter_keyword("אין כאן מילת מפתח")
 
 
-# The per-entry loops that match_tiers and Lexicon.marker_positions used
-# before the lexicon was compiled into one first-word index, kept as
-# references for Lexicon.scan and the ad hoc marker_positions.
+# The per-entry loops that found tier hits and marker positions before the
+# lexicon was compiled into one first-word index, kept as references for
+# Lexicon.scan.
 def reference_match_tiers(text, lexicon):
     stripped = [strip_token(t) for t in text.split()]
     hits = []
@@ -210,22 +213,17 @@ class TestCompiledIndexEquivalence:
     @given(_texts)
     def test_match_tiers_equals_reference(self, lexicon, text):
         for lex in (lexicon, phrase_lexicon(lexicon)):
-            hits = match_tiers(text, lex)
+            hits = tier_hits(text, lex)
             assert hits.hits == reference_match_tiers(text, lex)
             for tier in TIER_NAMES:
                 assert getattr(hits, tier) == sum(h.tier == tier for h in hits.hits)
 
-    @given(_texts, st.lists(st.sampled_from(_WORDS), max_size=6))
-    def test_marker_positions_equal_reference(self, lexicon, text, extra):
+    @given(_texts)
+    def test_marker_positions_equal_reference(self, lexicon, text):
         lex = phrase_lexicon(lexicon)
         lists = (lex.fine_markers, lex.probation_markers, lex.actual_markers)
-        for markers, scanned in zip(lists, lex.scan(text)[1:]):
-            expected = reference_marker_positions(text, markers)
-            assert list(scanned) == expected
-            assert lex.marker_positions(text, markers) == expected
-            stripped = stripped_tokens(text)
-            assert lex.marker_positions(text, markers, stripped) == expected
-        assert lex.marker_positions(text, extra) == reference_marker_positions(text, extra)
+        for markers, scanned in zip(lists, lex.scan(text, stripped_tokens(text))[1:]):
+            assert list(scanned) == reference_marker_positions(text, markers)
 
     @given(
         st.sets(st.sampled_from(["מאסר", "מאסר בפועל", "a.b", "x|y", "(", "\\", ""]), max_size=3),
@@ -240,8 +238,8 @@ class TestCompiledIndexEquivalence:
     def test_replace_recompiles(self, lexicon):
         verb = sorted(lexicon.strong_positive)[0]
         text = f"השופט {verb} על הנאשם."
-        assert match_tiers(text, phrase_lexicon(lexicon)).strong_positive == 2
-        assert match_tiers(text, lexicon).strong_positive == 1
+        assert tier_hits(text, phrase_lexicon(lexicon)).strong_positive == 2
+        assert tier_hits(text, lexicon).strong_positive == 1
 
     @pytest.mark.parametrize(
         "overrides, named",

@@ -13,7 +13,7 @@ from maasar.analysis import DOCKET_RE
 from maasar.corpus import Decision
 from maasar.extraction import extract
 from maasar.numbers import render_number
-from maasar.pipeline import choose_sentence
+from maasar.pipeline import choose_sentences
 from maasar.synthetic import FILLERS, _distractors, generate_corpus
 
 NUM_DECISIONS = 60
@@ -28,7 +28,8 @@ def corpus(lexicon):
 
 
 def rule_based_months(decision, lexicon):
-    return extract(decision, choose_sentence(decision, lexicon), lexicon).months
+    [chosen] = choose_sentences([decision], lexicon)
+    return extract(decision, chosen, lexicon).months
 
 
 def rebuilt(decision, texts):

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from maasar.analysis import analyse
 from maasar.corpus import segment_sentences
 from maasar.metrics import (
     ErrorCategory,
-    categorize_error,
     cohen_kappa,
     detection_prf,
+    error_category,
     extraction_f1_and_error,
     fleiss_kappa,
     punishment_histogram,
@@ -243,48 +244,37 @@ class TestFleissKappa:
 class TestCategorizeError:
     @pytest.mark.parametrize("expected,text", sorted(ERROR_EXAMPLES.items()))
     def test_published_examples(self, lexicon, expected, text):
-        assert categorize_error(sentence(text), lexicon) == ErrorCategory(expected)
+        assert error_category(analyse(sentence(text), lexicon)) == ErrorCategory(expected)
 
     def test_precedence_probation_first(self, lexicon):
         text = "נידון ל-18 חודשי מאסר על תנאי וקנס."
-        assert categorize_error(sentence(text), lexicon) is ErrorCategory.PROBATION
+        assert error_category(analyse(sentence(text), lexicon)) is ErrorCategory.PROBATION
 
     def test_docket_pattern_prior_case(self, lexicon):
         text = "ראו 1049/12 לעניין מאסר של 12 חודשים."
         assert (
-            categorize_error(sentence(text), lexicon)
+            error_category(analyse(sentence(text), lexicon))
             is ErrorCategory.PRIOR_CASE_REFERENCE
         )
 
     def test_misc_fallback(self, lexicon):
         text = "המאסר הוא עניין כבד משקל."
-        assert categorize_error(sentence(text), lexicon) is ErrorCategory.MISC
+        assert error_category(analyse(sentence(text), lexicon)) is ErrorCategory.MISC
 
     def test_total_over_synthetic(self, lexicon, synthetic):
         for decision in synthetic.decisions[:5]:
             for s in decision.sentences:
-                assert isinstance(categorize_error(s, lexicon), ErrorCategory)
+                assert isinstance(error_category(analyse(s, lexicon)), ErrorCategory)
 
 
 class TestHistogram:
-    def test_buckets_and_median(self):
+    def test_buckets(self):
         histogram = punishment_histogram([6, 6, 30], bucket_months=12)
         assert histogram.buckets == ((0, 11, 2), (24, 35, 1))
-        assert histogram.median == 6.0
 
     def test_empty(self):
         histogram = punishment_histogram([None, None], bucket_months=12)
         assert histogram.buckets == ()
-        assert histogram.median is None
-        assert histogram.fraction_at_or_below_15 is None
-
-    def test_median_odd(self):
-        histogram = punishment_histogram([12, 36, 60], bucket_months=12)
-        assert histogram.median == 36.0
-
-    def test_fraction_at_or_below_15(self):
-        histogram = punishment_histogram([6, 15, 16, 36], bucket_months=12)
-        assert histogram.fraction_at_or_below_15 == pytest.approx(0.5)
 
     def test_csv_rows(self):
         histogram = punishment_histogram([6, 30], bucket_months=12)

@@ -16,7 +16,6 @@ from maasar.models import (
     _grow_tree,
     _rank_columns,
     load_model,
-    predict_proba,
     save_model,
     train,
 )
@@ -43,7 +42,7 @@ class TestFeaturize:
 
     def test_keyword_free_sentence_zero_counts(self, lexicon):
         decision = Decision.from_text("c", "ריק לחלוטין. עוד משפט כאן.")
-        fv = featurize(analyse(decision.sentences[0], lexicon), 1)
+        fv = featurize(analyse(decision.sentences[0], lexicon))
         assert fv.shape == (NUM_FEATURES,)
         assert fv[:10].sum() == 0
         assert np.isfinite(fv).all()
@@ -51,7 +50,7 @@ class TestFeaturize:
     def test_empty_sentence_positions_still_defined(self, lexicon):
         from maasar.corpus import Sentence
 
-        fv = featurize(analyse(Sentence(1, "", 0, 1.0), lexicon), 1)
+        fv = featurize(analyse(Sentence(1, "", 0, 1.0), lexicon))
         assert fv[:10].sum() == 0
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
         assert np.isfinite(fv).all()
@@ -59,30 +58,24 @@ class TestFeaturize:
     def test_two_strong_positive_hits(self, lexicon):
         verbs = sorted(lexicon.strong_positive)[:2]
         decision = Decision.from_text("c", f"אני {verbs[0]} וגם {verbs[1]} עונש.")
-        fv = featurize(analyse(decision.sentences[0], lexicon), 1)
+        fv = featurize(analyse(decision.sentences[0], lexicon))
         assert fv[FEATURE_NAMES.index("strong_positive_count")] == 2
 
     def test_last_sentence_positions(self, lexicon):
         decision = Decision.from_text("c", "ראשון כאן. שני כאן. אחרון ממש.")
-        fv = featurize(analyse(decision.sentences[-1], lexicon), 1)
+        fv = featurize(analyse(decision.sentences[-1], lexicon))
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
         assert fv[FEATURE_NAMES.index("distance_to_document_end")] == 0.0
 
     def test_docket_marker_count(self, lexicon):
         decision = Decision.from_text("c", "ראו 1049/12 וגם 33/98 לעניין מאסר.")
-        fv = featurize(analyse(decision.sentences[0], lexicon), 1)
+        fv = featurize(analyse(decision.sentences[0], lexicon))
         assert fv[FEATURE_NAMES.index("docket_marker_count")] == 2
-
-    @pytest.mark.parametrize("scale", [0, -3])
-    def test_token_count_scale_below_one_refused(self, lexicon, scale):
-        decision = Decision.from_text("c", "נגזר עליו מאסר בפועל של 3 שנים.")
-        with pytest.raises(ValueError, match="'max_token_count' must be at least 1"):
-            featurize(analyse(decision.sentences[0], lexicon), scale)
 
     def test_indicators_are_binary(self, lexicon, synthetic):
         decision = synthetic.decisions[0]
         for s in decision.sentences[:10]:
-            fv = featurize(analyse(s, lexicon), 1)
+            fv = featurize(analyse(s, lexicon))
             assert fv[FEATURE_NAMES.index("has_number")] in (0.0, 1.0)
             assert fv[FEATURE_NAMES.index("has_time_unit")] in (0.0, 1.0)
 
@@ -210,13 +203,6 @@ class TestSchemaGuard:
         model = train([(x, bool(label)) for x, label in zip(X, y)], "tree_ensemble")
         with pytest.raises(ValueError, match="'token_count_scale' must be at least 1"):
             TrainedModel(model.kind, model.classifier, FEATURE_SCHEMA_VERSION, 0, scale)
-
-    def test_predict_proba_scalar_helper(self):
-        X, y = separable_data()
-        model = train([(x, bool(label)) for x, label in zip(X, y)], "tree_ensemble")
-        value = predict_proba(model, X[0])
-        assert isinstance(value, float)
-        assert 0.0 <= value <= 1.0
 
     def test_kind_aliases(self):
         X, y = separable_data()

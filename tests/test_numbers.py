@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from maasar.corpus import Sentence, segment_sentences
+from maasar.corpus import segment_sentences
 from maasar.lexicon import load_lexicon
 from maasar.numbers import (
     UNIT_ATTACH_WINDOW,
@@ -52,8 +52,9 @@ HAND_TABLE = {
 }
 
 
-def sentence(text):
-    return segment_sentences(text)[0]
+def sentence_tokens(text):
+    """The stripped tokens of the first sentence of ``text``."""
+    return stripped_tokens(segment_sentences(text)[0].text)
 
 
 class TestCompose:
@@ -95,49 +96,49 @@ class TestCompose:
 
 class TestFindNumbers:
     def test_digits_adjacent_to_month_word(self, numerals):
-        spans = find_numbers(sentence("הוא ירצה 48 חודשים במאסר."), numerals)
+        spans = find_numbers(sentence_tokens("הוא ירצה 48 חודשים במאסר."), numerals)
         (span,) = spans
         assert span.value == 48
         assert span.attached_unit is TimeUnit.MONTH
         assert span.unit_distance == 0
 
     def test_word_sequence_twenty_and_eight(self, numerals):
-        spans = find_numbers(sentence("עונש של עשרים ושמונה חודשים."), numerals)
+        spans = find_numbers(sentence_tokens("עונש של עשרים ושמונה חודשים."), numerals)
         (span,) = spans
         assert span.value == 28
         assert span.attached_unit is TimeUnit.MONTH
         assert span.end_token - span.start_token == 1
 
     def test_tens_word_with_month(self, numerals):
-        spans = find_numbers(sentence("שלושים חודשים של עבודה."), numerals)
+        spans = find_numbers(sentence_tokens("שלושים חודשים של עבודה."), numerals)
         (span,) = spans
         assert (span.value, span.attached_unit) == (30, TimeUnit.MONTH)
 
     def test_thousands_separator(self, numerals):
-        spans = find_numbers(sentence("סכום של 40,000 שקלים."), numerals)
+        spans = find_numbers(sentence_tokens("סכום של 40,000 שקלים."), numerals)
         assert spans[0].value == 40000
 
     def test_docket_fragment_is_single_unitless_span(self, numerals):
-        spans = find_numbers(sentence("ראו 1124/04 שם."), numerals)
+        spans = find_numbers(sentence_tokens("ראו 1124/04 שם."), numerals)
         (span,) = spans
         assert span.attached_unit is None
 
     def test_unit_before_number_does_not_attach(self, numerals):
-        spans = find_numbers(sentence("המאסר יחל ביום 31."), numerals)
+        spans = find_numbers(sentence_tokens("המאסר יחל ביום 31."), numerals)
         (span,) = spans
         assert span.value == 31
         assert span.attached_unit is None
 
     def test_number_stops_unit_scan(self, numerals):
-        spans = find_numbers(sentence("בין 30 ל-36 חודשים."), numerals)
+        spans = find_numbers(sentence_tokens("בין 30 ל-36 חודשים."), numerals)
         assert [s.attached_unit for s in spans] == [None, TimeUnit.MONTH]
 
     def test_unparseable_word_run_skipped(self, numerals):
-        assert find_numbers(sentence("שלוש עשרים מילים."), numerals) == []
+        assert find_numbers(sentence_tokens("שלוש עשרים מילים."), numerals) == []
 
     def test_spans_sorted_and_disjoint(self, numerals):
         spans = detect_spans(
-            sentence("48 חודשי מאסר ועוד שנה אחת וגם 1124/04 ושלושים יום."),
+            sentence_tokens("48 חודשי מאסר ועוד שנה אחת וגם 1124/04 ושלושים יום."),
             numerals,
         )
         for a, b in zip(spans, spans[1:]):
@@ -158,7 +159,7 @@ class TestFindNumbers:
         )
         tokens = [pool[p % len(pool)] for p in picks]
         rng.shuffle(tokens)
-        spans = detect_spans(sentence(" ".join(tokens) + ".") if tokens else sentence("."), numerals)
+        spans = detect_spans(sentence_tokens(" ".join(tokens) + "."), numerals)
         for a, b in zip(spans, spans[1:]):
             assert a.end_token < b.start_token
         for span in spans:
@@ -172,35 +173,35 @@ class TestFindNumbers:
 
 class TestUnitOnlyElimination:
     def test_bare_year_of_imprisonment(self, numerals):
-        spans = unit_only_elimination(sentence("נגזרה עליו שנת מאסר בפועל."), numerals)
+        spans = unit_only_elimination(sentence_tokens("נגזרה עליו שנת מאסר בפועל."), numerals)
         (span,) = spans
         assert (span.value, span.attached_unit) == (1, TimeUnit.YEAR)
         assert span.source == "unit_only_elimination"
 
     def test_twenty_plus_singular_year_binds_normally(self, numerals):
-        s = sentence(TWENTY_YEAR_SENTENCE)
+        s = sentence_tokens(TWENTY_YEAR_SENTENCE)
         assert unit_only_elimination(s, numerals) == []
         spans = find_numbers(s, numerals)
         assert (spans[0].value, spans[0].attached_unit) == (20, TimeUnit.YEAR)
         assert span_months(spans[0]) == 240
 
     def test_plural_preceded_by_digits_no_elimination(self, numerals):
-        s = sentence("נגזרו עליו 12 חודשים מאחורי סורגים.")
+        s = sentence_tokens("נגזרו עליו 12 חודשים מאחורי סורגים.")
         assert unit_only_elimination(s, numerals) == []
 
     def test_calendar_year_reference_skipped(self, numerals):
-        s = sentence("האירועים התרחשו בשנת מלחמה קשה אך שנת 2004 הוזכרה.")
+        s = sentence_tokens("האירועים התרחשו בשנת מלחמה קשה אך שנת 2004 הוזכרה.")
         spans = unit_only_elimination(s, numerals)
         assert all(s_.start_token != 7 for s_ in spans)
 
     def test_dual_year_from_find_numbers(self, numerals):
-        spans = detect_spans(sentence("עליו לרצות שנתיים מאחורי סורגים."), numerals)
+        spans = detect_spans(sentence_tokens("עליו לרצות שנתיים מאחורי סורגים."), numerals)
         (span,) = spans
         assert (span.value, span.attached_unit) == (2, TimeUnit.YEAR)
         assert span_months(span) == 24
 
     def test_year_and_half(self, numerals):
-        spans = detect_spans(sentence(YEAR_AND_HALF_SENTENCE), numerals)
+        spans = detect_spans(sentence_tokens(YEAR_AND_HALF_SENTENCE), numerals)
         year_spans = [s for s in spans if s.attached_unit is TimeUnit.YEAR]
         assert len(year_spans) == 1
         assert year_spans[0].plus_half
@@ -455,7 +456,7 @@ class TestScannerEquivalence:
     def test_detect_spans_equals_reference(self, numeral_variants, text):
         for numerals in numeral_variants:
             expected = reference_detect_spans(text, numerals)
-            assert detect_spans(Sentence(0, text, 0, 0.0), numerals) == expected
+            assert detect_spans(stripped_tokens(text), numerals) == expected
 
     @given(st.lists(_scanner_token, max_size=6))
     def test_compose_equals_reference(self, numeral_variants, tokens):

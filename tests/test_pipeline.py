@@ -4,8 +4,8 @@ import pytest
 from maasar import pipeline
 from maasar.analysis import analyse
 from maasar.corpus import Decision
-from maasar.detect import filter_candidates
-from maasar.features import featurize
+from maasar.detect import at_or_above, filter_candidates
+from maasar.features import FEATURE_NAMES, featurize
 from maasar.metrics import assemble_report, evaluate_rule_based
 from maasar.models import TrainedModel
 from maasar.pipeline import (
@@ -15,19 +15,17 @@ from maasar.pipeline import (
     _model_scored,
     _raw_features,
     _rescale,
-    choose_sentence,
     choose_sentences,
     cross_validate,
     make_folds,
     max_token_count,
-    select_sentence_supervised,
-    sentences_above_threshold,
     train_on_decisions,
 )
 from maasar.synthetic import generate_corpus
 from samples import FINE_ROW, PRIOR_CASE_ROW, SIMPLE_VERDICT
 
 FILLER = "בית המשפט שמע את טיעוני הצדדים."
+_TOKEN_COUNT = FEATURE_NAMES.index("token_count_norm")
 
 
 class StubModel:
@@ -40,6 +38,18 @@ class StubModel:
 
     def predict_proba(self, X):
         return np.asarray(self.probabilities[: len(X)], dtype=float)
+
+
+def detected_indices(model, decision, lexicon, threshold):
+    """Candidate indices whose probability is at or above ``threshold``."""
+    [scored] = _model_scored(model, [_raw_features(decision, lexicon)])
+    return [candidate.sentence_index for candidate in at_or_above(scored, threshold)]
+
+
+def chosen_index(model, decision, lexicon):
+    """Index of the sentence ``choose_sentences`` chooses, or None."""
+    [chosen] = choose_sentences([decision], lexicon, model)
+    return None if chosen is None else chosen.sentence.index
 
 
 def three_candidate_decision():
@@ -57,42 +67,42 @@ class TestThresholdStage:
     def test_keeps_indices_above_threshold(self, lexicon):
         decision = three_candidate_decision()
         model = StubModel([0.9, 0.6, 0.2])
-        kept = sentences_above_threshold(model, decision, lexicon, 0.5)
+        kept = detected_indices(model, decision, lexicon, 0.5)
         assert kept == [0, 2]
 
     def test_all_below_threshold(self, lexicon):
         decision = three_candidate_decision()
         model = StubModel([0.1, 0.2, 0.3])
-        assert sentences_above_threshold(model, decision, lexicon, 0.5) == []
+        assert detected_indices(model, decision, lexicon, 0.5) == []
 
     def test_threshold_zero_keeps_all_candidates(self, lexicon):
         decision = three_candidate_decision()
         model = StubModel([0.1, 0.2, 0.3])
-        assert sentences_above_threshold(model, decision, lexicon, 0.0) == [0, 2, 4]
+        assert detected_indices(model, decision, lexicon, 0.0) == [0, 2, 4]
 
 
 class TestArgmaxStage:
     def test_tie_breaks_toward_document_end(self, lexicon):
         decision = three_candidate_decision()
         model = StubModel([0.3, 0.7, 0.7])
-        assert select_sentence_supervised(model, decision, lexicon) == 4
+        assert chosen_index(model, decision, lexicon) == 4
 
     def test_singleton_wins_regardless_of_probability(self, lexicon):
         decision = Decision.from_text("c", " ".join([FILLER, FINE_ROW, FILLER]))
         model = StubModel([0.001])
-        assert select_sentence_supervised(model, decision, lexicon) == 1
+        assert chosen_index(model, decision, lexicon) == 1
 
     def test_no_candidates_returns_none(self, lexicon):
         decision = Decision.from_text("c", " ".join([FILLER, FILLER]))
         model = StubModel([])
-        assert select_sentence_supervised(model, decision, lexicon) is None
+        assert chosen_index(model, decision, lexicon) is None
 
     def test_invariant_under_monotone_transforms(self, lexicon):
         decision = three_candidate_decision()
         rng = np.random.default_rng(17)
         for _ in range(50):
             probs = rng.random(3)
-            baseline = select_sentence_supervised(StubModel(probs), decision, lexicon)
+            baseline = chosen_index(StubModel(probs), decision, lexicon)
             scale, shift = rng.uniform(0.1, 5.0), rng.uniform(-3, 3)
             for transformed in (
                 probs * scale + shift,
@@ -100,7 +110,7 @@ class TestArgmaxStage:
                 np.tanh(probs * scale),
             ):
                 assert (
-                    select_sentence_supervised(StubModel(transformed), decision, lexicon)
+                    chosen_index(StubModel(transformed), decision, lexicon)
                     == baseline
                 )
 
@@ -185,10 +195,9 @@ def per_fold_report(decisions, annotations, lexicon, kind, config):
         for case_id in fold:
             decision = by_id[case_id]
             threshold = config.detection_threshold
-            for idx in sentences_above_threshold(model, decision, lexicon, threshold):
+            for idx in detected_indices(model, decision, lexicon, threshold):
                 detected.add((case_id, idx))
-            index = select_sentence_supervised(model, decision, lexicon)
-            chosen[case_id] = None if index is None else analyse(decision.sentences[index], lexicon)
+            [chosen[case_id]] = choose_sentences([decision], lexicon, model)
     return assemble_report(decisions, annotations, lexicon, chosen, detected)
 
 
@@ -261,10 +270,13 @@ class TestFeaturizeOnceCrossValidation:
             analyses, raw = _raw_features(decision, lexicon)
             candidates = filter_candidates(decision, lexicon)
             assert analyses == [analyse(s, lexicon) for s in candidates]
-            # no scale below 1: TrainedModel refuses one, and _rescale no longer reads it as 1
+            direct = [featurize(analyse(s, lexicon)) for s in candidates]
+            assert raw.tobytes() == b"".join(row.tobytes() for row in direct)
+            # no scale below 1: TrainedModel refuses one
             for scale in (1, 7, 33, max_token_count(decisions)):
-                direct = [featurize(analyse(s, lexicon), scale) for s in candidates]
-                assert _rescale(raw, scale).tobytes() == b"".join(r.tobytes() for r in direct)
+                for row, s in zip(direct, candidates):
+                    row[_TOKEN_COUNT] = s.token_count / scale
+                assert _rescale(raw, scale).tobytes() == b"".join(row.tobytes() for row in direct)
 
 
 class FailingModel:
@@ -309,7 +321,7 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("kind", ["rule_based", "rf", "svm"])
     def test_choose_sentences_equals_choose_sentence(self, lexicon, decisions, models, kind):
         model = models.get(kind)
-        one_at_a_time = [choose_sentence(d, lexicon, model) for d in decisions]
+        one_at_a_time = [next(choose_sentences([d], lexicon, model)) for d in decisions]
         assert one_at_a_time[100] is None
         assert list(choose_sentences(decisions, lexicon, model)) == one_at_a_time
 
