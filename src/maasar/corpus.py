@@ -20,13 +20,20 @@ the next, so its cost grows with the number of such runs rather than the
 number of characters. Before a lone period it checks for an abbreviation
 with one ``str.endswith`` over all of them, and takes the word before the
 period (``rsplit``) only when some abbreviation ends there; the word is
-never walked back one character at a time. ``Sentence`` is a named tuple,
-which is cheap to build for every sentence of a corpus.
+never walked back one character at a time.
+
+A ``Decision`` holds the stripped sentence texts the splitter produces, not
+``Sentence``s: nine in ten sentences hold no filter keyword, and selection
+reads nothing of those but their text. ``Decision.sentence(i)`` is the one
+place a ``Sentence`` (with its token count and relative position) is built;
+the keyword filter builds one per candidate only, and ``.sentences``, built
+on first use and kept, serves the readers of every sentence (``segment``,
+``stats``, a model's token scale).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import io
 import json
 import logging
@@ -67,13 +74,13 @@ class Sentence(NamedTuple):
 
 @dataclass(frozen=True)
 class Decision:
-    """A single sentencing decision: raw text plus segmented sentences."""
+    """A single sentencing decision: raw text plus its sentence texts."""
 
     case_id: str
     year: int
     court: str
     raw_text: str
-    sentences: tuple[Sentence, ...] = dataclasses.field(default_factory=tuple)
+    texts: tuple[str, ...] = ()
 
     @classmethod
     def from_text(
@@ -88,8 +95,22 @@ class Decision:
             year=year,
             court=court,
             raw_text=raw_text,
-            sentences=tuple(segment_sentences(raw_text)),
+            texts=sentence_texts(raw_text),
         )
+
+    def sentence(self, index: int) -> Sentence:
+        """Sentence ``index``, with its token count and relative position."""
+        text = self.texts[index]
+        position = index / max(len(self.texts) - 1, 1)
+        # tuple.__new__ is how Sentence._make builds one; it skips the keyword
+        # binding of Sentence(...)
+        return tuple.__new__(Sentence, (index, text, len(text.split()), position))
+
+    # A cached_property writes the instance __dict__ directly, so it works on
+    # a frozen dataclass; the tuple is built on first use and kept.
+    @functools.cached_property
+    def sentences(self) -> tuple[Sentence, ...]:
+        return tuple(map(self.sentence, range(len(self.texts))))
 
 
 @dataclass(frozen=True)
@@ -222,10 +243,11 @@ def _word_before(text: str, start: int, end: int) -> str:
     return text[start:end].rsplit(None, 1)[-1]
 
 
-def segment_sentences(
+def sentence_texts(
     raw_text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS
-) -> list[Sentence]:
-    """Split text into sentences on terminal punctuation (. ? !).
+) -> tuple[str, ...]:
+    """Split text into stripped, non-empty sentence texts on terminal
+    punctuation (. ? !).
 
     A maximal run of terminals only splits when followed by whitespace or
     end of text, which keeps decimal numbers, dates (31.5.12) and docket
@@ -255,16 +277,15 @@ def segment_sentences(
         chunks.append(raw_text[start:end])
         start = end
     chunks.append(raw_text[start:])
+    return tuple(t for t in (c.strip() for c in chunks) if t)
 
-    texts = [t for t in (c.strip() for c in chunks) if t]
-    last = max(len(texts) - 1, 1)
-    # tuple.__new__ is how Sentence._make builds one; it skips the keyword
-    # binding of Sentence(...), a tenth of this function's time
-    new = tuple.__new__
-    return [
-        new(Sentence, (idx, text, len(text.split()), idx / last))
-        for idx, text in enumerate(texts)
-    ]
+
+def segment_sentences(
+    raw_text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS
+) -> list[Sentence]:
+    """The ``Sentence``s of ``sentence_texts(raw_text, abbreviations)``."""
+    texts = sentence_texts(raw_text, abbreviations)
+    return list(Decision("", 0, "", raw_text, texts).sentences)
 
 
 def load_corpus(
@@ -399,6 +420,6 @@ def corpus_stats(decisions: Iterable[Decision]) -> CorpusStats:
 def prelabel_negatives(decision: Decision, lexicon) -> list[tuple[int, bool]]:
     """Mark sentences with no filter keyword as automatic negatives."""
     return [
-        (s.index, not lexicon.contains_filter_keyword(s.text))
-        for s in decision.sentences
+        (index, not lexicon.contains_filter_keyword(text))
+        for index, text in enumerate(decision.texts)
     ]

@@ -35,12 +35,13 @@ class ScoredSentence:
 
 
 def filter_candidates(decision: Decision, lexicon: Lexicon) -> list[Sentence]:
-    """Sentences containing at least one filter keyword, in document order."""
-    return [
-        s
-        for s in decision.sentences
-        if s.token_count > 0 and lexicon.contains_filter_keyword(s.text)
-    ]
+    """Sentences containing at least one filter keyword, in document order.
+
+    Only these are built as ``Sentence``s. A keyword is never blank, so a
+    sentence holding one has a token.
+    """
+    contains = lexicon.contains_filter_keyword
+    return [decision.sentence(i) for i, text in enumerate(decision.texts) if contains(text)]
 
 
 def rule_score(sentence: Sentence, lexicon: Lexicon) -> ScoredSentence:

@@ -311,8 +311,14 @@ def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
                 f"lexicon tier {name!r} entry {position} must be a string or an object "
                 f"with a 'surface' string, got {entry!r}"
             )
+        if not surface.strip():
+            raise LexiconError(_blank_entry(name, position))
         tier[surface] = weight
     return tier
+
+
+def _blank_entry(section: str, position: int) -> str:
+    return f"lexicon section {section!r} entry {position} is empty"
 
 
 def _words(doc: dict, name: str, where: str, kind: str = "strings") -> list[str]:
@@ -323,8 +329,7 @@ def _words(doc: dict, name: str, where: str, kind: str = "strings") -> list[str]
     parent = where.partition(".")[2]
     for position, word in enumerate(words):
         if not word.strip():
-            section = f"{parent}.{name}" if parent else name
-            raise LexiconError(f"lexicon section {section!r} entry {position} is empty")
+            raise LexiconError(_blank_entry(f"{parent}.{name}" if parent else name, position))
     return words
 
 
@@ -471,7 +476,7 @@ def load_lexicon(
         _checked({"threshold": threshold}, "threshold", "number", "lexicon")
 
     def markers(name: str) -> frozenset[str]:
-        return frozenset(_checked(doc, name, "strings", "lexicon"))
+        return frozenset(_words(doc, name, "lexicon"))
 
     return Lexicon(
         filter_keywords=frozenset(_words(doc, "filter_keywords", "lexicon")),

@@ -25,8 +25,9 @@ Two learners, both self-contained and deterministic under a fixed seed:
   times per tree, so a per-tree presort of all 13 columns would cost about
   what the per-node sorts it replaces did. A fitted ensemble is held as
   flat node arrays (the nested-dict trees exist only in the model file and
-  ``state_dict``), and prediction walks all (row, tree) pairs down one level
-  at a time.
+  ``state_dict``), and prediction walks each tree once, partitioning the
+  rows it scores: a split node divides its rows between its children by one
+  column comparison, and a leaf voting 1 adds 1 to each of its rows.
 
 Scoring many rows per ``predict_proba`` call (``pipeline`` stacks up to a
 chunk of decisions) cannot move a tree-ensemble probability: it is a pure
@@ -352,16 +353,24 @@ class _FlatTrees:
         return [node(int(r)) for r in self.roots]
 
     def positive_votes(self, X: np.ndarray) -> np.ndarray:
-        """Per row, the number of trees voting 1; all (row, tree) pairs still
-        on a split node step down one level per pass."""
-        node = np.tile(self.roots, (X.shape[0], 1))
-        split = node >= 0
-        while split.any():
-            at = node[split]
-            go_left = X[np.nonzero(split)[0], self.feature[at]] <= self.threshold[at]
-            node[split] = np.where(go_left, self.left[at], self.right[at])
-            split = node >= 0
-        return (-1 - node).sum(axis=1)
+        """Per row, the number of trees voting 1. Each tree is walked once:
+        a split node divides its rows between its children on one column,
+        and a leaf voting 1 adds 1 to its rows."""
+        votes = np.zeros(X.shape[0], dtype=np.int64)
+        columns = X.T
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        rows = np.arange(X.shape[0])
+        stack = [(root, rows) for root in self.roots.tolist()]
+        while stack:
+            r, at = stack.pop()
+            if r >= 0:
+                go_left = columns[feature[r]][at] <= threshold[r]
+                stack.append((left[r], at[go_left]))
+                stack.append((right[r], at[~go_left]))
+            elif r == -2:  # a leaf voting 1
+                votes[at] += 1
+        return votes
 
 
 class TreeEnsembleClassifier(ParamsMixin):

@@ -156,8 +156,7 @@ def generate_decision(
         year=rng.randint(1990, 2021),
         court=rng.choice(COURTS),
     )
-    texts = [s.text for s in decision.sentences]
-    if texts != body:
+    if list(decision.texts) != body:
         raise AssertionError(
             f"synthetic decision {case_id} did not re-segment to its own sentences"
         )
@@ -176,15 +175,13 @@ def generate_corpus(
         decision, info = generate_decision(case_id, numerals, rng, GOLD_FORMS[i % len(GOLD_FORMS)])
         decisions.append(decision)
         gold[case_id] = info
-        for sentence in decision.sentences:
-            if "מאסר" not in sentence.text:
+        for index, text in enumerate(decision.texts):
+            if "מאסר" not in text:
                 continue
-            if sentence.index == info.sentence_index:
-                annotations.append(
-                    AnnotationRecord(case_id, sentence.index, True, info.months)
-                )
+            if index == info.sentence_index:
+                annotations.append(AnnotationRecord(case_id, index, True, info.months))
             else:
-                annotations.append(AnnotationRecord(case_id, sentence.index, False))
+                annotations.append(AnnotationRecord(case_id, index, False))
     return SyntheticCorpus(decisions, annotations, gold)
 
 

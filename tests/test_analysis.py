@@ -4,11 +4,12 @@ import pytest
 
 from maasar import analysis as analysis_module
 from maasar.cli import run
-from maasar.detect import choose_rule_based, filter_candidates
+from maasar.corpus import Decision
+from maasar.detect import choose_rule_based, filter_candidates, rule_based_choices
 from maasar.metrics import evaluate_rule_based
 from maasar.models import save_model
-from maasar.pipeline import PunishmentExtractor, train_on_decisions
-from maasar.synthetic import SyntheticCorpus, write_corpus
+from maasar.pipeline import PunishmentExtractor, choose_sentences, train_on_decisions
+from maasar.synthetic import SyntheticCorpus, generate_corpus, write_corpus
 
 
 @pytest.fixture
@@ -79,3 +80,43 @@ class TestEachCandidateAnalysedOnce:
         results = extractor.predict(decisions)
         assert len(span_calls) == sum(len(filter_candidates(d, lexicon)) for d in decisions)
         assert all(r.sentence_index is not None for r in results)
+
+
+class TestSentencesBuiltForCandidatesOnly:
+    """Selection builds a ``Sentence`` for each keyword candidate and for no
+    other sentence, and never the decision's full ``sentences`` tuple."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        original = Decision.sentence
+
+        def recording(decision, index):
+            calls.append((decision.case_id, index))
+            return original(decision, index)
+
+        monkeypatch.setattr(Decision, "sentence", recording)
+        return calls
+
+    @pytest.mark.parametrize("route", ["rule_based_choices", "choose_sentences", "rf"])
+    def test_selection(self, lexicon, synthetic, built, route):
+        # a fresh corpus: the shared fixture's sentences may be built already
+        decisions = generate_corpus(lexicon.numerals, num_decisions=12, seed=1).decisions
+        model = None
+        if route == "rf":
+            model = train_on_decisions(synthetic.decisions, synthetic.annotations, lexicon, "rf")
+        built.clear()
+        if route == "rule_based_choices":
+            chosen = list(rule_based_choices(decisions, lexicon))
+        else:
+            chosen = list(choose_sentences(decisions, lexicon, model))
+        assert all(analysis is not None for analysis in chosen)
+        assert all("sentences" not in vars(d) for d in decisions)
+        candidates = [
+            (d.case_id, i)
+            for d in decisions
+            for i, text in enumerate(d.texts)
+            if lexicon.contains_filter_keyword(text)
+        ]
+        assert built == candidates
+        assert len(candidates) < sum(len(d.texts) for d in decisions) / 4

@@ -595,6 +595,14 @@ class TestErrorHandling:
             ),
             (lambda doc: numerals_with(doc, conjunctions=["ו", ""]), "'numerals.conjunctions'"),
             (lambda doc: numerals_with(doc, half=[""]), "'numerals.half'"),
+            (
+                lambda doc: {**doc, "fine_markers": [*doc["fine_markers"], " "]},
+                "'fine_markers' entry 11 is empty",
+            ),
+            (
+                lambda doc: {**doc, "strong_positive": [*doc["strong_positive"], {"surface": ""}]},
+                "'strong_positive' entry 10 is empty",
+            ),
         ],
         ids=[
             "filter-keywords-string",
@@ -633,6 +641,8 @@ class TestErrorHandling:
             "tens-variant-blank",
             "conjunction-blank",
             "half-blank",
+            "fine-marker-blank",
+            "tier-surface-empty",
         ],
     )
     def test_mistyped_lexicon_section_exits_one(

@@ -15,6 +15,7 @@ from maasar.corpus import (
     prelabel_negatives,
     segment_sentences,
 )
+from maasar.synthetic import generate_corpus
 
 
 class TestSegmentation:
@@ -146,6 +147,25 @@ class TestRunBasedSplitterEquivalence:
     def test_synthetic_decisions(self, synthetic):
         for decision in synthetic.decisions:
             assert segment_sentences(decision.raw_text) == reference_segment(decision.raw_text)
+
+
+class TestSentencesOnDemand:
+    def test_built_sentences_equal_segmentation(self, lexicon):
+        decisions = generate_corpus(lexicon.numerals, num_decisions=200, seed=1).decisions
+        for decision in decisions:
+            expected = reference_segment(decision.raw_text)
+            assert segment_sentences(decision.raw_text) == expected
+            assert decision.texts == tuple(s.text for s in expected)
+            assert [decision.sentence(i) for i in range(len(decision.texts))] == expected
+            assert "sentences" not in vars(decision)
+            assert list(decision.sentences) == expected
+            assert decision.sentences is decision.sentences  # built once and kept
+
+    def test_sentences_are_not_compared(self):
+        decision = Decision.from_text("c1", "א ב. ג.")
+        assert decision.sentences
+        assert decision == Decision.from_text("c1", "א ב. ג.")
+
 
 class TestLoadCorpus:
     def _write(self, directory, name, text):
@@ -429,15 +449,7 @@ class TestPrelabel:
         assert labels[1] is False
 
     def test_empty_sentence_is_auto_negative(self, lexicon):
-        from maasar.corpus import Sentence
-
-        decision = Decision(
-            case_id="c1",
-            year=2001,
-            court="",
-            raw_text="",
-            sentences=(Sentence(0, "", 0, 0.0),),
-        )
+        decision = Decision(case_id="c1", year=2001, court="", raw_text="", texts=("",))
         assert prelabel_negatives(decision, lexicon) == [(0, True)]
 
     def test_superset_of_never_selectable(self, lexicon, synthetic):

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from maasar.corpus import Decision, segment_sentences
+from maasar.corpus import Decision, prelabel_negatives, segment_sentences
 from maasar.detect import (
     choose_rule_based,
     filter_candidates,
@@ -42,6 +42,15 @@ class TestFilterCandidates:
     def test_all_pass(self, lexicon):
         decision = Decision.from_text("c", " ".join([WORKED_EXAMPLE] * 3))
         assert len(filter_candidates(decision, lexicon)) == 3
+
+    @pytest.mark.parametrize("text", ["", " \t\n\x1c"])
+    def test_blank_sentence_is_no_candidate(self, lexicon, text):
+        decision = Decision("c", 0, "", text, texts=(text, WORKED_EXAMPLE))
+        assert [s.index for s in filter_candidates(decision, lexicon)] == [1]
+        assert prelabel_negatives(decision, lexicon) == [(0, True), (1, False)]
+        blank = Decision("c", 0, "", text, texts=(text,))
+        assert filter_candidates(blank, lexicon) == []
+        assert choose_rule_based(blank, lexicon) is None
 
 
 class TestRuleScore:

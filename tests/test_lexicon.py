@@ -66,6 +66,26 @@ class TestLoad:
             with pytest.raises(LexiconError, match=section):
                 load_lexicon(path)
 
+    @pytest.mark.parametrize(
+        "section, entry",
+        [
+            ("fine_markers", " "),
+            ("actual_markers", ""),
+            ("probation_markers", "\t"),
+            ("strong_positive", {"surface": ""}),
+            ("moderate_negative", " "),
+        ],
+    )
+    def test_blank_marker_or_tier_entry_named(self, tmp_path, section, entry):
+        doc = default_doc()
+        position = len(doc[section])
+        doc[section].append(entry)
+        path = tmp_path / "lex.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(LexiconError) as raised:
+            load_lexicon(path)
+        assert str(raised.value) == f"lexicon section {section!r} entry {position} is empty"
+
     def test_missing_numeral_section_rejected(self, tmp_path):
         for section in ("tens", "half"):
             doc = default_doc()
