@@ -4,10 +4,9 @@ Two-stage pipeline: find the sentence that pronounces the punishment, then
 parse and normalize its duration to months. Ships rule-based and trainable
 selectors, a Hebrew numeral parser, an evaluation harness, and a CLI.
 
-The rule path imports no numpy. The supervised names (``features``,
-``models``, ``pipeline`` and ``base``, and the names exported from the
-first three) are exported lazily (PEP 562): the first access imports their
-module, and numpy with it.
+The rule path imports no numpy. The supervised modules (``features``,
+``models`` and ``pipeline``, and the names exported from them) are exported
+lazily (PEP 562): the first access imports their module, and numpy with it.
 """
 
 import importlib as _importlib
@@ -71,7 +70,6 @@ from .numbers import (
 
 # Supervised module -> the names exported from it.
 _LAZY_MODULES = {
-    "base": (),
     "features": ("FEATURE_NAMES", "FEATURE_SCHEMA_VERSION", "featurize"),
     "models": (
         "LinearMarginClassifier",

@@ -27,8 +27,10 @@ A ``Decision`` holds the stripped sentence texts the splitter produces, not
 reads nothing of those but their text. ``Decision.sentence(i)`` is the one
 place a ``Sentence`` (with its token count and relative position) is built;
 the keyword filter builds one per candidate only, and ``.sentences``, built
-on first use and kept, serves the readers of every sentence (``segment``,
-``stats``, a model's token scale).
+on first use and kept, serves ``segment``, the reader of every sentence.
+``token_count`` is the one token-count rule: ``Decision.sentence``, ``stats``
+and ``Decision.max_token_count`` (a model's token scale) all read it, the
+last two from the texts alone.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ DEFAULT_ABBREVIATIONS = frozenset(
 # plain character class, which halves the scan.
 _SPLIT_RUN = re.compile(r"[.?!][.?!]*(?=\s|\Z)")
 _OPENERS = "([{\"'"
+
+
+def token_count(text: str) -> int:
+    """The number of whitespace-delimited tokens of a sentence text."""
+    return len(text.split())
 
 
 class Sentence(NamedTuple):
@@ -104,13 +111,19 @@ class Decision:
         position = index / max(len(self.texts) - 1, 1)
         # tuple.__new__ is how Sentence._make builds one; it skips the keyword
         # binding of Sentence(...)
-        return tuple.__new__(Sentence, (index, text, len(text.split()), position))
+        return tuple.__new__(Sentence, (index, text, token_count(text), position))
 
     # A cached_property writes the instance __dict__ directly, so it works on
     # a frozen dataclass; the tuple is built on first use and kept.
     @functools.cached_property
     def sentences(self) -> tuple[Sentence, ...]:
         return tuple(map(self.sentence, range(len(self.texts))))
+
+    # kept too: cross-validation reads it once per fold the decision trains in
+    @functools.cached_property
+    def max_token_count(self) -> int:
+        """The most tokens in one of its sentences (0 without sentences)."""
+        return max(map(token_count, self.texts), default=0)
 
 
 @dataclass(frozen=True)
@@ -171,31 +184,40 @@ def _list_of(test: Callable[[object], bool]) -> Callable[[object], bool]:
     return lambda v: isinstance(v, list) and all(map(test, v))
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but true is not 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _texts = _list_of(_is_text)
 
-# The JSON kinds ``field`` checks: kind -> (test, description).
-_KINDS: dict[str, tuple[Callable[[object], bool], str]] = {
+# The values a field accepts: (test, description).
+Kind = tuple[Callable[[object], bool], str]
+
+# The JSON kinds ``field`` checks by name.
+_KINDS: dict[str, Kind] = {
     "object": (lambda v: isinstance(v, dict), "an object"),
     "list": (lambda v: isinstance(v, list), "a list"),
     "string": (_is_text, "a Unicode string"),
     "strings": (_texts, "a list of Unicode strings"),
     "nonempty_strings": (lambda v: _texts(v) and v != [], "a non-empty list of Unicode strings"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "int": (_is_int, "an integer"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "number": (_is_number, "a finite number"),
     "numbers": (_list_of(_is_number), "a list of finite numbers"),
 }
 
 
-def field(doc: dict, name: str, kind: str, where: str, error: type = InputError):
+def field(doc: dict, name: str, kind: str | Kind, where: str, error: type = InputError):
     """``doc[name]``, refused with ``error`` (an ``InputError``) when it is
-    missing or not of ``kind`` (a key of ``_KINDS``).
+    missing or not of ``kind``: a key of ``_KINDS``, or the ``Kind`` of the
+    values this one field accepts.
 
     ``where`` is the dotted path of ``doc``, starting with the label of its
     document ("model file", "lexicon.numerals.tens"); the error names the
     field by the rest of that path and ``name`` ("'numerals.tens.20'").
     """
-    test, described = _KINDS[kind]
+    test, described = _KINDS[kind] if isinstance(kind, str) else kind
     if name in doc and test(doc[name]):
         return doc[name]
     label, _, parent = where.partition(".")
@@ -399,7 +421,7 @@ def load_annotations(path: str | Path) -> AnnotationLoadResult:
 def corpus_stats(decisions: Iterable[Decision]) -> CorpusStats:
     """Population statistics over sentence lengths (in whitespace tokens)."""
     decisions = list(decisions)
-    lengths = [s.token_count for d in decisions for s in d.sentences]
+    lengths = [token_count(text) for d in decisions for text in d.texts]
     num_cases = len(decisions)
     if not lengths:
         return CorpusStats(num_cases, 0, 0, 0.0, 0.0, 0, 0)

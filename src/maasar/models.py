@@ -41,27 +41,35 @@ one-row and per-decision calls, and scoring 256 decisions per call instead
 of one moved 294 margins by at most 8.9e-16 and changed no choice. The
 margin stays ``X @ w`` so that linear model files do not move.
 
+Each learner is a dataclass whose fields are its hyperparameters: one
+declaration gives each its name, default and accepted values, and the
+constructor refuses a value outside them. ``save_model`` writes the fields
+as the model file's ``hyperparams``.
+
 Model files are versioned JSON carrying the kind, feature schema version,
-seed and all fitted state. ``load_model`` checks every field with
-``corpus.field``, so every number is finite, and refuses a file that scoring
-could not use: an unknown format version, kind or hyperparameter, another
-feature schema version, a feature count other than the schema's, or a
-token-count scale below 1 or past the float range, which ``TrainedModel``
-itself refuses however it is built. Each of these, and training data with no records or a single
-class, raises ``InputError`` (exit 1 in the CLI); anything else is a bug.
+seed, hyperparameters and all fitted state. ``load_model`` checks every
+field with ``corpus.field``, so every number is finite, and refuses a file
+that scoring could not use: an unknown format version, kind or
+hyperparameter, a missing or unaccepted hyperparameter, a ``hyperparams``
+seed other than ``rng_seed``, another feature schema version, a feature
+count other than the schema's, or a token-count scale below 1 or past the
+float range, which ``TrainedModel`` itself refuses however it is built. Each
+of these, and training data with no records or a single class, raises
+``InputError`` (exit 1 in the CLI); anything else is a bug.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .base import ParamsMixin, check_binary_labels, check_feature_matrix
-from .corpus import InputError, field, read_input
+from .corpus import InputError, _is_int, _is_number, field, read_input
 from .features import FEATURE_SCHEMA_VERSION, NUM_FEATURES
 
 MODEL_FORMAT_VERSION = 1
@@ -76,22 +84,79 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-class LinearMarginClassifier(ParamsMixin):
+def check_feature_matrix(X, n_features: int | None = None) -> np.ndarray:
+    """Coerce X to a 2-d float array; reject NaN/inf and wrong widths."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(1, -1)
+    if X.ndim != 2:
+        raise ValueError(f"expected 2-d feature matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("feature matrix contains NaN or infinite values")
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValueError(
+            f"feature matrix has {X.shape[1]} columns, expected {n_features}"
+        )
+    return X
+
+
+def check_binary_labels(y, n_samples: int | None = None) -> np.ndarray:
+    """Coerce labels to a 0/1 int array; both classes must be present."""
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise ValueError(f"expected 1-d label vector, got shape {y.shape}")
+    if n_samples is not None and y.shape[0] != n_samples:
+        raise ValueError(f"got {y.shape[0]} labels for {n_samples} samples")
+    values = set(np.unique(y).tolist())
+    if not values <= {0, 1, False, True}:
+        raise ValueError(f"labels must be binary 0/1, got values {sorted(values)}")
+    y = y.astype(int)
+    if len(np.unique(y)) < 2:
+        raise InputError("training data contains a single class")
+    return y
+
+
+def _hyperparameter(default, accepts: Callable[[object], bool], described: str):
+    """A learner's hyperparameter field: its default, and the values it
+    accepts as a ``corpus.field`` kind."""
+    return dataclasses.field(default=default, metadata={"kind": (accepts, described)})
+
+
+def _checked_hyperparams(learner: type, params: dict, where: str) -> dict:
+    """``learner``'s hyperparameters, each read from ``params`` through
+    ``corpus.field`` under ``where``: a missing or unaccepted one raises
+    InputError naming it."""
+    fields = dataclasses.fields(learner)
+    return {f.name: field(params, f.name, f.metadata["kind"], where) for f in fields}
+
+
+def _is_count(value: object) -> bool:
+    return _is_int(value) and value >= 1
+
+
+_COUNT = (_is_count, "an integer of at least 1")
+# numpy's generators refuse a negative seed
+_SEED = (lambda v: _is_int(v) and v >= 0, "an integer of at least 0")
+
+
+@dataclass(eq=False)
+class LinearMarginClassifier:
     """Linear max-margin classifier trained by subgradient descent."""
 
-    def __init__(
-        self,
-        learning_rate: float = 0.5,
-        epochs: int = 800,
-        l2: float = 1e-4,
-        class_weight: str | None = "balanced",
-        seed: int = 0,
-    ):
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.l2 = l2
-        self.class_weight = class_weight
-        self.seed = seed
+    learning_rate: float = _hyperparameter(
+        0.5, lambda v: _is_number(v) and v > 0, "a finite number above 0"
+    )
+    epochs: int = _hyperparameter(800, *_COUNT)
+    l2: float = _hyperparameter(
+        1e-4, lambda v: _is_number(v) and v >= 0, "a finite number of at least 0"
+    )
+    class_weight: str | None = _hyperparameter(
+        "balanced", lambda v: v in ("balanced", None), "'balanced' or null"
+    )
+    seed: int = _hyperparameter(0, *_SEED)
+
+    def __post_init__(self):
+        _checked_hyperparams(type(self), dataclasses.asdict(self), type(self).__name__)
 
     def fit(self, X, y):
         X = check_feature_matrix(X)
@@ -145,9 +210,6 @@ class LinearMarginClassifier(ParamsMixin):
         margins = self.decision_function(X)
         pos = _sigmoid(self.calibration_scale_ * margins)
         return np.column_stack([1.0 - pos, pos])
-
-    def predict(self, X) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(int)
 
     def state_dict(self) -> dict:
         return {
@@ -373,29 +435,31 @@ class _FlatTrees:
         return votes
 
 
-class TreeEnsembleClassifier(ParamsMixin):
+@dataclass(eq=False)
+class TreeEnsembleClassifier:
     """Bagged gini decision trees voting on the positive class."""
 
-    def __init__(
-        self,
-        n_trees: int = 100,
-        max_features: int | str = "sqrt",
-        min_leaf: int = 1,
-        max_depth: int | None = None,
-        seed: int = 0,
-    ):
-        self.n_trees = n_trees
-        self.max_features = max_features
-        self.min_leaf = min_leaf
-        self.max_depth = max_depth
-        self.seed = seed
+    n_trees: int = _hyperparameter(100, *_COUNT)
+    max_features: int | str = _hyperparameter(
+        "sqrt",
+        lambda v: v in ("sqrt", "all") or _is_count(v),
+        "'sqrt', 'all' or an integer of at least 1",
+    )
+    min_leaf: int = _hyperparameter(1, *_COUNT)
+    max_depth: int | None = _hyperparameter(
+        None, lambda v: v is None or _is_count(v), "null or an integer of at least 1"
+    )
+    seed: int = _hyperparameter(0, *_SEED)
+
+    def __post_init__(self):
+        _checked_hyperparams(type(self), dataclasses.asdict(self), type(self).__name__)
 
     def _resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":
             return max(1, int(np.sqrt(n_features)))
         if self.max_features == "all":
             return n_features
-        return max(1, min(int(self.max_features), n_features))
+        return min(self.max_features, n_features)
 
     def fit(self, X, y):
         X = check_feature_matrix(X)
@@ -429,9 +493,6 @@ class TreeEnsembleClassifier(ParamsMixin):
         flat = self.flat_trees_
         pos = flat.positive_votes(X) / flat.roots.size
         return np.column_stack([1.0 - pos, pos])
-
-    def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X)[:, 1] >= 0.5).astype(int)
 
     def state_dict(self) -> dict:
         return {"trees": self.trees_, "n_features_in": self.n_features_in_}
@@ -485,11 +546,7 @@ def _normalize_kind(kind: str) -> str:
     return kind
 
 
-def make_classifier(kind: str, seed: int):
-    kind = _normalize_kind(kind)
-    if kind == "linear_margin":
-        return LinearMarginClassifier(seed=seed)
-    return TreeEnsembleClassifier(seed=seed)
+_LEARNERS = {"linear_margin": LinearMarginClassifier, "tree_ensemble": TreeEnsembleClassifier}
 
 
 def train(records, kind: str, seed: int = 0) -> TrainedModel:
@@ -499,10 +556,10 @@ def train(records, kind: str, seed: int = 0) -> TrainedModel:
         raise InputError("no training records")
     X = np.vstack([np.asarray(fv, dtype=float) for fv, _ in records])
     y = np.array([1 if label else 0 for _, label in records], dtype=int)
-    classifier = make_classifier(kind, seed).fit(X, y)
+    kind = _normalize_kind(kind)
     return TrainedModel(
-        kind=_normalize_kind(kind),
-        classifier=classifier,
+        kind=kind,
+        classifier=_LEARNERS[kind](seed=seed).fit(X, y),
         feature_schema_version=FEATURE_SCHEMA_VERSION,
         rng_seed=seed,
     )
@@ -515,7 +572,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "feature_schema_version": model.feature_schema_version,
         "rng_seed": model.rng_seed,
         "token_count_scale": model.token_count_scale,
-        "hyperparams": model.classifier.get_params(),
+        "hyperparams": dataclasses.asdict(model.classifier),
         "state": model.classifier.state_dict(),
     }
     Path(path).write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True), encoding="utf-8")
@@ -539,8 +596,20 @@ def load_model(path: str | Path) -> TrainedModel:
             f"(the library's feature schema), got {schema}"
         )
     kind = _normalize_kind(field(doc, "kind", "string", "model file"))
-    classifier = make_classifier(kind, seed=field(doc, "rng_seed", "int", "model file"))
-    classifier.set_params(**field(doc, "hyperparams", "object", "model file"))
+    rng_seed = field(doc, "rng_seed", "int", "model file")
+    learner = _LEARNERS[kind]
+    params = field(doc, "hyperparams", "object", "model file")
+    unknown = sorted(params.keys() - {f.name for f in dataclasses.fields(learner)})
+    if unknown:
+        raise InputError(
+            f"model file field 'hyperparams' has unknown {kind} hyperparameters {unknown}"
+        )
+    classifier = learner(**_checked_hyperparams(learner, params, "model file.hyperparams"))
+    if classifier.seed != rng_seed:
+        raise InputError(
+            f"model file field 'hyperparams.seed' must equal 'rng_seed' ({rng_seed}), "
+            f"got {classifier.seed}"
+        )
     classifier.load_state_dict(field(doc, "state", "object", "model file"))
     if classifier.n_features_in_ != NUM_FEATURES:
         raise InputError(
@@ -551,6 +620,6 @@ def load_model(path: str | Path) -> TrainedModel:
         kind=kind,
         classifier=classifier,
         feature_schema_version=schema,
-        rng_seed=doc["rng_seed"],
+        rng_seed=rng_seed,
         token_count_scale=field(doc, "token_count_scale", "int", "model file"),
     )

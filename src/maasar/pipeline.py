@@ -36,7 +36,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .analysis import SentenceAnalysis, analyse
-from .base import ParamsMixin
 from .corpus import AnnotationRecord, Decision, InputError
 from .detect import ScoredSentence, best_scored, filter_candidates, rule_based_choices
 from .extraction import ExtractionResult, extract
@@ -128,10 +127,9 @@ def _label_lookup(annotations: list[AnnotationRecord]) -> dict[tuple[str, int], 
 
 
 def max_token_count(decisions: list[Decision]) -> int:
-    return max(
-        (s.token_count for d in decisions for s in d.sentences),
-        default=1,
-    )
+    """The most tokens in one sentence of ``decisions`` (1 without sentences),
+    read from the texts without building their ``Sentence``s."""
+    return max((d.max_token_count for d in decisions if d.texts), default=1)
 
 
 def build_training_records(
@@ -216,33 +214,27 @@ def cross_validate(
     return assemble_report(decisions, annotations, lexicon, chosen, detected)
 
 
-class PunishmentExtractor(ParamsMixin):
+class PunishmentExtractor:
     """End-to-end estimator: select the punishment sentence, extract months.
 
     ``method`` is one of rule_based / svm / rf. Supervised methods need
     ``fit`` with decisions and annotation records; the rule-based method is
-    ready as soon as it has a lexicon.
+    ready as soon as it is built.
     """
 
-    def __init__(self, method: str = "rule_based", lexicon: Lexicon | None = None, seed: int = 0):
+    def __init__(self, method: str = "rule_based", *, lexicon: Lexicon, seed: int = 0):
         self.method = method
         self.lexicon = lexicon
         self.seed = seed
 
-    def _require_lexicon(self) -> Lexicon:
-        if self.lexicon is None:
-            raise ValueError("lexicon is required; pass one to the constructor")
-        return self.lexicon
-
     def fit(self, decisions: list[Decision], annotations: list[AnnotationRecord] | None = None):
-        lexicon = self._require_lexicon()
         if self.method == "rule_based":
             self.model_ = None
             return self
         if annotations is None:
             raise ValueError(f"method {self.method!r} requires annotations to fit")
         self.model_ = train_on_decisions(
-            decisions, annotations, lexicon, self.method, seed=self.seed
+            decisions, annotations, self.lexicon, self.method, seed=self.seed
         )
         return self
 
@@ -255,6 +247,5 @@ class PunishmentExtractor(ParamsMixin):
         return model
 
     def predict(self, decisions: list[Decision]) -> list[ExtractionResult]:
-        lexicon = self._require_lexicon()
-        chosen = choose_sentences(decisions, lexicon, self._model())
-        return [extract(d, c, lexicon) for d, c in zip(decisions, chosen)]
+        chosen = choose_sentences(decisions, self.lexicon, self._model())
+        return [extract(d, c, self.lexicon) for d, c in zip(decisions, chosen)]

@@ -30,8 +30,13 @@ def corpus_args(workspace):
 
 
 def rf_state(doc, state):
-    """A model file of the tree ensemble kind carrying ``state``."""
-    return {**doc, "kind": "rf", "hyperparams": {}, "state": state}
+    """A model file of the tree ensemble kind, with its default
+    hyperparameters, carrying ``state``."""
+    hyperparams = {
+        "max_depth": None, "max_features": "sqrt", "min_leaf": 1, "n_trees": 100,
+        "seed": doc["rng_seed"],
+    }
+    return {**doc, "kind": "rf", "hyperparams": hyperparams, "state": state}
 
 
 def rf_trees(doc, *trees):
@@ -49,6 +54,11 @@ def svm_weights(doc, count):
 def svm_state(doc, **fields):
     """A linear model file whose state has ``fields`` replaced."""
     return {**doc, "state": {**doc["state"], **fields}}
+
+
+def hyperparams_with(doc, **hyperparams):
+    """A model file whose hyperparams have ``hyperparams`` replaced."""
+    return {**doc, "hyperparams": {**doc["hyperparams"], **hyperparams}}
 
 
 def svm_offset(doc, offset):
@@ -469,6 +479,39 @@ class TestErrorHandling:
                 lambda doc: rf_trees(doc, {"feature": 0, **LEAVES, "threshold": math.nan}),
                 "'threshold' must be a finite number",
             ),
+            ("rf-model", lambda doc: hyperparams_with(doc, n_trees="abc"), "'hyperparams.n_trees'"),
+            ("rf-model", lambda doc: hyperparams_with(doc, max_depth=-3), "'hyperparams.max_depth'"),
+            ("rf-model", lambda doc: hyperparams_with(doc, min_leaf=[1]), "'hyperparams.min_leaf'"),
+            (
+                "rf-model",
+                lambda doc: hyperparams_with(doc, max_features=None),
+                "'hyperparams.max_features'",
+            ),
+            ("rf-model", lambda doc: hyperparams_with(doc, seed="x"), "'hyperparams.seed'"),
+            ("rf-model", lambda doc: {**doc, "hyperparams": {}}, "'hyperparams.n_trees'"),
+            (
+                "rf-model",
+                lambda doc: {**doc, "rng_seed": doc["rng_seed"] + 1},
+                "'hyperparams.seed' must equal 'rng_seed' (1), got 0",
+            ),
+            ("model", lambda doc: hyperparams_with(doc, epochs="abc"), "'hyperparams.epochs'"),
+            ("model", lambda doc: hyperparams_with(doc, l2=-1), "'hyperparams.l2'"),
+            (
+                "model",
+                lambda doc: hyperparams_with(doc, class_weight=5),
+                "'hyperparams.class_weight'",
+            ),
+            (
+                "model",
+                lambda doc: hyperparams_with(doc, learning_rate=None),
+                "'hyperparams.learning_rate'",
+            ),
+            ("model", lambda doc: {**doc, "hyperparams": {}}, "'hyperparams.learning_rate'"),
+            (
+                "model",
+                lambda doc: hyperparams_with(doc, seed=7),
+                "'hyperparams.seed' must equal 'rng_seed' (0), got 7",
+            ),
         ],
         ids=[
             "model-not-object",
@@ -492,16 +535,30 @@ class TestErrorHandling:
             "svm-bias-infinity",
             "svm-calibration-scale-nan",
             "rf-threshold-nan",
+            "rf-n-trees-string",
+            "rf-max-depth-negative",
+            "rf-min-leaf-list",
+            "rf-max-features-null",
+            "rf-seed-string",
+            "rf-hyperparams-empty",
+            "rf-seed-other-than-rng-seed",
+            "svm-epochs-string",
+            "svm-l2-negative",
+            "svm-class-weight-int",
+            "svm-learning-rate-null",
+            "svm-hyperparams-empty",
+            "svm-seed-other-than-rng-seed",
         ],
     )
     def test_malformed_model_or_lexicon_exits_one(
         self, workspace, capsys, tmp_path, kind, breakage, named
     ):
         broken = tmp_path / f"broken-{kind}.json"
-        if kind == "model":
+        if kind != "lexicon":
             source = tmp_path / "model.json"
             annotations = ["--annotations", str(workspace["annotations"])]
-            train = ["train", *corpus_args(workspace), *annotations, "--model", "svm"]
+            learner = "rf" if kind == "rf-model" else "svm"
+            train = ["train", *corpus_args(workspace), *annotations, "--model", learner]
             assert run([*train, "--out", str(source)]) == 0
             selector = ["--model", str(broken)]
         else:

@@ -9,7 +9,6 @@ from maasar.detect import (
     filter_candidates,
     rule_score,
 )
-from maasar.pipeline import PunishmentExtractor
 from maasar.tokens import stripped_tokens
 from samples import (
     FINE_ROW,
@@ -168,14 +167,6 @@ class TestMonotonicity:
 
 
 class TestEstimatorApi:
-    def test_get_set_params(self, lexicon):
-        selector = PunishmentExtractor(method="rule_based")
-        assert selector.get_params()["lexicon"] is None
-        selector.set_params(lexicon=lexicon)
-        assert selector.get_params()["lexicon"] is lexicon
-        with pytest.raises(ValueError, match="invalid parameter"):
-            selector.set_params(bogus=1)
-
     def test_threshold_override_via_replace(self, lexicon):
         lenient = dataclasses.replace(lexicon, threshold=-10.0)
         decision = Decision.from_text("c", PRIOR_CASE_ROW)

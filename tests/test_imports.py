@@ -20,7 +20,7 @@ EXPORTED = [
     "FEATURE_SCHEMA_VERSION", "Histogram", "Lexicon", "LinearMarginClassifier", "NumberSpan",
     "NumeralLexicon", "PRF", "PunishmentExtractor", "ScoredSentence", "Sentence",
     "SentenceAnalysis", "TierHits", "TimeUnit", "TrainedModel", "TreeEnsembleClassifier",
-    "analyse", "analysis", "base", "choose_rule_based", "cohen_kappa", "compose", "corpus",
+    "analyse", "analysis", "choose_rule_based", "cohen_kappa", "compose", "corpus",
     "corpus_stats", "cross_validate", "detect", "detect_spans", "detection_prf",
     "error_category", "evaluate_rule_based", "extract", "extraction",
     "extraction_f1_and_error", "features", "featurize", "filter_candidates", "find_numbers",

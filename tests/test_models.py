@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maasar.analysis import analyse
-from maasar.corpus import Decision
+from maasar.corpus import Decision, InputError
 from maasar.features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, NUM_FEATURES, featurize
 from maasar.models import (
     LinearMarginClassifier,
@@ -80,6 +81,18 @@ class TestFeaturize:
             assert fv[FEATURE_NAMES.index("has_time_unit")] in (0.0, 1.0)
 
 
+# The hyperparams of a model file trained with seed 3: the learners' defaults,
+# whose keys and values every existing model file carries.
+MODEL_FILE_HYPERPARAMS = {
+    "linear_margin": {
+        "class_weight": "balanced", "epochs": 800, "l2": 0.0001, "learning_rate": 0.5, "seed": 3
+    },
+    "tree_ensemble": {
+        "max_depth": None, "max_features": "sqrt", "min_leaf": 1, "n_trees": 100, "seed": 3
+    },
+}
+
+
 @pytest.mark.parametrize("kind", ["linear_margin", "tree_ensemble"])
 class TestLearnersCommon:
     def test_separable_training_accuracy(self, kind):
@@ -118,6 +131,12 @@ class TestLearnersCommon:
         save_model(loaded, tmp_path / "model2.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
 
+    def test_model_file_hyperparams(self, kind, tmp_path):
+        X, y = separable_data()
+        save_model(train([(x, bool(label)) for x, label in zip(X, y)], kind, seed=3), tmp_path / "m")
+        doc = json.loads((tmp_path / "m").read_text(encoding="utf-8"))
+        assert doc["hyperparams"] == MODEL_FILE_HYPERPARAMS[kind]
+
 
 class TestTreeEnsemble:
     def test_probability_is_exact_vote_fraction(self):
@@ -151,12 +170,36 @@ class TestTreeEnsemble:
         clf = TreeEnsembleClassifier(n_trees=1, seed=0).fit(X, [0, 0, 1, 1])
         [tree] = clf.trees_
         assert values[1] <= tree["threshold"] < values[2]
-        assert clf.predict(X).tolist() == [0, 0, 1, 1]
+        assert (clf.predict_proba(X)[:, 1] >= 0.5).tolist() == [False, False, True, True]
 
-    def test_get_params(self):
-        clf = TreeEnsembleClassifier(n_trees=10, seed=4)
-        params = clf.get_params()
-        assert params["n_trees"] == 10 and params["seed"] == 4
+
+@pytest.mark.parametrize(
+    "learner, name, value",
+    [
+        (TreeEnsembleClassifier, "n_trees", 0),
+        (TreeEnsembleClassifier, "n_trees", "abc"),
+        (TreeEnsembleClassifier, "max_depth", -1),
+        (TreeEnsembleClassifier, "max_depth", -3),
+        (TreeEnsembleClassifier, "min_leaf", 0),
+        (TreeEnsembleClassifier, "min_leaf", [1]),
+        (TreeEnsembleClassifier, "max_features", None),
+        (TreeEnsembleClassifier, "max_features", 0),
+        (TreeEnsembleClassifier, "seed", "x"),
+        (TreeEnsembleClassifier, "seed", -1),
+        (LinearMarginClassifier, "learning_rate", math.nan),
+        (LinearMarginClassifier, "learning_rate", None),
+        (LinearMarginClassifier, "learning_rate", 0),
+        (LinearMarginClassifier, "epochs", "abc"),
+        (LinearMarginClassifier, "epochs", True),
+        (LinearMarginClassifier, "l2", -1),
+        (LinearMarginClassifier, "class_weight", "bal"),
+        (LinearMarginClassifier, "class_weight", 5),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_unaccepted_hyperparameter_refused(learner, name, value):
+    with pytest.raises(InputError, match=f"^{learner.__name__} field '{name}' must be"):
+        learner(**{name: value})
 
 
 class TestLinearMargin:
@@ -371,7 +414,9 @@ class TestSplitterAgainstReference:
             reference_grow_tree(X, y, indices, rng_b, resolved, min_leaf, max_depth)
         )
 
-        reference = TreeEnsembleClassifier(**clf.get_params())
+        reference = TreeEnsembleClassifier(
+            n_trees=4, max_features=max_features, min_leaf=min_leaf, max_depth=max_depth, seed=seed
+        )
         reference.load_state_dict({"trees": expected, "n_features_in": clf.n_features_in_})
         directory = tmp_path_factory.mktemp("models")
         files = []

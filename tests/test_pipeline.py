@@ -264,6 +264,14 @@ class TestFeaturizeOnceCrossValidation:
         assert [kind for kind, _ in featurize_once] == ["fit", "score"] * config.num_folds
         assert featurize_once == per_fold
 
+    def test_max_token_count_builds_no_sentence(self, corpus):
+        decisions, _ = corpus
+        longest = max(s.token_count for d in decisions for s in d.sentences)
+        assert longest == 44  # the longest added closing sentence
+        fresh = [Decision.from_text(d.case_id, d.raw_text, d.year, d.court) for d in decisions]
+        assert max_token_count(fresh) == longest
+        assert all("sentences" not in vars(d) for d in fresh)
+
     def test_rescaled_rows_equal_featurized_rows(self, lexicon, corpus):
         decisions, _ = corpus
         for decision in decisions:
@@ -381,9 +389,3 @@ class TestPunishmentExtractor:
         extractor = PunishmentExtractor(method="rf", lexicon=lexicon)
         with pytest.raises(ValueError, match="not fitted"):
             extractor.predict(synthetic.decisions[:1])
-
-    def test_params_round_trip(self, lexicon):
-        extractor = PunishmentExtractor(method="rule_based", lexicon=lexicon, seed=9)
-        params = extractor.get_params()
-        clone = PunishmentExtractor(**params)
-        assert clone.get_params()["seed"] == 9
