@@ -319,13 +319,15 @@ def load_corpus(
     ``metadata_path`` defaults to ``metadata.json`` inside the directory.
     Problems are collected per file or metadata entry (unreadable file, bad
     encoding, missing or malformed metadata, duplicate case_id) and loading
-    continues past them; a metadata file that is not a JSON array is one
-    error and loads nothing.
+    continues past them; a corpus path that is not a directory, or a
+    metadata file that is not a JSON array, is one error and loads nothing.
     """
     directory = Path(directory_path)
     if metadata_path is None:
         metadata_path = directory / "metadata.json"
     errors: list[LoadError] = []
+    if not directory.is_dir():
+        return CorpusLoadResult([], [LoadError(str(directory), "corpus path is not a directory")])
     if not Path(metadata_path).exists() and not any(directory.glob("*.txt")):
         return CorpusLoadResult([], [])
     try:

@@ -28,8 +28,13 @@ the token-level case of Aho-Corasick multi-pattern matching.
 Single-character marker entries of the tiers (docket slash, brackets) are
 kept in a short list and found in the raw text. The filter keywords are
 compiled into one regular expression, so ``contains_filter_keyword`` is a
-single search per sentence, and the numeral lexicon maps every bare and
-conjunction-prefixed number word to its parts (``NumeralLexicon.word_forms``).
+single search per sentence.
+
+A ``NumeralLexicon`` keeps one table, ``roles``, from each stripped token it
+has seen to that token's roles in the numeral grammar (``numbers.Roles``).
+``numbers.token_roles`` fills it the first time a token is seen, so it holds
+the vocabulary of the sentences analysed with that lexicon (one run's, in
+the CLI), and a ``dataclasses.replace`` copy starts with an empty table.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import InputError, field, read_input
-from .numbers import TimeUnit
+from .numbers import Roles, TimeUnit
 
 LEXICON_ENV_VAR = "MAASAR_LEXICON"
 
@@ -167,23 +172,11 @@ class NumeralLexicon:
     canonical_teens: Mapping[str, Mapping[int, str]]
     canonical_tens: Mapping[int, str]
     canonical_hundreds: Mapping[int, str]
-    # (has conjunction, bare word) for every number word with or without a
-    # conjunction prefix; derived from the fields above, per instance.
-    word_forms: Mapping[str, tuple[bool, str]] = dataclasses.field(
-        init=False, repr=False, compare=False
+    # The roles of every stripped token seen so far, filled by
+    # ``numbers.token_roles``; per instance, so a replaced copy starts empty.
+    roles: dict[str, Roles] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self):
-        forms: dict[str, tuple[bool, str]] = {}
-        # The first conjunction form that leaves a vocabulary word wins, and
-        # a prefixed reading beats a bare one ("ושש" is "and six").
-        for conj in self.conjunction_forms:
-            for word in self.vocabulary:
-                if word:
-                    forms.setdefault(conj + word, (True, word))
-        for word in self.vocabulary:
-            forms.setdefault(word, (False, word))
-        object.__setattr__(self, "word_forms", forms)
 
     @property
     def canonical_conjunction(self) -> str:

@@ -172,22 +172,30 @@ class LinearMarginClassifier:
 
         w = np.zeros(d)
         b = 0.0
-        for epoch in range(1, self.epochs + 1):
-            margins = signs * (X @ w + b)
-            violating = margins < 1.0
-            lr = self.learning_rate / (1.0 + 0.01 * epoch)
-            grad_w = self.l2 * w
-            grad_b = 0.0
-            if violating.any():
-                coef = (sample_weight * signs)[violating]
-                grad_w -= (coef[:, None] * X[violating]).sum(axis=0) / n
-                grad_b -= coef.sum() / n
-            w -= lr * grad_w
-            b -= lr * grad_b
+        # a step too large overflows; the result is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, self.epochs + 1):
+                margins = signs * (X @ w + b)
+                violating = margins < 1.0
+                lr = self.learning_rate / (1.0 + 0.01 * epoch)
+                grad_w = self.l2 * w
+                grad_b = 0.0
+                if violating.any():
+                    coef = (sample_weight * signs)[violating]
+                    grad_w -= (coef[:, None] * X[violating]).sum(axis=0) / n
+                    grad_b -= coef.sum() / n
+                w -= lr * grad_w
+                b -= lr * grad_b
+            scale = self._fit_calibration(X @ w + b, y)
+        if not np.isfinite(np.append(w, (b, scale))).all():
+            raise InputError(
+                f"linear margin fit diverged to non-finite weights with learning_rate "
+                f"{self.learning_rate!r} and l2 {self.l2!r}; lower them"
+            )
         self.weights_ = w
         self.bias_ = b
         self.n_features_in_ = d
-        self.calibration_scale_ = self._fit_calibration(self.decision_function(X), y)
+        self.calibration_scale_ = scale
         return self
 
     @staticmethod

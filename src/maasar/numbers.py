@@ -10,12 +10,14 @@ right after a time unit ("year and a half") always adds half of that unit
 ``tokens.stripped_tokens``, which ``analysis.analyse`` computes once per
 sentence.
 
-The numeral lexicon compiles its conjunction forms once, when it is built,
-into ``NumeralLexicon.word_forms``: every number word, bare or with a
-conjunction prefix ("ושמונה"), maps to whether it carries the conjunction
-and its bare word. ``find_numbers`` looks each token up there once while it
-extends a number run and hands the looked-up words to the composer, so no
-token is split or stripped twice.
+What a stripped token is here (a digit value, a number word, bare or with
+a conjunction prefix as in "ושמונה", a dual, a time unit, a bare singular
+unit, a half word) is decided in one place: ``token_roles`` classifies a
+token the first time a ``NumeralLexicon`` sees it and keeps the ``Roles``
+record in the lexicon's ``roles`` table. The scanners and ``compose`` read
+those records, so a token is classified once per lexicon however often it
+recurs; a token with two roles ("שנים" is "years" and begins "שנים עשר")
+has one classifier, and the scanners decide which role wins where.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ class TimeUnit(str, Enum):
 
 _MONTHS_PER_UNIT = {TimeUnit.MONTH: 1.0, TimeUnit.YEAR: 12.0, TimeUnit.DAY: 1.0 / 30.0}
 
-_THOUSANDS_RE = re.compile(r"^\d{1,3}(?:,\d{3})+$")
-_DIGIT_RUN_RE = re.compile(r"\d+")
+# A grouped-thousands token ("40,000") whole, else the first digit run.
+_DIGITS_RE = re.compile(r"^\d{1,3}(?:,\d{3})+$|\d+")
 
 # How far (in tokens) a number looks ahead for its time unit.
 UNIT_ATTACH_WINDOW = 3
@@ -87,14 +89,52 @@ def span_months(span: NumberSpan) -> int | None:
     return _round_half_up(value * _MONTHS_PER_UNIT[span.attached_unit])
 
 
-def _digit_value(stripped: str) -> int | None:
-    """Value of the first digit run in a token; grouped thousands supported."""
-    m = _DIGIT_RUN_RE.search(stripped)
-    if m is None:
-        return None
-    if _THOUSANDS_RE.match(stripped):
-        return int(stripped.replace(",", ""))
-    return int(m.group())
+@dataclass(frozen=True, slots=True)
+class Roles:
+    """Every role a stripped token has in the numeral grammar."""
+
+    digit: int | None  # its first digit run's value; grouped thousands read whole
+    form: tuple[bool, str] | None  # a number word's (has conjunction, bare word)
+    dual: TimeUnit | None  # the unit a dual word names ("שנתיים")
+    unit: TimeUnit | None  # the unit a time-unit word names
+    unit_only: TimeUnit | None  # the unit a bare singular unit word names ("שנת")
+    half: bool  # an "and a half" word
+
+    @property
+    def numberish(self) -> bool:
+        """Whether the token holds a number: digits, a number word or a dual."""
+        return self.digit is not None or self.form is not None or self.dual is not None
+
+
+def token_roles(token: str, numerals: "NumeralLexicon") -> Roles:
+    """The roles of a stripped token, decided the first time ``numerals``
+    sees it and kept in ``numerals.roles``."""
+    roles = numerals.roles.get(token)
+    if roles is None:
+        run = _DIGITS_RE.search(token)
+        # The first conjunction form that leaves a vocabulary word wins, and
+        # a prefixed reading beats a bare one ("ושש" is "and six").
+        form = (False, token) if token in numerals.vocabulary else None
+        for conj in numerals.conjunction_forms:
+            rest = token[len(conj) :]
+            if rest and token.startswith(conj) and rest in numerals.vocabulary:
+                form = (True, rest)
+                break
+        roles = numerals.roles[token] = Roles(
+            None if run is None else int(run.group().replace(",", "")),
+            form,
+            numerals.dual_unit_words.get(token),
+            numerals.time_unit_words.get(token),
+            numerals.unit_only_words.get(token),
+            token in numerals.half_words,
+        )
+    return roles
+
+
+def _roles(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[Roles]:
+    """The roles of each token, in order."""
+    table = numerals.roles
+    return [table.get(token) or token_roles(token, numerals) for token in stripped]
 
 
 def compose(word_tokens: Iterable[str], numerals: "NumeralLexicon") -> int | None:
@@ -104,17 +144,12 @@ def compose(word_tokens: Iterable[str], numerals: "NumeralLexicon") -> int | Non
     bare tens; rejects ill-formed orders (e.g. units before tens) by
     returning None.
     """
-    norm = []
-    for token in word_tokens:
-        form = numerals.word_forms.get(strip_token(token))
-        if form is None:
-            return None
-        norm.append(form)
-    return _compose_forms(norm, numerals)
+    norm = [token_roles(strip_token(token), numerals).form for token in word_tokens]
+    return None if None in norm else _compose_forms(norm, numerals)
 
 
 def _compose_forms(norm: list[tuple[bool, str]], numerals: "NumeralLexicon") -> int | None:
-    """``compose`` over ``word_forms`` entries, one per token."""
+    """``compose`` over ``Roles.form`` entries, one per token."""
     # an empty token is never part of a number, even if "" is listed
     if not norm or any(not bare for _, bare in norm):
         return None
@@ -195,30 +230,16 @@ def render_number(value: int, numerals: "NumeralLexicon", gender: str = "feminin
     return " ".join(parts)
 
 
-def _attach_unit(
-    stripped: tuple[str, ...], end_token: int, numerals: "NumeralLexicon"
-) -> tuple[TimeUnit | None, int, bool]:
+def _attach_unit(roles: list[Roles], end_token: int) -> tuple[TimeUnit | None, int, bool]:
     """Nearest forward time unit within the window; stops at another number."""
-    n = len(stripped)
-    for dist in range(1, UNIT_ATTACH_WINDOW + 1):
-        k = end_token + dist
-        if k >= n:
-            break
-        tok = stripped[k]
-        unit = numerals.time_unit_words.get(tok)
-        if unit is not None:
-            return unit, dist - 1, k + 1 < n and stripped[k + 1] in numerals.half_words
-        if _is_numberish(tok, numerals):
+    window = roles[end_token + 1 : end_token + 1 + UNIT_ATTACH_WINDOW]
+    for dist, r in enumerate(window):
+        if r.unit is not None:
+            k = end_token + 1 + dist
+            return r.unit, dist, k + 1 < len(roles) and roles[k + 1].half
+        if r.numberish:
             break
     return None, 0, False
-
-
-def _is_numberish(stripped: str, numerals: "NumeralLexicon") -> bool:
-    return (
-        _DIGIT_RUN_RE.search(stripped) is not None
-        or stripped in numerals.word_forms
-        or stripped in numerals.dual_unit_words
-    )
 
 
 def find_numbers(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[NumberSpan]:
@@ -227,39 +248,25 @@ def find_numbers(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[
     Unparseable word sequences are skipped. Each span greedily attaches to
     the nearest following time-unit token within the attachment window.
     """
-    forms = numerals.word_forms
+    roles = _roles(stripped, numerals)
     spans: list[NumberSpan] = []
     i = 0
-    n = len(stripped)
+    n = len(roles)
     while i < n:
-        tok = stripped[i]
-        value = _digit_value(tok)
-        if value is not None:
-            unit, dist, half = _attach_unit(stripped, i, numerals)
-            spans.append(
-                NumberSpan(i, i, value, "digits", unit, dist, half)
-            )
-            i += 1
-            continue
-        dual = numerals.dual_unit_words.get(tok)
-        if dual is not None:
-            half = i + 1 < n and stripped[i + 1] in numerals.half_words
-            spans.append(NumberSpan(i, i, 2, "words", dual, 0, half))
-            i += 1
-            continue
-        form = forms.get(tok)
-        if form is not None:
-            norm = [form]
+        r = roles[i]
+        if r.digit is not None:
+            spans.append(NumberSpan(i, i, r.digit, "digits", *_attach_unit(roles, i)))
+        elif r.dual is not None:
+            half = i + 1 < n and roles[i + 1].half
+            spans.append(NumberSpan(i, i, 2, "words", r.dual, 0, half))
+        elif r.form is not None:
             j = i
-            while j + 1 < n and (form := forms.get(stripped[j + 1])) is not None:
-                norm.append(form)
+            while j + 1 < n and roles[j + 1].form is not None:
                 j += 1
-            value = _compose_forms(norm, numerals)
+            value = _compose_forms([r.form for r in roles[i : j + 1]], numerals)
             if value is not None:
-                unit, dist, half = _attach_unit(stripped, j, numerals)
-                spans.append(NumberSpan(i, j, value, "words", unit, dist, half))
-            i = j + 1
-            continue
+                spans.append(NumberSpan(i, j, value, "words", *_attach_unit(roles, j)))
+            i = j
         i += 1
     return spans
 
@@ -273,29 +280,19 @@ def unit_only_elimination(
     bound to it ("20 שנה" is twenty years), and a unit directly followed by
     digits is a calendar reference, not a duration; neither yields a span.
     """
+    roles = _roles(stripped, numerals)
     spans: list[NumberSpan] = []
-    n = len(stripped)
-    for i, tok in enumerate(stripped):
-        unit = numerals.unit_only_words.get(tok)
-        if unit is None:
+    n = len(roles)
+    for i, r in enumerate(roles):
+        if r.unit_only is None or (i + 1 < n and roles[i + 1].digit is not None):
             continue
-        if i + 1 < n and _DIGIT_RUN_RE.search(stripped[i + 1]):
+        # bound when the nearest number or time unit behind it (in the window) is a number
+        behind = reversed(roles[max(i - UNIT_ATTACH_WINDOW, 0) : i])
+        nearest = next((b for b in behind if b.unit is not None or b.numberish), None)
+        if nearest is not None and nearest.unit is None:
             continue
-        bound = False
-        for dist in range(1, UNIT_ATTACH_WINDOW + 1):
-            k = i - dist
-            if k < 0:
-                break
-            prev = stripped[k]
-            if prev in numerals.time_unit_words:
-                break
-            if _is_numberish(prev, numerals):
-                bound = True
-                break
-        if bound:
-            continue
-        half = i + 1 < n and stripped[i + 1] in numerals.half_words
-        spans.append(NumberSpan(i, i, 1, "unit_only_elimination", unit, 0, half))
+        half = i + 1 < n and roles[i + 1].half
+        spans.append(NumberSpan(i, i, 1, "unit_only_elimination", r.unit_only, 0, half))
     return spans
 
 

@@ -42,7 +42,7 @@ from .extraction import ExtractionResult, extract
 from .features import FEATURE_NAMES, NUM_FEATURES, featurize
 from .lexicon import Lexicon
 from .metrics import EvaluationReport, _chosen_and_detected, assemble_report
-from .models import TrainedModel, train
+from .models import KIND_ALIASES, MODEL_KINDS, TrainedModel, train
 
 
 @dataclass(frozen=True)
@@ -217,12 +217,17 @@ def cross_validate(
 class PunishmentExtractor:
     """End-to-end estimator: select the punishment sentence, extract months.
 
-    ``method`` is one of rule_based / svm / rf. Supervised methods need
+    ``method`` is rule_based or a model kind (svm, rf, or their long names
+    linear_margin, tree_ensemble); any other is refused. Supervised methods need
     ``fit`` with decisions and annotation records; the rule-based method is
     ready as soon as it is built.
     """
 
+    METHODS = ("rule_based", *KIND_ALIASES, *MODEL_KINDS)
+
     def __init__(self, method: str = "rule_based", *, lexicon: Lexicon, seed: int = 0):
+        if method not in self.METHODS:
+            raise InputError(f"unknown method {method!r}; expected one of {self.METHODS}")
         self.method = method
         self.lexicon = lexicon
         self.seed = seed

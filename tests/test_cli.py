@@ -392,8 +392,19 @@ class TestErrorHandling:
         assert run(["detect", *corpus_args(workspace), "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err
 
-    def test_missing_corpus_exits_one(self, tmp_path):
-        assert run(["stats", "--corpus", str(tmp_path / "nowhere")]) in (0, 1)
+    def test_missing_corpus_exits_one(self, tmp_path, capsys):
+        nowhere = tmp_path / "nowhere"
+        assert run(["stats", "--corpus", str(nowhere)]) == 1
+        assert f"{nowhere}: corpus path is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    def test_missing_corpus_writes_nothing(self, workspace, tmp_path, command):
+        out = tmp_path / "out"
+        args = [command, "--rule-based", "--corpus", str(tmp_path / "nowhere")]
+        if command == "eval":
+            args += ["--annotations", str(workspace["annotations"])]
+        assert run([*args, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_extract_requires_exactly_one_selector(self, workspace):
         assert (

@@ -196,6 +196,15 @@ class TestLoadCorpus:
         decisions, errors = load_corpus(tmp_path)
         assert decisions == [] and errors == []
 
+    @pytest.mark.parametrize("name", ["nowhere", "file.txt"])
+    def test_path_that_is_not_a_directory_is_one_error(self, tmp_path, name):
+        self._write(tmp_path, "file.txt", "טקסט.")
+        decisions, errors = load_corpus(tmp_path / name)
+        assert decisions == []
+        assert [(e.source, e.message) for e in errors] == [
+            (str(tmp_path / name), "corpus path is not a directory")
+        ]
+
     def test_file_missing_from_metadata(self, tmp_path):
         self._write(tmp_path, "orphan.txt", "טקסט.")
         self._write_meta(tmp_path, [])

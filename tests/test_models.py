@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,20 @@ class TestLinearMargin:
         model = train([(x, bool(label)) for x, label in zip(X, y)], "linear_margin")
         assert model.classifier.state_dict()["calibration"]["offset"] == 0.0
         assert model.classifier.calibration_scale_ > 0
+
+    @pytest.mark.parametrize(
+        "hyperparams", [{"learning_rate": 1e6}, {"learning_rate": 1e300}, {"l2": 1e6}]
+    )
+    def test_diverging_fit_refused(self, hyperparams):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, NUM_FEATURES))
+        y = (rng.random(40) < 0.5).astype(int)
+        clf = LinearMarginClassifier(**hyperparams)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings stay inside fit
+            with pytest.raises(InputError, match="learning_rate .* and l2 "):
+                clf.fit(X, y)
+        assert not hasattr(clf, "weights_")
 
     def test_tree_model_has_no_calibration(self):
         X, y = separable_data()

@@ -1,10 +1,14 @@
 import dataclasses
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from maasar import numbers
+from maasar.analysis import analyse
 from maasar.corpus import segment_sentences
+from maasar.detect import filter_candidates
 from maasar.lexicon import load_lexicon
 from maasar.numbers import (
     UNIT_ATTACH_WINDOW,
@@ -16,8 +20,10 @@ from maasar.numbers import (
     render_number,
     span_months,
     to_months,
+    token_roles,
     unit_only_elimination,
 )
+from maasar.synthetic import generate_corpus
 from maasar.tokens import strip_token, stripped_tokens
 from samples import TWENTY_YEAR_SENTENCE, YEAR_AND_HALF_SENTENCE
 
@@ -208,6 +214,40 @@ class TestUnitOnlyElimination:
         assert span_months(year_spans[0]) == 18
 
 
+class TestTokenRoles:
+    def test_each_distinct_token_classified_once(self, monkeypatch):
+        lexicon = load_lexicon()  # an empty table
+        classified = Counter()
+
+        def counting(token, numerals):
+            classified[token] += 1
+            return token_roles(token, numerals)
+
+        monkeypatch.setattr(numbers, "token_roles", counting)
+        seen = set()
+        for decision in generate_corpus(lexicon.numerals, num_decisions=200, seed=3).decisions:
+            for sentence in filter_candidates(decision, lexicon):
+                seen.update(stripped_tokens(sentence.text))
+                analyse(sentence, lexicon)
+        assert len(seen) > 100
+        assert classified == Counter(seen)
+        assert set(lexicon.numerals.roles) == seen
+
+    def test_homographs_carry_every_role(self, numerals):
+        years = token_roles("שנים", numerals)  # "years", and the first word of "שנים עשר"
+        assert years.form == (False, "שנים") and years.unit is TimeUnit.YEAR
+        year = token_roles("שנה", numerals)
+        assert year.unit is TimeUnit.YEAR and year.unit_only is TimeUnit.YEAR
+        assert year.form is None and not year.numberish
+
+    def test_replaced_lexicon_starts_with_an_empty_table(self, numerals):
+        token_roles("", numerals)
+        copy = dataclasses.replace(numerals, vocabulary=numerals.vocabulary | {""})
+        assert copy.roles == {} and "" in numerals.roles
+        assert token_roles("", copy).form == (False, "")
+        assert token_roles("", numerals).form is None
+
+
 class TestToMonths:
     def test_years(self):
         assert to_months(2, TimeUnit.YEAR) == 24
@@ -233,8 +273,8 @@ class TestToMonths:
             assert to_months(lo, unit) <= to_months(hi, unit)
 
 
-# The numeral scanner before the numeral lexicon's word_forms map: each
-# token is split for conjunctions wherever it is looked at, and compose
+# The numeral scanner before the token-roles table: each token is split for
+# conjunctions and searched for digits wherever it is looked at, and compose
 # strips and splits its tokens again. Kept as the reference that
 # detect_spans and compose must match.
 _THOUSANDS_RE = re.compile(r"^\d{1,3}(?:,\d{3})+$")

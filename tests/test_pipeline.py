@@ -3,7 +3,7 @@ import pytest
 
 from maasar import pipeline
 from maasar.analysis import analyse
-from maasar.corpus import Decision
+from maasar.corpus import Decision, InputError
 from maasar.detect import at_or_above, filter_candidates
 from maasar.features import FEATURE_NAMES, featurize
 from maasar.metrics import assemble_report, evaluate_rule_based
@@ -380,6 +380,15 @@ class TestPunishmentExtractor:
         results = extractor.predict(synthetic.decisions[:4])
         expected = [synthetic.gold[d.case_id].months for d in synthetic.decisions[:4]]
         assert [r.months for r in results] == expected
+
+    @pytest.mark.parametrize("method", ["rule-based", "forest", None])
+    def test_unknown_method_refused_when_built(self, lexicon, method):
+        with pytest.raises(InputError, match=rf"unknown method {method!r}; .*'rule_based'.*'rf'"):
+            PunishmentExtractor(method=method, lexicon=lexicon)
+
+    @pytest.mark.parametrize("method", ["svm", "rf", "linear_margin", "tree_ensemble"])
+    def test_model_kinds_accepted(self, lexicon, method):
+        assert PunishmentExtractor(method=method, lexicon=lexicon).method == method
 
     def test_supervised_requires_annotations(self, lexicon):
         with pytest.raises(ValueError, match="annotations"):
