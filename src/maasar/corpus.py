@@ -316,19 +316,21 @@ def load_corpus(
 ) -> CorpusLoadResult:
     """Load every ``.txt`` decision in a directory, sorted by case_id.
 
-    ``metadata_path`` defaults to ``metadata.json`` inside the directory.
-    Problems are collected per file or metadata entry (unreadable file, bad
-    encoding, missing or malformed metadata, duplicate case_id) and loading
-    continues past them; a corpus path that is not a directory, or a
+    ``metadata_path`` defaults to ``metadata.json`` inside the directory;
+    without it, a directory holding no ``.txt`` file is an empty corpus,
+    while a named metadata file that does not exist is an error whatever the
+    directory holds. Problems are collected per file or metadata entry
+    (unreadable file, bad encoding, missing or malformed metadata, duplicate
+    case_id) and loading continues past them; a corpus path that is not a directory, or a
     metadata file that is not a JSON array, is one error and loads nothing.
     """
     directory = Path(directory_path)
-    if metadata_path is None:
-        metadata_path = directory / "metadata.json"
+    named = metadata_path is not None
+    metadata_path = Path(metadata_path) if named else directory / "metadata.json"
     errors: list[LoadError] = []
     if not directory.is_dir():
         return CorpusLoadResult([], [LoadError(str(directory), "corpus path is not a directory")])
-    if not Path(metadata_path).exists() and not any(directory.glob("*.txt")):
+    if not named and not metadata_path.exists() and not any(directory.glob("*.txt")):
         return CorpusLoadResult([], [])
     try:
         raw_meta = read_input(metadata_path)

@@ -21,7 +21,7 @@ Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
 into one ``PhraseIndex`` keyed by a phrase's first word, over the four tiers
 and the fine, probation and actual marker lists, each entry tagged with its
 list. ``Lexicon.scan`` takes a sentence's stripped tokens, which
-``analysis.analyse`` computes once, looks each one up once and splits the
+``analysis.scan`` computes once, looks each one up once and splits the
 hits by tag into the tier hits and the three marker lists' positions, so a
 sentence costs one pass of O(tokens) however long the lists are; this is
 the token-level case of Aho-Corasick multi-pattern matching.

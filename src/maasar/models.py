@@ -107,13 +107,15 @@ def check_binary_labels(y, n_samples: int | None = None) -> np.ndarray:
         raise ValueError(f"expected 1-d label vector, got shape {y.shape}")
     if n_samples is not None and y.shape[0] != n_samples:
         raise ValueError(f"got {y.shape[0]} labels for {n_samples} samples")
-    values = set(np.unique(y).tolist())
-    if not values <= {0, 1, False, True}:
-        raise ValueError(f"labels must be binary 0/1, got values {sorted(values)}")
-    y = y.astype(int)
-    if len(np.unique(y)) < 2:
+    # Counted: np.unique imports numpy.ma (about 1 MB and 10 ms) into every
+    # training process, so only the refusal message calls it.
+    zeros, ones = np.count_nonzero(y == 0), np.count_nonzero(y == 1)
+    if zeros + ones != y.size:
+        values = sorted(set(np.unique(y).tolist()))
+        raise ValueError(f"labels must be binary 0/1, got values {values}")
+    if not zeros or not ones:
         raise InputError("training data contains a single class")
-    return y
+    return y.astype(int)
 
 
 def _hyperparameter(default, accepts: Callable[[object], bool], described: str):

@@ -7,7 +7,7 @@ works over whitespace tokens against a loaded numeral lexicon; the grammar
 covers 0-999 which is ample for imprisonment durations, and a half word
 right after a time unit ("year and a half") always adds half of that unit
 (``NumberSpan.plus_half``). The sentence-level finders take the sentence's
-``tokens.stripped_tokens``, which ``analysis.analyse`` computes once per
+``tokens.stripped_tokens``, which ``analysis.scan`` computes once per
 sentence.
 
 What a stripped token is here (a digit value, a number word, bare or with

@@ -5,7 +5,7 @@ import pytest
 from maasar import analysis as analysis_module
 from maasar.cli import run
 from maasar.corpus import Decision
-from maasar.detect import choose_rule_based, filter_candidates, rule_based_choices
+from maasar.detect import choose_rule_based, filter_candidates, rule_based_choices, score_ceiling
 from maasar.metrics import evaluate_rule_based
 from maasar.models import save_model
 from maasar.pipeline import PunishmentExtractor, choose_sentences, train_on_decisions
@@ -25,16 +25,28 @@ def span_calls(monkeypatch):
     return calls
 
 
+def reaching(decisions, lexicon):
+    """The stripped tokens of each keyword candidate whose ceiling reaches the
+    threshold, in order, after checking that some candidate's does not."""
+    candidates = [s for d in decisions for s in filter_candidates(d, lexicon)]
+    scans = [analysis_module.scan(s, lexicon) for s in candidates]
+    kept = [s.stripped for s in scans if score_ceiling(s, lexicon.structural) >= lexicon.threshold]
+    assert 0 < len(kept) < len(scans)
+    return kept
+
+
 class TestEachCandidateAnalysedOnce:
+    """The rule path parses the numerals of each candidate that can reach the
+    threshold once, and of no other; the supervised path, of every candidate."""
+
     def test_rule_based_evaluation(self, lexicon, synthetic, span_calls):
         evaluate_rule_based(synthetic.decisions, synthetic.annotations, lexicon)
-        expected = sum(len(filter_candidates(d, lexicon)) for d in synthetic.decisions)
-        assert len(span_calls) == expected
+        assert span_calls == reaching(synthetic.decisions, lexicon)
 
     def test_cli_rows(self, lexicon, synthetic, span_calls, tmp_path):
         decisions = synthetic.decisions[:3]
         paths = write_corpus(SyntheticCorpus(decisions, [], {}), tmp_path)
-        candidates = sum(len(filter_candidates(d, lexicon)) for d in decisions)
+        candidates = reaching(decisions, lexicon)
         best = [choose_rule_based(d, lexicon) for d in decisions]
         span_calls.clear()
 
@@ -44,11 +56,11 @@ class TestEachCandidateAnalysedOnce:
             return [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
 
         extracted = rows("extract", "--rule-based")
-        assert len(span_calls) == candidates
+        assert span_calls == candidates
         assert [r["sentence_index"] for r in extracted] == [b.sentence_index for b in best]
         span_calls.clear()
         detected = rows("detect")
-        assert len(span_calls) == candidates
+        assert span_calls == candidates
         assert [r["score"] for r in detected] == [b.score for b in best]
 
     def test_supervised_cli_extract(self, lexicon, synthetic, span_calls, tmp_path):

@@ -196,6 +196,19 @@ class TestLoadCorpus:
         decisions, errors = load_corpus(tmp_path)
         assert decisions == [] and errors == []
 
+    @pytest.mark.parametrize("files", [[], ["a.txt"]])
+    def test_named_metadata_file_must_exist(self, tmp_path, capsys, files):
+        from maasar.cli import run
+
+        for name in files:
+            self._write(tmp_path, name, "טקסט.")
+        missing = tmp_path / "no" / "such.json"
+        decisions, errors = load_corpus(tmp_path, missing)
+        assert decisions == []
+        assert [e.source for e in errors] == [str(missing)]
+        assert run(["stats", "--corpus", str(tmp_path), "--metadata", str(missing)]) == 1
+        assert f"{missing}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["nowhere", "file.txt"])
     def test_path_that_is_not_a_directory_is_one_error(self, tmp_path, name):
         self._write(tmp_path, "file.txt", "טקסט.")

@@ -1,14 +1,21 @@
 import dataclasses
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from maasar.analysis import scan
 from maasar.corpus import Decision, prelabel_negatives, segment_sentences
 from maasar.detect import (
+    at_or_above,
+    best_scored,
     choose_rule_based,
     filter_candidates,
     rule_score,
+    score_candidates,
+    score_ceiling,
 )
+from maasar.lexicon import TIER_NAMES, StructuralWeights
 from maasar.tokens import stripped_tokens
 from samples import (
     FINE_ROW,
@@ -16,6 +23,7 @@ from samples import (
     PROCEDURAL_ROW,
     REQUEST_ROW,
     SIMPLE_VERDICT,
+    UNIT_ONLY_SENTENCE,
     WORKED_EXAMPLE,
 )
 
@@ -172,3 +180,67 @@ class TestEstimatorApi:
         decision = Decision.from_text("c", PRIOR_CASE_ROW)
         assert choose_rule_based(decision, lenient).sentence_index == 0
         assert choose_rule_based(decision, lexicon) is None
+
+
+# Any finite weight of either sign: small ones that tie and sum exactly, and
+# large ones whose sums overflow to +-inf (inf + -inf is NaN).
+WEIGHT = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-10, 10),
+    st.sampled_from([1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def picked(candidates):
+    return [(c.sentence_index, c.score.hex()) for c in candidates]
+
+
+class TestScoreCeiling:
+    """``score_candidates`` parses the numerals only of candidates whose
+    ceiling reaches the threshold; selection and detection must come out as
+    if every candidate had been scored exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_pruning_matches_exact_scores(self, lexicon, synthetic, data):
+        samples = [WORKED_EXAMPLE, PRIOR_CASE_ROW, PROCEDURAL_ROW, FINE_ROW, REQUEST_ROW]
+        samples += [UNIT_ONLY_SENTENCE, f"{FINE_ROW[:-1]} {FINE_ROW}"]
+        decisions = [*synthetic.decisions, Decision.from_text("samples", " ".join(samples))]
+        tiers = {}
+        for tier in TIER_NAMES:
+            entries = lexicon.tier(tier)
+            weights = data.draw(st.lists(WEIGHT, min_size=len(entries), max_size=len(entries)))
+            tiers[tier] = dict(zip(entries, weights))
+        structural = StructuralWeights(*data.draw(st.tuples(WEIGHT, WEIGHT, WEIGHT)))
+        drawn = dataclasses.replace(lexicon, **tiers, structural=structural)
+        exact = [[rule_score(s, drawn) for s in filter_candidates(d, drawn)] for d in decisions]
+        scores = sorted({c.score for row in exact for c in row if math.isfinite(c.score)})
+        # a threshold equal to some candidate's score is where rounding matters
+        threshold = data.draw(st.one_of(WEIGHT, st.sampled_from(scores)) if scores else WEIGHT)
+        drawn = dataclasses.replace(drawn, threshold=threshold)
+        for decision, every in zip(decisions, exact):
+            pruned = score_candidates(decision, drawn)
+            assert picked(at_or_above(pruned, threshold)) == picked(at_or_above(every, threshold))
+            best = best_scored(pruned, threshold)
+            expected = best_scored(every, threshold)
+            assert picked([best] if best else []) == picked([expected] if expected else [])
+
+    def test_ceiling_adds_terms_in_the_scores_order(self, lexicon):
+        # 1 + bonus rounds up to 1 + 2**-52, and the fine term then ties up to
+        # 1 + 2**-51; added fine term first, the same terms reach 1 + 2**-52
+        text = "אני גוזר על הנאשם 24 חודשי מאסר בפועל וכן קנס."
+        bonus, fine = 2**-53 + 2**-60, 2**-53
+        tuned = dataclasses.replace(
+            lexicon,
+            strong_positive={**lexicon.strong_positive, "גוזר": 1.0},
+            structural=StructuralWeights(bonus, -1.0, fine),
+        )
+        scanned = scan(sentence(text), tuned)
+        assert scanned.tier_hits.weighted_sum() == 1.0 and len(scanned.fine_positions) == 1
+        score = rule_score(sentence(text), tuned).score
+        assert score == 1 + 2**-51 > (1.0 + fine) + bonus
+        assert score_ceiling(scanned, tuned.structural) == score
+        at_score = dataclasses.replace(tuned, threshold=score)
+        kept = score_candidates(Decision.from_text("c", text), at_score)
+        assert picked(kept) == [(0, score.hex())]

@@ -40,12 +40,18 @@ RULE_COMMANDS = {
     "eval": ["eval", "--rule-based", "--annotations", "{annotations}"],
 }
 
-# Runs one cli command in a fresh interpreter, then reports whether numpy was imported.
+TRAINING_COMMANDS = {
+    "train": ["train", "--model", "rf", "--annotations", "{annotations}"],
+    "eval": ["eval", "--model-kind", "rf", "--folds", "3", "--annotations", "{annotations}"],
+}
+
+# Runs one cli command in a fresh interpreter, then reports whether numpy and
+# numpy.ma were imported.
 _RUN = """
 import sys
 from maasar.cli import run
 code = run(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
@@ -55,19 +61,30 @@ def tiny(tmp_path_factory):
     return write_corpus(corpus, tmp_path_factory.mktemp("tiny"))
 
 
-@pytest.mark.parametrize("name", list(RULE_COMMANDS))
-def test_rule_command_never_imports_numpy(tiny, tmp_path, name):
-    argv = [
-        str(tiny["annotations"]) if arg == "{annotations}" else arg for arg in RULE_COMMANDS[name]
-    ]
-    argv += ["--corpus", str(tiny["corpus_dir"]), "--out", str(tmp_path / "out")]
+def imports_of(command, tiny, out):
+    """Whether ``command`` imported numpy and numpy.ma, after checking that
+    it succeeded and wrote ``out``."""
+    argv = [str(tiny["annotations"]) if arg == "{annotations}" else arg for arg in command]
+    argv += ["--corpus", str(tiny["corpus_dir"]), "--out", str(out)]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", _RUN, *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"], done.stderr
-    assert (tmp_path / "out").stat().st_size > 0
+    code, *imported = done.stdout.split()
+    assert code == "0", done.stderr
+    assert out.stat().st_size > 0
+    return imported
+
+
+@pytest.mark.parametrize("name", list(RULE_COMMANDS))
+def test_rule_command_never_imports_numpy(tiny, tmp_path, name):
+    assert imports_of(RULE_COMMANDS[name], tiny, tmp_path / "out") == ["False", "False"]
+
+
+@pytest.mark.parametrize("name", list(TRAINING_COMMANDS))
+def test_training_command_never_imports_numpy_ma(tiny, tmp_path, name):
+    assert imports_of(TRAINING_COMMANDS[name], tiny, tmp_path / "out") == ["True", "False"]
 
 
 def test_exported_names_unchanged():
