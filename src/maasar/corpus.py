@@ -26,8 +26,9 @@ A ``Decision`` holds the stripped sentence texts the splitter produces, not
 ``Sentence``s: nine in ten sentences hold no filter keyword, and selection
 reads nothing of those but their text. ``Decision.sentence(i)`` is the one
 place a ``Sentence`` (with its token count and relative position) is built;
-the keyword filter builds one per candidate only, and ``.sentences``, built
-on first use and kept, serves ``segment``, the reader of every sentence.
+the keyword filter builds one per candidate only, and ``.sentences`` builds
+them all on each use for ``segment``, the reader of every sentence. No
+``Sentence`` and no raw text is kept on a decision.
 ``token_count`` is the one token-count rule: ``Decision.sentence``, ``stats``
 and ``Decision.max_token_count`` (a model's token scale) all read it, the
 last two from the texts alone.
@@ -81,13 +82,12 @@ class Sentence(NamedTuple):
 
 @dataclass(frozen=True)
 class Decision:
-    """A single sentencing decision: raw text plus its sentence texts."""
+    """A single sentencing decision: its metadata and its sentence texts."""
 
     case_id: str
     year: int
     court: str
-    raw_text: str
-    texts: tuple[str, ...] = ()
+    texts: tuple[str, ...]
 
     @classmethod
     def from_text(
@@ -101,7 +101,6 @@ class Decision:
             case_id=case_id,
             year=year,
             court=court,
-            raw_text=raw_text,
             texts=sentence_texts(raw_text),
         )
 
@@ -113,13 +112,14 @@ class Decision:
         # binding of Sentence(...)
         return tuple.__new__(Sentence, (index, text, token_count(text), position))
 
-    # A cached_property writes the instance __dict__ directly, so it works on
-    # a frozen dataclass; the tuple is built on first use and kept.
-    @functools.cached_property
+    @property
     def sentences(self) -> tuple[Sentence, ...]:
+        """Every sentence, built anew on each use."""
         return tuple(map(self.sentence, range(len(self.texts))))
 
-    # kept too: cross-validation reads it once per fold the decision trains in
+    # A cached_property writes the instance __dict__ directly, so it works on
+    # a frozen dataclass; kept, as cross-validation reads it once per fold the
+    # decision trains in
     @functools.cached_property
     def max_token_count(self) -> int:
         """The most tokens in one of its sentences (0 without sentences)."""
@@ -306,8 +306,7 @@ def segment_sentences(
     raw_text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS
 ) -> list[Sentence]:
     """The ``Sentence``s of ``sentence_texts(raw_text, abbreviations)``."""
-    texts = sentence_texts(raw_text, abbreviations)
-    return list(Decision("", 0, "", raw_text, texts).sentences)
+    return list(Decision("", 0, "", sentence_texts(raw_text, abbreviations)).sentences)
 
 
 def load_corpus(
@@ -321,8 +320,10 @@ def load_corpus(
     while a named metadata file that does not exist is an error whatever the
     directory holds. Problems are collected per file or metadata entry
     (unreadable file, bad encoding, missing or malformed metadata, duplicate
-    case_id) and loading continues past them; a corpus path that is not a directory, or a
-    metadata file that is not a JSON array, is one error and loads nothing.
+    case_id) and loading continues past them; a file listed twice loads
+    nothing, and each later entry is an error. A corpus path that is not a
+    directory, or a metadata file that is not a JSON array, is one error and
+    loads nothing.
     """
     directory = Path(directory_path)
     named = metadata_path is not None
@@ -341,14 +342,20 @@ def load_corpus(
         error = LoadError(str(metadata_path), "metadata is not a JSON array")
         return CorpusLoadResult([], [error])
     by_filename: dict[str, dict] = {}
+    first_at: dict[str, int] = {}  # each listed filename's first position
     for position, entry in enumerate(raw_meta):
         source = f"{metadata_path}[{position}]"
         if not isinstance(entry, dict):
             errors.append(LoadError(source, "metadata entry is not a JSON object"))
         elif not isinstance(entry.get("filename"), str):
             errors.append(LoadError(source, "metadata entry has no filename string"))
+        elif (name := entry["filename"]) in first_at:
+            message = f"filename {name!r} is already listed at [{first_at[name]}]"
+            errors.append(LoadError(source, message))
+            by_filename.pop(name, None)
         else:
-            by_filename[entry["filename"]] = entry
+            first_at[name] = position
+            by_filename[name] = entry
 
     decisions = []
     seen_ids: set[str] = set()
@@ -357,7 +364,8 @@ def load_corpus(
         seen_files.add(path.name)
         meta = by_filename.get(path.name)
         if meta is None:
-            errors.append(LoadError(path.name, "file has no metadata entry"))
+            if path.name not in first_at:
+                errors.append(LoadError(path.name, "file has no metadata entry"))
             continue
         try:
             text = read_input(path, str)
@@ -375,7 +383,7 @@ def load_corpus(
             continue
         seen_ids.add(case_id)
         decisions.append(Decision.from_text(case_id, text, year, court))
-    for filename in sorted(set(by_filename) - seen_files):
+    for filename in sorted(first_at.keys() - seen_files):
         errors.append(LoadError(filename, "listed in metadata but file not found"))
 
     decisions.sort(key=lambda d: d.case_id)

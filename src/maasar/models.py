@@ -53,7 +53,9 @@ that scoring could not use: an unknown format version, kind or
 hyperparameter, a missing or unaccepted hyperparameter, a ``hyperparams``
 seed other than ``rng_seed``, another feature schema version, a feature
 count other than the schema's, or a token-count scale below 1 or past the
-float range, which ``TrainedModel`` itself refuses however it is built. Each
+float range; ``TrainedModel`` itself refuses the last two however it is
+built. Its kind, seed and feature schema version are not stored apart: they
+are the classifier's class, the classifier's seed and the library's. Each
 of these, and training data with no records or a single class, raises
 ``InputError`` (exit 1 in the CLI); anything else is a bug.
 """
@@ -65,7 +67,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -145,6 +147,7 @@ _SEED = (lambda v: _is_int(v) and v >= 0, "an integer of at least 0")
 class LinearMarginClassifier:
     """Linear max-margin classifier trained by subgradient descent."""
 
+    kind: ClassVar[str] = "linear_margin"
     learning_rate: float = _hyperparameter(
         0.5, lambda v: _is_number(v) and v > 0, "a finite number above 0"
     )
@@ -449,6 +452,7 @@ class _FlatTrees:
 class TreeEnsembleClassifier:
     """Bagged gini decision trees voting on the positive class."""
 
+    kind: ClassVar[str] = "tree_ensemble"
     n_trees: int = _hyperparameter(100, *_COUNT)
     max_features: int | str = _hyperparameter(
         "sqrt",
@@ -517,17 +521,24 @@ class TreeEnsembleClassifier:
         return self
 
 
+# The model-state field that fixes each learner's feature count.
+_FEATURE_COUNT_FIELD = {"linear_margin": "weights", "tree_ensemble": "n_features_in"}
+
+
 @dataclass
 class TrainedModel:
-    """A fitted classifier plus everything needed to reuse it consistently."""
+    """A fitted classifier of the feature schema's width, and the token-count
+    scale its features are divided by."""
 
-    kind: str
     classifier: LinearMarginClassifier | TreeEnsembleClassifier
-    feature_schema_version: int
-    rng_seed: int
     token_count_scale: int = 1
 
     def __post_init__(self):
+        if self.classifier.n_features_in_ != NUM_FEATURES:
+            raise InputError(
+                f"model state field {_FEATURE_COUNT_FIELD[self.kind]!r} describes "
+                f"{self.classifier.n_features_in_} features, the feature schema has {NUM_FEATURES}"
+            )
         # the scale divides a float column, so a float must hold it
         if not 1 <= self.token_count_scale <= sys.float_info.max:
             raise InputError(
@@ -535,18 +546,12 @@ class TrainedModel:
                 f"{sys.float_info.max:g}, got {self.token_count_scale}"
             )
 
+    @property
+    def kind(self) -> str:
+        return self.classifier.kind
+
     def predict_proba(self, features) -> np.ndarray:
-        X = check_feature_matrix(features)
-        if self.feature_schema_version != FEATURE_SCHEMA_VERSION:
-            raise ValueError(
-                f"model carries feature schema v{self.feature_schema_version}, "
-                f"library expects v{FEATURE_SCHEMA_VERSION}"
-            )
-        if X.shape[1] != NUM_FEATURES:
-            raise ValueError(
-                f"feature vector has {X.shape[1]} dimensions, schema has {NUM_FEATURES}"
-            )
-        return self.classifier.predict_proba(X)[:, 1]
+        return self.classifier.predict_proba(features)[:, 1]
 
 
 def _normalize_kind(kind: str) -> str:
@@ -556,7 +561,7 @@ def _normalize_kind(kind: str) -> str:
     return kind
 
 
-_LEARNERS = {"linear_margin": LinearMarginClassifier, "tree_ensemble": TreeEnsembleClassifier}
+_LEARNERS = {learner.kind: learner for learner in (LinearMarginClassifier, TreeEnsembleClassifier)}
 
 
 def train(records, kind: str, seed: int = 0) -> TrainedModel:
@@ -566,30 +571,20 @@ def train(records, kind: str, seed: int = 0) -> TrainedModel:
         raise InputError("no training records")
     X = np.vstack([np.asarray(fv, dtype=float) for fv, _ in records])
     y = np.array([1 if label else 0 for _, label in records], dtype=int)
-    kind = _normalize_kind(kind)
-    return TrainedModel(
-        kind=kind,
-        classifier=_LEARNERS[kind](seed=seed).fit(X, y),
-        feature_schema_version=FEATURE_SCHEMA_VERSION,
-        rng_seed=seed,
-    )
+    return TrainedModel(_LEARNERS[_normalize_kind(kind)](seed=seed).fit(X, y))
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
-        "feature_schema_version": model.feature_schema_version,
-        "rng_seed": model.rng_seed,
+        "feature_schema_version": FEATURE_SCHEMA_VERSION,
+        "rng_seed": model.classifier.seed,
         "token_count_scale": model.token_count_scale,
         "hyperparams": dataclasses.asdict(model.classifier),
         "state": model.classifier.state_dict(),
     }
     Path(path).write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True), encoding="utf-8")
-
-
-# The model-state field that fixes each learner's feature count.
-_FEATURE_COUNT_FIELD = {"linear_margin": "weights", "tree_ensemble": "n_features_in"}
 
 
 def load_model(path: str | Path) -> TrainedModel:
@@ -621,15 +616,4 @@ def load_model(path: str | Path) -> TrainedModel:
             f"got {classifier.seed}"
         )
     classifier.load_state_dict(field(doc, "state", "object", "model file"))
-    if classifier.n_features_in_ != NUM_FEATURES:
-        raise InputError(
-            f"model state field {_FEATURE_COUNT_FIELD[kind]!r} describes "
-            f"{classifier.n_features_in_} features, the feature schema has {NUM_FEATURES}"
-        )
-    return TrainedModel(
-        kind=kind,
-        classifier=classifier,
-        feature_schema_version=schema,
-        rng_seed=rng_seed,
-        token_count_scale=field(doc, "token_count_scale", "int", "model file"),
-    )
+    return TrainedModel(classifier, field(doc, "token_count_scale", "int", "model file"))

@@ -149,10 +149,9 @@ def generate_decision(
     gold_at = rng.randint(int(len(body) * 0.7), len(body))
     body.insert(gold_at, gold_text)
 
-    raw_text = " ".join(body)
     decision = Decision.from_text(
         case_id=case_id,
-        raw_text=raw_text,
+        raw_text=" ".join(body),
         year=rng.randint(1990, 2021),
         court=rng.choice(COURTS),
     )
@@ -193,7 +192,8 @@ def write_corpus(corpus: SyntheticCorpus, directory: str | Path) -> dict[str, Pa
     metadata = []
     for decision in corpus.decisions:
         filename = f"{decision.case_id}.txt"
-        (corpus_dir / filename).write_text(decision.raw_text, encoding="utf-8")
+        # the generated text: generate_decision refuses texts that do not join to it
+        (corpus_dir / filename).write_text(" ".join(decision.texts), encoding="utf-8")
         metadata.append(
             {
                 "filename": filename,

@@ -123,7 +123,6 @@ class TestSentencesBuiltForCandidatesOnly:
         else:
             chosen = list(choose_sentences(decisions, lexicon, model))
         assert all(analysis is not None for analysis in chosen)
-        assert all("sentences" not in vars(d) for d in decisions)
         candidates = [
             (d.case_id, i)
             for d in decisions

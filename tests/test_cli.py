@@ -915,6 +915,18 @@ GOLDEN_RUNS = {
 GOLDEN_SIDE_FILES = {
     "histogram.csv": "99e52b72b3de059ff8b2272c701b1b4fce7bc6ba6a20585e4c1f03e56abc7035",
 }
+# The files write_corpus writes for that corpus, which every run above reads;
+# "corpus" hashes each decision file's name and bytes, in name order. Recorded
+# while decisions still kept their raw text, which write_corpus then wrote.
+GOLDEN_INPUTS = {
+    "corpus": "27f8f2f07b24ac6edb27204d325fa98701499b0fd0c452b5e60e4e9650cf9e83",
+    "metadata.json": "3197088ea406a26c60c413e3d2c16d5db1a28a3db6769ff564d2588ad7e88346",
+    "annotations.jsonl": "a4e4404b50c958480332c3c5228f83afd0d23dc03114e62115a5528529386ab4",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestGoldenOutputs:
@@ -923,18 +935,25 @@ class TestGoldenOutputs:
         root = tmp_path_factory.mktemp("golden")
         corpus = generate_corpus(load_lexicon().numerals, num_decisions=200, seed=5)
         paths = write_corpus(corpus, root)
+        digests = {
+            "metadata.json": sha256(paths["metadata"]),
+            "annotations.jsonl": sha256(paths["annotations"]),
+        }
+        decision_files = hashlib.sha256()
+        for path in sorted(paths["corpus_dir"].glob("*.txt")):
+            decision_files.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        digests["corpus"] = decision_files.hexdigest()
         fields = {
             "{corpus}": ["--corpus", str(paths["corpus_dir"])],
             "{annotations}": ["--annotations", str(paths["annotations"])],
             "{model}": [str(root / "rf-model.json")],
             "{histogram}": ["--histogram-csv", str(root / "histogram.csv")],
         }
-        digests = {}
         for name, (template, _) in GOLDEN_RUNS.items():  # in order: train before extract-rf
             argv = [arg for item in template for arg in fields.get(item, [item])]
             assert run(argv + ["--out", str(root / name)]) == 0, name
         for name in [*GOLDEN_RUNS, *GOLDEN_SIDE_FILES]:
-            digests[name] = hashlib.sha256((root / name).read_bytes()).hexdigest()
+            digests[name] = sha256(root / name)
         return digests
 
     @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
@@ -944,3 +963,7 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("name", list(GOLDEN_SIDE_FILES))
     def test_side_file_bytes_unchanged(self, golden, name):
         assert golden[name] == GOLDEN_SIDE_FILES[name]
+
+    @pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
+    def test_written_corpus_bytes_unchanged(self, golden, name):
+        assert golden[name] == GOLDEN_INPUTS[name]

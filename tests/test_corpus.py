@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,7 +18,7 @@ from maasar.corpus import (
     prelabel_negatives,
     segment_sentences,
 )
-from maasar.synthetic import generate_corpus
+from maasar.synthetic import generate_corpus, write_corpus
 
 
 class TestSegmentation:
@@ -146,20 +149,43 @@ class TestRunBasedSplitterEquivalence:
 
     def test_synthetic_decisions(self, synthetic):
         for decision in synthetic.decisions:
-            assert segment_sentences(decision.raw_text) == reference_segment(decision.raw_text)
+            text = " ".join(decision.texts)  # the generated text
+            assert segment_sentences(text) == reference_segment(text)
 
 
 class TestSentencesOnDemand:
     def test_built_sentences_equal_segmentation(self, lexicon):
         decisions = generate_corpus(lexicon.numerals, num_decisions=200, seed=1).decisions
         for decision in decisions:
-            expected = reference_segment(decision.raw_text)
-            assert segment_sentences(decision.raw_text) == expected
+            text = " ".join(decision.texts)  # the generated text
+            expected = reference_segment(text)
+            assert segment_sentences(text) == expected
             assert decision.texts == tuple(s.text for s in expected)
             assert [decision.sentence(i) for i in range(len(decision.texts))] == expected
-            assert "sentences" not in vars(decision)
             assert list(decision.sentences) == expected
-            assert decision.sentences is decision.sentences  # built once and kept
+            assert decision.sentences == decision.sentences  # built anew, equal each time
+
+    def test_a_decision_keeps_its_texts_and_metadata_only(self):
+        names = ["case_id", "year", "court", "texts"]
+        assert [f.name for f in dataclasses.fields(Decision)] == names
+        decision = Decision.from_text("c1", "א ב. ג.", 2001, "שלום")
+        assert decision.sentences and decision.max_token_count == 2
+        # only the token scale is cached; no Sentence and no raw text is kept
+        assert set(vars(decision)) == {*names, "max_token_count"}
+
+    def test_a_loaded_corpus_holds_little_beyond_its_texts(self, lexicon, tmp_path):
+        """The texts are nearly all a loaded corpus holds: no raw text and no
+        Sentence beside them (1.7 times the texts while the raw text was kept)."""
+        paths = write_corpus(generate_corpus(lexicon.numerals, num_decisions=100, seed=1), tmp_path)
+        tracemalloc.start()
+        try:
+            decisions, errors = load_corpus(paths["corpus_dir"])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not errors and len(decisions) == 100
+        texts = sum(sys.getsizeof(text) for d in decisions for text in d.texts)
+        assert held < 1.3 * texts
 
     def test_sentences_are_not_compared(self):
         decision = Decision.from_text("c1", "א ב. ג.")
@@ -245,6 +271,26 @@ class TestLoadCorpus:
         decisions, errors = load_corpus(tmp_path)
         assert len(decisions) == 1
         assert any("duplicate" in e.message for e in errors)
+
+    def test_file_listed_twice_loads_nothing(self, tmp_path):
+        self._write(tmp_path, "a.txt", "א.")
+        self._write(tmp_path, "b.txt", "ב.")
+        self._write_meta(
+            tmp_path,
+            [
+                {"filename": "a.txt", "case_id": "x"},
+                {"filename": "b.txt", "case_id": "b"},
+                {"filename": "a.txt", "case_id": "y"},
+                {"filename": "a.txt", "case_id": "x"},
+            ],
+        )
+        decisions, errors = load_corpus(tmp_path)
+        assert [d.case_id for d in decisions] == ["b"]
+        meta = tmp_path / "metadata.json"
+        assert [(e.source, e.message) for e in errors] == [
+            (f"{meta}[2]", "filename 'a.txt' is already listed at [0]"),
+            (f"{meta}[3]", "filename 'a.txt' is already listed at [0]"),
+        ]
 
     def test_metadata_entry_without_file(self, tmp_path):
         self._write_meta(tmp_path, [{"filename": "ghost.txt", "case_id": "g"}])
@@ -471,7 +517,7 @@ class TestPrelabel:
         assert labels[1] is False
 
     def test_empty_sentence_is_auto_negative(self, lexicon):
-        decision = Decision(case_id="c1", year=2001, court="", raw_text="", texts=("",))
+        decision = Decision(case_id="c1", year=2001, court="", texts=("",))
         assert prelabel_negatives(decision, lexicon) == [(0, True)]
 
     def test_superset_of_never_selectable(self, lexicon, synthetic):

@@ -52,10 +52,10 @@ class TestFilterCandidates:
 
     @pytest.mark.parametrize("text", ["", " \t\n\x1c"])
     def test_blank_sentence_is_no_candidate(self, lexicon, text):
-        decision = Decision("c", 0, "", text, texts=(text, WORKED_EXAMPLE))
+        decision = Decision("c", 0, "", texts=(text, WORKED_EXAMPLE))
         assert [s.index for s in filter_candidates(decision, lexicon)] == [1]
         assert prelabel_negatives(decision, lexicon) == [(0, True), (1, False)]
-        blank = Decision("c", 0, "", text, texts=(text,))
+        blank = Decision("c", 0, "", texts=(text,))
         assert filter_candidates(blank, lexicon) == []
         assert choose_rule_based(blank, lexicon) is None
 

@@ -211,7 +211,8 @@ class TestFeaturizeOnceCrossValidation:
         for i, length in ((0, 31), (17, 44), (40, 26)):
             d = decisions[i]
             tail = " ".join(["הדיון"] * length) + "."
-            decisions[i] = Decision.from_text(d.case_id, f"{d.raw_text} {tail}", d.year, d.court)
+            text = " ".join(d.texts)  # the generated text
+            decisions[i] = Decision.from_text(d.case_id, f"{text} {tail}", d.year, d.court)
         return decisions, corpus.annotations
 
     @pytest.mark.parametrize("kind", ["rf", "svm"])
@@ -264,13 +265,18 @@ class TestFeaturizeOnceCrossValidation:
         assert [kind for kind, _ in featurize_once] == ["fit", "score"] * config.num_folds
         assert featurize_once == per_fold
 
-    def test_max_token_count_builds_no_sentence(self, corpus):
+    def test_max_token_count_builds_no_sentence(self, corpus, monkeypatch):
         decisions, _ = corpus
         longest = max(s.token_count for d in decisions for s in d.sentences)
         assert longest == 44  # the longest added closing sentence
-        fresh = [Decision.from_text(d.case_id, d.raw_text, d.year, d.court) for d in decisions]
+        fresh = [
+            Decision.from_text(d.case_id, " ".join(d.texts), d.year, d.court) for d in decisions
+        ]
+        built = []
+        original = Decision.sentence
+        monkeypatch.setattr(Decision, "sentence", lambda d, i: built.append(i) or original(d, i))
         assert max_token_count(fresh) == longest
-        assert all("sentences" not in vars(d) for d in fresh)
+        assert built == []
 
     def test_rescaled_rows_equal_featurized_rows(self, lexicon, corpus):
         decisions, _ = corpus

@@ -27,7 +27,7 @@ class TestGenerator:
     def test_deterministic(self, lexicon):
         a = generate_corpus(lexicon.numerals, num_decisions=5, seed=3)
         b = generate_corpus(lexicon.numerals, num_decisions=5, seed=3)
-        assert [d.raw_text for d in a.decisions] == [d.raw_text for d in b.decisions]
+        assert a.decisions == b.decisions  # texts, case ids, years and courts
 
     def test_annotations_cover_keyword_sentences(self, synthetic):
         annotated = {(a.case_id, a.sentence_index) for a in synthetic.annotations}
@@ -45,10 +45,9 @@ class TestWriteCorpus:
         assert len(decisions) == len(synthetic.decisions)
         reloaded = {d.case_id: d for d in decisions}
         for original in synthetic.decisions:
-            assert reloaded[original.case_id].raw_text == original.raw_text
-            assert [s.text for s in reloaded[original.case_id].sentences] == [
-                s.text for s in original.sentences
-            ]
+            assert reloaded[original.case_id] == original  # texts and metadata
+            written = (paths["corpus_dir"] / f"{original.case_id}.txt").read_bytes()
+            assert written == " ".join(original.texts).encode("utf-8")
         records, ann_errors = load_annotations(paths["annotations"])
         assert not ann_errors
         assert len(records) == len(synthetic.annotations)
