@@ -80,7 +80,6 @@ _LAZY_MODULES = {
         "train",
     ),
     "pipeline": (
-        "CrossValConfig",
         "PunishmentExtractor",
         "cross_validate",
         "train_on_decisions",

@@ -226,14 +226,17 @@ def _cmd_eval(args) -> int:
     if args.rule_based:
         report = evaluate_rule_based(decisions, annotations, lexicon)
     else:
-        from .pipeline import CrossValConfig, cross_validate
+        from .pipeline import cross_validate
 
-        config = CrossValConfig(
+        report = cross_validate(
+            decisions,
+            annotations,
+            lexicon,
+            args.model_kind,
             num_folds=args.folds,
             seed=args.seed,
             detection_threshold=args.detection_threshold,
         )
-        report = cross_validate(decisions, annotations, lexicon, args.model_kind, config)
     _emit(args.out, _json(report, indent=2) + "\n")
     if args.histogram_csv:
         _histogram_csv(

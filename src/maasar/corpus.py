@@ -30,13 +30,12 @@ the keyword filter builds one per candidate only, and ``.sentences`` builds
 them all on each use for ``segment``, the reader of every sentence. No
 ``Sentence`` and no raw text is kept on a decision.
 ``token_count`` is the one token-count rule: ``Decision.sentence``, ``stats``
-and ``Decision.max_token_count`` (a model's token scale) all read it, the
+and ``pipeline.max_token_count`` (a model's token scale) all read it, the
 last two from the texts alone.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import logging
@@ -117,14 +116,6 @@ class Decision:
         """Every sentence, built anew on each use."""
         return tuple(map(self.sentence, range(len(self.texts))))
 
-    # A cached_property writes the instance __dict__ directly, so it works on
-    # a frozen dataclass; kept, as cross-validation reads it once per fold the
-    # decision trains in
-    @functools.cached_property
-    def max_token_count(self) -> int:
-        """The most tokens in one of its sentences (0 without sentences)."""
-        return max(map(token_count, self.texts), default=0)
-
 
 @dataclass(frozen=True)
 class AnnotationRecord:
@@ -138,6 +129,9 @@ class AnnotationRecord:
     MONTHS_CAP = 1200
 
     def validate(self) -> None:
+        if self.sentence_index < 0:
+            # a negative index names no sentence
+            raise ValueError(f"sentence_index {self.sentence_index} is negative")
         if self.is_punishment:
             if self.months is None:
                 raise ValueError("punishment record must carry months")

@@ -103,7 +103,7 @@ def extract(
     """Full duration extraction for one decision, given the chosen sentence.
 
     ``chosen`` is the chosen sentence's analysis, as both selectors hand it
-    back (``detect.choose_rule_based``, ``pipeline.choose_sentences``), or
+    back (``detect.rule_based_choices``, ``pipeline.choose_sentences``), or
     None. The span scorer reads ``lexicon.duration``.
     """
     if chosen is None:

@@ -564,14 +564,14 @@ def _normalize_kind(kind: str) -> str:
 _LEARNERS = {learner.kind: learner for learner in (LinearMarginClassifier, TreeEnsembleClassifier)}
 
 
-def train(records, kind: str, seed: int = 0) -> TrainedModel:
-    """Fit a model on (feature_vector, label) records."""
-    records = list(records)
-    if not records:
+def train(X, y, kind: str, seed: int = 0, token_count_scale: int = 1) -> TrainedModel:
+    """A ``kind`` model fitted on the feature rows ``X``, whose token counts
+    are already divided by ``token_count_scale``, and their 0/1 or boolean
+    labels ``y``; the model keeps the scale to score new rows by."""
+    if len(X) == 0:
         raise InputError("no training records")
-    X = np.vstack([np.asarray(fv, dtype=float) for fv, _ in records])
-    y = np.array([1 if label else 0 for _, label in records], dtype=int)
-    return TrainedModel(_LEARNERS[_normalize_kind(kind)](seed=seed).fit(X, y))
+    classifier = _LEARNERS[_normalize_kind(kind)](seed=seed).fit(X, y)
+    return TrainedModel(classifier, token_count_scale)
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:

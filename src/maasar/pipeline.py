@@ -1,5 +1,5 @@
-"""Supervised sentence selection, cross-validation, and the end-to-end
-extraction estimator.
+"""Supervised sentence selection, training, cross-validation, and the
+end-to-end extraction estimator.
 
 Candidate sentences (keyword filter survivors) are scored by a trained
 classifier; the detection stage keeps every candidate at or above a
@@ -10,14 +10,22 @@ so no document's sentences straddle the train/test line.
 
 Each candidate's ``SentenceAnalysis`` is kept beside its feature row, and
 its probability is wrapped with it in a ``ScoredSentence``.
-``choose_sentences`` is the one selector of both routes: per decision it
-hands back the chosen sentence's analysis, which ``extract`` and the error
-report read instead of analysing again. Feature rows hold the raw token
-count, and ``_rescale`` is the one place that divides it by a model's
-token-count scale, so cross-validation featurizes once and rescales per
-fold. Cross-validation builds its report with ``metrics.assemble_report``,
-which the rule-based evaluation shares and which, unlike this module,
-imports no numpy.
+``choose_sentences`` is the selector of the model route (the rule route is
+``detect.rule_based_choices``): per decision it hands back the chosen
+sentence's analysis, which ``extract`` and the error report read instead of
+analysing again. Feature rows hold the raw token count, and ``_rescale`` is
+the one place that divides it by a model's token-count scale, so
+cross-validation featurizes once and rescales per fold. Cross-validation
+builds its report with ``metrics.assemble_report``, which the rule-based
+evaluation shares and which, unlike this module, imports no numpy.
+
+Training hands matrices from featurization to the learner. ``_train`` is
+the one route into ``models.train``, for ``train_on_decisions`` and for
+every cross-validation fold: it reads the decisions' raw rows one decision
+at a time, concatenates them in decision order, rescales them once and
+labels each candidate. ``cross_validate`` takes the fold count, seed and
+detection threshold as keyword arguments and refuses fewer than 2 folds, a
+threshold outside [0, 1) and fewer decisions than folds.
 
 The model scores many decisions per call: ``_model_scored`` stacks their
 rows, makes one ``predict_proba`` call and splits the probabilities back by
@@ -29,35 +37,19 @@ cross-validation does it once per fold's test decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .analysis import SentenceAnalysis, analyse
-from .corpus import AnnotationRecord, Decision, InputError
+from .corpus import AnnotationRecord, Decision, InputError, token_count
 from .detect import ScoredSentence, best_scored, filter_candidates, rule_based_choices
 from .extraction import ExtractionResult, extract
 from .features import FEATURE_NAMES, NUM_FEATURES, featurize
 from .lexicon import Lexicon
 from .metrics import EvaluationReport, _chosen_and_detected, assemble_report
 from .models import KIND_ALIASES, MODEL_KINDS, TrainedModel, train
-
-
-@dataclass(frozen=True)
-class CrossValConfig:
-    """Document-level cross-validation settings."""
-
-    num_folds: int = 5
-    seed: int = 0
-    detection_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.num_folds < 2:
-            raise InputError("num_folds must be >= 2")
-        if not 0.0 <= self.detection_threshold < 1.0:
-            raise InputError("detection_threshold must be in [0, 1)")
 
 
 _TOKEN_COUNT_COLUMN = FEATURE_NAMES.index("token_count_norm")
@@ -102,18 +94,13 @@ def _model_scored(model: TrainedModel, raws: list[RawFeatures]) -> list[list[Sco
 
 
 def choose_sentences(
-    decisions: Iterable[Decision], lexicon: Lexicon, model: TrainedModel | None = None
+    decisions: Iterable[Decision], lexicon: Lexicon, model: TrainedModel
 ) -> Iterator[SentenceAnalysis | None]:
     """The analysis of the sentence to extract from, per decision and in
-    order, as ``extract`` takes it.
-
-    Without a model this is the rule-based choice; with one it is the
-    model's most probable candidate, however low (ties go to the later
-    sentence), scored ``SCORING_CHUNK`` decisions per ``predict_proba`` call.
+    order, as ``extract`` takes it: the model's most probable candidate,
+    however low (ties go to the later sentence), scored ``SCORING_CHUNK``
+    decisions per ``predict_proba`` call.
     """
-    if model is None:
-        yield from rule_based_choices(decisions, lexicon)
-        return
     decisions = iter(decisions)
     while chunk := list(islice(decisions, SCORING_CHUNK)):
         raws = [_raw_features(decision, lexicon) for decision in chunk]
@@ -122,37 +109,34 @@ def choose_sentences(
             yield best and best.analysis
 
 
-def _label_lookup(annotations: list[AnnotationRecord]) -> dict[tuple[str, int], bool]:
-    return {(r.case_id, r.sentence_index): r.is_punishment for r in annotations}
-
-
 def max_token_count(decisions: list[Decision]) -> int:
     """The most tokens in one sentence of ``decisions`` (1 without sentences),
     read from the texts without building their ``Sentence``s."""
-    return max((d.max_token_count for d in decisions if d.texts), default=1)
+    return max((token_count(t) for d in decisions for t in d.texts), default=1)
 
 
-def build_training_records(
-    decisions: list[Decision],
+def _train(
+    raws: Iterable[tuple[str, RawFeatures]],
     annotations: list[AnnotationRecord],
-    lexicon: Lexicon,
     token_scale: int,
-    raw: dict[str, RawFeatures] | None = None,
-) -> list[tuple[np.ndarray, bool]]:
-    """(feature vector, label) pairs over all candidate sentences.
+    kind: str,
+    seed: int,
+) -> TrainedModel:
+    """A model fitted on the candidates of ``raws``, (case id, raw features)
+    pairs read one decision at a time: their rows concatenated in order and
+    divided by ``token_scale``, each labelled by its annotation record.
 
-    Candidates without an annotation record are automatic negatives, which
-    is how the keyword pre-labeling constructs the training set. ``raw``
-    maps case ids to precomputed ``_raw_features``, which are rescaled
-    instead of featurizing again.
+    A candidate without a record is an automatic negative, which is how the
+    keyword pre-labeling constructs the training set.
     """
-    labels = _label_lookup(annotations)
-    records = []
-    for decision in decisions:
-        analyses, X = raw[decision.case_id] if raw is not None else _raw_features(decision, lexicon)
-        for row, a in zip(_rescale(X, token_scale), analyses):
-            records.append((row, labels.get((decision.case_id, a.sentence.index), False)))
-    return records
+    labels = {(r.case_id, r.sentence_index): r.is_punishment for r in annotations}
+    # the empty block gives concatenate a matrix to return without decisions
+    rows, y = [np.empty((0, NUM_FEATURES))], []
+    for case_id, (analyses, X) in raws:
+        rows.append(X)
+        y += [labels.get((case_id, a.sentence.index), False) for a in analyses]
+    X = _rescale(np.concatenate(rows), token_scale)
+    return train(X, np.array(y, dtype=int), kind, seed=seed, token_count_scale=token_scale)
 
 
 def train_on_decisions(
@@ -161,19 +145,20 @@ def train_on_decisions(
     lexicon: Lexicon,
     kind: str,
     seed: int = 0,
-    raw: dict[str, RawFeatures] | None = None,
 ) -> TrainedModel:
-    token_scale = max_token_count(decisions)
-    records = build_training_records(decisions, annotations, lexicon, token_scale, raw)
-    return replace(train(records, kind, seed=seed), token_count_scale=token_scale)
+    raws = ((d.case_id, _raw_features(d, lexicon)) for d in decisions)
+    return _train(raws, annotations, max_token_count(decisions), kind, seed)
 
 
 def make_folds(case_ids: list[str], num_folds: int, seed: int) -> list[list[str]]:
-    """Seeded partition of case ids into contiguous folds."""
+    """Seeded partition of case ids into contiguous folds.
+
+    numpy splits the permuted positions, not the ids: a numpy string array
+    would drop an id's trailing NUL characters.
+    """
     ordered = sorted(case_ids)
-    rng = np.random.default_rng(seed)
-    permuted = [ordered[i] for i in rng.permutation(len(ordered))]
-    return [list(fold) for fold in np.array_split(permuted, num_folds)]
+    permutation = np.random.default_rng(seed).permutation(len(ordered))
+    return [[ordered[i] for i in fold] for fold in np.array_split(permutation, num_folds)]
 
 
 def cross_validate(
@@ -181,36 +166,40 @@ def cross_validate(
     annotations: list[AnnotationRecord],
     lexicon: Lexicon,
     kind: str,
-    config: CrossValConfig = CrossValConfig(),
+    *,
+    num_folds: int = 5,
+    seed: int = 0,
+    detection_threshold: float = 0.5,
 ) -> EvaluationReport:
     """Document-level k-fold evaluation; every decision is tested once.
 
-    Each decision is filtered, analysed and featurized once; every fold
-    rescales the token counts to its own training scale and scores all its
-    test decisions' candidates in one call, once for both the detection
-    threshold and the argmax, whose analysis the report extracts from.
+    Each decision is filtered, analysed and featurized once, and its longest
+    sentence counted once; every fold trains on its other decisions' rows at
+    their own token scale and scores all its test decisions' candidates in
+    one call, once for both the detection threshold and the argmax, whose
+    analysis the report extracts from.
     """
-    if len(decisions) < config.num_folds:
-        raise InputError(
-            f"fewer decisions than folds ({len(decisions)} < {config.num_folds})"
-        )
-    folds = make_folds([d.case_id for d in decisions], config.num_folds, config.seed)
+    if num_folds < 2:
+        raise InputError("num_folds must be >= 2")
+    if not 0.0 <= detection_threshold < 1.0:
+        raise InputError("detection_threshold must be in [0, 1)")
+    if len(decisions) < num_folds:
+        raise InputError(f"fewer decisions than folds ({len(decisions)} < {num_folds})")
+    folds = make_folds([d.case_id for d in decisions], num_folds, seed)
     raw = {d.case_id: _raw_features(d, lexicon) for d in decisions}
+    longest = {d.case_id: max_token_count([d]) for d in decisions}
 
     scored_cases: list[tuple[str, list[ScoredSentence]]] = []
     for fold in folds:
         test_ids = set(fold)
-        train_decisions = [d for d in decisions if d.case_id not in test_ids]
-        train_annotations = [
-            r for r in annotations if r.case_id not in test_ids
-        ]
-        assert test_ids.isdisjoint(d.case_id for d in train_decisions)
-        model = train_on_decisions(
-            train_decisions, train_annotations, lexicon, kind, seed=config.seed, raw=raw
-        )
+        train_ids = [case_id for case_id in raw if case_id not in test_ids]
+        token_scale = max(longest[case_id] for case_id in train_ids)
+        # the test decisions' records label none of the training rows
+        raws = ((case_id, raw[case_id]) for case_id in train_ids)
+        model = _train(raws, annotations, token_scale, kind, seed)
         scored_cases += zip(fold, _model_scored(model, [raw[case_id] for case_id in fold]))
 
-    chosen, detected = _chosen_and_detected(scored_cases, config.detection_threshold, -math.inf)
+    chosen, detected = _chosen_and_detected(scored_cases, detection_threshold, -math.inf)
     return assemble_report(decisions, annotations, lexicon, chosen, detected)
 
 
@@ -243,14 +232,11 @@ class PunishmentExtractor:
         )
         return self
 
-    def _model(self) -> TrainedModel | None:
-        if self.method == "rule_based":
-            return None
-        model = getattr(self, "model_", None)
-        if model is None:
-            raise ValueError("supervised extractor is not fitted")
-        return model
-
     def predict(self, decisions: list[Decision]) -> list[ExtractionResult]:
-        chosen = choose_sentences(decisions, self.lexicon, self._model())
+        if self.method == "rule_based":
+            chosen = rule_based_choices(decisions, self.lexicon)
+        elif getattr(self, "model_", None) is None:
+            raise ValueError("supervised extractor is not fitted")
+        else:
+            chosen = choose_sentences(decisions, self.lexicon, self.model_)
         return [extract(d, c, self.lexicon) for d, c in zip(decisions, chosen)]

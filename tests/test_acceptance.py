@@ -27,12 +27,7 @@ from maasar.metrics import (
     selection_f1,
 )
 from maasar.numbers import TimeUnit, compose, detect_spans, render_number, span_months
-from maasar.pipeline import (
-    CrossValConfig,
-    choose_sentences,
-    cross_validate,
-    make_folds,
-)
+from maasar.pipeline import choose_sentences, cross_validate, make_folds
 from maasar.synthetic import generate_corpus
 from maasar.tokens import stripped_tokens
 from samples import (
@@ -188,7 +183,8 @@ def test_06_synthetic_gold_corpus(lex, gold_corpus):
                 gold_corpus.annotations,
                 lex,
                 kind,
-                CrossValConfig(num_folds=5, seed=0),
+                num_folds=5,
+                seed=0,
             )
             assert cv.detection.recall >= 0.9, kind
         assert time.perf_counter() - start < 30.0

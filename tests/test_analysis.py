@@ -110,11 +110,10 @@ class TestSentencesBuiltForCandidatesOnly:
         monkeypatch.setattr(Decision, "sentence", recording)
         return calls
 
-    @pytest.mark.parametrize("route", ["rule_based_choices", "choose_sentences", "rf"])
+    @pytest.mark.parametrize("route", ["rule_based_choices", "rf"])
     def test_selection(self, lexicon, synthetic, built, route):
         # a fresh corpus: the shared fixture's sentences may be built already
         decisions = generate_corpus(lexicon.numerals, num_decisions=12, seed=1).decisions
-        model = None
         if route == "rf":
             model = train_on_decisions(synthetic.decisions, synthetic.annotations, lexicon, "rf")
         built.clear()

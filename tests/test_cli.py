@@ -8,11 +8,11 @@ import pytest
 from maasar import cli
 from maasar.cli import run
 from maasar.corpus import CorpusStats, corpus_stats, load_annotations, load_corpus
+from maasar.detect import rule_based_choices
 from maasar.extraction import ExtractionResult, extract
 from maasar.lexicon import default_lexicon_path, load_lexicon
 from maasar.metrics import PRF, EvaluationReport, PerCaseResult, evaluate_rule_based
 from maasar.numbers import NumberSpan
-from maasar.pipeline import choose_sentences
 from maasar.synthetic import generate_corpus, write_corpus
 
 
@@ -307,7 +307,7 @@ class TestRecordFields:
         decisions = load_corpus(workspace["corpus_dir"]).decisions
         annotations = load_annotations(workspace["annotations"]).records
         lexicon = load_lexicon()
-        chosen = choose_sentences(decisions, lexicon)
+        chosen = rule_based_choices(decisions, lexicon)
         results = [extract(d, c, lexicon) for d, c in zip(decisions, chosen)]
         report = evaluate_rule_based(decisions, annotations, lexicon)
         records = [
@@ -387,6 +387,37 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "fewer decisions than folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corpus", ["empty", "no-keyword"])
+    def test_train_without_records_exits_one(self, workspace, capsys, tmp_path, corpus):
+        meta = []
+        if corpus == "no-keyword":
+            written(tmp_path / "a.txt", "בית המשפט שמע את טיעוני הצדדים.".encode())
+            meta = [{"filename": "a.txt", "case_id": "c0"}]
+        written(tmp_path / "metadata.json", meta)
+        out = tmp_path / "model.json"
+        argv = ["train", "--model", "rf", "--corpus", str(tmp_path)]
+        argv += ["--annotations", str(workspace["annotations"]), "--out", str(out)]
+        assert run(argv) == 1
+        assert "error: no training records" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_case_id_ending_in_nul_cross_validates(self, workspace, capsys, tmp_path):
+        meta = json.loads((workspace["corpus_dir"] / "metadata.json").read_text(encoding="utf-8"))
+        old = meta[0]["case_id"]
+        meta[0]["case_id"] += "\u0000"
+        lines = workspace["annotations"].read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        for r in records:
+            r["case_id"] += "\u0000" * (r["case_id"] == old)
+        annotations = b"".join(json.dumps(r).encode() + b"\n" for r in records)
+        out = tmp_path / "report.json"
+        argv = ["eval", "--model-kind", "rf", "--folds", "3", *corpus_args(workspace)]
+        argv += ["--metadata", written(tmp_path / "metadata.json", meta)]
+        argv += ["--annotations", written(tmp_path / "ann.jsonl", annotations), "--out", str(out)]
+        assert run(argv) == 0, capsys.readouterr().err
+        case_ids = [c["case_id"] for c in json.loads(out.read_text(encoding="utf-8"))["per_case"]]
+        assert f"{old}\u0000" in case_ids and len(case_ids) == len(meta)
 
     def test_unknown_flag_exits_one(self, workspace, capsys):
         assert run(["detect", *corpus_args(workspace), "--bogus"]) == 1

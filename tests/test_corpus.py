@@ -169,9 +169,9 @@ class TestSentencesOnDemand:
         names = ["case_id", "year", "court", "texts"]
         assert [f.name for f in dataclasses.fields(Decision)] == names
         decision = Decision.from_text("c1", "א ב. ג.", 2001, "שלום")
-        assert decision.sentences and decision.max_token_count == 2
-        # only the token scale is cached; no Sentence and no raw text is kept
-        assert set(vars(decision)) == {*names, "max_token_count"}
+        assert decision.sentences and decision.sentence(0).token_count == 2
+        # nothing is cached: no Sentence, no token scale and no raw text is kept
+        assert set(vars(decision)) == set(names)
 
     def test_a_loaded_corpus_holds_little_beyond_its_texts(self, lexicon, tmp_path):
         """The texts are nearly all a loaded corpus holds: no raw text and no
@@ -411,6 +411,18 @@ class TestLoadAnnotations:
         )
         assert records == []
         assert errors
+
+    def test_negative_sentence_index_rejected(self, tmp_path):
+        records, errors = self._load(
+            tmp_path,
+            [
+                '{"case_id":"c1","sentence_index":-1,"is_punishment":true,"months":5}',
+                '{"case_id":"c1","sentence_index":0,"is_punishment":false}',
+            ],
+        )
+        assert records == [AnnotationRecord("c1", 0, False)]
+        assert [e.source.rsplit(":", 1)[1] for e in errors] == ["1"]
+        assert "sentence_index -1 is negative" in errors[0].message
 
     def test_string_boolean_rejected(self, tmp_path):
         records, errors = self._load(

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Every name ``maasar`` exports, the lazily imported supervised names included.
 EXPORTED = [
-    "AnnotationRecord", "CorpusStats", "CrossValConfig", "Decision", "DurationScoringConfig",
+    "AnnotationRecord", "CorpusStats", "Decision", "DurationScoringConfig",
     "ErrorCategory", "EvaluationReport", "ExtractionResult", "FEATURE_NAMES",
     "FEATURE_SCHEMA_VERSION", "Histogram", "Lexicon", "LinearMarginClassifier", "NumberSpan",
     "NumeralLexicon", "PRF", "PunishmentExtractor", "ScoredSentence", "Sentence",

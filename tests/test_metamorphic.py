@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from maasar.analysis import DOCKET_RE
 from maasar.corpus import Decision
+from maasar.detect import rule_based_choices
 from maasar.extraction import extract
 from maasar.numbers import render_number
-from maasar.pipeline import choose_sentences
 from maasar.synthetic import FILLERS, _distractors, generate_corpus
 
 NUM_DECISIONS = 60
@@ -28,7 +28,7 @@ def corpus(lexicon):
 
 
 def rule_based_months(decision, lexicon):
-    [chosen] = choose_sentences([decision], lexicon)
+    [chosen] = rule_based_choices([decision], lexicon)
     return extract(decision, chosen, lexicon).months
 
 

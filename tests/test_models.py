@@ -99,31 +99,30 @@ MODEL_FILE_HYPERPARAMS = {
 class TestLearnersCommon:
     def test_separable_training_accuracy(self, kind):
         X, y = separable_data()
-        model = train([(x, bool(label)) for x, label in zip(X, y)], kind, seed=3)
+        model = train(X, y, kind, seed=3)
         predictions = (model.predict_proba(X) >= 0.5).astype(int)
         assert (predictions == y).all()
 
     def test_deterministic_under_seed(self, kind):
         X, y = separable_data()
-        records = [(x, bool(label)) for x, label in zip(X, y)]
-        a = train(records, kind, seed=11).predict_proba(X)
-        b = train(records, kind, seed=11).predict_proba(X)
+        a = train(X, y, kind, seed=11).predict_proba(X)
+        b = train(X, y, kind, seed=11).predict_proba(X)
         assert a.tobytes() == b.tobytes()
 
     def test_single_class_rejected(self, kind):
         X, _ = separable_data()
         with pytest.raises(ValueError, match="single class"):
-            train([(x, True) for x in X], kind)
+            train(X, np.ones(len(X), dtype=bool), kind)
 
     def test_nan_rejected(self, kind):
         X, y = separable_data()
         X[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            train([(x, bool(label)) for x, label in zip(X, y)], kind)
+            train(X, y, kind)
 
     def test_save_load_round_trip(self, kind, tmp_path):
         X, y = separable_data()
-        model = train([(x, bool(label)) for x, label in zip(X, y)], kind, seed=2)
+        model = train(X, y, kind, seed=2)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -135,7 +134,7 @@ class TestLearnersCommon:
 
     def test_model_file_hyperparams(self, kind, tmp_path):
         X, y = separable_data()
-        save_model(train([(x, bool(label)) for x, label in zip(X, y)], kind, seed=3), tmp_path / "m")
+        save_model(train(X, y, kind, seed=3), tmp_path / "m")
         doc = json.loads((tmp_path / "m").read_text(encoding="utf-8"))
         assert doc["hyperparams"] == MODEL_FILE_HYPERPARAMS[kind]
 
@@ -217,7 +216,7 @@ class TestLinearMargin:
 
     def test_calibration_exposed(self):
         X, y = separable_data()
-        model = train([(x, bool(label)) for x, label in zip(X, y)], "linear_margin")
+        model = train(X, y, "linear_margin")
         assert model.classifier.state_dict()["calibration"]["offset"] == 0.0
         assert model.classifier.calibration_scale_ > 0
 
@@ -237,7 +236,7 @@ class TestLinearMargin:
 
     def test_tree_model_has_no_calibration(self):
         X, y = separable_data()
-        model = train([(x, bool(label)) for x, label in zip(X, y)], "tree_ensemble")
+        model = train(X, y, "tree_ensemble")
         assert "calibration" not in model.classifier.state_dict()
         assert not hasattr(model.classifier, "calibration_scale_")
 
@@ -245,7 +244,7 @@ class TestLinearMargin:
 class TestSchemaGuard:
     def test_wrong_width_rejected(self):
         X, y = separable_data()
-        model = train([(x, bool(label)) for x, label in zip(X, y)], "linear_margin")
+        model = train(X, y, "linear_margin")
         with pytest.raises(ValueError, match="dimensions|columns"):
             model.predict_proba(np.ones((1, NUM_FEATURES + 1)))
 
@@ -261,7 +260,7 @@ class TestSchemaGuard:
 
     def test_predict_proba_checks_its_matrix_once(self, monkeypatch):
         X, y = separable_data()
-        model = train([(x, bool(label)) for x, label in zip(X, y)], "linear_margin")
+        model = train(X, y, "linear_margin")
         calls = []
         original = models.check_feature_matrix
         monkeypatch.setattr(
@@ -273,17 +272,27 @@ class TestSchemaGuard:
     @pytest.mark.parametrize("scale", [0, -3])
     def test_token_count_scale_below_one_refused(self, scale):
         X, y = separable_data()
-        model = train([(x, bool(label)) for x, label in zip(X, y)], "tree_ensemble")
+        model = train(X, y, "tree_ensemble")
         with pytest.raises(ValueError, match="'token_count_scale' must be at least 1"):
             TrainedModel(model.classifier, scale)
 
+    def test_train_builds_the_model_with_its_scale(self):
+        X, y = separable_data()
+        assert train(X, y, "svm", token_count_scale=7).token_count_scale == 7
+        with pytest.raises(InputError, match="'token_count_scale' must be at least 1"):
+            train(X, y, "svm", token_count_scale=0)
+
+    @pytest.mark.parametrize("kind", ["svm", "boosting"])
+    def test_no_rows_refused(self, kind):
+        with pytest.raises(InputError, match="no training records"):
+            train(np.empty((0, NUM_FEATURES)), np.empty(0, dtype=int), kind)
+
     def test_kind_aliases(self):
         X, y = separable_data()
-        records = [(x, bool(label)) for x, label in zip(X, y)]
-        assert train(records, "svm").kind == "linear_margin"
-        assert train(records, "rf").kind == "tree_ensemble"
+        assert train(X, y, "svm").kind == "linear_margin"
+        assert train(X, y, "rf").kind == "tree_ensemble"
         with pytest.raises(ValueError, match="unknown model kind"):
-            train(records, "boosting")
+            train(X, y, "boosting")
 
 
 # Reference implementations: the per-cut splitter and the per-row, per-tree

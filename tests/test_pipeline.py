@@ -10,7 +10,6 @@ from maasar.metrics import assemble_report, evaluate_rule_based
 from maasar.models import TrainedModel
 from maasar.pipeline import (
     SCORING_CHUNK,
-    CrossValConfig,
     PunishmentExtractor,
     _model_scored,
     _raw_features,
@@ -129,6 +128,14 @@ class TestFolds:
         assert make_folds(ids, 4, seed=9) == make_folds(ids, 4, seed=9)
         assert make_folds(ids, 4, seed=9) != make_folds(ids, 4, seed=10)
 
+    def test_ids_kept_as_given(self):
+        """A trailing NUL is part of a case id: a numpy string array drops it."""
+        ids = ["c0\u0000", "c1", "c2\u0000\u0000", "c3", "c4"]
+        folds = make_folds(ids, 3, seed=1)
+        assert sorted(i for fold in folds for i in fold) == sorted(ids)
+        assert {type(i) for fold in folds for i in fold} == {str}
+        assert [len(fold) for fold in folds] == [2, 2, 1]
+
 
 class TestCrossValidate:
     def test_fewer_decisions_than_folds(self, lexicon, synthetic):
@@ -138,16 +145,26 @@ class TestCrossValidate:
                 synthetic.annotations,
                 lexicon,
                 "rf",
-                CrossValConfig(num_folds=5),
+                num_folds=5,
             )
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"num_folds": 1}, "num_folds must be >= 2"),
+            ({"detection_threshold": 1.0}, r"detection_threshold must be in \[0, 1\)"),
+            ({"detection_threshold": -0.1}, r"detection_threshold must be in \[0, 1\)"),
+        ],
+    )
+    def test_settings_refused(self, lexicon, synthetic, options, message):
+        with pytest.raises(InputError, match=message):
+            cross_validate(synthetic.decisions, synthetic.annotations, lexicon, "rf", **options)
 
     def test_every_decision_evaluated_once(self, lexicon, synthetic):
         decisions = synthetic.decisions[:10]
         ids = {d.case_id for d in decisions}
         annotations = [a for a in synthetic.annotations if a.case_id in ids]
-        report = cross_validate(
-            decisions, annotations, lexicon, "rf", CrossValConfig(num_folds=5, seed=2)
-        )
+        report = cross_validate(decisions, annotations, lexicon, "rf", num_folds=5, seed=2)
         assert {c.case_id for c in report.per_case} == ids
         assert len(report.per_case) == len(ids)
 
@@ -162,9 +179,8 @@ class TestCrossValidate:
         decisions = synthetic.decisions[:10]
         ids = {d.case_id for d in decisions}
         annotations = [a for a in synthetic.annotations if a.case_id in ids]
-        config = CrossValConfig(num_folds=5, seed=4)
-        r1 = cross_validate(decisions, annotations, lexicon, "svm", config)
-        r2 = cross_validate(decisions, annotations, lexicon, "svm", config)
+        r1 = cross_validate(decisions, annotations, lexicon, "svm", num_folds=5, seed=4)
+        r2 = cross_validate(decisions, annotations, lexicon, "svm", num_folds=5, seed=4)
         assert r1 == r2
 
     def test_separable_corpus_full_recall(self, lexicon, synthetic):
@@ -173,29 +189,31 @@ class TestCrossValidate:
             synthetic.annotations,
             lexicon,
             "rf",
-            CrossValConfig(num_folds=5, seed=0),
+            num_folds=5,
+            seed=0,
         )
         assert report.detection.recall == 1.0
 
 
-def per_fold_report(decisions, annotations, lexicon, kind, config):
+def per_fold_report(
+    decisions, annotations, lexicon, kind, *, num_folds, seed, detection_threshold=0.5
+):
     """cross_validate assembled fold by fold from the public per-decision
     path, which featurizes every fold's decisions again at its own scale."""
     by_id = {d.case_id: d for d in decisions}
     chosen, detected = {}, set()
-    for fold in make_folds(list(by_id), config.num_folds, config.seed):
+    for fold in make_folds(list(by_id), num_folds, seed):
         test_ids = set(fold)
         model = train_on_decisions(
             [d for d in decisions if d.case_id not in test_ids],
             [r for r in annotations if r.case_id not in test_ids],
             lexicon,
             kind,
-            seed=config.seed,
+            seed=seed,
         )
         for case_id in fold:
             decision = by_id[case_id]
-            threshold = config.detection_threshold
-            for idx in detected_indices(model, decision, lexicon, threshold):
+            for idx in detected_indices(model, decision, lexicon, detection_threshold):
                 detected.add((case_id, idx))
             [chosen[case_id]] = choose_sentences([decision], lexicon, model)
     return assemble_report(decisions, annotations, lexicon, chosen, detected)
@@ -218,31 +236,32 @@ class TestFeaturizeOnceCrossValidation:
     @pytest.mark.parametrize("kind", ["rf", "svm"])
     def test_report_equals_per_fold_path(self, lexicon, corpus, kind):
         decisions, annotations = corpus
-        config = CrossValConfig(num_folds=5, seed=3, detection_threshold=0.4)
+        config = dict(num_folds=5, seed=3, detection_threshold=0.4)
         folds = make_folds([d.case_id for d in decisions], 5, 3)
         scales = {
             max_token_count([d for d in decisions if d.case_id not in set(fold)])
             for fold in folds
         }
         assert len(scales) > 1  # the folds really rescale differently
-        report = cross_validate(decisions, annotations, lexicon, kind, config)
-        assert report == per_fold_report(decisions, annotations, lexicon, kind, config)
+        report = cross_validate(decisions, annotations, lexicon, kind, **config)
+        assert report == per_fold_report(decisions, annotations, lexicon, kind, **config)
 
     @pytest.mark.parametrize("kind", ["rf", "svm"])
     def test_learner_sees_the_per_fold_rows(self, lexicon, corpus, kind, monkeypatch):
-        """Byte-equal training and scoring inputs, fold by fold, so a wrong
-        token_count_norm scale shows even where it flips no prediction. Each
-        fold scores its test decisions in one call, on the per-decision rows
-        of the per-fold path concatenated in fold order."""
+        """Byte-equal training matrices, labels and token scales and scoring
+        inputs, fold by fold, so a wrong token_count_norm scale shows even
+        where it flips no prediction. Each fold scores its test decisions in
+        one call, on the per-decision rows of the per-fold path concatenated
+        in fold order."""
         decisions, annotations = corpus
-        config = CrossValConfig(num_folds=5, seed=3)
+        config = dict(num_folds=5, seed=3)
         seen = []
         original_train = pipeline.train
         original_predict = TrainedModel.predict_proba
 
-        def recording_train(records, *args, **kwargs):
-            seen.append(("fit", np.vstack([row for row, _ in records]).tobytes()))
-            return original_train(records, *args, **kwargs)
+        def recording_train(X, y, *args, **kwargs):
+            seen.append(("fit", (X.tobytes(), y.tobytes(), args, kwargs)))
+            return original_train(X, y, *args, **kwargs)
 
         def recording_predict(model, features):
             seen.append(("score", np.asarray(features).tobytes()))
@@ -250,9 +269,9 @@ class TestFeaturizeOnceCrossValidation:
 
         monkeypatch.setattr(pipeline, "train", recording_train)
         monkeypatch.setattr(TrainedModel, "predict_proba", recording_predict)
-        cross_validate(decisions, annotations, lexicon, kind, config)
+        cross_validate(decisions, annotations, lexicon, kind, **config)
         featurize_once, seen[:] = list(seen), []
-        per_fold_report(decisions, annotations, lexicon, kind, config)
+        per_fold_report(decisions, annotations, lexicon, kind, **config)
         per_fold = []
         entries = iter(seen)
         for entry in entries:
@@ -262,7 +281,7 @@ class TestFeaturizeOnceCrossValidation:
                 if per_fold[-1][0] == "score":
                     entry = ("score", per_fold.pop()[1] + entry[1])
             per_fold.append(entry)
-        assert [kind for kind, _ in featurize_once] == ["fit", "score"] * config.num_folds
+        assert [kind for kind, _ in featurize_once] == ["fit", "score"] * config["num_folds"]
         assert featurize_once == per_fold
 
     def test_max_token_count_builds_no_sentence(self, corpus, monkeypatch):
@@ -332,9 +351,9 @@ class TestBatchedScoring:
             scores = np.array([c.score for c in scored], dtype=float)
             assert scores.tobytes() == np.array([c.score for c in alone], dtype=float).tobytes()
 
-    @pytest.mark.parametrize("kind", ["rule_based", "rf", "svm"])
+    @pytest.mark.parametrize("kind", ["rf", "svm"])
     def test_choose_sentences_equals_choose_sentence(self, lexicon, decisions, models, kind):
-        model = models.get(kind)
+        model = models[kind]
         one_at_a_time = [next(choose_sentences([d], lexicon, model)) for d in decisions]
         assert one_at_a_time[100] is None
         assert list(choose_sentences(decisions, lexicon, model)) == one_at_a_time
