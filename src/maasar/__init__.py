@@ -79,11 +79,7 @@ _LAZY_MODULES = {
         "save_model",
         "train",
     ),
-    "pipeline": (
-        "PunishmentExtractor",
-        "cross_validate",
-        "train_on_decisions",
-    ),
+    "pipeline": ("choose_sentences", "cross_validate", "train_on_decisions"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 

@@ -24,12 +24,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
-from pathlib import Path
 
-from .corpus import InputError, corpus_stats, load_annotations, load_corpus, prelabel_negatives
+from .corpus import (
+    InputError,
+    annotations_in_range,
+    corpus_stats,
+    load_annotations,
+    load_corpus,
+    prelabel_negatives,
+)
+from .corpus import write_atomic as _write_atomic
 from .detect import choose_rule_based, rule_based_choices
 from .extraction import extract
 from .lexicon import DURATION_NAMES, STRUCTURAL_NAMES, TIER_NAMES, Lexicon, load_lexicon
@@ -72,19 +77,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _write_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(path: str | None, text: str) -> None:
     if path:
         _write_atomic(path, text)
@@ -106,10 +98,14 @@ def _jsonl(records) -> str:
     return "".join(_json(r) + "\n" for r in records)
 
 
+def _warn(errors) -> None:
+    for error in errors:
+        print(f"warning: {error.source}: {error.message}", file=sys.stderr)
+
+
 def _load_corpus_or_fail(args) -> list:
     result = load_corpus(args.corpus, getattr(args, "metadata", None))
-    for error in result.errors:
-        print(f"warning: {error.source}: {error.message}", file=sys.stderr)
+    _warn(result.errors)
     if not result.decisions and result.errors:
         raise InputError("no decisions could be loaded")
     return result.decisions
@@ -139,11 +135,11 @@ def _load_lexicon_with_overrides(args) -> Lexicon:
     )
 
 
-def _annotations_or_fail(args) -> list:
-    result = load_annotations(args.annotations)
-    for error in result.errors:
-        print(f"warning: {error.source}: {error.message}", file=sys.stderr)
-    return result.records
+def _annotations_or_fail(args, decisions) -> list:
+    loaded = load_annotations(args.annotations)
+    checked = annotations_in_range(loaded.records, decisions, str(args.annotations))
+    _warn(loaded.errors + checked.errors)
+    return checked.records
 
 
 def _detect_one(lexicon: Lexicon, decision):
@@ -193,7 +189,7 @@ def _cmd_detect(args) -> int:
 def _cmd_train(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
-    annotations = _annotations_or_fail(args)
+    annotations = _annotations_or_fail(args, decisions)
     from .models import save_model
     from .pipeline import train_on_decisions
 
@@ -222,7 +218,7 @@ def _cmd_extract(args) -> int:
 def _cmd_eval(args) -> int:
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
-    annotations = _annotations_or_fail(args)
+    annotations = _annotations_or_fail(args, decisions)
     if args.rule_based:
         report = evaluate_rule_based(decisions, annotations, lexicon)
     else:

@@ -11,6 +11,8 @@ court), ``"false"`` is not false and ``1.9`` is not a month count.
 
 Every loader checks its input here, without numpy: ``read_input`` reads a
 UTF-8 (JSON) file and ``field`` checks one field against its JSON kind.
+``write_atomic`` is the one writer of an output file, model files included:
+it writes a temp file beside the target and renames it over the target.
 They raise ``InputError``, the one exception meaning bad input: the CLI
 exits 1 on it or an ``OSError``, and 2 on anything else, a bug.
 
@@ -40,8 +42,10 @@ import io
 import json
 import logging
 import math
+import os
 import re
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -235,6 +239,21 @@ def read_input(path: str | Path, parse: Callable[[str], object] = json.loads):
         raise InputError(f"{path}: not valid JSON: {exc}") from None
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through a temp file renamed over
+    it, so a failed write leaves any existing file as it was."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class LoadError(NamedTuple):
     """One recoverable ingestion problem, attributed to its source."""
 
@@ -422,6 +441,28 @@ def load_annotations(path: str | Path) -> AnnotationLoadResult:
             logger.warning("duplicate annotation for %s; keeping the later record", key)
         by_key[key] = record
     return AnnotationLoadResult(list(by_key.values()), errors)
+
+
+def annotations_in_range(
+    records: list[AnnotationRecord], decisions: Iterable[Decision], source: str
+) -> AnnotationLoadResult:
+    """``records`` without those whose ``sentence_index`` is past the last
+    sentence of their loaded decision, each of which is a ``LoadError``
+    attributed to ``source``. A record of a case not in ``decisions`` is kept.
+    """
+    lengths = {d.case_id: len(d.texts) for d in decisions}
+    kept, errors = [], []
+    for record in records:
+        length = lengths.get(record.case_id, math.inf)
+        if record.sentence_index < length:
+            kept.append(record)
+        else:
+            message = (
+                f"rejected: case {record.case_id!r} sentence_index {record.sentence_index}"
+                f" is past its decision's {length} sentences"
+            )
+            errors.append(LoadError(source, message))
+    return AnnotationLoadResult(kept, errors)
 
 
 def corpus_stats(decisions: Iterable[Decision]) -> CorpusStats:

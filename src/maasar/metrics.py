@@ -3,6 +3,14 @@ accuracy, agreement coefficients, error taxonomy, duration histograms, and
 the evaluation report both routes share (``assemble_report``), with the
 rule-based evaluation that builds it (``evaluate_rule_based``).
 
+``assemble_report`` grades each case once, in one loop over the cases'
+scored candidates: it records the detected pairs, chooses, extracts and
+categorises a wrong choice, into the case's ``PerCaseResult``. Every pooled
+number (detection, selection, extraction, the accuracy given a correct
+sentence and the error breakdown) is then read from those results and the
+detected pairs, through ``detection_prf``, ``selection_f1`` and
+``extraction_f1_and_error``.
+
 Selecting exactly one sentence per case makes every false positive pair up
 with a false negative, so the per-case selection and duration scores have
 precision = recall and are reported as a single F1 number.
@@ -218,23 +226,6 @@ def error_category(analysis: SentenceAnalysis) -> ErrorCategory:
     return ErrorCategory.MISC
 
 
-def _chosen_and_detected(
-    scored_cases: Iterable[tuple[str, list[ScoredSentence]]],
-    detection_threshold: float,
-    selection_threshold: float,
-) -> tuple[dict[str, SentenceAnalysis | None], set[tuple[str, int]]]:
-    """Each case's chosen analysis and every (case, index) detected, as
-    ``assemble_report`` takes them, from each case's scored candidates."""
-    chosen: dict[str, SentenceAnalysis | None] = {}
-    detected: set[tuple[str, int]] = set()
-    for case_id, scored in scored_cases:
-        for candidate in at_or_above(scored, detection_threshold):
-            detected.add((case_id, candidate.sentence_index))
-        best = best_scored(scored, selection_threshold)
-        chosen[case_id] = best and best.analysis
-    return chosen, detected
-
-
 def _gold_maps(
     annotations: list[AnnotationRecord],
 ) -> tuple[dict[str, set[int]], dict[str, int]]:
@@ -256,75 +247,61 @@ def assemble_report(
     decisions: list[Decision],
     annotations: list[AnnotationRecord],
     lexicon: Lexicon,
-    chosen: dict[str, SentenceAnalysis | None],
-    detected: set[tuple[str, int]],
+    scored_cases: Iterable[tuple[str, list[ScoredSentence]]],
+    detection_threshold: float,
+    selection_threshold: float,
 ) -> EvaluationReport:
-    """Pool per-case predictions into the full evaluation report.
+    """Grade each case once, then pool the per-case results into the report.
 
-    ``chosen`` maps each case to its selected sentence's analysis (or None);
-    the months are extracted from it and a wrong selection is categorised
-    from it (``metrics.error_category``), so no sentence is analysed here.
+    ``scored_cases`` holds each decision's (case id, scored candidates) pair
+    once, in any order. Per case, the candidates at or above
+    ``detection_threshold`` are detected, the best at or above
+    ``selection_threshold`` is chosen, its analysis gives the months
+    (``extract``) and, for a wrong choice, the error category, so no
+    sentence is analysed here. Every pooled number is read from the
+    per-case results and the detected pairs.
     """
     gold_indices, gold_months = _gold_maps(annotations)
     by_id = {d.case_id: d for d in decisions}
-    selections: dict[str, int | None] = {}
-    months: dict[str, int | None] = {}
-    for case_id, analysis in chosen.items():
-        result = extract(by_id[case_id], analysis, lexicon)
-        selections[case_id], months[case_id] = result.sentence_index, result.months
-    gold_pairs = {
-        (case_id, idx)
-        for case_id, indices in gold_indices.items()
-        if case_id in by_id
-        for idx in indices
-    }
-    detection = detection_prf(detected, gold_pairs)
+    detected: set[tuple[str, int]] = set()
+    graded: dict[str, PerCaseResult] = {}
+    for case_id, scored in scored_cases:
+        for candidate in at_or_above(scored, detection_threshold):
+            detected.add((case_id, candidate.sentence_index))
+        best = best_scored(scored, selection_threshold)
+        result = extract(by_id[case_id], best and best.analysis, lexicon)
+        gold = tuple(sorted(gold_indices.get(case_id, ())))
+        index = result.sentence_index
+        wrong = index is not None and index not in gold
+        graded[case_id] = PerCaseResult(
+            case_id=case_id,
+            predicted_index=index,
+            gold_indices=gold,
+            predicted_months=result.months,
+            gold_months=gold_months.get(case_id, 0),
+            error_category=error_category(best.analysis).value if wrong else None,
+        )
+    per_case = tuple(graded[d.case_id] for d in decisions)
 
-    full_gold_months = {d.case_id: gold_months.get(d.case_id, 0) for d in decisions}
-    sel_f1 = selection_f1(selections, gold_indices)
-    score = extraction_f1_and_error(months, full_gold_months)
-
-    correct_sel = [
-        case_id
-        for case_id, idx in selections.items()
-        if idx is not None and idx in gold_indices.get(case_id, set())
-    ]
-    if correct_sel:
-        acc_given_correct = sum(
-            months.get(c) == full_gold_months[c] for c in correct_sel
-        ) / len(correct_sel)
+    score = extraction_f1_and_error(
+        {c.case_id: c.predicted_months for c in per_case},
+        {c.case_id: c.gold_months for c in per_case},
+    )
+    correct = [c for c in per_case if c.predicted_index in c.gold_indices]
+    if correct:
+        exact = sum(c.predicted_months == c.gold_months for c in correct)
+        acc_given_correct = exact / len(correct)
     else:
         acc_given_correct = None
-
-    wrong = [
-        (case_id, analysis)
-        for case_id, analysis in chosen.items()
-        if analysis is not None
-        and analysis.sentence.index not in gold_indices.get(case_id, set())
-    ]
-    breakdown = {category.value: 0.0 for category in ErrorCategory}
-    per_case_categories: dict[str, str] = {}
-    for case_id, analysis in wrong:
-        category = error_category(analysis)
-        per_case_categories[case_id] = category.value
-        breakdown[category.value] += 1
-    if wrong:
-        breakdown = {k: v / len(wrong) for k, v in breakdown.items()}
-
-    per_case = tuple(
-        PerCaseResult(
-            case_id=d.case_id,
-            predicted_index=selections.get(d.case_id),
-            gold_indices=tuple(sorted(gold_indices.get(d.case_id, set()))),
-            predicted_months=months.get(d.case_id),
-            gold_months=full_gold_months[d.case_id],
-            error_category=per_case_categories.get(d.case_id),
-        )
-        for d in decisions
-    )
+    errors = [c.error_category for c in per_case if c.error_category is not None]
+    breakdown = {k.value: errors.count(k.value) / max(len(errors), 1) for k in ErrorCategory}
+    gold_pairs = {(c.case_id, i) for c in per_case for i in c.gold_indices}
     return EvaluationReport(
-        detection=detection,
-        sentence_selection_f1=sel_f1,
+        detection=detection_prf(detected, gold_pairs),
+        sentence_selection_f1=selection_f1(
+            {c.case_id: c.predicted_index for c in per_case},
+            {c.case_id: set(c.gold_indices) for c in per_case},
+        ),
         extraction_f1=score.extraction_f1,
         avg_month_error=score.avg_month_error,
         duration_accuracy_given_correct_sentence=acc_given_correct,
@@ -340,8 +317,9 @@ def evaluate_rule_based(
 ) -> EvaluationReport:
     """Score the rule-based pipeline; detection = candidates above threshold."""
     scored_cases = ((d.case_id, score_candidates(d, lexicon)) for d in decisions)
-    chosen, detected = _chosen_and_detected(scored_cases, lexicon.threshold, lexicon.threshold)
-    return assemble_report(decisions, annotations, lexicon, chosen, detected)
+    return assemble_report(
+        decisions, annotations, lexicon, scored_cases, lexicon.threshold, lexicon.threshold
+    )
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ margin stays ``X @ w`` so that linear model files do not move.
 Each learner is a dataclass whose fields are its hyperparameters: one
 declaration gives each its name, default and accepted values, and the
 constructor refuses a value outside them. ``save_model`` writes the fields
-as the model file's ``hyperparams``.
+as the model file's ``hyperparams``, through ``corpus.write_atomic``.
 
 Model files are versioned JSON carrying the kind, feature schema version,
 seed, hyperparameters and all fitted state. ``load_model`` checks every
@@ -71,7 +71,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .corpus import InputError, _is_int, _is_number, field, read_input
+from .corpus import InputError, _is_int, _is_number, field, read_input, write_atomic
 from .features import FEATURE_SCHEMA_VERSION, NUM_FEATURES
 
 MODEL_FORMAT_VERSION = 1
@@ -584,7 +584,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "hyperparams": dataclasses.asdict(model.classifier),
         "state": model.classifier.state_dict(),
     }
-    Path(path).write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True), encoding="utf-8")
+    write_atomic(path, json.dumps(doc, ensure_ascii=False, sort_keys=True))
 
 
 def load_model(path: str | Path) -> TrainedModel:

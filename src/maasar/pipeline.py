@@ -1,5 +1,4 @@
-"""Supervised sentence selection, training, cross-validation, and the
-end-to-end extraction estimator.
+"""Supervised sentence selection, training and cross-validation.
 
 Candidate sentences (keyword filter survivors) are scored by a trained
 classifier; the detection stage keeps every candidate at or above a
@@ -16,8 +15,11 @@ sentence's analysis, which ``extract`` and the error report read instead of
 analysing again. Feature rows hold the raw token count, and ``_rescale`` is
 the one place that divides it by a model's token-count scale, so
 cross-validation featurizes once and rescales per fold. Cross-validation
-builds its report with ``metrics.assemble_report``, which the rule-based
-evaluation shares and which, unlike this module, imports no numpy.
+hands every decision's scored candidates, in fold order, to
+``metrics.assemble_report``, which grades them as it does the rule-based
+evaluation's and which, unlike this module, imports no numpy. End to end,
+a library caller runs ``train_on_decisions``, then ``choose_sentences``,
+then ``extract`` on each decision and its chosen analysis.
 
 Training hands matrices from featurization to the learner. ``_train`` is
 the one route into ``models.train``, for ``train_on_decisions`` and for
@@ -44,12 +46,11 @@ import numpy as np
 
 from .analysis import SentenceAnalysis, analyse
 from .corpus import AnnotationRecord, Decision, InputError, token_count
-from .detect import ScoredSentence, best_scored, filter_candidates, rule_based_choices
-from .extraction import ExtractionResult, extract
+from .detect import ScoredSentence, best_scored, filter_candidates
 from .features import FEATURE_NAMES, NUM_FEATURES, featurize
 from .lexicon import Lexicon
-from .metrics import EvaluationReport, _chosen_and_detected, assemble_report
-from .models import KIND_ALIASES, MODEL_KINDS, TrainedModel, train
+from .metrics import EvaluationReport, assemble_report
+from .models import TrainedModel, train
 
 
 _TOKEN_COUNT_COLUMN = FEATURE_NAMES.index("token_count_norm")
@@ -176,8 +177,8 @@ def cross_validate(
     Each decision is filtered, analysed and featurized once, and its longest
     sentence counted once; every fold trains on its other decisions' rows at
     their own token scale and scores all its test decisions' candidates in
-    one call, once for both the detection threshold and the argmax, whose
-    analysis the report extracts from.
+    one call; the report grades those scores, once for both the detection
+    threshold and the argmax, whose analysis it extracts from.
     """
     if num_folds < 2:
         raise InputError("num_folds must be >= 2")
@@ -199,44 +200,7 @@ def cross_validate(
         model = _train(raws, annotations, token_scale, kind, seed)
         scored_cases += zip(fold, _model_scored(model, [raw[case_id] for case_id in fold]))
 
-    chosen, detected = _chosen_and_detected(scored_cases, detection_threshold, -math.inf)
-    return assemble_report(decisions, annotations, lexicon, chosen, detected)
+    return assemble_report(
+        decisions, annotations, lexicon, scored_cases, detection_threshold, -math.inf
+    )
 
-
-class PunishmentExtractor:
-    """End-to-end estimator: select the punishment sentence, extract months.
-
-    ``method`` is rule_based or a model kind (svm, rf, or their long names
-    linear_margin, tree_ensemble); any other is refused. Supervised methods need
-    ``fit`` with decisions and annotation records; the rule-based method is
-    ready as soon as it is built.
-    """
-
-    METHODS = ("rule_based", *KIND_ALIASES, *MODEL_KINDS)
-
-    def __init__(self, method: str = "rule_based", *, lexicon: Lexicon, seed: int = 0):
-        if method not in self.METHODS:
-            raise InputError(f"unknown method {method!r}; expected one of {self.METHODS}")
-        self.method = method
-        self.lexicon = lexicon
-        self.seed = seed
-
-    def fit(self, decisions: list[Decision], annotations: list[AnnotationRecord] | None = None):
-        if self.method == "rule_based":
-            self.model_ = None
-            return self
-        if annotations is None:
-            raise ValueError(f"method {self.method!r} requires annotations to fit")
-        self.model_ = train_on_decisions(
-            decisions, annotations, self.lexicon, self.method, seed=self.seed
-        )
-        return self
-
-    def predict(self, decisions: list[Decision]) -> list[ExtractionResult]:
-        if self.method == "rule_based":
-            chosen = rule_based_choices(decisions, self.lexicon)
-        elif getattr(self, "model_", None) is None:
-            raise ValueError("supervised extractor is not fitted")
-        else:
-            chosen = choose_sentences(decisions, self.lexicon, self.model_)
-        return [extract(d, c, self.lexicon) for d, c in zip(decisions, chosen)]

@@ -8,7 +8,7 @@ from maasar.corpus import Decision
 from maasar.detect import choose_rule_based, filter_candidates, rule_based_choices, score_ceiling
 from maasar.metrics import evaluate_rule_based
 from maasar.models import save_model
-from maasar.pipeline import PunishmentExtractor, choose_sentences, train_on_decisions
+from maasar.pipeline import choose_sentences, train_on_decisions
 from maasar.synthetic import SyntheticCorpus, generate_corpus, write_corpus
 
 
@@ -83,15 +83,6 @@ class TestEachCandidateAnalysedOnce:
         argv += ["--annotations", str(paths["annotations"]), "--out", str(tmp_path / "r.json")]
         assert run(argv) == 0
         assert len(span_calls) == candidates
-
-    def test_supervised_estimator_predict(self, lexicon, synthetic, span_calls):
-        extractor = PunishmentExtractor(method="rf", lexicon=lexicon)
-        extractor.fit(synthetic.decisions, synthetic.annotations)
-        decisions = synthetic.decisions[:6]
-        span_calls.clear()
-        results = extractor.predict(decisions)
-        assert len(span_calls) == sum(len(filter_candidates(d, lexicon)) for d in decisions)
-        assert all(r.sentence_index is not None for r in results)
 
 
 class TestSentencesBuiltForCandidatesOnly:

@@ -419,6 +419,27 @@ class TestErrorHandling:
         case_ids = [c["case_id"] for c in json.loads(out.read_text(encoding="utf-8"))["per_case"]]
         assert f"{old}\u0000" in case_ids and len(case_ids) == len(meta)
 
+    @pytest.mark.parametrize(
+        "command", [["eval", "--rule-based"], ["train", "--model", "rf"]], ids=["eval", "train"]
+    )
+    def test_annotation_past_the_last_sentence_dropped(
+        self, workspace, capsys, tmp_path, command
+    ):
+        """The record is a warning naming it, and the output is the one
+        written without it: it is not counted as gold or as a label."""
+        annotations = workspace["annotations"].read_bytes()
+        past = b'{"case_id": "c000", "sentence_index": 9999, "is_punishment": true, "months": 5}'
+        extended = written(tmp_path / "extended.jsonl", annotations + past + b"\n")
+        outputs = []
+        for path in (workspace["annotations"], extended):
+            out = tmp_path / f"out-{len(outputs)}"
+            argv = [*command, *corpus_args(workspace), "--annotations", str(path)]
+            assert run([*argv, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        err = capsys.readouterr().err
+        assert f"warning: {extended}: rejected: case 'c000' sentence_index 9999" in err
+
     def test_unknown_flag_exits_one(self, workspace, capsys):
         assert run(["detect", *corpus_args(workspace), "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err

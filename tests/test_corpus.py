@@ -12,6 +12,7 @@ from maasar.corpus import (
     AnnotationRecord,
     Decision,
     Sentence,
+    annotations_in_range,
     corpus_stats,
     load_annotations,
     load_corpus,
@@ -373,6 +374,20 @@ class TestLoadCorpus:
         self._write_meta(tmp_path, {"filename": "a.txt"})
         assert run(["stats", "--corpus", str(tmp_path)]) == 1
         assert "metadata is not a JSON array" in capsys.readouterr().err
+
+
+class TestAnnotationsInRange:
+    def test_record_past_the_last_sentence_dropped(self):
+        decisions = [Decision("c1", 0, "", ("א.", "ב."))]
+        records = [
+            AnnotationRecord("c1", 1, True, 4),
+            AnnotationRecord("c1", 2, True, 5),
+            AnnotationRecord("c9", 40, False),  # not in the corpus: kept
+        ]
+        kept, errors = annotations_in_range(records, decisions, "ann.jsonl")
+        assert kept == [records[0], records[2]]
+        assert [e.source for e in errors] == ["ann.jsonl"]
+        assert "case 'c1' sentence_index 2 is past its decision's 2 sentences" in errors[0].message
 
 
 class TestLoadAnnotations:

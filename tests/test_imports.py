@@ -18,9 +18,10 @@ EXPORTED = [
     "AnnotationRecord", "CorpusStats", "Decision", "DurationScoringConfig",
     "ErrorCategory", "EvaluationReport", "ExtractionResult", "FEATURE_NAMES",
     "FEATURE_SCHEMA_VERSION", "Histogram", "Lexicon", "LinearMarginClassifier", "NumberSpan",
-    "NumeralLexicon", "PRF", "PunishmentExtractor", "ScoredSentence", "Sentence",
+    "NumeralLexicon", "PRF", "ScoredSentence", "Sentence",
     "SentenceAnalysis", "TierHits", "TimeUnit", "TrainedModel", "TreeEnsembleClassifier",
-    "analyse", "analysis", "choose_rule_based", "cohen_kappa", "compose", "corpus",
+    "analyse", "analysis", "choose_rule_based", "choose_sentences", "cohen_kappa", "compose",
+    "corpus",
     "corpus_stats", "cross_validate", "detect", "detect_spans", "detection_prf",
     "error_category", "evaluate_rule_based", "extract", "extraction",
     "extraction_f1_and_error", "features", "featurize", "filter_candidates", "find_numbers",
@@ -97,6 +98,7 @@ def test_star_import_resolves_every_name():
     assert set(EXPORTED) <= set(namespace)
     assert namespace["load_model"] is maasar.models.load_model
     assert namespace["train_on_decisions"] is maasar.pipeline.train_on_decisions
+    assert namespace["choose_sentences"] is maasar.pipeline.choose_sentences
     assert namespace["featurize"] is maasar.features.featurize
 
 

@@ -1,10 +1,16 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from maasar.analysis import analyse
 from maasar.corpus import segment_sentences
+from maasar.detect import score_candidates
+from maasar.lexicon import load_lexicon
 from maasar.metrics import (
     ErrorCategory,
+    assemble_report,
     cohen_kappa,
     detection_prf,
     error_category,
@@ -13,6 +19,7 @@ from maasar.metrics import (
     punishment_histogram,
     selection_f1,
 )
+from maasar.synthetic import generate_corpus
 from samples import ERROR_EXAMPLES
 
 
@@ -265,6 +272,71 @@ class TestCategorizeError:
         for decision in synthetic.decisions[:5]:
             for s in decision.sentences:
                 assert isinstance(error_category(analyse(s, lexicon)), ErrorCategory)
+
+
+class TestReportFromPerCase:
+    """Each case is graded once; every pooled number of the report is read
+    from its per-case results and the detected pairs, in any case order."""
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        # rewarding fine markers and unitless numbers chooses wrong sentences
+        structural = {
+            "number_with_unit_bonus": 0.0,
+            "number_without_unit_penalty": 3.0,
+            "fine_marker_penalty": 5.0,
+        }
+        lexicon = load_lexicon(threshold=0.0, structural=structural)
+        corpus = generate_corpus(lexicon.numerals, num_decisions=60, seed=1)
+        cases = [(d.case_id, score_candidates(d, lexicon)) for d in corpus.decisions]
+        return corpus, lexicon, cases
+
+    @pytest.mark.parametrize("thresholds", [(0.0, 0.0), (2.0, -math.inf)])
+    def test_pooled_numbers_from_per_case(self, scored, thresholds):
+        corpus, lexicon, cases = scored
+        detection_threshold, selection_threshold = thresholds
+        report = assemble_report(corpus.decisions, corpus.annotations, lexicon, cases, *thresholds)
+        per_case = report.per_case
+        assert [c.case_id for c in per_case] == [d.case_id for d in corpus.decisions]
+        gold = {(c.case_id, i) for c in per_case for i in c.gold_indices}
+        positives = [r for r in corpus.annotations if r.is_punishment]
+        assert gold == {(r.case_id, r.sentence_index) for r in positives}
+        detected = {
+            (case_id, s.sentence_index)
+            for case_id, candidates in cases
+            for s in candidates
+            if s.score >= detection_threshold
+        }
+        assert report.detection == detection_prf(detected, gold)
+
+        assert report.sentence_selection_f1 == selection_f1(
+            {c.case_id: c.predicted_index for c in per_case},
+            {c.case_id: set(c.gold_indices) for c in per_case},
+        )
+        score = extraction_f1_and_error(
+            {c.case_id: c.predicted_months for c in per_case},
+            {c.case_id: c.gold_months for c in per_case},
+        )
+        assert report.extraction_f1 == score.extraction_f1
+        assert report.avg_month_error == score.avg_month_error
+
+        correct = [c for c in per_case if c.predicted_index in c.gold_indices]
+        exact = sum(c.predicted_months == c.gold_months for c in correct)
+        assert report.duration_accuracy_given_correct_sentence == exact / len(correct)
+
+        wrong = [c for c in per_case if c.predicted_index not in (None, *c.gold_indices)]
+        assert [c for c in per_case if c.error_category is not None] == wrong
+        counts = Counter(c.error_category for c in wrong)
+        assert len(counts) > 1  # several categories, so the fractions are tested
+        assert report.error_breakdown == {
+            category.value: counts[category.value] / len(wrong) for category in ErrorCategory
+        }
+
+    def test_case_order_does_not_matter(self, scored):
+        corpus, lexicon, cases = scored
+        args = (corpus.decisions, corpus.annotations, lexicon)
+        in_order = assemble_report(*args, cases, 0.0, 0.0)
+        assert assemble_report(*args, cases[::-1], 0.0, 0.0) == in_order
 
 
 class TestHistogram:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -131,6 +132,21 @@ class TestLearnersCommon:
         assert (loaded.predict_proba(X) == model.predict_proba(X)).all()
         save_model(loaded, tmp_path / "model2.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
+
+    def test_failed_save_leaves_the_old_file(self, kind, tmp_path, monkeypatch):
+        X, y = separable_data()
+        model = train(X, y, kind, seed=2)
+        path = tmp_path / "model.json"
+        path.write_bytes(b"the old model file")
+
+        def failing_replace(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, path)
+        assert path.read_bytes() == b"the old model file"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]  # no temp file left
 
     def test_model_file_hyperparams(self, kind, tmp_path):
         X, y = separable_data()

@@ -1,16 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from maasar import pipeline
 from maasar.analysis import analyse
 from maasar.corpus import Decision, InputError
-from maasar.detect import at_or_above, filter_candidates
+from maasar.detect import at_or_above, filter_candidates, rule_based_choices
+from maasar.extraction import extract
 from maasar.features import FEATURE_NAMES, featurize
 from maasar.metrics import assemble_report, evaluate_rule_based
 from maasar.models import TrainedModel
 from maasar.pipeline import (
     SCORING_CHUNK,
-    PunishmentExtractor,
     _model_scored,
     _raw_features,
     _rescale,
@@ -201,7 +203,7 @@ def per_fold_report(
     """cross_validate assembled fold by fold from the public per-decision
     path, which featurizes every fold's decisions again at its own scale."""
     by_id = {d.case_id: d for d in decisions}
-    chosen, detected = {}, set()
+    scored_cases = []
     for fold in make_folds(list(by_id), num_folds, seed):
         test_ids = set(fold)
         model = train_on_decisions(
@@ -212,11 +214,11 @@ def per_fold_report(
             seed=seed,
         )
         for case_id in fold:
-            decision = by_id[case_id]
-            for idx in detected_indices(model, decision, lexicon, detection_threshold):
-                detected.add((case_id, idx))
-            [chosen[case_id]] = choose_sentences([decision], lexicon, model)
-    return assemble_report(decisions, annotations, lexicon, chosen, detected)
+            [scored] = _model_scored(model, [_raw_features(by_id[case_id], lexicon)])
+            scored_cases.append((case_id, scored))
+    return assemble_report(
+        decisions, annotations, lexicon, scored_cases, detection_threshold, -math.inf
+    )
 
 
 class TestFeaturizeOnceCrossValidation:
@@ -273,13 +275,9 @@ class TestFeaturizeOnceCrossValidation:
         featurize_once, seen[:] = list(seen), []
         per_fold_report(decisions, annotations, lexicon, kind, **config)
         per_fold = []
-        entries = iter(seen)
-        for entry in entries:
-            if entry[0] == "score":
-                # threshold and argmax each score the test decision again
-                assert next(entries) == entry
-                if per_fold[-1][0] == "score":
-                    entry = ("score", per_fold.pop()[1] + entry[1])
+        for entry in seen:
+            if entry[0] == "score" and per_fold[-1][0] == "score":
+                entry = ("score", per_fold.pop()[1] + entry[1])
             per_fold.append(entry)
         assert [kind for kind, _ in featurize_once] == ["fit", "score"] * config["num_folds"]
         assert featurize_once == per_fold
@@ -392,34 +390,20 @@ class TestRuleBasedEvaluation:
         assert total == 0.0 or abs(total - 1.0) < 1e-9
 
 
-class TestPunishmentExtractor:
+class TestEndToEnd:
+    """Selection then extraction, as a library caller composes them."""
+
     def test_rule_based_predict(self, lexicon, synthetic):
-        extractor = PunishmentExtractor(method="rule_based", lexicon=lexicon).fit([])
-        results = extractor.predict(synthetic.decisions[:4])
-        expected = [synthetic.gold[d.case_id].months for d in synthetic.decisions[:4]]
-        assert [r.months for r in results] == expected
+        decisions = synthetic.decisions[:4]
+        chosen = rule_based_choices(decisions, lexicon)
+        results = [extract(d, c, lexicon) for d, c in zip(decisions, chosen)]
+        assert [r.months for r in results] == [synthetic.gold[d.case_id].months for d in decisions]
 
     def test_supervised_fit_predict(self, lexicon, synthetic):
-        extractor = PunishmentExtractor(method="rf", lexicon=lexicon, seed=1)
-        extractor.fit(synthetic.decisions, synthetic.annotations)
-        results = extractor.predict(synthetic.decisions[:4])
-        expected = [synthetic.gold[d.case_id].months for d in synthetic.decisions[:4]]
-        assert [r.months for r in results] == expected
-
-    @pytest.mark.parametrize("method", ["rule-based", "forest", None])
-    def test_unknown_method_refused_when_built(self, lexicon, method):
-        with pytest.raises(InputError, match=rf"unknown method {method!r}; .*'rule_based'.*'rf'"):
-            PunishmentExtractor(method=method, lexicon=lexicon)
-
-    @pytest.mark.parametrize("method", ["svm", "rf", "linear_margin", "tree_ensemble"])
-    def test_model_kinds_accepted(self, lexicon, method):
-        assert PunishmentExtractor(method=method, lexicon=lexicon).method == method
-
-    def test_supervised_requires_annotations(self, lexicon):
-        with pytest.raises(ValueError, match="annotations"):
-            PunishmentExtractor(method="rf", lexicon=lexicon).fit([])
-
-    def test_unfitted_supervised_refuses_predictions(self, lexicon, synthetic):
-        extractor = PunishmentExtractor(method="rf", lexicon=lexicon)
-        with pytest.raises(ValueError, match="not fitted"):
-            extractor.predict(synthetic.decisions[:1])
+        model = train_on_decisions(
+            synthetic.decisions, synthetic.annotations, lexicon, "rf", seed=1
+        )
+        decisions = synthetic.decisions[:4]
+        chosen = choose_sentences(decisions, lexicon, model)
+        results = [extract(d, c, lexicon) for d, c in zip(decisions, chosen)]
+        assert [r.months for r in results] == [synthetic.gold[d.case_id].months for d in decisions]
