@@ -12,7 +12,9 @@ court), ``"false"`` is not false and ``1.9`` is not a month count.
 Every loader checks its input here, without numpy: ``read_input`` reads a
 UTF-8 (JSON) file and ``field`` checks one field against its JSON kind.
 ``write_atomic`` is the one writer of an output file, model files included:
-it writes a temp file beside the target and renames it over the target.
+it writes a temp file beside the target and renames it over the target. The
+temp file is created with mode 0666 less the umask, so an output gets the
+mode ``Path.write_text`` would give a new file.
 They raise ``InputError``, the one exception meaning bad input: the CLI
 exits 1 on it or an ``OSError``, and 2 on anything else, a bug.
 
@@ -31,9 +33,8 @@ place a ``Sentence`` (with its token count and relative position) is built;
 the keyword filter builds one per candidate only, and ``.sentences`` builds
 them all on each use for ``segment``, the reader of every sentence. No
 ``Sentence`` and no raw text is kept on a decision.
-``token_count`` is the one token-count rule: ``Decision.sentence``, ``stats``
-and ``pipeline.max_token_count`` (a model's token scale) all read it, the
-last two from the texts alone.
+``token_count`` is the one token-count rule: ``Decision.sentence`` and
+``stats`` read it, the latter from the texts alone.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -243,7 +243,9 @@ def write_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8 through a temp file renamed over
     it, so a failed write leaves any existing file as it was."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    # O_EXCL opens no other writer's file; the kernel applies the umask to 0o666
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

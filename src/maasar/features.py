@@ -1,12 +1,12 @@
 """Fixed-order feature vectors for candidate sentences.
 
 The schema mirrors the signals the rule-based scorer uses (tier hit counts,
-number/unit structure, marker counts) plus document-position features. Its
-order is versioned; models refuse vectors from a different schema version.
-``featurize`` reads a candidate's ``SentenceAnalysis``, which the pipeline
-keeps for extraction and the error report, so featurizing analyses nothing.
-The ``token_count_norm`` column holds the raw token count; the pipeline
-divides it by each model's token-count scale (``pipeline._rescale``).
+number/unit structure, marker counts, the actual-imprisonment marker among
+them) plus document-position features. Its order is versioned; models refuse
+vectors from a different schema version. ``featurize`` reads a candidate's
+``SentenceAnalysis``, which the pipeline keeps for extraction and the error
+report, so featurizing analyses nothing. A row is a function of its analysis
+alone: no column depends on the other sentences of the corpus.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ import numpy as np
 
 from .analysis import DOCKET_RE, SentenceAnalysis
 
-FEATURE_SCHEMA_VERSION = 1
+FEATURE_SCHEMA_VERSION = 2
+
+# The token count at which ``token_count_norm`` reaches 1.0; longer
+# sentences read 1.0 too. A saved model was fitted on rows scaled by it, so
+# changing it needs a FEATURE_SCHEMA_VERSION bump.
+TOKEN_COUNT_CAP = 64
 
 FEATURE_NAMES = (
     "strong_positive_count",
@@ -27,17 +32,17 @@ FEATURE_NAMES = (
     "number_count",
     "fine_marker_count",
     "probation_marker_count",
+    "actual_marker_count",
     "docket_marker_count",
     "relative_position",
     "token_count_norm",
-    "distance_to_document_end",
 )
 
 NUM_FEATURES = len(FEATURE_NAMES)
 
 
 def featurize(analysis: SentenceAnalysis) -> np.ndarray:
-    """Feature vector for one analysed sentence, with its raw token count."""
+    """Feature vector for one analysed sentence."""
     sentence = analysis.sentence
     hits = analysis.tier_hits
 
@@ -51,9 +56,9 @@ def featurize(analysis: SentenceAnalysis) -> np.ndarray:
         float(len(analysis.spans)),
         float(len(analysis.fine_positions)),
         float(len(analysis.probation_positions)),
+        float(len(analysis.actual_positions)),
         float(len(DOCKET_RE.findall(sentence.text))),
         sentence.relative_position,
-        float(sentence.token_count),
-        1.0 - sentence.relative_position,
+        min(sentence.token_count, TOKEN_COUNT_CAP) / TOKEN_COUNT_CAP,
     )
     return np.array(values, dtype=float)

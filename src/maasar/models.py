@@ -51,20 +51,19 @@ seed, hyperparameters and all fitted state. ``load_model`` checks every
 field with ``corpus.field``, so every number is finite, and refuses a file
 that scoring could not use: an unknown format version, kind or
 hyperparameter, a missing or unaccepted hyperparameter, a ``hyperparams``
-seed other than ``rng_seed``, another feature schema version, a feature
-count other than the schema's, or a token-count scale below 1 or past the
-float range; ``TrainedModel`` itself refuses the last two however it is
-built. Its kind, seed and feature schema version are not stored apart: they
-are the classifier's class, the classifier's seed and the library's. Each
-of these, and training data with no records or a single class, raises
-``InputError`` (exit 1 in the CLI); anything else is a bug.
+seed other than ``rng_seed``, another feature schema version (a file
+written before schema 2 among them) or a feature count other than the
+schema's; ``TrainedModel`` itself refuses the last however it is built. Its
+kind, seed and feature schema version are not stored apart: they are the
+classifier's class, the classifier's seed and the library's. Each of these,
+and training data with no records or a single class, raises ``InputError``
+(exit 1 in the CLI); anything else is a bug.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar
@@ -527,23 +526,15 @@ _FEATURE_COUNT_FIELD = {"linear_margin": "weights", "tree_ensemble": "n_features
 
 @dataclass
 class TrainedModel:
-    """A fitted classifier of the feature schema's width, and the token-count
-    scale its features are divided by."""
+    """A fitted classifier of the feature schema's width."""
 
     classifier: LinearMarginClassifier | TreeEnsembleClassifier
-    token_count_scale: int = 1
 
     def __post_init__(self):
         if self.classifier.n_features_in_ != NUM_FEATURES:
             raise InputError(
                 f"model state field {_FEATURE_COUNT_FIELD[self.kind]!r} describes "
                 f"{self.classifier.n_features_in_} features, the feature schema has {NUM_FEATURES}"
-            )
-        # the scale divides a float column, so a float must hold it
-        if not 1 <= self.token_count_scale <= sys.float_info.max:
-            raise InputError(
-                f"model field 'token_count_scale' must be at least 1 and at most "
-                f"{sys.float_info.max:g}, got {self.token_count_scale}"
             )
 
     @property
@@ -564,14 +555,12 @@ def _normalize_kind(kind: str) -> str:
 _LEARNERS = {learner.kind: learner for learner in (LinearMarginClassifier, TreeEnsembleClassifier)}
 
 
-def train(X, y, kind: str, seed: int = 0, token_count_scale: int = 1) -> TrainedModel:
-    """A ``kind`` model fitted on the feature rows ``X``, whose token counts
-    are already divided by ``token_count_scale``, and their 0/1 or boolean
-    labels ``y``; the model keeps the scale to score new rows by."""
+def train(X, y, kind: str, seed: int = 0) -> TrainedModel:
+    """A ``kind`` model fitted on the feature rows ``X`` and their 0/1 or
+    boolean labels ``y``."""
     if len(X) == 0:
         raise InputError("no training records")
-    classifier = _LEARNERS[_normalize_kind(kind)](seed=seed).fit(X, y)
-    return TrainedModel(classifier, token_count_scale)
+    return TrainedModel(_LEARNERS[_normalize_kind(kind)](seed=seed).fit(X, y))
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -580,7 +569,6 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "kind": model.kind,
         "feature_schema_version": FEATURE_SCHEMA_VERSION,
         "rng_seed": model.classifier.seed,
-        "token_count_scale": model.token_count_scale,
         "hyperparams": dataclasses.asdict(model.classifier),
         "state": model.classifier.state_dict(),
     }
@@ -616,4 +604,4 @@ def load_model(path: str | Path) -> TrainedModel:
             f"got {classifier.seed}"
         )
     classifier.load_state_dict(field(doc, "state", "object", "model file"))
-    return TrainedModel(classifier, field(doc, "token_count_scale", "int", "model file"))
+    return TrainedModel(classifier)

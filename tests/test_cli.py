@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -300,6 +302,22 @@ class TestSubcommands:
         assert doc["num_words"] > 0
 
 
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_output_mode_follows_the_umask(workspace, tmp_path, umask, mode):
+    """A model file gets the mode ``Path.write_text`` would give it."""
+    out = tmp_path / "model.json"
+    annotations = ["--annotations", str(workspace["annotations"])]
+    argv = ["train", *corpus_args(workspace), *annotations, "--model", "rf", "--out", str(out)]
+    previous = os.umask(umask)
+    try:
+        assert run(argv) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
 class TestRecordFields:
     def test_written_records_hold_only_their_fields(self, workspace):
         # cli writes each record as vars(record), so its __dict__ must be
@@ -516,10 +534,7 @@ class TestErrorHandling:
             ),
             ("model", lambda doc: rf_trees(doc, {"vote": 7}), "'vote' must be 0 or 1"),
             ("model", lambda doc: svm_offset(doc, 40), "'calibration.offset' must be 0"),
-            ("model", lambda doc: {**doc, "token_count_scale": 0}, "'token_count_scale'"),
-            ("model", lambda doc: {**doc, "token_count_scale": -3}, "'token_count_scale'"),
-            ("model", lambda doc: {**doc, "token_count_scale": 10**400}, "'token_count_scale'"),
-            ("model", lambda doc: {**doc, "feature_schema_version": 2}, "'feature_schema_version'"),
+            ("model", lambda doc: {**doc, "feature_schema_version": 1}, "'feature_schema_version'"),
             ("model", lambda doc: svm_weights(doc, 12), "'weights' describes 12 features"),
             (
                 "model",
@@ -588,10 +603,7 @@ class TestErrorHandling:
             "rf-feature-out-of-range",
             "rf-vote-seven",
             "svm-calibration-offset",
-            "token-count-scale-zero",
-            "token-count-scale-negative",
-            "token-count-scale-huge",
-            "feature-schema-two",
+            "feature-schema-one",
             "svm-twelve-weights",
             "rf-twelve-features",
             "svm-weight-nan",
@@ -949,8 +961,13 @@ _LOOSE_RULE = ["--fine-marker-penalty", "5", "--number-with-unit-bonus", "-2", "
 GOLDEN_RUNS = {
     "detect.jsonl": (["detect", "{corpus}"], "2cedd0d5b623fef95a4e4768d854ac186aaa5fcd260ac0eb6613e9071f94546b"),
     "extract-rule.jsonl": (["extract", "{corpus}", "--rule-based", "{histogram}"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
-    "rf-model.json": (["train", "{corpus}", "{annotations}", "--model", "rf", "--seed", "3"], "cd7ff08863d01ed7593b86990dfa5cb2f3e4f78a714ca7da03f2725d7f1cf92a"),
+    # the model files recorded at feature schema 2, whose rows read the
+    # actual-imprisonment markers, cap the token count at 64 instead of
+    # dividing it by the corpus's longest sentence, and drop the end distance
+    "rf-model.json": (["train", "{corpus}", "{annotations}", "--model", "rf", "--seed", "3"], "a025979a66ffb6e10ffda25f26d39832b5ac93b9f656dd72bbf161c45089a83b"),
     "extract-rf.jsonl": (["extract", "{corpus}", "--model", "{model}"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
+    "svm-model.json": (["train", "{corpus}", "{annotations}", "--model", "svm", "--seed", "3"], "3f16525d76ba1bc26c43b5bac35b88de0757c4c99d33ac28f90fd8f22952901d"),
+    "extract-svm.jsonl": (["extract", "{corpus}", "--model", "{svm_model}"], "2468c4037252bdc033cfd8250e514fd0473d3f3e7de461b6edd65339c01adc25"),
     "eval-svm.json": (["eval", "{corpus}", "{annotations}", "--model-kind", "svm", "--folds", "5", "--seed", "3"], "41b95e469974aa6382138a2ba9dca222e8949472dd3786faa5e74758876e9487"),
     "eval-rf.json": (["eval", "{corpus}", "{annotations}", "--model-kind", "rf", "--folds", "5", "--seed", "3"], "41b95e469974aa6382138a2ba9dca222e8949472dd3786faa5e74758876e9487"),
     "eval-rule-loose.json": (["eval", "{corpus}", "{annotations}", "--rule-based", "--threshold", "0", "--fine-marker-penalty", "0", "--weight-strong-positive", "1.5"], "60f3c4c54591e3fd2af45b4b2ad874fca24437a555b7299f0b6932e7d14fbba6"),
@@ -999,9 +1016,10 @@ class TestGoldenOutputs:
             "{corpus}": ["--corpus", str(paths["corpus_dir"])],
             "{annotations}": ["--annotations", str(paths["annotations"])],
             "{model}": [str(root / "rf-model.json")],
+            "{svm_model}": [str(root / "svm-model.json")],
             "{histogram}": ["--histogram-csv", str(root / "histogram.csv")],
         }
-        for name, (template, _) in GOLDEN_RUNS.items():  # in order: train before extract-rf
+        for name, (template, _) in GOLDEN_RUNS.items():  # in order: train before extract
             argv = [arg for item in template for arg in fields.get(item, [item])]
             assert run(argv + ["--out", str(root / name)]) == 0, name
         for name in [*GOLDEN_RUNS, *GOLDEN_SIDE_FILES]:

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from maasar import models
 from maasar.analysis import analyse
 from maasar.corpus import Decision, InputError
-from maasar.features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, NUM_FEATURES, featurize
+from maasar.features import (
+    FEATURE_NAMES,
+    FEATURE_SCHEMA_VERSION,
+    NUM_FEATURES,
+    TOKEN_COUNT_CAP,
+    featurize,
+)
 from maasar.models import (
     LinearMarginClassifier,
     TrainedModel,
@@ -24,6 +30,10 @@ from maasar.models import (
     train,
 )
 
+# The tier, structure and marker counts, which lead every row.
+COUNT_COLUMNS = FEATURE_NAMES.index("relative_position")
+
+
 def separable_data(n=60, seed=5):
     """Positives have has_number=1 and strong_positive >= 1."""
     rng = np.random.default_rng(seed)
@@ -34,28 +44,30 @@ def separable_data(n=60, seed=5):
         y[i] = int(positive)
         X[i, 0] = rng.integers(1, 3) if positive else 0  # strong_positive_count
         X[i, 4] = 1.0 if positive else rng.integers(0, 2)  # has_number
-        X[i, 10] = rng.random()  # relative_position
-        X[i, 12] = 1 - X[i, 10]
+        X[i, FEATURE_NAMES.index("relative_position")] = rng.random()
     return X, y
 
 
 class TestFeaturize:
     def test_dimension_names_fixed(self):
         assert len(FEATURE_NAMES) == NUM_FEATURES == 13
-        assert FEATURE_SCHEMA_VERSION == 1
+        assert FEATURE_SCHEMA_VERSION == 2
+        assert FEATURE_NAMES[-4:] == (
+            "actual_marker_count", "docket_marker_count", "relative_position", "token_count_norm"
+        )
 
     def test_keyword_free_sentence_zero_counts(self, lexicon):
         decision = Decision.from_text("c", "ריק לחלוטין. עוד משפט כאן.")
         fv = featurize(analyse(decision.sentences[0], lexicon))
         assert fv.shape == (NUM_FEATURES,)
-        assert fv[:10].sum() == 0
+        assert fv[:COUNT_COLUMNS].sum() == 0
         assert np.isfinite(fv).all()
 
     def test_empty_sentence_positions_still_defined(self, lexicon):
         from maasar.corpus import Sentence
 
         fv = featurize(analyse(Sentence(1, "", 0, 1.0), lexicon))
-        assert fv[:10].sum() == 0
+        assert fv[:COUNT_COLUMNS].sum() == 0
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
         assert np.isfinite(fv).all()
 
@@ -69,7 +81,20 @@ class TestFeaturize:
         decision = Decision.from_text("c", "ראשון כאן. שני כאן. אחרון ממש.")
         fv = featurize(analyse(decision.sentences[-1], lexicon))
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
-        assert fv[FEATURE_NAMES.index("distance_to_document_end")] == 0.0
+        assert fv[FEATURE_NAMES.index("token_count_norm")] == 2 / TOKEN_COUNT_CAP
+
+    def test_actual_marker_count(self, lexicon):
+        served = "אני גוזר על הנאשם 10 חודשי מאסר בפועל ועוד 6 חודשי מאסר בפועל."
+        suspended = "אני גוזר על הנאשם 6 חודשי מאסר על תנאי."
+        decision = Decision.from_text("c", f"{served} {suspended}")
+        rows = [featurize(analyse(s, lexicon)) for s in decision.sentences]
+        assert [row[FEATURE_NAMES.index("actual_marker_count")] for row in rows] == [2, 0]
+        assert [row[FEATURE_NAMES.index("probation_marker_count")] for row in rows] == [0, 1]
+
+    @pytest.mark.parametrize("tokens, norm", [(1, 1 / 64), (63, 63 / 64), (64, 1.0), (100, 1.0)])
+    def test_token_count_norm_capped(self, lexicon, tokens, norm):
+        [sentence] = Decision.from_text("c", " ".join(["מילה"] * tokens) + ".").sentences
+        assert featurize(analyse(sentence, lexicon))[FEATURE_NAMES.index("token_count_norm")] == norm
 
     def test_docket_marker_count(self, lexicon):
         decision = Decision.from_text("c", "ראו 1049/12 וגם 33/98 לעניין מאסר.")
@@ -284,19 +309,6 @@ class TestSchemaGuard:
         )
         model.predict_proba(X)
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("scale", [0, -3])
-    def test_token_count_scale_below_one_refused(self, scale):
-        X, y = separable_data()
-        model = train(X, y, "tree_ensemble")
-        with pytest.raises(ValueError, match="'token_count_scale' must be at least 1"):
-            TrainedModel(model.classifier, scale)
-
-    def test_train_builds_the_model_with_its_scale(self):
-        X, y = separable_data()
-        assert train(X, y, "svm", token_count_scale=7).token_count_scale == 7
-        with pytest.raises(InputError, match="'token_count_scale' must be at least 1"):
-            train(X, y, "svm", token_count_scale=0)
 
     @pytest.mark.parametrize("kind", ["svm", "boosting"])
     def test_no_rows_refused(self, kind):

@@ -13,13 +13,11 @@ from maasar.metrics import assemble_report, evaluate_rule_based
 from maasar.models import TrainedModel
 from maasar.pipeline import (
     SCORING_CHUNK,
+    _candidate_rows,
     _model_scored,
-    _raw_features,
-    _rescale,
     choose_sentences,
     cross_validate,
     make_folds,
-    max_token_count,
     train_on_decisions,
 )
 from maasar.synthetic import generate_corpus
@@ -32,8 +30,6 @@ _TOKEN_COUNT = FEATURE_NAMES.index("token_count_norm")
 class StubModel:
     """predict_proba returns preset values for however many rows arrive."""
 
-    token_count_scale = 1
-
     def __init__(self, probabilities):
         self.probabilities = list(probabilities)
 
@@ -43,7 +39,7 @@ class StubModel:
 
 def detected_indices(model, decision, lexicon, threshold):
     """Candidate indices whose probability is at or above ``threshold``."""
-    [scored] = _model_scored(model, [_raw_features(decision, lexicon)])
+    [scored] = _model_scored(model, [_candidate_rows(decision, lexicon)])
     return [candidate.sentence_index for candidate in at_or_above(scored, threshold)]
 
 
@@ -201,7 +197,7 @@ def per_fold_report(
     decisions, annotations, lexicon, kind, *, num_folds, seed, detection_threshold=0.5
 ):
     """cross_validate assembled fold by fold from the public per-decision
-    path, which featurizes every fold's decisions again at its own scale."""
+    path, which featurizes every fold's decisions again."""
     by_id = {d.case_id: d for d in decisions}
     scored_cases = []
     for fold in make_folds(list(by_id), num_folds, seed):
@@ -214,7 +210,7 @@ def per_fold_report(
             seed=seed,
         )
         for case_id in fold:
-            [scored] = _model_scored(model, [_raw_features(by_id[case_id], lexicon)])
+            [scored] = _model_scored(model, [_candidate_rows(by_id[case_id], lexicon)])
             scored_cases.append((case_id, scored))
     return assemble_report(
         decisions, annotations, lexicon, scored_cases, detection_threshold, -math.inf
@@ -225,7 +221,7 @@ class TestFeaturizeOnceCrossValidation:
     @pytest.fixture(scope="class")
     def corpus(self, lexicon):
         """Synthetic sentences are at most 20 tokens long, so a few decisions
-        get a longer closing sentence to give the folds different scales."""
+        get a longer closing sentence, whose token count the rows read."""
         corpus = generate_corpus(lexicon.numerals, num_decisions=60, seed=23)
         decisions = list(corpus.decisions)
         for i, length in ((0, 31), (17, 44), (40, 26)):
@@ -239,20 +235,14 @@ class TestFeaturizeOnceCrossValidation:
     def test_report_equals_per_fold_path(self, lexicon, corpus, kind):
         decisions, annotations = corpus
         config = dict(num_folds=5, seed=3, detection_threshold=0.4)
-        folds = make_folds([d.case_id for d in decisions], 5, 3)
-        scales = {
-            max_token_count([d for d in decisions if d.case_id not in set(fold)])
-            for fold in folds
-        }
-        assert len(scales) > 1  # the folds really rescale differently
         report = cross_validate(decisions, annotations, lexicon, kind, **config)
         assert report == per_fold_report(decisions, annotations, lexicon, kind, **config)
 
     @pytest.mark.parametrize("kind", ["rf", "svm"])
     def test_learner_sees_the_per_fold_rows(self, lexicon, corpus, kind, monkeypatch):
-        """Byte-equal training matrices, labels and token scales and scoring
-        inputs, fold by fold, so a wrong token_count_norm scale shows even
-        where it flips no prediction. Each fold scores its test decisions in
+        """Byte-equal training matrices, labels and scoring inputs, fold by
+        fold, so a row that differs from the per-fold path shows even where
+        it flips no prediction. Each fold scores its test decisions in
         one call, on the per-decision rows of the per-fold path concatenated
         in fold order."""
         decisions, annotations = corpus
@@ -282,38 +272,44 @@ class TestFeaturizeOnceCrossValidation:
         assert [kind for kind, _ in featurize_once] == ["fit", "score"] * config["num_folds"]
         assert featurize_once == per_fold
 
-    def test_max_token_count_builds_no_sentence(self, corpus, monkeypatch):
-        decisions, _ = corpus
-        longest = max(s.token_count for d in decisions for s in d.sentences)
-        assert longest == 44  # the longest added closing sentence
-        fresh = [
-            Decision.from_text(d.case_id, " ".join(d.texts), d.year, d.court) for d in decisions
-        ]
-        built = []
-        original = Decision.sentence
-        monkeypatch.setattr(Decision, "sentence", lambda d, i: built.append(i) or original(d, i))
-        assert max_token_count(fresh) == longest
-        assert built == []
-
     def test_rescaled_rows_equal_featurized_rows(self, lexicon, corpus):
         decisions, _ = corpus
         for decision in decisions:
-            analyses, raw = _raw_features(decision, lexicon)
+            analyses, rows = _candidate_rows(decision, lexicon)
             candidates = filter_candidates(decision, lexicon)
             assert analyses == [analyse(s, lexicon) for s in candidates]
             direct = [featurize(analyse(s, lexicon)) for s in candidates]
-            assert raw.tobytes() == b"".join(row.tobytes() for row in direct)
-            # no scale below 1: TrainedModel refuses one
-            for scale in (1, 7, 33, max_token_count(decisions)):
-                for row, s in zip(direct, candidates):
-                    row[_TOKEN_COUNT] = s.token_count / scale
-                assert _rescale(raw, scale).tobytes() == b"".join(row.tobytes() for row in direct)
+            assert rows.tobytes() == b"".join(row.tobytes() for row in direct)
+
+
+class TestRowsDependOnTheirAnalysisAlone:
+    def test_outlier_decision_moves_no_other_row(self, lexicon, monkeypatch):
+        """A decision with a 500-token sentence changes no other decision's
+        training rows: the token count is capped per row, not scaled by the
+        longest sentence of the corpus."""
+        corpus = generate_corpus(lexicon.numerals, num_decisions=30, seed=7)
+        verdict = SIMPLE_VERDICT.format(months=4).removesuffix(".")  # 8 tokens
+        padding = " ".join(["הדיון"] * 492)
+        outlier = Decision.from_text("outlier", f"{FILLER} {verdict} {padding}.")
+        assert max(s.token_count for s in outlier.sentences) == 500
+        seen = []
+        original_train = pipeline.train
+
+        def recording_train(X, y, *args, **kwargs):
+            seen.append(X)
+            return original_train(X, y, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", recording_train)
+        for decisions in (corpus.decisions, [*corpus.decisions, outlier]):
+            train_on_decisions(decisions, corpus.annotations, lexicon, "rf", seed=1)
+        without, with_outlier = seen
+        assert len(with_outlier) == len(without) + 1  # the outlier's verdict is a candidate
+        assert with_outlier[: len(without)].tobytes() == without.tobytes()
+        assert with_outlier[-1, _TOKEN_COUNT] == 1.0
 
 
 class FailingModel:
     """A model that must not be asked: any scoring call fails."""
-
-    token_count_scale = 1
 
     def predict_proba(self, X):
         raise AssertionError(f"predict_proba called on {len(X)} rows")
@@ -339,12 +335,12 @@ class TestBatchedScoring:
 
     def test_batched_scores_equal_one_decision_at_a_time(self, lexicon, decisions, models):
         model = models["rf"]
-        raws = [_raw_features(d, lexicon) for d in decisions]
-        batched = _model_scored(model, raws)
-        assert len(batched) == len(raws)
+        candidates = [_candidate_rows(d, lexicon) for d in decisions]
+        batched = _model_scored(model, candidates)
+        assert len(batched) == len(candidates)
         assert batched[100] == []
-        for raw, scored in zip(raws, batched):
-            [alone] = _model_scored(model, [raw])
+        for rows, scored in zip(candidates, batched):
+            [alone] = _model_scored(model, [rows])
             assert [c.analysis for c in scored] == [c.analysis for c in alone]
             scores = np.array([c.score for c in scored], dtype=float)
             assert scores.tobytes() == np.array([c.score for c in alone], dtype=float).tobytes()
@@ -369,7 +365,7 @@ class TestBatchedScoring:
         chosen = list(choose_sentences(free + decisions, lexicon, models["rf"]))
         assert chosen[:SCORING_CHUNK] == [None] * SCORING_CHUNK
         assert len(calls) == -(-len(decisions) // SCORING_CHUNK)
-        assert sum(calls) == sum(len(_raw_features(d, lexicon)[0]) for d in decisions)
+        assert sum(calls) == sum(len(_candidate_rows(d, lexicon)[0]) for d in decisions)
 
     def test_candidate_free_chunk_makes_no_call(self, lexicon, decisions):
         free = [decisions[100]] * (SCORING_CHUNK + 1)
