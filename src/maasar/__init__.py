@@ -6,7 +6,10 @@ selectors, a Hebrew numeral parser, an evaluation harness, and a CLI.
 
 The rule path imports no numpy. The supervised modules (``features``,
 ``models`` and ``pipeline``, and the names exported from them) are exported
-lazily (PEP 562): the first access imports their module, and numpy with it.
+lazily (PEP 562): the first access imports their module. Those modules
+import numpy only to fit a model, to cross-validate, and to load or score
+a linear (svm) model; loading an rf model file and scoring rows with it
+need no numpy.
 """
 
 import importlib as _importlib

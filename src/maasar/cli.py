@@ -16,7 +16,9 @@ is a bug.
 
 The rule-based subcommands never import numpy: ``models`` and ``pipeline``
 are imported only inside ``train``, ``extract --model`` and
-``eval --model-kind``.
+``eval --model-kind``. ``train`` and ``eval --model-kind`` import numpy to
+fit models, and ``extract --model`` only for an svm file: an rf file is
+loaded and scored without it.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ them) plus document-position features. Its order is versioned; models refuse
 vectors from a different schema version. ``featurize`` reads a candidate's
 ``SentenceAnalysis``, which the pipeline keeps for extraction and the error
 report, so featurizing analyses nothing. A row is a function of its analysis
-alone: no column depends on the other sentences of the corpus.
+alone: no column depends on the other sentences of the corpus. A row is a
+tuple of ``NUM_FEATURES`` floats, so featurizing imports no numpy; the
+trainers make matrices of the rows, and an rf model scores the tuples.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .analysis import DOCKET_RE, SentenceAnalysis
 
@@ -41,12 +41,12 @@ FEATURE_NAMES = (
 NUM_FEATURES = len(FEATURE_NAMES)
 
 
-def featurize(analysis: SentenceAnalysis) -> np.ndarray:
-    """Feature vector for one analysed sentence."""
+def featurize(analysis: SentenceAnalysis) -> tuple[float, ...]:
+    """Feature row for one analysed sentence: ``NUM_FEATURES`` floats."""
     sentence = analysis.sentence
     hits = analysis.tier_hits
 
-    values = (
+    return (
         float(hits.strong_positive),
         float(hits.moderate_positive),
         float(hits.moderate_negative),
@@ -58,7 +58,6 @@ def featurize(analysis: SentenceAnalysis) -> np.ndarray:
         float(len(analysis.probation_positions)),
         float(len(analysis.actual_positions)),
         float(len(DOCKET_RE.findall(sentence.text))),
-        sentence.relative_position,
+        float(sentence.relative_position),
         min(sentence.token_count, TOKEN_COUNT_CAP) / TOKEN_COUNT_CAP,
     )
-    return np.array(values, dtype=float)

@@ -16,22 +16,28 @@ analysing again. A feature row depends on its analysis alone, so
 cross-validation featurizes each decision once and every fold reads the
 same rows. Cross-validation hands every decision's scored candidates, in
 fold order, to ``metrics.assemble_report``, which grades them as it does
-the rule-based evaluation's and which, unlike this module, imports no
-numpy. End to end, a library caller runs ``train_on_decisions``, then
-``choose_sentences``, then ``extract`` on each decision and its chosen
-analysis.
+the rule-based evaluation's. End to end, a library caller runs
+``train_on_decisions``, then ``choose_sentences``, then ``extract`` on each
+decision and its chosen analysis.
 
-Training hands matrices from featurization to the learner. ``_train`` is
-the one route into ``models.train``, for ``train_on_decisions`` and for
-every cross-validation fold: it reads the decisions' candidate rows one
-decision at a time, concatenates them in decision order and labels each
-candidate. ``cross_validate`` takes the fold count, seed and detection
-threshold as keyword arguments and refuses fewer than 2 folds, a threshold
-outside [0, 1) and fewer decisions than folds.
+A candidate's feature row is the tuple ``featurize`` returns, and the
+selection half (``_candidate_rows``, ``_model_scored``,
+``choose_sentences``) builds no array, so choosing sentences with an rf
+model imports no numpy. Training hands matrices to the learner: ``_train``
+is the one route into ``models.train``, for ``train_on_decisions`` and for
+every cross-validation fold. It reads the decisions' candidate rows one
+decision at a time, makes each decision's rows a matrix, concatenates them
+in decision order and labels each candidate. Cross-validation keeps each
+decision's rows as such a matrix, which every fold reads, since a float
+object in a tuple takes several times the 8 bytes of a matrix cell. Only
+these functions and ``make_folds`` import numpy. ``cross_validate`` takes
+the fold count, seed and detection threshold as keyword arguments and
+refuses fewer than 2 folds, a threshold outside [0, 1) and fewer decisions
+than folds.
 
-The model scores many decisions per call: ``_model_scored`` stacks their
-rows, makes one ``predict_proba`` call and splits the probabilities back by
-candidate count. ``choose_sentences`` does this for ``SCORING_CHUNK``
+The model scores many decisions per call: ``_model_scored`` hands their
+rows, in order, to one ``predict_proba`` call and deals the probabilities
+back by candidate count. ``choose_sentences`` does this for ``SCORING_CHUNK``
 decisions at a time, so memory stays flat on a large corpus, and
 cross-validation does it once per fold's test decisions.
 """
@@ -40,9 +46,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .analysis import SentenceAnalysis, analyse
 from .corpus import AnnotationRecord, Decision, InputError
@@ -52,8 +56,12 @@ from .lexicon import Lexicon
 from .metrics import EvaluationReport, assemble_report
 from .models import TrainedModel, train
 
-# Candidate analyses and feature rows of one decision.
-CandidateRows = tuple[list[SentenceAnalysis], np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+# Candidate analyses and feature rows of one decision: a list of tuples, or
+# (held by cross-validation) a matrix.
+CandidateRows = tuple[list[SentenceAnalysis], Sequence[Sequence[float]]]
 
 # Decisions featurized and scored per predict_proba call on the model route
 # of ``choose_sentences``: one call per chunk instead of one per decision,
@@ -63,8 +71,14 @@ SCORING_CHUNK = 256
 
 def _candidate_rows(decision: Decision, lexicon: Lexicon) -> CandidateRows:
     analyses = [analyse(s, lexicon) for s in filter_candidates(decision, lexicon)]
-    X = np.array([featurize(a) for a in analyses]).reshape(-1, NUM_FEATURES)
-    return analyses, X
+    return analyses, [featurize(a) for a in analyses]
+
+
+def _matrix(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """``rows`` as one float matrix of the feature schema's width."""
+    import numpy as np
+
+    return np.asarray(rows, dtype=float).reshape(-1, NUM_FEATURES)
 
 
 def _model_scored(
@@ -72,16 +86,11 @@ def _model_scored(
 ) -> list[list[ScoredSentence]]:
     """Each decision's candidates with the model's punishment probability as
     their score, from one ``predict_proba`` call over all the decisions'
-    stacked rows (none when there are no rows)."""
-    counts = [len(analyses) for analyses, _ in candidates]
-    if not any(counts):
-        return [[] for _ in candidates]
-    probs = model.predict_proba(np.concatenate([X for _, X in candidates]))
-    per_decision = np.split(probs, np.cumsum(counts)[:-1])
-    return [
-        [ScoredSentence(a, p) for a, p in zip(analyses, decision_probs)]
-        for (analyses, _), decision_probs in zip(candidates, per_decision)
-    ]
+    rows in order (none when there are no rows), dealt back by candidate
+    count."""
+    rows = [row for _, X in candidates for row in X]
+    probs = iter(model.predict_proba(rows) if rows else ())
+    return [[ScoredSentence(a, next(probs)) for a in analyses] for analyses, _ in candidates]
 
 
 def choose_sentences(
@@ -113,13 +122,15 @@ def _train(
     A candidate without a record is an automatic negative, which is how the
     keyword pre-labeling constructs the training set.
     """
+    import numpy as np
+
     labels = {(r.case_id, r.sentence_index): r.is_punishment for r in annotations}
     # the empty block gives concatenate a matrix to return without decisions
-    rows, y = [np.empty((0, NUM_FEATURES))], []
+    blocks, y = [_matrix([])], []
     for case_id, (analyses, X) in candidates:
-        rows.append(X)
+        blocks.append(_matrix(X))
         y += [labels.get((case_id, a.sentence.index), False) for a in analyses]
-    return train(np.concatenate(rows), np.array(y, dtype=int), kind, seed=seed)
+    return train(np.concatenate(blocks), np.array(y, dtype=int), kind, seed=seed)
 
 
 def train_on_decisions(
@@ -139,6 +150,8 @@ def make_folds(case_ids: list[str], num_folds: int, seed: int) -> list[list[str]
     numpy splits the permuted positions, not the ids: a numpy string array
     would drop an id's trailing NUL characters.
     """
+    import numpy as np
+
     ordered = sorted(case_ids)
     permutation = np.random.default_rng(seed).permutation(len(ordered))
     return [[ordered[i] for i in fold] for fold in np.array_split(permutation, num_folds)]
@@ -168,7 +181,10 @@ def cross_validate(
     if len(decisions) < num_folds:
         raise InputError(f"fewer decisions than folds ({len(decisions)} < {num_folds})")
     folds = make_folds([d.case_id for d in decisions], num_folds, seed)
-    rows = {d.case_id: _candidate_rows(d, lexicon) for d in decisions}
+    rows = {}
+    for d in decisions:
+        analyses, X = _candidate_rows(d, lexicon)
+        rows[d.case_id] = analyses, _matrix(X)
 
     scored_cases: list[tuple[str, list[ScoredSentence]]] = []
     for fold in folds:

@@ -34,6 +34,13 @@ from maasar.models import (
 COUNT_COLUMNS = FEATURE_NAMES.index("relative_position")
 
 
+def bits(probabilities: list) -> bytes:
+    """A list of probabilities as the bytes of its float64 values, after
+    checking that it is a list of floats."""
+    assert type(probabilities) is list and all(type(p) is float for p in probabilities)
+    return np.array(probabilities, dtype=float).tobytes()
+
+
 def separable_data(n=60, seed=5):
     """Positives have has_number=1 and strong_positive >= 1."""
     rng = np.random.default_rng(seed)
@@ -59,17 +66,19 @@ class TestFeaturize:
     def test_keyword_free_sentence_zero_counts(self, lexicon):
         decision = Decision.from_text("c", "ריק לחלוטין. עוד משפט כאן.")
         fv = featurize(analyse(decision.sentences[0], lexicon))
-        assert fv.shape == (NUM_FEATURES,)
-        assert fv[:COUNT_COLUMNS].sum() == 0
-        assert np.isfinite(fv).all()
+        assert type(fv) is tuple and len(fv) == NUM_FEATURES
+        assert all(type(v) is float for v in fv)
+        assert sum(fv[:COUNT_COLUMNS]) == 0
+        assert all(map(math.isfinite, fv))
 
     def test_empty_sentence_positions_still_defined(self, lexicon):
         from maasar.corpus import Sentence
 
         fv = featurize(analyse(Sentence(1, "", 0, 1.0), lexicon))
-        assert fv[:COUNT_COLUMNS].sum() == 0
+        assert sum(fv[:COUNT_COLUMNS]) == 0
         assert fv[FEATURE_NAMES.index("relative_position")] == 1.0
-        assert np.isfinite(fv).all()
+        assert all(type(v) is float for v in fv)
+        assert all(map(math.isfinite, fv))
 
     def test_two_strong_positive_hits(self, lexicon):
         verbs = sorted(lexicon.strong_positive)[:2]
@@ -126,14 +135,14 @@ class TestLearnersCommon:
     def test_separable_training_accuracy(self, kind):
         X, y = separable_data()
         model = train(X, y, kind, seed=3)
-        predictions = (model.predict_proba(X) >= 0.5).astype(int)
-        assert (predictions == y).all()
+        predictions = [int(p >= 0.5) for p in model.predict_proba(X)]
+        assert predictions == y.tolist()
 
     def test_deterministic_under_seed(self, kind):
         X, y = separable_data()
         a = train(X, y, kind, seed=11).predict_proba(X)
         b = train(X, y, kind, seed=11).predict_proba(X)
-        assert a.tobytes() == b.tobytes()
+        assert bits(a) == bits(b)
 
     def test_single_class_rejected(self, kind):
         X, _ = separable_data()
@@ -154,7 +163,7 @@ class TestLearnersCommon:
         loaded = load_model(path)
         assert loaded.kind == model.kind
         assert loaded.classifier.seed == model.classifier.seed == 2
-        assert (loaded.predict_proba(X) == model.predict_proba(X)).all()
+        assert bits(loaded.predict_proba(X)) == bits(model.predict_proba(X))
         save_model(loaded, tmp_path / "model2.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
 
@@ -186,14 +195,12 @@ class TestTreeEnsemble:
         clf = TreeEnsembleClassifier(n_trees=100, seed=0).fit(X, y)
         trees = [{"vote": 1}] * 80 + [{"vote": 0}] * 20
         clf.load_state_dict({"trees": trees, "n_features_in": NUM_FEATURES})
-        proba = clf.predict_proba(X[:1])[0, 1]
-        assert proba == 80 / 100
+        assert clf.predict_proba(X[:1]) == [80 / 100]
 
     def test_probabilities_are_vote_multiples(self):
         X, y = separable_data()
         clf = TreeEnsembleClassifier(n_trees=25, seed=0).fit(X, y)
-        probs = clf.predict_proba(X)[:, 1]
-        votes = probs * 25
+        votes = np.array(clf.predict_proba(X)) * 25
         assert np.allclose(votes, np.round(votes))
 
     @pytest.mark.parametrize(
@@ -212,7 +219,7 @@ class TestTreeEnsemble:
         clf = TreeEnsembleClassifier(n_trees=1, seed=0).fit(X, [0, 0, 1, 1])
         [tree] = clf.trees_
         assert values[1] <= tree["threshold"] < values[2]
-        assert (clf.predict_proba(X)[:, 1] >= 0.5).tolist() == [False, False, True, True]
+        assert [p >= 0.5 for p in clf.predict_proba(X)] == [False, False, True, True]
 
 
 @pytest.mark.parametrize(
@@ -252,8 +259,7 @@ class TestLinearMargin:
         clf.n_features_in_ = NUM_FEATURES
         clf.calibration_scale_ = 3.7
         clf.calibration_offset_ = 0.0
-        proba = clf.predict_proba(np.ones((1, NUM_FEATURES)))[0, 1]
-        assert proba == 0.5
+        assert clf.predict_proba(np.ones((1, NUM_FEATURES))) == [0.5]
 
     def test_calibration_exposed(self):
         X, y = separable_data()
@@ -395,9 +401,7 @@ def reference_tree_vote(tree, row):
 
 
 def reference_predict_proba(trees, X):
-    votes = np.array([[reference_tree_vote(t, row) for t in trees] for row in X], dtype=float)
-    pos = votes.sum(axis=1) / len(trees)
-    return np.column_stack([1.0 - pos, pos])
+    return [sum(reference_tree_vote(t, row) for t in trees) / len(trees) for row in X]
 
 
 def reference_fit_trees(clf, X, y):
@@ -523,7 +527,7 @@ class TestSplitterAgainstReference:
         # rows on, beside and between the split thresholds
         queries = np.vstack([X, X + shift])
         expected = reference_predict_proba(clf.trees_, queries)
-        assert clf.predict_proba(queries).tobytes() == expected.tobytes()
+        assert bits(clf.predict_proba(queries)) == bits(expected)
 
     def test_trees_round_trip_through_flat_form(self):
         trees = [
@@ -540,4 +544,113 @@ class TestSplitterAgainstReference:
         clf.load_state_dict({"trees": trees, "n_features_in": 3})
         assert clf.trees_ == trees
         X = np.array([[-2.0, 3.0, 0.5], [-1.25, 3.5, 0.75], [0.0, 0.0, 0.0]])
-        assert clf.predict_proba(X).tobytes() == reference_predict_proba(trees, X).tobytes()
+        assert bits(clf.predict_proba(X)) == bits(reference_predict_proba(trees, X))
+
+
+class TestBinnedKernel:
+    """The binned walk scores every row as the per-row walk of the nested
+    trees does, whichever rows share its call."""
+
+    # Feature 0 is cut at 0.0 and 0.5, feature 1 at -2.0; feature 2 is never
+    # tested, and the last tree is a single leaf.
+    TREES = [
+        {"feature": 0, "threshold": 0.5, "left": {"vote": 0}, "right": {"vote": 1}},
+        {"feature": 0, "threshold": 0.0, "left": {"vote": 1}, "right": {"vote": 0}},
+        {
+            "feature": 1,
+            "threshold": -2.0,
+            "left": {"vote": 1},
+            "right": {
+                "feature": 0, "threshold": 0.5, "left": {"vote": 1}, "right": {"vote": 0}
+            },
+        },
+        {"vote": 1},
+    ]  # fmt: skip
+
+    # on a threshold, one float to either side of one, a signed zero against
+    # the 0.0 cut, and below and above every cut
+    ROWS = [
+        (0.5, -2.0, 0.0),
+        (math.nextafter(0.5, -math.inf), math.nextafter(-2.0, math.inf), 1.0),
+        (math.nextafter(0.5, math.inf), math.nextafter(-2.0, -math.inf), -1.0),
+        (-0.0, 0.0, 0.0),
+        (0.0, -0.0, 0.0),
+        (math.nextafter(0.0, -math.inf), math.nextafter(0.0, math.inf), 0.0),
+        (-1e300, -1e300, -1e300),
+        (1e300, 1e300, 1e300),
+        (0.5, -2.0, 0.0),  # a key seen before in the call
+    ]
+
+    def forest(self, trees=TREES, n_features=3):
+        clf = TreeEnsembleClassifier(n_trees=len(trees))
+        return clf.load_state_dict({"trees": trees, "n_features_in": n_features})
+
+    def test_edge_rows_match_tree_walk(self):
+        probabilities = self.forest().predict_proba(self.ROWS)
+        assert bits(probabilities) == bits(reference_predict_proba(self.TREES, self.ROWS))
+        assert probabilities[:4] == [0.5, 0.5, 0.75, 0.75]
+
+    def test_same_scores_in_any_call(self):
+        clf = self.forest()
+        whole = bits(clf.predict_proba(self.ROWS))
+        for at in range(len(self.ROWS) + 1):
+            parts = clf.predict_proba(self.ROWS[:at]) + clf.predict_proba(self.ROWS[at:])
+            assert bits(parts) == whole
+        assert bits([p for row in self.ROWS for p in clf.predict_proba([row])]) == whole
+        matrix = np.array(self.ROWS)
+        assert bits(clf.predict_proba(matrix)) == whole
+        assert bits(clf.predict_proba(list(matrix))) == whole
+        assert bits(clf.predict_proba([list(row) for row in self.ROWS])) == whole
+        assert bits(clf.predict_proba(row for row in self.ROWS)) == whole
+
+    def test_forest_of_single_leaves(self):
+        clf = self.forest([{"vote": 1}, {"vote": 0}, {"vote": 1}])
+        assert clf.predict_proba(self.ROWS) == [2 / 3] * len(self.ROWS)
+        assert clf.predict_proba([]) == []
+
+    def test_integer_threshold_from_a_model_file(self, tmp_path):
+        X, y = separable_data()
+        path = tmp_path / "model.json"
+        save_model(train(X, y, "rf", seed=1), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        trees = [{"feature": 0, "threshold": 1, "left": {"vote": 0}, "right": {"vote": 1}}]
+        doc["state"]["trees"] = trees
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        model = load_model(path)
+        assert model.classifier.trees_ == [{**trees[0], "threshold": 1.0}]
+        rows = np.zeros((3, NUM_FEATURES))
+        rows[:, 0] = [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]
+        assert model.predict_proba(rows) == [0.0, 1.0, 0.0]
+        assert bits(model.predict_proba(rows)) == bits(reference_predict_proba(trees, rows))
+
+    def test_deep_forest_matches_tree_walk(self):
+        """Random labels leave no split to stop at, so the trees grow deep."""
+        rng = np.random.default_rng(8)
+        X = np.zeros((300, NUM_FEATURES))
+        X[:, :6] = rng.integers(0, 3, size=(300, 6))
+        X[:, 6:] = rng.integers(0, 200, size=(300, NUM_FEATURES - 6)) / 199
+        y = (rng.random(300) < 0.3).astype(int)
+        clf = TreeEnsembleClassifier(n_trees=12, seed=2).fit(X, y)
+        assert len(clf.flat_trees_.feature) > 12 * 40
+        queries = np.vstack([X, X[::-1, ::-1], rng.random((200, NUM_FEATURES))])
+        expected = reference_predict_proba(clf.trees_, queries)
+        assert bits(clf.predict_proba(queries)) == bits(expected)
+        assert bits(clf.predict_proba(queries.tolist())) == bits(expected)
+
+    @pytest.mark.parametrize("kind", ["svm", "rf"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.0] * (NUM_FEATURES + 1)], "feature matrix has 14 columns, expected 13"),
+            ([[0.0] * (NUM_FEATURES - 1)], "feature matrix has 12 columns, expected 13"),
+            ([[math.nan] * NUM_FEATURES], "feature matrix contains NaN or infinite values"),
+            ([[0.0] * (NUM_FEATURES - 1) + [-math.inf]], "contains NaN or infinite"),
+            # the values are checked before the widths
+            ([[0.0] * (NUM_FEATURES + 1), [math.inf] * (NUM_FEATURES + 1)], "NaN or infinite"),
+        ],
+        ids=["wide", "narrow", "nan", "infinite", "infinite-and-wide"],
+    )
+    def test_bad_rows_refused_as_by_the_matrix_check(self, kind, rows, message):
+        X, y = separable_data()
+        with pytest.raises(ValueError, match=message):
+            train(X, y, kind).predict_proba(rows)
