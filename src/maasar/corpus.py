@@ -18,13 +18,14 @@ mode ``Path.write_text`` would give a new file.
 They raise ``InputError``, the one exception meaning bad input: the CLI
 exits 1 on it or an ``OSError``, and 2 on anything else, a bug.
 
-``segment_sentences`` jumps with a compiled regular expression from one run
-of terminal punctuation followed by whitespace (or the end of the text) to
-the next, so its cost grows with the number of such runs rather than the
-number of characters. Before a lone period it checks for an abbreviation
-with one ``str.endswith`` over all of them, and takes the word before the
-period (``rsplit``) only when some abbreviation ends there; the word is
-never walked back one character at a time.
+``sentence_texts`` splits a text once, with ``re.split`` on a capturing
+``_SPLIT_RUN`` (a run of terminal punctuation followed by whitespace or the
+end of the text), into chunks and the runs between them, and spells each
+sentence as chunk + run with ``map``, so no Python step runs per sentence.
+``compress`` over one ``str.endswith`` per chunk (all abbreviations at once,
+also in C) picks out the chunks that end in an abbreviation; only at those
+does Python code run, joining a text whose run is a lone period after an
+abbreviation to the next, so that the period does not end its sentence.
 
 A ``Decision`` holds the stripped sentence texts the splitter produces, not
 ``Sentence``s: nine in ten sentences hold no filter keyword, and selection
@@ -41,16 +42,15 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import math
+import operator
 import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
-
-logger = logging.getLogger(__name__)
 
 # Legal abbreviations whose trailing period must not end a sentence.
 # Entries are compared against the whole whitespace-delimited word that
@@ -62,10 +62,12 @@ DEFAULT_ABBREVIATIONS = frozenset(
 
 # A maximal run of terminals that ends a sentence unless an abbreviation
 # precedes it; runs followed by anything else (31.5.12, 3.5) never split.
-# Spelled [.?!][.?!]* rather than [.?!]+ because the regex engine skips
-# ahead to a match's first character only when the pattern starts with a
-# plain character class, which halves the scan.
-_SPLIT_RUN = re.compile(r"[.?!][.?!]*(?=\s|\Z)")
+# The group makes ``re.split`` keep the runs. Spelled [.?!][.?!]* rather than
+# [.?!]+ because the regex engine skips ahead to a match's first character
+# only when the pattern starts with a plain character class; it looks
+# through the group for it, and the skip halves the scan (``split`` over the
+# 2,000 seed-1 synthetic texts: 0.076 s, against 0.169 s for ([.?!]+)).
+_SPLIT_RUN = re.compile(r"([.?!][.?!]*)(?=\s|\Z)")
 _OPENERS = "([{\"'"
 
 
@@ -230,7 +232,8 @@ def read_input(path: str | Path, parse: Callable[[str], object] = json.loads):
     text itself). A file that is not UTF-8, or not JSON when ``parse`` is
     ``json.loads``, is refused with an InputError naming it."""
     try:
-        return parse(Path(path).read_bytes().decode("utf-8"))
+        with open(path, "rb") as fh:
+            return parse(fh.read().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
     except (ValueError, RecursionError) as exc:
@@ -273,13 +276,6 @@ class AnnotationLoadResult(NamedTuple):
     errors: list[LoadError]
 
 
-def _word_before(text: str, start: int, end: int) -> str:
-    """The whitespace-delimited word of ``text[start:end]`` that ends at ``end``."""
-    if end == start or text[end - 1].isspace():
-        return ""
-    return text[start:end].rsplit(None, 1)[-1]
-
-
 def sentence_texts(
     raw_text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS
 ) -> tuple[str, ...]:
@@ -298,23 +294,38 @@ def sentence_texts(
     # the empty entry matches no word.
     abbrev = frozenset(a.removesuffix(".") for a in abbreviations) - {""}
     # An abbreviation that the word before a period matches is a suffix of
-    # the text before that period, so a period after none needs no word.
+    # its chunk, so only a chunk that ends in one can join the next.
     suffixes = tuple(abbrev)
-    chunks: list[str] = []
-    start = 0
-    for run in _SPLIT_RUN.finditer(raw_text):
-        i, end = run.span()
-        if (
-            end - i == 1
-            and raw_text[i] == "."
-            and raw_text.endswith(suffixes, start, i)
-            and _word_before(raw_text, start, i).lstrip(_OPENERS) in abbrev
-        ):
-            continue
-        chunks.append(raw_text[start:end])
-        start = end
-    chunks.append(raw_text[start:])
-    return tuple(t for t in (c.strip() for c in chunks) if t)
+    # [chunk, run, chunk, ..., run, chunk]; the "" appended is the last
+    # chunk's run, so that every text is chunk + run
+    parts = _SPLIT_RUN.split(raw_text)
+    parts.append("")
+    chunks, runs = parts[::2], parts[1::2]
+    joins = [
+        i
+        for i in compress(count(), map(str.endswith, chunks, repeat(suffixes)))
+        if runs[i] == "." and _word_before(chunks[i]).lstrip(_OPENERS) in abbrev
+    ]
+    # Joins i, i + 1, ..., j in a row make one text of chunks and runs i to
+    # j + 1, kept at chunk j + 1 and joined once, so that a long row costs
+    # linear time; the chunks and runs it takes become "", whose empty texts
+    # the filter drops.
+    held: list[str] = []
+    for i, following in zip(joins, joins[1:] + [None]):
+        held += chunks[i], runs[i]
+        chunks[i] = runs[i] = ""
+        if following != i + 1:
+            held.append(chunks[i + 1])
+            chunks[i + 1] = "".join(held)
+            held = []
+    return tuple(filter(None, map(str.strip, map(operator.add, chunks, runs))))
+
+
+def _word_before(chunk: str) -> str:
+    """The whitespace-delimited word that ends ``chunk``. Every chunk but the
+    first starts with the whitespace after a run, so the word before a run
+    lies in its chunk."""
+    return "" if chunk[-1].isspace() else chunk.rsplit(None, 1)[-1]
 
 
 def segment_sentences(
@@ -322,6 +333,16 @@ def segment_sentences(
 ) -> list[Sentence]:
     """The ``Sentence``s of ``sentence_texts(raw_text, abbreviations)``."""
     return list(Decision("", 0, "", sentence_texts(raw_text, abbreviations)).sentences)
+
+
+def _txt_files(directory: Path) -> list[tuple[str, str]]:
+    """(name, path) of each ``*.txt`` entry of ``directory``, sorted by name:
+    the entries of ``sorted(directory.glob("*.txt"))``, dotfiles and
+    directories included, spelled as it spells them, with no ``Path`` per file
+    (the directory as ``Path`` normalizes it, "" for ".", then the name)."""
+    prefix = os.path.join(directory, "") if directory.parts else ""
+    names = sorted(name for name in os.listdir(directory) if name.endswith(".txt"))
+    return [(name, prefix + name) for name in names]
 
 
 def load_corpus(
@@ -337,8 +358,8 @@ def load_corpus(
     (unreadable file, bad encoding, missing or malformed metadata, duplicate
     case_id) and loading continues past them; a file listed twice loads
     nothing, and each later entry is an error. A corpus path that is not a
-    directory, or a metadata file that is not a JSON array, is one error and
-    loads nothing.
+    directory, a directory that cannot be listed, or a metadata file that is
+    not a JSON array, is one error and loads nothing.
     """
     directory = Path(directory_path)
     named = metadata_path is not None
@@ -346,7 +367,11 @@ def load_corpus(
     errors: list[LoadError] = []
     if not directory.is_dir():
         return CorpusLoadResult([], [LoadError(str(directory), "corpus path is not a directory")])
-    if not named and not metadata_path.exists() and not any(directory.glob("*.txt")):
+    try:
+        files = _txt_files(directory)
+    except OSError as exc:
+        return CorpusLoadResult([], [LoadError(str(directory), str(exc))])
+    if not named and not files and not metadata_path.exists():
         return CorpusLoadResult([], [])
     try:
         raw_meta = read_input(metadata_path)
@@ -375,12 +400,12 @@ def load_corpus(
     decisions = []
     seen_ids: set[str] = set()
     seen_files: set[str] = set()
-    for path in sorted(directory.glob("*.txt")):
-        seen_files.add(path.name)
-        meta = by_filename.get(path.name)
+    for name, path in files:
+        seen_files.add(name)
+        meta = by_filename.get(name)
         if meta is None:
-            if path.name not in first_at:
-                errors.append(LoadError(path.name, "file has no metadata entry"))
+            if name not in first_at:
+                errors.append(LoadError(name, "file has no metadata entry"))
             continue
         try:
             text = read_input(path, str)
@@ -388,13 +413,13 @@ def load_corpus(
             year = field(meta, "year", "int", "metadata entry") if "year" in meta else 0
             court = field(meta, "court", "string", "metadata entry") if "court" in meta else ""
         except (OSError, InputError) as exc:
-            errors.append(LoadError(path.name, str(exc)))
+            errors.append(LoadError(name, str(exc)))
             continue
         if not case_id:
-            errors.append(LoadError(path.name, "empty case_id"))
+            errors.append(LoadError(name, "empty case_id"))
             continue
         if case_id in seen_ids:
-            errors.append(LoadError(path.name, f"duplicate case_id {case_id!r}"))
+            errors.append(LoadError(name, f"duplicate case_id {case_id!r}"))
             continue
         seen_ids.add(case_id)
         decisions.append(Decision.from_text(case_id, text, year, court))
@@ -409,7 +434,8 @@ def load_annotations(path: str | Path) -> AnnotationLoadResult:
     """Parse line-delimited annotation records.
 
     Malformed records are rejected with a per-line error; duplicate
-    (case_id, sentence_index) pairs resolve last-wins with a warning.
+    (case_id, sentence_index) pairs resolve last-wins, and each later record
+    is an error too, attributed to its line.
     """
     errors: list[LoadError] = []
     by_key: dict[tuple[str, int], AnnotationRecord] = {}
@@ -440,7 +466,9 @@ def load_annotations(path: str | Path) -> AnnotationLoadResult:
             continue
         key = (record.case_id, record.sentence_index)
         if key in by_key:
-            logger.warning("duplicate annotation for %s; keeping the later record", key)
+            case, index = key
+            message = f"duplicate annotation for case {case!r} sentence_index {index}"
+            errors.append(LoadError(source, message + "; keeping this later record"))
         by_key[key] = record
     return AnnotationLoadResult(list(by_key.values()), errors)
 

@@ -50,8 +50,7 @@ def filter_candidates(decision: Decision, lexicon: Lexicon) -> list[Sentence]:
     Only these are built as ``Sentence``s. A keyword is never blank, so a
     sentence holding one has a token.
     """
-    contains = lexicon.contains_filter_keyword
-    return [decision.sentence(i) for i, text in enumerate(decision.texts) if contains(text)]
+    return list(map(decision.sentence, lexicon.candidate_indices(decision.texts)))
 
 
 def _score(

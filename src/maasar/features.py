@@ -44,13 +44,8 @@ NUM_FEATURES = len(FEATURE_NAMES)
 def featurize(analysis: SentenceAnalysis) -> tuple[float, ...]:
     """Feature row for one analysed sentence: ``NUM_FEATURES`` floats."""
     sentence = analysis.sentence
-    hits = analysis.tier_hits
-
     return (
-        float(hits.strong_positive),
-        float(hits.moderate_positive),
-        float(hits.moderate_negative),
-        float(hits.strong_negative),
+        *map(float, analysis.tier_hits.counts()),
         1.0 if analysis.has_number else 0.0,
         1.0 if analysis.has_time_unit else 0.0,
         float(len(analysis.spans)),

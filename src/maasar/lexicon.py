@@ -21,14 +21,16 @@ Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
 into one ``PhraseIndex`` keyed by a phrase's first word, over the four tiers
 and the fine, probation and actual marker lists, each entry tagged with its
 list. ``Lexicon.scan`` takes a sentence's stripped tokens, which
-``analysis.scan`` computes once, looks each one up once and splits the
-hits by tag into the tier hits and the three marker lists' positions, so a
-sentence costs one pass of O(tokens) however long the lists are; this is
-the token-level case of Aho-Corasick multi-pattern matching.
-Single-character marker entries of the tiers (docket slash, brackets) are
-kept in a short list and found in the raw text. The filter keywords are
-compiled into one regular expression, so ``contains_filter_keyword`` is a
-single search per sentence.
+``analysis.scan`` computes once, and splits the hits by tag into the tier
+hits and the three marker lists' positions, so a sentence costs one pass of
+O(tokens) however long the lists are; this is the token-level case of
+Aho-Corasick multi-pattern matching. The pass runs in C (``compress`` over
+``map`` of a dict membership test), and Python code runs only at the few
+tokens that begin an entry. Single-character entries of the tiers (docket
+slash, brackets) are compiled into one character class, found in the raw
+text by one ``finditer``. The filter keywords are compiled into one regular
+expression, so ``contains_filter_keyword`` is a single search per sentence,
+and ``candidate_indices`` maps that search over a decision's texts in C.
 
 A ``NumeralLexicon`` keeps one table, ``roles``, from each stripped token it
 has seen to that token's roles in the numeral grammar (``numbers.Roles``).
@@ -45,8 +47,10 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
+from itertools import compress, count
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import InputError, field, read_input
 from .numbers import Roles, TimeUnit
@@ -97,9 +101,8 @@ class TierHit:
 
 
 def _tier_count(tier: str) -> property:
-    return property(
-        lambda self: sum(h.tier == tier for h in self.hits), doc=f"Number of {tier} hits."
-    )
+    slot = TIER_NAMES.index(tier)
+    return property(lambda self: self.counts()[slot], doc=f"Number of {tier} hits.")
 
 
 @dataclass(frozen=True)
@@ -111,19 +114,34 @@ class TierHits:
     moderate_negative = _tier_count("moderate_negative")
     strong_negative = _tier_count("strong_negative")
 
+    def counts(self) -> tuple[int, ...]:
+        """The number of hits of each tier, in ``TIER_NAMES`` order, from one pass."""
+        counted = dict.fromkeys(TIER_NAMES, 0)
+        for hit in self.hits:
+            counted[hit.tier] += 1
+        return tuple(counted.values())
+
     def weighted_sum(self) -> float:
-        return sum(h.weight for h in self.hits)
+        return sum(map(attrgetter("weight"), self.hits))
 
 
 def _is_marker_entry(surface: str) -> bool:
     return len(surface) == 1 and not surface.isalnum()
 
 
+def _any_of(words: Iterable[str]) -> re.Pattern:
+    """One pattern matching any of ``words`` (never, with none); the regex
+    parser makes an alternation of single characters one character class."""
+    words = sorted(words)
+    return re.compile("|".join(map(re.escape, words)) if words else "(?!)")
+
+
 class PhraseIndex:
     """Whitespace-separated phrases keyed by their first word.
 
-    ``find`` walks the stripped tokens once, looks each one up, and checks
-    the rest of the few phrases that start with it.
+    ``find`` tests each stripped token for membership in C and, at a
+    token that begins an entry, checks the rest of the few phrases that
+    start with it.
     """
 
     def __init__(self, entries: Iterable[tuple[str, object]]):
@@ -138,9 +156,9 @@ class PhraseIndex:
     def find(self, stripped: tuple[str, ...]) -> list[tuple[int, object]]:
         """(start token, payload) of every occurrence, in token order."""
         found = []
-        get = self._by_first.get
-        for i, token in enumerate(stripped):
-            for words, payload in get(token, ()):
+        by_first = self._by_first
+        for i in compress(count(), map(by_first.__contains__, stripped)):
+            for words, payload in by_first[stripped[i]]:
                 if len(words) == 1 or tuple(stripped[i : i + len(words)]) == words:
                     found.append((i, payload))
         return found
@@ -204,29 +222,35 @@ class Lexicon:
     def __post_init__(self):
         # Compiled per instance, so dataclasses.replace recompiles the copy.
         # One index over every list: a payload is (list, surface, weight),
-        # the list being a tier name or a MARKER_LISTS name (weight None).
-        char_markers, phrases = [], []
+        # the list being a tier name, or a marker list's position in
+        # MARKER_LISTS (weight None).
+        # A character entry maps to its entries, one per tier listing it.
+        char_markers: dict[str, list[tuple[str, str, float]]] = {}
+        phrases = []
         for tier in TIER_NAMES:
             for surface, weight in self.tier(tier).items():
                 entry = (tier, surface, weight)
                 if _is_marker_entry(surface):
-                    char_markers.append(entry)
+                    char_markers.setdefault(surface, []).append(entry)
                 else:
                     phrases.append((surface, entry))
-        for name in MARKER_LISTS:
-            phrases += ((marker, (name, marker, None)) for marker in getattr(self, name))
-        object.__setattr__(self, "_tier_chars", tuple(char_markers))
+        for slot, name in enumerate(MARKER_LISTS):
+            phrases += ((marker, (slot, marker, None)) for marker in getattr(self, name))
+        object.__setattr__(self, "_tier_chars", char_markers)
+        object.__setattr__(self, "_find_tier_chars", _any_of(char_markers).finditer)
         object.__setattr__(self, "_index", PhraseIndex(phrases))
-        # with no keywords nothing is a candidate; "(?!)" never matches
-        keywords = sorted(self.filter_keywords)
-        pattern = "|".join(map(re.escape, keywords)) if keywords else "(?!)"
-        object.__setattr__(self, "_filter_search", re.compile(pattern).search)
+        # with no keywords nothing is a candidate
+        object.__setattr__(self, "_filter_search", _any_of(self.filter_keywords).search)
 
     def tier(self, name: str) -> Mapping[str, float]:
         return getattr(self, name)
 
     def contains_filter_keyword(self, text: str) -> bool:
         return self._filter_search(text) is not None
+
+    def candidate_indices(self, texts: Iterable[str]) -> Iterator[int]:
+        """The index of each text containing a filter keyword, in order."""
+        return compress(count(), map(self._filter_search, texts))
 
     def scan(
         self, text: str, stripped: tuple[str, ...]
@@ -241,20 +265,17 @@ class Lexicon:
         ``stripped`` is ``tokens.stripped_tokens(text)``.
         """
         hits = []
-        positions: dict[str, list[int]] = {name: [] for name in MARKER_LISTS}
+        positions: tuple[list[int], ...] = ([], [], [])  # one per MARKER_LISTS name
         for i, (tag, surface, weight) in self._index.find(stripped):
             if weight is None:
                 positions[tag].append(i)
             else:
                 hits.append(TierHit(tag, surface, i, weight))
-        for tier, surface, weight in self._tier_chars:
-            pos = text.find(surface)
-            while pos >= 0:
-                hits.append(TierHit(tier, surface, pos, weight))
-                pos = text.find(surface, pos + 1)
-        hits.sort(key=lambda h: (h.tier, h.position, h.surface))
-        fine, probation, actual = (tuple(positions[name]) for name in MARKER_LISTS)
-        return TierHits(tuple(hits)), fine, probation, actual
+        for match in self._find_tier_chars(text):
+            for tier, surface, weight in self._tier_chars[match.group()]:
+                hits.append(TierHit(tier, surface, match.start(), weight))
+        hits.sort(key=attrgetter("tier", "position", "surface"))
+        return (TierHits(tuple(hits)), *map(tuple, positions))
 
 
 def default_lexicon_path() -> Path:

@@ -80,6 +80,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, ClassVar
 
@@ -123,8 +124,11 @@ def check_feature_matrix(X, n_features: int | None = None) -> np.ndarray:
 
 def check_rows(rows, n_features: int) -> list:
     """``rows`` as a list, refusing, as ``check_feature_matrix`` does, rows
-    that hold NaN or an infinity or that are not ``n_features`` wide."""
+    that hold NaN or an infinity or that are not ``n_features`` wide. A flat
+    row of numbers (the tuple ``featurize`` returns) is one row, as there."""
     rows = list(rows)  # read twice, so a generator would be spent by the check
+    if rows and isinstance(rows[0], Real):
+        rows = [rows]
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ValueError("feature matrix contains NaN or infinite values")
     for row in rows:

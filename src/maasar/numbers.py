@@ -18,6 +18,8 @@ record in the lexicon's ``roles`` table. The scanners and ``compose`` read
 those records, so a token is classified once per lexicon however often it
 recurs; a token with two roles ("שנים" is "years" and begins "שנים עשר")
 has one classifier, and the scanners decide which role wins where.
+``detect_spans`` looks a sentence's tokens up in that table once, with
+``map``, for both of its scanners.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count, repeat
+from operator import attrgetter, is_
 from typing import TYPE_CHECKING, Iterable
 
 from .tokens import strip_token
@@ -132,9 +136,16 @@ def token_roles(token: str, numerals: "NumeralLexicon") -> Roles:
 
 
 def _roles(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[Roles]:
-    """The roles of each token, in order."""
+    """The roles of each token, in order; only a token the table lacks
+    costs a Python step, and a token repeated in the sentence is classified
+    at its first occurrence only."""
     table = numerals.roles
-    return [table.get(token) or token_roles(token, numerals) for token in stripped]
+    roles = list(map(table.get, stripped))
+    # A token missing above that recurs later in the sentence is in the
+    # table by then, and reaches no second ``token_roles`` call.
+    for i in compress(count(), map(is_, roles, repeat(None))):
+        roles[i] = table.get(stripped[i]) or token_roles(stripped[i], numerals)
+    return roles
 
 
 def compose(word_tokens: Iterable[str], numerals: "NumeralLexicon") -> int | None:
@@ -248,7 +259,11 @@ def find_numbers(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[
     Unparseable word sequences are skipped. Each span greedily attaches to
     the nearest following time-unit token within the attachment window.
     """
-    roles = _roles(stripped, numerals)
+    return _number_spans(_roles(stripped, numerals), numerals)
+
+
+def _number_spans(roles: list[Roles], numerals: "NumeralLexicon") -> list[NumberSpan]:
+    """``find_numbers`` over the roles of the tokens."""
     spans: list[NumberSpan] = []
     i = 0
     n = len(roles)
@@ -280,7 +295,11 @@ def unit_only_elimination(
     bound to it ("20 שנה" is twenty years), and a unit directly followed by
     digits is a calendar reference, not a duration; neither yields a span.
     """
-    roles = _roles(stripped, numerals)
+    return _unit_only_spans(_roles(stripped, numerals))
+
+
+def _unit_only_spans(roles: list[Roles]) -> list[NumberSpan]:
+    """``unit_only_elimination`` over the roles of the tokens."""
     spans: list[NumberSpan] = []
     n = len(roles)
     for i, r in enumerate(roles):
@@ -298,7 +317,8 @@ def unit_only_elimination(
 
 def detect_spans(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[NumberSpan]:
     """Union of number spans and unit-only eliminations, in token order."""
-    spans = find_numbers(stripped, numerals)
-    spans.extend(unit_only_elimination(stripped, numerals))
-    spans.sort(key=lambda s: (s.start_token, s.end_token))
+    roles = _roles(stripped, numerals)
+    spans = _number_spans(roles, numerals)
+    spans.extend(_unit_only_spans(roles))
+    spans.sort(key=attrgetter("start_token", "end_token"))
     return spans

@@ -3,14 +3,17 @@ import json
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from maasar import corpus as corpus_module
 from maasar.corpus import (
     DEFAULT_ABBREVIATIONS,
     AnnotationRecord,
     Decision,
+    LoadError,
     Sentence,
     annotations_in_range,
     corpus_stats,
@@ -124,7 +127,12 @@ def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
     ]
 
 
-_WORDS = ["", "א", "בית", "x", "7", "3.5", "31.5.12", "ת.פ", "מס", "עמ", "בג.ץ", "ע.פ."]
+# "xת.פ" and "a.ת.פ" end in an abbreviation without being one: the chunk
+# ends in its suffix, so the splitter checks the word before the period,
+# and still splits.
+_WORDS = [
+    "", "א", "בית", "x", "7", "3.5", "31.5.12", "ת.פ", "מס", "עמ", "בג.ץ", "ע.פ.", "xת.פ", "a.ת.פ"
+]
 _OPENS = ["", "", "(", "[", '"', "'", "(("]
 _RUNS = ["", "", ".", ".", "..", "?", "!", "?!", ".?", "..."]
 _GAPS = ["", " ", " ", "  ", "\n", "\t", "\x1c", "\u00a0", "\u2003", " \n "]
@@ -137,6 +145,8 @@ _texts = st.lists(
 class TestRunBasedSplitterEquivalence:
     @given(_texts)
     @example("x ((ת.פ. 5 y. z")  # openers before a default abbreviation
+    @example("xת.פ. y. a.ת.פ. z ת.פ. w")  # abbreviation suffixes, one abbreviation
+    @example("ת.פ. ע.פ. מס. 5. x")  # three joins in a row, then a split
     def test_default_abbreviations(self, text):
         assert segment_sentences(text) == reference_segment(text)
 
@@ -244,6 +254,40 @@ class TestLoadCorpus:
         assert [(e.source, e.message) for e in errors] == [
             (str(tmp_path / name), "corpus path is not a directory")
         ]
+
+    def test_listing_equals_sorted_path_glob(self, tmp_path, monkeypatch):
+        def globbed(directory):
+            return [(p.name, str(p)) for p in sorted(Path(directory).glob("*.txt"))]
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "d.txt").mkdir()  # a directory named like a decision
+        for name in [".a.txt", "B.TXT", "גזר דין.txt", "b.txt", "a.txt", "x.txt.bak"]:
+            self._write(corpus, name, f"{name} משפט.")
+        (corpus / "bad.txt").write_bytes(b"\xff")
+        listed = [".a.txt", "B.TXT", "גזר דין.txt", "a.txt", "bad.txt", "d.txt"]
+        self._write_meta(corpus, [{"filename": n, "case_id": n} for n in listed])
+        for given, inside in [("./corpus/", tmp_path), (str(corpus), tmp_path), (".", corpus)]:
+            monkeypatch.chdir(inside)
+            assert corpus_module._txt_files(Path(given)) == globbed(given)
+            loaded = load_corpus(given)
+            with monkeypatch.context() as patched:
+                patched.setattr(corpus_module, "_txt_files", globbed)
+                assert load_corpus(given) == loaded
+            assert [d.case_id for d in loaded.decisions] == [".a.txt", "a.txt", "גזר דין.txt"]
+            assert [e.source for e in loaded.errors] == ["b.txt", "bad.txt", "d.txt", "B.TXT"]
+            assert repr(str(Path(given) / "d.txt")) in loaded.errors[2].message
+
+    def test_a_directory_that_cannot_be_listed_is_one_error(self, tmp_path, monkeypatch):
+        def refused(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        self._write(tmp_path, "a.txt", "טקסט.")
+        self._write_meta(tmp_path, [{"filename": "a.txt", "case_id": "a"}])
+        monkeypatch.setattr(corpus_module.os, "listdir", refused)
+        decisions, errors = load_corpus(tmp_path)
+        assert decisions == []
+        assert errors == [LoadError(str(tmp_path), f"[Errno 13] Permission denied: '{tmp_path}'")]
 
     def test_file_missing_from_metadata(self, tmp_path):
         self._write(tmp_path, "orphan.txt", "טקסט.")
@@ -492,20 +536,30 @@ class TestLoadAnnotations:
         assert records == []
         assert named in errors[0].message
 
-    def test_duplicate_last_wins_with_warning(self, tmp_path, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING):
-            records, errors = self._load(
-                tmp_path,
-                [
-                    '{"case_id":"c1","sentence_index":1,"is_punishment":true,"months":10}',
-                    '{"case_id":"c1","sentence_index":1,"is_punishment":true,"months":20}',
-                ],
-            )
-        assert not errors
+    def test_duplicate_last_wins_with_warning(self, tmp_path):
+        records, errors = self._load(
+            tmp_path,
+            [
+                '{"case_id":"c1","sentence_index":1,"is_punishment":true,"months":10}',
+                '{"case_id":"c1","sentence_index":1,"is_punishment":true,"months":20}',
+            ],
+        )
         assert records == [AnnotationRecord("c1", 1, True, 20)]
-        assert any("duplicate" in r.message for r in caplog.records)
+        message = "duplicate annotation for case 'c1' sentence_index 1; keeping this later record"
+        assert errors == [LoadError(f"{tmp_path / 'ann.jsonl'}:2", message)]
+
+    def test_duplicate_is_warned_by_the_cli(self, tmp_path, capsys):
+        from maasar.cli import run
+
+        (tmp_path / "a.txt").write_text("א.", encoding="utf-8")
+        meta = [{"filename": "a.txt", "case_id": "c1"}]
+        (tmp_path / "metadata.json").write_text(json.dumps(meta), encoding="utf-8")
+        line = '{"case_id":"c1","sentence_index":0,"is_punishment":false}'
+        self._load(tmp_path, [line, line])
+        argv = ["eval", "--rule-based", "--corpus", str(tmp_path), "--out", str(tmp_path / "r.json")]
+        assert run([*argv, "--annotations", str(tmp_path / "ann.jsonl")]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: {tmp_path / 'ann.jsonl'}:2: duplicate annotation for case 'c1'" in err
 
 
 class TestCorpusStats:

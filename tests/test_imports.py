@@ -101,6 +101,16 @@ def test_rule_command_never_imports_numpy(tiny, tmp_path, name):
     assert imports_of(RULE_COMMANDS[name], tiny, tmp_path / "out") == ["False", "False"]
 
 
+def test_rule_based_extract_never_imports_logging(tiny, tmp_path):
+    # a duplicate annotation is a LoadError, not a logger warning
+    script = (
+        "import sys; from maasar.cli import run; "
+        "assert run(sys.argv[1:]) == 0; print('logging' in sys.modules)"
+    )
+    argv = ["extract", "--rule-based", "--corpus", str(tiny["corpus_dir"])]
+    assert fresh_interpreter(script, *argv, "--out", str(tmp_path / "out")).split() == ["False"]
+
+
 @pytest.mark.parametrize("name", list(TRAINING_COMMANDS))
 def test_training_command_never_imports_numpy_ma(tiny, tmp_path, name):
     assert imports_of(TRAINING_COMMANDS[name], tiny, tmp_path / "out") == ["True", "False"]

@@ -196,13 +196,14 @@ def reference_marker_positions(text, markers):
 
 def phrase_lexicon(lexicon):
     """The default lexicon plus multi-word entries that share first words
-    with single-word entries and with each other."""
+    with single-word entries and with each other, and a character entry
+    ("(") that two tiers list."""
     verb = sorted(lexicon.strong_positive)[0]
     return dataclasses.replace(
         lexicon,
         strong_positive={**lexicon.strong_positive, f"{verb} על": 4.0, "מאסר בפועל ממש": 2.5},
         moderate_positive={**lexicon.moderate_positive, "מאסר בפועל": 1.5, "-": 0.5},
-        strong_negative={**lexicon.strong_negative, "על תנאי": -2.0},
+        strong_negative={**lexicon.strong_negative, "על תנאי": -2.0, "(": -1.5},
         fine_markers=lexicon.fine_markers | {"קנס של", "קנס של כסף"},
         actual_markers=lexicon.actual_markers | {"מאסר בפועל"},
     )
@@ -237,6 +238,13 @@ class TestCompiledIndexEquivalence:
             assert hits.hits == reference_match_tiers(text, lex)
             for tier in TIER_NAMES:
                 assert getattr(hits, tier) == sum(h.tier == tier for h in hits.hits)
+
+    @given(_texts)
+    def test_one_pass_counts_equal_reference(self, lexicon, text):
+        for lex in (lexicon, phrase_lexicon(lexicon)):
+            reference = reference_match_tiers(text, lex)
+            expected = tuple(sum(h.tier == tier for h in reference) for tier in TIER_NAMES)
+            assert tier_hits(text, lex).counts() == expected
 
     @given(_texts)
     def test_marker_positions_equal_reference(self, lexicon, text):

@@ -144,6 +144,21 @@ class TestLearnersCommon:
         b = train(X, y, kind, seed=11).predict_proba(X)
         assert bits(a) == bits(b)
 
+    @pytest.mark.parametrize(
+        "text", ["הנאשם נידון לשנתיים מאסר בפועל.", "ריק לחלוטין."], ids=["punishment", "empty"]
+    )
+    def test_a_flat_row_is_one_row(self, kind, lexicon, tmp_path, text):
+        # the tuple featurize returns, read as one row like a one-row list
+        X, y = separable_data()
+        save_model(train(X, y, kind, seed=2), tmp_path / "model.json")
+        model = load_model(tmp_path / "model.json")
+        row = featurize(analyse(Decision.from_text("c", text).sentences[0], lexicon))
+        one = model.predict_proba([row])
+        assert len(one) == 1
+        assert bits(model.predict_proba(row)) == bits(one)
+        assert bits(model.predict_proba(list(row))) == bits(one)
+        assert bits(model.predict_proba([list(row)])) == bits(one)
+
     def test_single_class_rejected(self, kind):
         X, _ = separable_data()
         with pytest.raises(ValueError, match="single class"):
