@@ -24,13 +24,11 @@ from .corpus import (
     load_annotations,
     load_corpus,
     prelabel_negatives,
-    segment_sentences,
 )
 from .detect import (
     ScoredSentence,
     choose_rule_based,
     filter_candidates,
-    rule_score,
 )
 from .extraction import (
     ExtractionResult,
@@ -50,25 +48,19 @@ from .metrics import (
     EvaluationReport,
     Histogram,
     PRF,
-    cohen_kappa,
     detection_prf,
     error_category,
     evaluate_rule_based,
     extraction_f1_and_error,
-    fleiss_kappa,
     punishment_histogram,
     selection_f1,
 )
 from .numbers import (
     NumberSpan,
     TimeUnit,
-    compose,
     detect_spans,
-    find_numbers,
     render_number,
     span_months,
-    to_months,
-    unit_only_elimination,
 )
 
 # Supervised module -> the names exported from it.

@@ -26,6 +26,8 @@ sentence as chunk + run with ``map``, so no Python step runs per sentence.
 also in C) picks out the chunks that end in an abbreviation; only at those
 does Python code run, joining a text whose run is a lone period after an
 abbreviation to the next, so that the period does not end its sentence.
+The abbreviations are ``DEFAULT_ABBREVIATIONS``, the one set, made a suffix
+tuple once, at import.
 
 A ``Decision`` holds the stripped sentence texts the splitter produces, not
 ``Sentence``s: nine in ten sentences hold no filter keyword, and selection
@@ -54,8 +56,9 @@ from typing import Callable, Iterable, NamedTuple
 
 # Legal abbreviations whose trailing period must not end a sentence.
 # Entries are compared against the whole whitespace-delimited word that
-# precedes the period, after stripping opening brackets/quotes. An entry may
-# be written with its own trailing period ("עמ." works like "עמ").
+# precedes the period, after stripping opening brackets/quotes. That word
+# never ends in a period (it would have joined the terminal run), so an entry
+# is written without its trailing period ("עמ", not "עמ.").
 DEFAULT_ABBREVIATIONS = frozenset(
     ["ת.פ", "ע.פ", "ת.א", "בג.ץ", "מ.י", "ד.נ", "פרופ", "עמ", "מס", "טל"]
 )
@@ -69,6 +72,10 @@ DEFAULT_ABBREVIATIONS = frozenset(
 # 2,000 seed-1 synthetic texts: 0.076 s, against 0.169 s for ([.?!]+)).
 _SPLIT_RUN = re.compile(r"([.?!][.?!]*)(?=\s|\Z)")
 _OPENERS = "([{\"'"
+
+# An abbreviation that the word before a period matches is a suffix of
+# its chunk, so only a chunk that ends in one can join the next.
+_ABBREVIATION_SUFFIXES = tuple(DEFAULT_ABBREVIATIONS)
 
 
 def token_count(text: str) -> int:
@@ -276,26 +283,16 @@ class AnnotationLoadResult(NamedTuple):
     errors: list[LoadError]
 
 
-def sentence_texts(
-    raw_text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS
-) -> tuple[str, ...]:
+def sentence_texts(raw_text: str) -> tuple[str, ...]:
     """Split text into stripped, non-empty sentence texts on terminal
     punctuation (. ? !).
 
     A maximal run of terminals only splits when followed by whitespace or
     end of text, which keeps decimal numbers, dates (31.5.12) and docket
-    tokens (1124/04) intact; a lone period never splits after a configured
-    abbreviation (the word back to the previous whitespace, opening
-    brackets and quotes stripped). An abbreviation listed with one trailing
-    period works like the same entry without it.
+    tokens (1124/04) intact; a lone period never splits after one of the
+    ``DEFAULT_ABBREVIATIONS`` (the word back to the previous whitespace,
+    opening brackets and quotes stripped).
     """
-    # The word before a lone period never ends in a period (it would have
-    # joined the terminal run), so an entry drops its one trailing period;
-    # the empty entry matches no word.
-    abbrev = frozenset(a.removesuffix(".") for a in abbreviations) - {""}
-    # An abbreviation that the word before a period matches is a suffix of
-    # its chunk, so only a chunk that ends in one can join the next.
-    suffixes = tuple(abbrev)
     # [chunk, run, chunk, ..., run, chunk]; the "" appended is the last
     # chunk's run, so that every text is chunk + run
     parts = _SPLIT_RUN.split(raw_text)
@@ -303,8 +300,8 @@ def sentence_texts(
     chunks, runs = parts[::2], parts[1::2]
     joins = [
         i
-        for i in compress(count(), map(str.endswith, chunks, repeat(suffixes)))
-        if runs[i] == "." and _word_before(chunks[i]).lstrip(_OPENERS) in abbrev
+        for i in compress(count(), map(str.endswith, chunks, repeat(_ABBREVIATION_SUFFIXES)))
+        if runs[i] == "." and _word_before(chunks[i]).lstrip(_OPENERS) in DEFAULT_ABBREVIATIONS
     ]
     # Joins i, i + 1, ..., j in a row make one text of chunks and runs i to
     # j + 1, kept at chunk j + 1 and joined once, so that a long row costs
@@ -326,13 +323,6 @@ def _word_before(chunk: str) -> str:
     first starts with the whitespace after a run, so the word before a run
     lies in its chunk."""
     return "" if chunk[-1].isspace() else chunk.rsplit(None, 1)[-1]
-
-
-def segment_sentences(
-    raw_text: str, abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS
-) -> list[Sentence]:
-    """The ``Sentence``s of ``sentence_texts(raw_text, abbreviations)``."""
-    return list(Decision("", 0, "", sentence_texts(raw_text, abbreviations)).sentences)
 
 
 def _txt_files(directory: Path) -> list[tuple[str, str]]:
@@ -518,7 +508,5 @@ def corpus_stats(decisions: Iterable[Decision]) -> CorpusStats:
 
 def prelabel_negatives(decision: Decision, lexicon) -> list[tuple[int, bool]]:
     """Mark sentences with no filter keyword as automatic negatives."""
-    return [
-        (index, not lexicon.contains_filter_keyword(text))
-        for index, text in enumerate(decision.texts)
-    ]
+    candidates = set(lexicon.candidate_indices(decision.texts))
+    return [(index, index not in candidates) for index in range(len(decision.texts))]

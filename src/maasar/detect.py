@@ -13,8 +13,7 @@ the one its numerals would earn. ``_score`` adds the terms of both in the
 same order, and IEEE rounding is monotonic, so the ceiling is never below
 the score, for any lexicon. Only a candidate whose ceiling reaches the
 threshold has its numerals parsed (``analysis.complete``) and is scored; the
-others are ones ``at_or_above`` would drop. ``rule_score`` scores any
-sentence exactly.
+others are ones ``at_or_above`` would drop.
 
 Each kept candidate is analysed once (``analysis.SentenceAnalysis``) and its
 ``ScoredSentence`` carries that analysis, so a caller that goes on to
@@ -29,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .analysis import SentenceAnalysis, SentenceScan, analyse, complete, scan
+from .analysis import SentenceAnalysis, SentenceScan, complete, scan
 from .corpus import Decision, Sentence
 from .lexicon import Lexicon, StructuralWeights
 
@@ -69,6 +68,7 @@ def score_ceiling(scanned: SentenceScan, structural: StructuralWeights) -> float
 
 
 def _scored(analysis: SentenceAnalysis, structural: StructuralWeights) -> ScoredSentence:
+    """Tier-weighted score with structural adjustments."""
     if not analysis.has_number:
         number_term = 0.0
     elif analysis.has_time_unit:
@@ -76,11 +76,6 @@ def _scored(analysis: SentenceAnalysis, structural: StructuralWeights) -> Scored
     else:
         number_term = structural.number_without_unit_penalty
     return ScoredSentence(analysis, _score(analysis, number_term, structural))
-
-
-def rule_score(sentence: Sentence, lexicon: Lexicon) -> ScoredSentence:
-    """Tier-weighted score with structural adjustments."""
-    return _scored(analyse(sentence, lexicon), lexicon.structural)
 
 
 def score_candidates(decision: Decision, lexicon: Lexicon) -> list[ScoredSentence]:

@@ -29,8 +29,8 @@ Aho-Corasick multi-pattern matching. The pass runs in C (``compress`` over
 tokens that begin an entry. Single-character entries of the tiers (docket
 slash, brackets) are compiled into one character class, found in the raw
 text by one ``finditer``. The filter keywords are compiled into one regular
-expression, so ``contains_filter_keyword`` is a single search per sentence,
-and ``candidate_indices`` maps that search over a decision's texts in C.
+expression, a single search per sentence, and ``candidate_indices`` maps
+that search over a decision's texts in C.
 
 A ``NumeralLexicon`` keeps one table, ``roles``, from each stripped token it
 has seen to that token's roles in the numeral grammar (``numbers.Roles``).
@@ -244,9 +244,6 @@ class Lexicon:
 
     def tier(self, name: str) -> Mapping[str, float]:
         return getattr(self, name)
-
-    def contains_filter_keyword(self, text: str) -> bool:
-        return self._filter_search(text) is not None
 
     def candidate_indices(self, texts: Iterable[str]) -> Iterator[int]:
         """The index of each text containing a filter keyword, in order."""

@@ -1,7 +1,7 @@
 """Evaluation metrics: detection P/R/F1, per-case selection and duration
-accuracy, agreement coefficients, error taxonomy, duration histograms, and
-the evaluation report both routes share (``assemble_report``), with the
-rule-based evaluation that builds it (``evaluate_rule_based``).
+accuracy, error taxonomy, duration histograms, and the evaluation report
+both routes share (``assemble_report``), with the rule-based evaluation
+that builds it (``evaluate_rule_based``).
 
 ``assemble_report`` grades each case once, in one loop over the cases'
 scored candidates: it records the detected pairs, chooses, extracts and
@@ -18,10 +18,9 @@ precision = recall and are reported as a single F1 number.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .analysis import DOCKET_RE, SentenceAnalysis
 from .corpus import AnnotationRecord, Decision
@@ -142,65 +141,6 @@ def extraction_f1_and_error(
         errors.append(abs((predicted or 0) - gold))
     n = len(gold_months)
     return ExtractionScore(exact / n, sum(errors) / n)
-
-
-def cohen_kappa(ratings_a: Sequence, ratings_b: Sequence) -> float:
-    """Cohen's kappa between two raters: (p_o - p_e) / (1 - p_e)."""
-    if len(ratings_a) != len(ratings_b):
-        raise ValueError("rating vectors must have equal length")
-    if not ratings_a:
-        raise ValueError("rating vectors must be non-empty")
-    n = len(ratings_a)
-    observed = sum(a == b for a, b in zip(ratings_a, ratings_b)) / n
-    labels = set(ratings_a) | set(ratings_b)
-    expected = 0.0
-    for label in labels:
-        pa = sum(a == label for a in ratings_a) / n
-        pb = sum(b == label for b in ratings_b) / n
-        expected += pa * pb
-    if expected == 1.0:
-        warnings.warn("degenerate agreement: expected agreement is 1", stacklevel=2)
-        return 1.0 if observed == 1.0 else 0.0
-    return (observed - expected) / (1.0 - expected)
-
-
-def fleiss_kappa(ratings: Sequence[Sequence], num_classes: int) -> float:
-    """Fleiss' kappa over an item x rater matrix of categorical labels."""
-    if not ratings:
-        raise ValueError("rating matrix must be non-empty")
-    n_raters = len(ratings[0])
-    if n_raters < 2:
-        raise ValueError("need at least two raters")
-    for row in ratings:
-        if len(row) != n_raters:
-            raise ValueError("every item must be rated by all raters")
-        if any(label is None for label in row):
-            raise ValueError("missing ratings are not allowed")
-    labels = sorted({label for row in ratings for label in row}, key=str)
-    if len(labels) > num_classes:
-        raise ValueError(
-            f"found {len(labels)} distinct labels, more than num_classes={num_classes}"
-        )
-    column = {label: j for j, label in enumerate(labels)}
-
-    n_items = len(ratings)
-    counts = [[0] * num_classes for _ in range(n_items)]
-    for i, row in enumerate(ratings):
-        for label in row:
-            counts[i][column[label]] += 1
-
-    total = n_items * n_raters
-    proportions = [sum(counts[i][j] for i in range(n_items)) / total for j in range(num_classes)]
-    expected = sum(p * p for p in proportions)
-    per_item = [
-        (sum(c * c for c in counts[i]) - n_raters) / (n_raters * (n_raters - 1))
-        for i in range(n_items)
-    ]
-    observed = sum(per_item) / n_items
-    if expected == 1.0:
-        warnings.warn("degenerate agreement: expected agreement is 1", stacklevel=2)
-        return 1.0
-    return (observed - expected) / (1.0 - expected)
 
 
 def error_category(analysis: SentenceAnalysis) -> ErrorCategory:

@@ -6,7 +6,7 @@ one-year / one-month punishments with a bare unit word. Everything here
 works over whitespace tokens against a loaded numeral lexicon; the grammar
 covers 0-999 which is ample for imprisonment durations, and a half word
 right after a time unit ("year and a half") always adds half of that unit
-(``NumberSpan.plus_half``). The sentence-level finders take the sentence's
+(``NumberSpan.plus_half``). ``detect_spans`` takes the sentence's
 ``tokens.stripped_tokens``, which ``analysis.scan`` computes once per
 sentence.
 
@@ -14,8 +14,8 @@ What a stripped token is here (a digit value, a number word, bare or with
 a conjunction prefix as in "ושמונה", a dual, a time unit, a bare singular
 unit, a half word) is decided in one place: ``token_roles`` classifies a
 token the first time a ``NumeralLexicon`` sees it and keeps the ``Roles``
-record in the lexicon's ``roles`` table. The scanners and ``compose`` read
-those records, so a token is classified once per lexicon however often it
+record in the lexicon's ``roles`` table. The scanners and ``_compose_forms``
+read those records, so a token is classified once per lexicon however often it
 recurs; a token with two roles ("שנים" is "years" and begins "שנים עשר")
 has one classifier, and the scanners decide which role wins where.
 ``detect_spans`` looks a sentence's tokens up in that table once, with
@@ -30,9 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
 from operator import attrgetter, is_
-from typing import TYPE_CHECKING, Iterable
-
-from .tokens import strip_token
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lexicon import NumeralLexicon
@@ -74,19 +72,9 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def to_months(value: int, unit: TimeUnit) -> int:
-    """Normalize a duration to whole months (30-day months, round half up)."""
-    if value < 0:
-        raise ValueError("duration value must be non-negative")
-    if unit is TimeUnit.YEAR:
-        return value * 12
-    if unit is TimeUnit.MONTH:
-        return value
-    return _round_half_up(value / 30.0)
-
-
 def span_months(span: NumberSpan) -> int | None:
-    """Months conveyed by a span, or None when it has no resolvable unit."""
+    """Months conveyed by a span (30-day months, round half up), or None
+    when it has no resolvable unit."""
     if span.attached_unit is None:
         return None
     value = span.value + (0.5 if span.plus_half else 0.0)
@@ -148,19 +136,14 @@ def _roles(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[Roles]
     return roles
 
 
-def compose(word_tokens: Iterable[str], numerals: "NumeralLexicon") -> int | None:
-    """Compose a Hebrew number-word sequence into an integer.
+def _compose_forms(norm: list[tuple[bool, str]], numerals: "NumeralLexicon") -> int | None:
+    """Compose a Hebrew number-word sequence, given as the ``Roles.form`` of
+    each of its tokens, into an integer.
 
     Accepts hundreds + tens + conjunction-prefixed units, atomic teens and
     bare tens; rejects ill-formed orders (e.g. units before tens) by
     returning None.
     """
-    norm = [token_roles(strip_token(token), numerals).form for token in word_tokens]
-    return None if None in norm else _compose_forms(norm, numerals)
-
-
-def _compose_forms(norm: list[tuple[bool, str]], numerals: "NumeralLexicon") -> int | None:
-    """``compose`` over ``Roles.form`` entries, one per token."""
     # an empty token is never part of a number, even if "" is listed
     if not norm or any(not bare for _, bare in norm):
         return None
@@ -253,17 +236,13 @@ def _attach_unit(roles: list[Roles], end_token: int) -> tuple[TimeUnit | None, i
     return None, 0, False
 
 
-def find_numbers(stripped: tuple[str, ...], numerals: "NumeralLexicon") -> list[NumberSpan]:
-    """All digit literals, number-word sequences and dual unit words.
+def _number_spans(roles: list[Roles], numerals: "NumeralLexicon") -> list[NumberSpan]:
+    """All digit literals, number-word sequences and dual unit words, given
+    the roles of the sentence's tokens.
 
     Unparseable word sequences are skipped. Each span greedily attaches to
     the nearest following time-unit token within the attachment window.
     """
-    return _number_spans(_roles(stripped, numerals), numerals)
-
-
-def _number_spans(roles: list[Roles], numerals: "NumeralLexicon") -> list[NumberSpan]:
-    """``find_numbers`` over the roles of the tokens."""
     spans: list[NumberSpan] = []
     i = 0
     n = len(roles)
@@ -286,20 +265,14 @@ def _number_spans(roles: list[Roles], numerals: "NumeralLexicon") -> list[Number
     return spans
 
 
-def unit_only_elimination(
-    stripped: tuple[str, ...], numerals: "NumeralLexicon"
-) -> list[NumberSpan]:
-    """Bare singular unit words with no adjoining number imply value one.
+def _unit_only_spans(roles: list[Roles]) -> list[NumberSpan]:
+    """Bare singular unit words with no adjoining number imply value one,
+    given the roles of the sentence's tokens.
 
     A unit preceded by a number within the attachment window is already
     bound to it ("20 שנה" is twenty years), and a unit directly followed by
     digits is a calendar reference, not a duration; neither yields a span.
     """
-    return _unit_only_spans(_roles(stripped, numerals))
-
-
-def _unit_only_spans(roles: list[Roles]) -> list[NumberSpan]:
-    """``unit_only_elimination`` over the roles of the tokens."""
     spans: list[NumberSpan] = []
     n = len(roles)
     for i, r in enumerate(roles):

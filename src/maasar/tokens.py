@@ -13,10 +13,6 @@ from itertools import repeat
 EDGE_PUNCT = ".,;:!?()[]{}\"'«»“”„׳"
 
 
-def strip_token(token: str) -> str:
-    return token.strip(EDGE_PUNCT)
-
-
 def stripped_tokens(text: str) -> tuple[str, ...]:
     """The whitespace tokens of ``text`` with edge punctuation removed."""
     return tuple(map(str.strip, text.split(), repeat(EDGE_PUNCT)))

@@ -5,7 +5,25 @@ the remaining 18 are suspended; the served term (30) is the gold duration.
 The confuser sentences cover the classic traps: a prosecution request, a
 reference to a prior case with its docket number, a procedural order, and
 a fine with a day-denominated substitute.
+
+``word_run_value`` reads a sentence of number words as the pipeline does.
 """
+
+from maasar.numbers import detect_spans
+from maasar.tokens import stripped_tokens
+
+
+def word_run_value(words, numerals):
+    """The value ``detect_spans`` reads from a sentence that is one run of
+    number words: a run that composes is one "words" span of its value, and
+    one that does not is no span (None)."""
+    spans = detect_spans(stripped_tokens(" ".join(words)), numerals)
+    if not spans:
+        return None
+    (span,) = spans
+    assert (span.start_token, span.end_token, span.source) == (0, len(words) - 1, "words")
+    return span.value
+
 
 # Combined verdict: total 48, actual 30, conditional 18.
 WORKED_EXAMPLE = (

@@ -114,10 +114,7 @@ class TestSentencesBuiltForCandidatesOnly:
             chosen = list(choose_sentences(decisions, lexicon, model))
         assert all(analysis is not None for analysis in chosen)
         candidates = [
-            (d.case_id, i)
-            for d in decisions
-            for i, text in enumerate(d.texts)
-            if lexicon.contains_filter_keyword(text)
+            (d.case_id, i) for d in decisions for i in lexicon.candidate_indices(d.texts)
         ]
         assert built == candidates
         assert len(candidates) < sum(len(d.texts) for d in decisions) / 4

@@ -20,54 +20,53 @@ from maasar.corpus import (
     load_annotations,
     load_corpus,
     prelabel_negatives,
-    segment_sentences,
 )
 from maasar.synthetic import generate_corpus, write_corpus
 
 
+def sentences_of(text):
+    """The ``Sentence``s of ``text``, as a loaded decision builds them."""
+    return list(Decision.from_text("case", text).sentences)
+
+
 class TestSegmentation:
     def test_plain_splitting(self):
-        sentences = segment_sentences("A. B? C!")
+        sentences = sentences_of("A. B? C!")
         assert [s.text for s in sentences] == ["A.", "B?", "C!"]
 
     def test_docket_token_survives_and_terminal_period_splits(self):
         text = "הנאשם הופנה לתיק CrimC 1124/04. ההליך נמשך שנים."
-        sentences = segment_sentences(text)
+        sentences = sentences_of(text)
         assert len(sentences) == 2
         assert sentences[0].text.endswith("1124/04.")
 
     def test_hebrew_docket_inline(self):
         text = 'בע"פ 1049/12 נדחה הערעור. הדיון הסתיים.'
-        assert len(segment_sentences(text)) == 2
+        assert len(sentences_of(text)) == 2
 
     def test_no_terminal_punctuation(self):
-        sentences = segment_sentences("טקסט ללא סימן סיום")
+        sentences = sentences_of("טקסט ללא סימן סיום")
         assert len(sentences) == 1
 
     def test_empty_input(self):
-        assert segment_sentences("") == []
-        assert segment_sentences("   \n ") == []
+        assert sentences_of("") == []
+        assert sentences_of("   \n ") == []
 
     def test_decimal_and_date_not_split(self):
-        assert len(segment_sentences("המדד עלה ב-3.5 אחוזים בשנה זו.")) == 1
-        assert len(segment_sentences("המאסר יחל ביום 31.5.12 בבוקר.")) == 1
+        assert len(sentences_of("המדד עלה ב-3.5 אחוזים בשנה זו.")) == 1
+        assert len(sentences_of("המאסר יחל ביום 31.5.12 בבוקר.")) == 1
 
     def test_abbreviation_not_split(self):
         text = "ראו ת.פ. 1124/04 שם נקבע אחרת."
-        assert len(segment_sentences(text)) == 1
+        assert len(sentences_of(text)) == 1
 
-    def test_configurable_abbreviations(self):
-        text = "העד מ. כהן העיד בדיון."
-        assert len(segment_sentences(text)) == 2
-        assert len(segment_sentences(text, abbreviations={"מ"})) == 1
-
-    @pytest.mark.parametrize("entry", ["בית", "בית."])
-    def test_abbreviation_with_trailing_period(self, entry):
-        texts = [s.text for s in segment_sentences("בית. x (בית. y. z", {entry})]
-        assert texts == ["בית. x (בית. y.", "z"]
+    def test_default_abbreviations_are_bare_words(self):
+        # the splitter compares each entry with the word before a lone period,
+        # which never ends in a period: an entry "עמ." or "" would never match
+        assert all(a and not a.endswith(".") for a in DEFAULT_ABBREVIATIONS)
 
     def test_indices_and_positions(self):
-        sentences = segment_sentences("א ב ג. ד ה. ו.")
+        sentences = sentences_of("א ב ג. ד ה. ו.")
         assert [s.index for s in sentences] == [0, 1, 2]
         assert sentences[0].relative_position == 0.0
         assert sentences[-1].relative_position == 1.0
@@ -75,10 +74,10 @@ class TestSegmentation:
         assert positions == sorted(positions)
 
     def test_single_sentence_relative_position_zero(self):
-        assert segment_sentences("משפט אחד.")[0].relative_position == 0.0
+        assert sentences_of("משפט אחד.")[0].relative_position == 0.0
 
     def test_token_count(self):
-        s = segment_sentences("אחת שתיים   שלוש.")[0]
+        s = sentences_of("אחת שתיים   שלוש.")[0]
         assert s.token_count == 3 == len(s.text.split())
 
     @given(
@@ -88,13 +87,13 @@ class TestSegmentation:
         )
     )
     def test_round_trip_preserves_non_whitespace(self, text):
-        joined = " ".join(s.text for s in segment_sentences(text))
+        joined = " ".join(s.text for s in sentences_of(text))
         assert re.sub(r"\s", "", joined) == re.sub(r"\s", "", text)
 
 
 
 def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
-    """The character-by-character splitter that segment_sentences replaced,
+    """The character-by-character splitter that ``sentence_texts`` replaced,
     with the documented abbreviation rule: an entry, less one trailing
     period, equals the non-empty word before a lone period, openers stripped."""
     abbrev = {a[:-1] if a.endswith(".") else a for a in abbreviations}
@@ -148,20 +147,12 @@ class TestRunBasedSplitterEquivalence:
     @example("xת.פ. y. a.ת.פ. z ת.פ. w")  # abbreviation suffixes, one abbreviation
     @example("ת.פ. ע.פ. מס. 5. x")  # three joins in a row, then a split
     def test_default_abbreviations(self, text):
-        assert segment_sentences(text) == reference_segment(text)
-
-    @given(_texts, st.sets(st.sampled_from(["א", "x", "בית.", "(א", "7", "3", ""]), max_size=3))
-    @example("(א. ב", {"(א"})  # openers are stripped from the word, so this splits
-    @example("x (. y . z", {""})  # the empty entry matches no word
-    @example("בית. x בית.. y", {"בית."})  # the entry's one trailing period is ignored
-    def test_custom_abbreviations(self, text, abbreviations):
-        expected = reference_segment(text, abbreviations)
-        assert segment_sentences(text, abbreviations) == expected
+        assert sentences_of(text) == reference_segment(text)
 
     def test_synthetic_decisions(self, synthetic):
         for decision in synthetic.decisions:
             text = " ".join(decision.texts)  # the generated text
-            assert segment_sentences(text) == reference_segment(text)
+            assert sentences_of(text) == reference_segment(text)
 
 
 class TestSentencesOnDemand:
@@ -170,7 +161,7 @@ class TestSentencesOnDemand:
         for decision in decisions:
             text = " ".join(decision.texts)  # the generated text
             expected = reference_segment(text)
-            assert segment_sentences(text) == expected
+            assert sentences_of(text) == expected
             assert decision.texts == tuple(s.text for s in expected)
             assert [decision.sentence(i) for i in range(len(decision.texts))] == expected
             assert list(decision.sentences) == expected

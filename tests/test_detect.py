@@ -4,14 +4,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maasar.analysis import scan
-from maasar.corpus import Decision, prelabel_negatives, segment_sentences
+from maasar.analysis import analyse, scan
+from maasar.corpus import Decision, prelabel_negatives
 from maasar.detect import (
+    _scored,
     at_or_above,
     best_scored,
     choose_rule_based,
     filter_candidates,
-    rule_score,
     score_candidates,
     score_ceiling,
 )
@@ -31,7 +31,14 @@ FILLER = "בית המשפט שמע את טיעוני הצדדים."
 
 
 def sentence(text):
-    return segment_sentences(text)[0]
+    return Decision.from_text("c", text).sentence(0)
+
+
+def rule_score(sentence, lexicon):
+    """Any sentence's exact rule score: ``score_candidates`` scores only the
+    candidates whose ceiling reaches the threshold, and must agree with this
+    on every one it keeps."""
+    return _scored(analyse(sentence, lexicon), lexicon.structural)
 
 
 class TestFilterCandidates:

@@ -1,6 +1,6 @@
 import random
 
-from maasar.corpus import Decision, segment_sentences
+from maasar.corpus import Decision
 from maasar.analysis import analyse
 from maasar.extraction import (
     MARKER_WINDOW,
@@ -14,7 +14,7 @@ from samples import UNIT_ONLY_SENTENCE, WORKED_EXAMPLE, WORKED_EXAMPLE_MONTHS
 
 
 def sentence(text):
-    return segment_sentences(text)[0]
+    return Decision.from_text("c", text).sentence(0)
 
 
 def extract_first(decision, lexicon):

@@ -1,6 +1,9 @@
-"""The rule path and scoring with an rf model file run without numpy, and the
-package exports the same names."""
+"""The rule path and scoring with an rf model file run without numpy, the
+package exports the same names, every exported function is one that some
+subcommand runs, and every name a package module imports is used in it."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +15,7 @@ import maasar
 from maasar.cli import run
 from maasar.lexicon import load_lexicon
 from maasar.synthetic import generate_corpus, write_corpus
+from test_cli import _LOOSE_RULE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,16 +26,16 @@ EXPORTED = [
     "FEATURE_SCHEMA_VERSION", "Histogram", "Lexicon", "LinearMarginClassifier", "NumberSpan",
     "NumeralLexicon", "PRF", "ScoredSentence", "Sentence",
     "SentenceAnalysis", "TierHits", "TimeUnit", "TrainedModel", "TreeEnsembleClassifier",
-    "analyse", "analysis", "choose_rule_based", "choose_sentences", "cohen_kappa", "compose",
+    "analyse", "analysis", "choose_rule_based", "choose_sentences",
     "corpus",
     "corpus_stats", "cross_validate", "detect", "detect_spans", "detection_prf",
     "error_category", "evaluate_rule_based", "extract", "extraction",
-    "extraction_f1_and_error", "features", "featurize", "filter_candidates", "find_numbers",
-    "fleiss_kappa", "lexicon", "load_annotations", "load_corpus", "load_lexicon", "load_model",
+    "extraction_f1_and_error", "features", "featurize", "filter_candidates",
+    "lexicon", "load_annotations", "load_corpus", "load_lexicon", "load_model",
     "metrics", "models", "numbers", "pipeline", "prelabel_negatives", "punishment_histogram",
-    "render_number", "rule_score", "save_model", "score_duration_candidates",
-    "segment_sentences", "selection_f1", "span_months", "to_months", "tokens", "train",
-    "train_on_decisions", "try_decomposition", "unit_only_elimination",
+    "render_number", "save_model", "score_duration_candidates",
+    "selection_f1", "span_months", "tokens", "train",
+    "train_on_decisions", "try_decomposition",
 ]  # fmt: skip
 
 RULE_COMMANDS = {
@@ -167,3 +171,102 @@ def test_star_import_resolves_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         maasar.no_such_name
+
+
+# The exported functions that no subcommand runs, each with its reason.
+NOT_RUN_BY_THE_CLI = {
+    "render_number": "spells numerals for the synthetic-corpus generator; no subcommand does",
+}
+
+
+def test_every_exported_function_runs_in_some_subcommand(tmp_path):
+    """Every subcommand and route, run in this process on a 12-decision
+    corpus, calls every function ``maasar`` exports, the lazy ones included.
+    The loose rule makes ``eval --rule-based`` choose wrong sentences, so
+    that ``error_category`` runs."""
+    corpus = generate_corpus(load_lexicon().numerals, num_decisions=12, seed=1)
+    paths = write_corpus(corpus, tmp_path)
+    annotations = ["--annotations", str(paths["annotations"])]
+    rf, svm = str(tmp_path / "rf.json"), str(tmp_path / "svm.json")
+    commands = [
+        ["segment"],
+        ["prelabel"],
+        ["detect"],
+        ["stats"],
+        ["train", "--model", "rf", *annotations, "--out", rf],
+        ["train", "--model", "svm", *annotations, "--out", svm],
+        ["extract", "--rule-based", "--histogram-csv", str(tmp_path / "histogram.csv")],
+        ["extract", "--model", rf],
+        ["extract", "--model", svm],
+        ["eval", "--rule-based", *annotations],
+        ["eval", "--rule-based", *annotations, *_LOOSE_RULE],
+        ["eval", "--model-kind", "rf", "--folds", "3", *annotations],
+        ["eval", "--model-kind", "svm", "--folds", "3", *annotations],
+    ]
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    for number, command in enumerate(commands):
+        out = [] if "--out" in command else ["--out", str(tmp_path / f"out-{number}")]
+        sys.setprofile(record)
+        try:
+            code = run([*command, "--corpus", str(paths["corpus_dir"]), *out])
+        finally:
+            sys.setprofile(None)
+        assert code == 0, command
+
+    functions = {
+        name: getattr(maasar, name)
+        for name in maasar.__all__
+        if inspect.isfunction(getattr(maasar, name))
+    }
+    not_run = {name for name, function in functions.items() if function.__code__ not in called}
+    assert not_run == set(NOT_RUN_BY_THE_CLI)
+
+
+def _imported_names(tree):
+    """(name, line) of each name bound by an import in ``tree``, ``__future__``
+    features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def _used_names(tree):
+    """The names ``tree`` reads, those in quoted annotations included (how a
+    ``TYPE_CHECKING`` import is used)."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, _annotations(tree)):
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used |= _used_names(ast.parse(part.value, mode="eval"))
+    return used
+
+
+def test_every_imported_name_is_used():
+    """A name a ``src/maasar`` module imports is read in that module;
+    ``__init__`` imports names to export them."""
+    unused = []
+    for path in sorted((SRC / "maasar").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        imported = _imported_names(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported if name not in used]
+    assert unused == []

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from maasar.corpus import segment_sentences
+from maasar.corpus import Decision
 from maasar.lexicon import (
     LexiconError,
     TIER_NAMES,
@@ -13,11 +13,11 @@ from maasar.lexicon import (
     load_lexicon,
 )
 from maasar.numbers import TimeUnit
-from maasar.tokens import strip_token, stripped_tokens
+from maasar.tokens import EDGE_PUNCT, stripped_tokens
 
 
 def sentence(text):
-    return segment_sentences(text)[0]
+    return Decision.from_text("c", text).sentence(0)
 
 
 def tier_hits(text, lexicon):
@@ -150,16 +150,15 @@ class TestMatchTiers:
         assert probation == (3,)
 
     def test_filter_keyword_substring(self, lexicon):
-        assert lexicon.contains_filter_keyword("נגזר עליו עונש של מאסר בפועל")
-        assert lexicon.contains_filter_keyword("הוא נידון למאסר ממושך")
-        assert not lexicon.contains_filter_keyword("אין כאן מילת מפתח")
+        texts = ["נגזר עליו עונש של מאסר בפועל", "הוא נידון למאסר ממושך", "אין כאן מילת מפתח"]
+        assert list(lexicon.candidate_indices(texts)) == [0, 1]
 
 
 # The per-entry loops that found tier hits and marker positions before the
 # lexicon was compiled into one first-word index, kept as references for
 # Lexicon.scan.
 def reference_match_tiers(text, lexicon):
-    stripped = [strip_token(t) for t in text.split()]
+    stripped = [t.strip(EDGE_PUNCT) for t in text.split()]
     hits = []
     for tier_name in TIER_NAMES:
         for surface, weight in lexicon.tier(tier_name).items():
@@ -182,7 +181,7 @@ def reference_match_tiers(text, lexicon):
 
 
 def reference_marker_positions(text, markers):
-    stripped = [strip_token(t) for t in text.split()]
+    stripped = [t.strip(EDGE_PUNCT) for t in text.split()]
     positions = []
     for marker in markers:
         words = marker.split()
@@ -255,13 +254,17 @@ class TestCompiledIndexEquivalence:
 
     @given(
         st.sets(st.sampled_from(["מאסר", "מאסר בפועל", "a.b", "x|y", "(", "\\", ""]), max_size=3),
-        st.lists(st.sampled_from(["מאסר", "למאסר", "aab", "a.b", "x", "|y", "(", "\\", " "])).map(
-            "".join
+        st.lists(
+            st.lists(
+                st.sampled_from(["מאסר", "למאסר", "aab", "a.b", "x", "|y", "(", "\\", " "])
+            ).map("".join),
+            max_size=3,
         ),
     )
-    def test_filter_keyword_search_equals_substring_test(self, lexicon, keywords, text):
+    def test_filter_keyword_search_equals_substring_test(self, lexicon, keywords, texts):
         lex = dataclasses.replace(lexicon, filter_keywords=frozenset(keywords))
-        assert lex.contains_filter_keyword(text) == any(k in text for k in keywords)
+        expected = [i for i, text in enumerate(texts) if any(k in text for k in keywords)]
+        assert list(lex.candidate_indices(texts)) == expected
 
     def test_replace_recompiles(self, lexicon):
         verb = sorted(lexicon.strong_positive)[0]

@@ -2,20 +2,17 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
 
 from maasar.analysis import analyse
-from maasar.corpus import segment_sentences
+from maasar.corpus import Decision
 from maasar.detect import score_candidates
 from maasar.lexicon import load_lexicon
 from maasar.metrics import (
     ErrorCategory,
     assemble_report,
-    cohen_kappa,
     detection_prf,
     error_category,
     extraction_f1_and_error,
-    fleiss_kappa,
     punishment_histogram,
     selection_f1,
 )
@@ -24,7 +21,7 @@ from samples import ERROR_EXAMPLES
 
 
 def sentence(text):
-    return segment_sentences(text)[0]
+    return Decision.from_text("c", text).sentence(0)
 
 
 class TestDetectionPrf:
@@ -129,123 +126,6 @@ class TestExtractionScore:
         assert score.avg_month_error == 0.0 and score.extraction_f1 == 1.0
         score = extraction_f1_and_error({"a": 3, "b": 8}, {"a": 3, "b": 9})
         assert score.avg_month_error > 0.0 and score.extraction_f1 < 1.0
-
-
-class TestCohenKappa:
-    def test_identical_vectors(self):
-        assert cohen_kappa(["A", "B", "A"], ["A", "B", "A"]) == 1.0
-
-    def test_hand_computed_zero(self):
-        # p_o = 0.5, p_e = 0.5 -> kappa 0
-        assert cohen_kappa(list("AABB"), list("ABAB")) == pytest.approx(0.0)
-
-    def test_reconstructed_pairwise_fixture(self):
-        # 37 audited sentences: 9 both-yes, 3 yes/no, 3 no/yes, 22 both-no.
-        # po = 31/37, pe = 769/1369, kappa = 378/600 = 0.63 exactly.
-        ann4 = ["yes"] * 9 + ["yes"] * 3 + ["no"] * 3 + ["no"] * 22
-        ann5 = ["yes"] * 9 + ["no"] * 3 + ["yes"] * 3 + ["no"] * 22
-        assert cohen_kappa(ann4, ann5) == pytest.approx(0.63, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cohen_kappa(["A"], ["A", "B"])
-
-    def test_degenerate_uniform(self):
-        with pytest.warns(UserWarning):
-            assert cohen_kappa(["A", "A"], ["A", "A"]) == 1.0
-        # constant raters on different labels: p_e = 0, kappa is plainly 0
-        assert cohen_kappa(["A", "A"], ["B", "B"]) == 0.0
-
-    @pytest.mark.filterwarnings("ignore:degenerate")
-    @given(st.lists(st.sampled_from("ABC"), min_size=2, max_size=30))
-    def test_symmetric(self, labels_a):
-        import random
-
-        labels_b = list(labels_a)
-        random.Random(0).shuffle(labels_b)
-        assert cohen_kappa(labels_a, labels_b) == pytest.approx(
-            cohen_kappa(labels_b, labels_a)
-        )
-
-    @pytest.mark.filterwarnings("ignore:degenerate")
-    @given(st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from("AB")), min_size=2, max_size=40))
-    def test_relabeling_invariance(self, pairs):
-        a = [p[0] for p in pairs]
-        b = [p[1] for p in pairs]
-        swap = {"A": "X", "B": "Y"}
-        a2 = [swap[x] for x in a]
-        b2 = [swap[x] for x in b]
-        pe_degenerate = len(set(a)) == 1 and len(set(b)) == 1 and a[0] == b[0]
-        if not pe_degenerate:
-            try:
-                k1 = cohen_kappa(a, b)
-                k2 = cohen_kappa(a2, b2)
-            except ValueError:
-                return
-            assert k1 == pytest.approx(k2)
-
-
-class TestFleissKappa:
-    def test_unanimous_two_categories(self):
-        ratings = [["A", "A", "A"], ["B", "B", "B"]]
-        assert fleiss_kappa(ratings, num_classes=2) == pytest.approx(1.0)
-
-    def test_hand_computed_quarter(self):
-        # items x raters: [[A,A,B],[B,B,B]]
-        # P1 = 1/3, P2 = 1, observed = 2/3; pA = 1/3, pB = 2/3,
-        # expected = 5/9; kappa = (2/3 - 5/9) / (4/9) = 1/4
-        ratings = [["A", "A", "B"], ["B", "B", "B"]]
-        assert fleiss_kappa(ratings, num_classes=2) == pytest.approx(0.25, abs=1e-12)
-
-    def test_manual_evaluation_three_classes(self):
-        ratings = [
-            ["ind", "ind", "not", "cant", "ind"],
-            ["not", "not", "not", "not", "ind"],
-            ["cant", "ind", "ind", "ind", "ind"],
-            ["not", "not", "cant", "not", "not"],
-            ["ind", "ind", "ind", "ind", "ind"],
-            ["cant", "cant", "not", "cant", "cant"],
-        ]
-        n_items, n_raters, classes = 6, 5, ("ind", "not", "cant")
-        counts = [
-            [sum(1 for label in row if label == c) for c in classes] for row in ratings
-        ]
-        p_j = [
-            sum(counts[i][j] for i in range(n_items)) / (n_items * n_raters)
-            for j in range(3)
-        ]
-        p_e = sum(p * p for p in p_j)
-        p_i = [
-            (sum(c * c for c in counts[i]) - n_raters) / (n_raters * (n_raters - 1))
-            for i in range(n_items)
-        ]
-        p_bar = sum(p_i) / n_items
-        manual = (p_bar - p_e) / (1 - p_e)
-        assert abs(fleiss_kappa(ratings, num_classes=3) - manual) < 1e-9
-
-    def test_missing_rating_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
-            fleiss_kappa([["A", None, "B"]], num_classes=2)
-
-    def test_ragged_matrix_rejected(self):
-        with pytest.raises(ValueError, match="all raters"):
-            fleiss_kappa([["A", "B"], ["A"]], num_classes=2)
-
-    def test_degenerate_unanimity(self):
-        with pytest.warns(UserWarning):
-            assert fleiss_kappa([["A", "A"], ["A", "A"]], num_classes=2) == 1.0
-
-    def test_two_rater_observed_matches_cohen_observed(self):
-        a = ["A", "B", "A", "B", "A", "A"]
-        b = ["A", "B", "B", "B", "A", "B"]
-        ratings = list(map(list, zip(a, b)))
-        # with 2 raters, per-item agreement is 1 when they agree else 0
-        n = len(a)
-        observed = sum(x == y for x, y in zip(a, b)) / n
-        p_i = [1.0 if x == y else 0.0 for x, y in zip(a, b)]
-        assert sum(p_i) / n == observed
-        k = fleiss_kappa(ratings, num_classes=2)
-        assert -1.0 <= k <= 1.0
 
 
 class TestCategorizeError:

@@ -7,25 +7,21 @@ from hypothesis import example, given, strategies as st
 
 from maasar import numbers
 from maasar.analysis import analyse
-from maasar.corpus import segment_sentences
+from maasar.corpus import Decision
 from maasar.detect import filter_candidates
 from maasar.lexicon import load_lexicon
 from maasar.numbers import (
     UNIT_ATTACH_WINDOW,
     NumberSpan,
     TimeUnit,
-    compose,
     detect_spans,
-    find_numbers,
     render_number,
     span_months,
-    to_months,
     token_roles,
-    unit_only_elimination,
 )
 from maasar.synthetic import generate_corpus
-from maasar.tokens import strip_token, stripped_tokens
-from samples import TWENTY_YEAR_SENTENCE, YEAR_AND_HALF_SENTENCE
+from maasar.tokens import EDGE_PUNCT, stripped_tokens
+from samples import TWENTY_YEAR_SENTENCE, YEAR_AND_HALF_SENTENCE, word_run_value
 
 # Hand-written reference table (independent of render_number): each entry
 # was checked against standard Hebrew usage before being frozen here.
@@ -60,87 +56,97 @@ HAND_TABLE = {
 
 def sentence_tokens(text):
     """The stripped tokens of the first sentence of ``text``."""
-    return stripped_tokens(segment_sentences(text)[0].text)
+    return stripped_tokens(Decision.from_text("c", text).texts[0])
+
+
+def unit_only_spans(spans):
+    return [span for span in spans if span.source == "unit_only_elimination"]
 
 
 class TestCompose:
+    """A number-word sequence composed into an integer, as ``detect_spans``
+    reads it (``word_run_value``)."""
+
     def test_hand_table(self, numerals):
         for words, value in HAND_TABLE.items():
-            assert compose(words.split(), numerals) == value, words
+            assert word_run_value(words.split(), numerals) == value, words
 
     def test_atomic_tens(self, numerals):
-        assert compose(["שלושים"], numerals) == 30
+        assert word_run_value(["שלושים"], numerals) == 30
 
     def test_tens_and_units(self, numerals):
-        assert compose(["עשרים", "ושמונה"], numerals) == 28
+        assert word_run_value(["עשרים", "ושמונה"], numerals) == 28
 
     def test_units_before_tens_rejected(self, numerals):
-        assert compose(["שלוש", "עשרים"], numerals) is None
+        assert word_run_value(["שלוש", "עשרים"], numerals) is None
 
     def test_tens_then_unit_without_conjunction_rejected(self, numerals):
-        assert compose(["עשרים", "שמונה"], numerals) is None
+        assert word_run_value(["עשרים", "שמונה"], numerals) is None
 
     def test_unknown_word_rejected(self, numerals):
-        assert compose(["שלומית"], numerals) is None
-        assert compose([], numerals) is None
+        assert word_run_value(["שלומית"], numerals) is None
+        assert word_run_value([], numerals) is None
 
     def test_zero(self, numerals):
-        assert compose(["אפס"], numerals) == 0
+        assert word_run_value(["אפס"], numerals) == 0
 
     def test_round_trip_both_genders(self, numerals):
         for n in range(1, 1000):
             for gender in ("feminine", "masculine"):
                 words = render_number(n, numerals, gender)
-                assert compose(words.split(), numerals) == n, (n, gender, words)
+                assert word_run_value(words.split(), numerals) == n, (n, gender, words)
 
     def test_every_listed_variant_parses(self, numerals):
         for word, value in {**numerals.units_words, **numerals.tens_words}.items():
-            assert compose([word], numerals) == value, word
+            assert word_run_value([word], numerals) == value, word
         for phrase, value in {**numerals.teens_words, **numerals.hundreds_words}.items():
-            assert compose(phrase.split(), numerals) == value, phrase
+            assert word_run_value(phrase.split(), numerals) == value, phrase
 
 
 class TestFindNumbers:
+    """Digit literals, number-word sequences and dual unit words, each with
+    the time unit it attaches to, as ``detect_spans`` finds them."""
+
     def test_digits_adjacent_to_month_word(self, numerals):
-        spans = find_numbers(sentence_tokens("הוא ירצה 48 חודשים במאסר."), numerals)
+        spans = detect_spans(sentence_tokens("הוא ירצה 48 חודשים במאסר."), numerals)
         (span,) = spans
         assert span.value == 48
         assert span.attached_unit is TimeUnit.MONTH
         assert span.unit_distance == 0
 
     def test_word_sequence_twenty_and_eight(self, numerals):
-        spans = find_numbers(sentence_tokens("עונש של עשרים ושמונה חודשים."), numerals)
+        spans = detect_spans(sentence_tokens("עונש של עשרים ושמונה חודשים."), numerals)
         (span,) = spans
         assert span.value == 28
         assert span.attached_unit is TimeUnit.MONTH
         assert span.end_token - span.start_token == 1
 
     def test_tens_word_with_month(self, numerals):
-        spans = find_numbers(sentence_tokens("שלושים חודשים של עבודה."), numerals)
+        spans = detect_spans(sentence_tokens("שלושים חודשים של עבודה."), numerals)
         (span,) = spans
         assert (span.value, span.attached_unit) == (30, TimeUnit.MONTH)
 
     def test_thousands_separator(self, numerals):
-        spans = find_numbers(sentence_tokens("סכום של 40,000 שקלים."), numerals)
+        spans = detect_spans(sentence_tokens("סכום של 40,000 שקלים."), numerals)
         assert spans[0].value == 40000
 
     def test_docket_fragment_is_single_unitless_span(self, numerals):
-        spans = find_numbers(sentence_tokens("ראו 1124/04 שם."), numerals)
+        spans = detect_spans(sentence_tokens("ראו 1124/04 שם."), numerals)
         (span,) = spans
         assert span.attached_unit is None
 
     def test_unit_before_number_does_not_attach(self, numerals):
-        spans = find_numbers(sentence_tokens("המאסר יחל ביום 31."), numerals)
+        spans = detect_spans(sentence_tokens("המאסר יחל ביום 31."), numerals)
         (span,) = spans
         assert span.value == 31
         assert span.attached_unit is None
 
     def test_number_stops_unit_scan(self, numerals):
-        spans = find_numbers(sentence_tokens("בין 30 ל-36 חודשים."), numerals)
+        spans = detect_spans(sentence_tokens("בין 30 ל-36 חודשים."), numerals)
         assert [s.attached_unit for s in spans] == [None, TimeUnit.MONTH]
 
     def test_unparseable_word_run_skipped(self, numerals):
-        assert find_numbers(sentence_tokens("שלוש עשרים מילים."), numerals) == []
+        assert detect_spans(sentence_tokens("שלוש עשרים מילים."), numerals) == []
 
     def test_spans_sorted_and_disjoint(self, numerals):
         spans = detect_spans(
@@ -179,25 +185,25 @@ class TestFindNumbers:
 
 class TestUnitOnlyElimination:
     def test_bare_year_of_imprisonment(self, numerals):
-        spans = unit_only_elimination(sentence_tokens("נגזרה עליו שנת מאסר בפועל."), numerals)
+        spans = detect_spans(sentence_tokens("נגזרה עליו שנת מאסר בפועל."), numerals)
         (span,) = spans
         assert (span.value, span.attached_unit) == (1, TimeUnit.YEAR)
         assert span.source == "unit_only_elimination"
 
     def test_twenty_plus_singular_year_binds_normally(self, numerals):
         s = sentence_tokens(TWENTY_YEAR_SENTENCE)
-        assert unit_only_elimination(s, numerals) == []
-        spans = find_numbers(s, numerals)
+        spans = detect_spans(s, numerals)
+        assert unit_only_spans(spans) == []
         assert (spans[0].value, spans[0].attached_unit) == (20, TimeUnit.YEAR)
         assert span_months(spans[0]) == 240
 
     def test_plural_preceded_by_digits_no_elimination(self, numerals):
         s = sentence_tokens("נגזרו עליו 12 חודשים מאחורי סורגים.")
-        assert unit_only_elimination(s, numerals) == []
+        assert unit_only_spans(detect_spans(s, numerals)) == []
 
     def test_calendar_year_reference_skipped(self, numerals):
         s = sentence_tokens("האירועים התרחשו בשנת מלחמה קשה אך שנת 2004 הוזכרה.")
-        spans = unit_only_elimination(s, numerals)
+        spans = unit_only_spans(detect_spans(s, numerals))
         assert all(s_.start_token != 7 for s_ in spans)
 
     def test_dual_year_from_find_numbers(self, numerals):
@@ -248,35 +254,38 @@ class TestTokenRoles:
         assert token_roles("", numerals).form is None
 
 
+def span_months_of(value, unit):
+    """The months of a span of ``value`` attached to ``unit``."""
+    return span_months(NumberSpan(0, 0, value, "digits", unit))
+
+
 class TestToMonths:
+    """Normalization of a duration to whole months, through ``span_months``."""
+
     def test_years(self):
-        assert to_months(2, TimeUnit.YEAR) == 24
+        assert span_months_of(2, TimeUnit.YEAR) == 24
 
     def test_months_identity(self):
-        assert to_months(15, TimeUnit.MONTH) == 15
+        assert span_months_of(15, TimeUnit.MONTH) == 15
 
     def test_thirty_days(self):
-        assert to_months(30, TimeUnit.DAY) == 1
+        assert span_months_of(30, TimeUnit.DAY) == 1
 
     def test_days_brute_force_against_formula(self):
         for days in range(1, 366):
-            assert to_months(days, TimeUnit.DAY) == int(days / 30 + 0.5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            to_months(-1, TimeUnit.MONTH)
+            assert span_months_of(days, TimeUnit.DAY) == int(days / 30 + 0.5)
 
     @given(st.integers(0, 500), st.integers(0, 500))
     def test_monotone_in_value(self, a, b):
         lo, hi = sorted((a, b))
         for unit in TimeUnit:
-            assert to_months(lo, unit) <= to_months(hi, unit)
+            assert span_months_of(lo, unit) <= span_months_of(hi, unit)
 
 
 # The numeral scanner before the token-roles table: each token is split for
-# conjunctions and searched for digits wherever it is looked at, and compose
-# strips and splits its tokens again. Kept as the reference that
-# detect_spans and compose must match.
+# conjunctions and searched for digits wherever it is looked at, and the
+# composer strips and splits its tokens again. Kept as the reference that
+# detect_spans must match.
 _THOUSANDS_RE = re.compile(r"^\d{1,3}(?:,\d{3})+$")
 _DIGIT_RUN_RE = re.compile(r"\d+")
 
@@ -297,7 +306,7 @@ def reference_split_conjunction(word, numerals):
 
 
 def reference_compose(word_tokens, numerals):
-    words = [strip_token(t) for t in word_tokens]
+    words = [t.strip(EDGE_PUNCT) for t in word_tokens]
     if not words or any(not w for w in words):
         return None
     norm = []
@@ -443,11 +452,15 @@ def reference_detect_spans(text, numerals):
     return spans
 
 
-def _scanner_pool(numerals):
+def _number_words(numerals):
+    """Every number word, bare and with each conjunction prefix."""
     words = sorted(numerals.vocabulary)
+    return words + [conj + word for conj in numerals.conjunction_forms for word in words]
+
+
+def _scanner_pool(numerals):
     return (
-        words
-        + [conj + word for conj in numerals.conjunction_forms for word in words]
+        _number_words(numerals)
         + sorted(numerals.teens_words)  # two tokens each
         + sorted(numerals.time_unit_words)
         + sorted(numerals.unit_only_words)
@@ -465,6 +478,11 @@ _scanner_token = st.tuples(
     st.sampled_from(["", "", "", ".", ",", ")", ":"]),
 ).map("".join)
 _scanner_texts = st.lists(_scanner_token, max_size=16).map(" ".join)
+_number_word_token = st.tuples(
+    st.sampled_from(["", "", "", "(", '"']),
+    st.sampled_from(_number_words(load_lexicon().numerals)),
+    st.sampled_from(["", "", "", ".", ",", ")", ":"]),
+).map("".join)
 
 
 @pytest.fixture(scope="module")
@@ -498,7 +516,7 @@ class TestScannerEquivalence:
             expected = reference_detect_spans(text, numerals)
             assert detect_spans(stripped_tokens(text), numerals) == expected
 
-    @given(st.lists(_scanner_token, max_size=6))
+    @given(st.lists(_number_word_token, max_size=6))
     def test_compose_equals_reference(self, numeral_variants, tokens):
         for numerals in numeral_variants:
-            assert compose(tokens, numerals) == reference_compose(tokens, numerals)
+            assert word_run_value(tokens, numerals) == reference_compose(tokens, numerals)
