@@ -9,7 +9,8 @@ so ``ExtractionResult``, ``EvaluationReport``, ``CorpusStats`` and
 (temp file + rename) and are byte-identical across runs given the same
 inputs, flags and seed. Every scoring value is read from the lexicon;
 the scoring flags (``--threshold``, the tier, structural and, for extract
-and eval, ``--duration-*`` weights) are ``load_lexicon`` overrides.
+and eval, ``--duration-*`` weights) are ``load_lexicon`` overrides. prelabel
+and train read no score, so they take ``--lexicon`` only.
 Exit codes: 0 success; 1 bad input, which is an ``InputError`` (a usage
 error, a malformed file or value) or an ``OSError``; 2 anything else, which
 is a bug.
@@ -166,7 +167,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_prelabel(args) -> int:
     decisions = _load_corpus_or_fail(args)
-    lexicon = _load_lexicon_with_overrides(args)
+    lexicon = load_lexicon(args.lexicon)
     records = []
     for decision in decisions:
         for index, auto_negative in prelabel_negatives(decision, lexicon):
@@ -190,7 +191,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_train(args) -> int:
     decisions = _load_corpus_or_fail(args)
-    lexicon = _load_lexicon_with_overrides(args)
+    lexicon = load_lexicon(args.lexicon)
     annotations = _annotations_or_fail(args, decisions)
     from .models import save_model
     from .pipeline import train_on_decisions
@@ -258,17 +259,18 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_lexicon_args(parser: argparse.ArgumentParser) -> None:
+def _add_lexicon_args(parser: argparse.ArgumentParser, scoring: bool = True) -> None:
     parser.add_argument(
         "--lexicon",
         default=None,
         help="lexicon file (default: $MAASAR_LEXICON or the bundled lexicon)",
     )
-    parser.add_argument(
-        "--threshold", type=_finite_float, default=None, help="override the rule-score floor"
-    )
-    _add_knob_args(parser, _TIER_KNOBS)
-    _add_knob_args(parser, _STRUCTURAL_KNOBS)
+    if scoring:
+        parser.add_argument(
+            "--threshold", type=_finite_float, default=None, help="override the rule-score floor"
+        )
+        _add_knob_args(parser, _TIER_KNOBS)
+        _add_knob_args(parser, _STRUCTURAL_KNOBS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prelabel", help="mark keyword-free sentences as auto negatives")
     _add_corpus_args(p)
-    _add_lexicon_args(p)
+    _add_lexicon_args(p, scoring=False)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_prelabel)
 
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a sentence classifier")
     _add_corpus_args(p)
-    _add_lexicon_args(p)
+    _add_lexicon_args(p, scoring=False)
     p.add_argument("--annotations", required=True)
     p.add_argument("--model", choices=["svm", "rf"], required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)

@@ -54,6 +54,8 @@ from itertools import compress, count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
+from .tokens import FORMAT_MARKS
+
 # Legal abbreviations whose trailing period must not end a sentence.
 # Entries are compared against the whole whitespace-delimited word that
 # precedes the period, after stripping opening brackets/quotes. That word
@@ -70,7 +72,8 @@ DEFAULT_ABBREVIATIONS = frozenset(
 # only when the pattern starts with a plain character class; it looks
 # through the group for it, and the skip halves the scan (``split`` over the
 # 2,000 seed-1 synthetic texts: 0.076 s, against 0.169 s for ([.?!]+)).
-_SPLIT_RUN = re.compile(r"([.?!][.?!]*)(?=\s|\Z)")
+# Format marks after the run belong to it, as they belong to its token.
+_SPLIT_RUN = re.compile(rf"([.?!][.?!]*[{FORMAT_MARKS}]*)(?=\s|\Z)")
 _OPENERS = "([{\"'"
 
 # An abbreviation that the word before a period matches is a suffix of
@@ -198,33 +201,31 @@ def _is_int(value: object) -> bool:
 
 _texts = _list_of(_is_text)
 
-# The values a field accepts: (test, description).
-Kind = tuple[Callable[[object], bool], str]
-
-# The JSON kinds ``field`` checks by name.
-_KINDS: dict[str, Kind] = {
+# The JSON kinds ``field`` checks, by name: (test, description).
+_KINDS: dict[str, tuple[Callable[[object], bool], str]] = {
     "object": (lambda v: isinstance(v, dict), "an object"),
     "list": (lambda v: isinstance(v, list), "a list"),
     "string": (_is_text, "a Unicode string"),
     "strings": (_texts, "a list of Unicode strings"),
     "nonempty_strings": (lambda v: _texts(v) and v != [], "a non-empty list of Unicode strings"),
     "int": (_is_int, "an integer"),
+    # numpy's generators refuse a negative seed
+    "nonnegative_int": (lambda v: _is_int(v) and v >= 0, "an integer of at least 0"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "number": (_is_number, "a finite number"),
     "numbers": (_list_of(_is_number), "a list of finite numbers"),
 }
 
 
-def field(doc: dict, name: str, kind: str | Kind, where: str, error: type = InputError):
+def field(doc: dict, name: str, kind: str, where: str, error: type = InputError):
     """``doc[name]``, refused with ``error`` (an ``InputError``) when it is
-    missing or not of ``kind``: a key of ``_KINDS``, or the ``Kind`` of the
-    values this one field accepts.
+    missing or not of ``kind``, a key of ``_KINDS``.
 
     ``where`` is the dotted path of ``doc``, starting with the label of its
     document ("model file", "lexicon.numerals.tens"); the error names the
     field by the rest of that path and ``name`` ("'numerals.tens.20'").
     """
-    test, described = _KINDS[kind] if isinstance(kind, str) else kind
+    test, described = _KINDS[kind]
     if name in doc and test(doc[name]):
         return doc[name]
     label, _, parent = where.partition(".")
@@ -287,11 +288,12 @@ def sentence_texts(raw_text: str) -> tuple[str, ...]:
     """Split text into stripped, non-empty sentence texts on terminal
     punctuation (. ? !).
 
-    A maximal run of terminals only splits when followed by whitespace or
-    end of text, which keeps decimal numbers, dates (31.5.12) and docket
-    tokens (1124/04) intact; a lone period never splits after one of the
-    ``DEFAULT_ABBREVIATIONS`` (the word back to the previous whitespace,
-    opening brackets and quotes stripped).
+    A maximal run of terminals, with any ``tokens.FORMAT_MARKS`` after it,
+    only splits when followed by whitespace or end of text, which keeps
+    decimal numbers, dates (31.5.12) and docket tokens (1124/04) intact; a
+    lone period never splits after one of the ``DEFAULT_ABBREVIATIONS`` (the
+    word back to the previous whitespace, opening brackets and quotes
+    stripped).
     """
     # [chunk, run, chunk, ..., run, chunk]; the "" appended is the last
     # chunk's run, so that every text is chunk + run
@@ -301,7 +303,8 @@ def sentence_texts(raw_text: str) -> tuple[str, ...]:
     joins = [
         i
         for i in compress(count(), map(str.endswith, chunks, repeat(_ABBREVIATION_SUFFIXES)))
-        if runs[i] == "." and _word_before(chunks[i]).lstrip(_OPENERS) in DEFAULT_ABBREVIATIONS
+        if runs[i].rstrip(FORMAT_MARKS) == "."
+        and _word_before(chunks[i]).lstrip(_OPENERS) in DEFAULT_ABBREVIATIONS
     ]
     # Joins i, i + 1, ..., j in a row make one text of chunks and runs i to
     # j + 1, kept at chunk j + 1 and joined once, so that a long row costs

@@ -100,19 +100,9 @@ class TierHit:
     weight: float
 
 
-def _tier_count(tier: str) -> property:
-    slot = TIER_NAMES.index(tier)
-    return property(lambda self: self.counts()[slot], doc=f"Number of {tier} hits.")
-
-
 @dataclass(frozen=True)
 class TierHits:
     hits: tuple[TierHit, ...] = ()
-
-    strong_positive = _tier_count("strong_positive")
-    moderate_positive = _tier_count("moderate_positive")
-    moderate_negative = _tier_count("moderate_negative")
-    strong_negative = _tier_count("strong_negative")
 
     def counts(self) -> tuple[int, ...]:
         """The number of hits of each tier, in ``TIER_NAMES`` order, from one pass."""

@@ -1,34 +1,39 @@
 """Trainable sentence classifiers and their persistence format.
 
-Two learners, both self-contained and deterministic under a fixed seed:
+Two learners, each of one configuration, its ``hyperparams`` record, which
+``fit`` implements; only the seed is chosen, and a fit is deterministic
+under it:
 
-* ``LinearMarginClassifier`` -- L2-regularized hinge loss minimized by
-  full-batch subgradient descent, followed by a symmetric one-parameter
-  sigmoid calibration fitted on the training margins (so a zero margin
-  always maps to probability 0.5).
-* ``TreeEnsembleClassifier`` -- bagged decision trees grown to purity with
-  impurity (gini) splits; the predicted probability is exactly the fraction
-  of trees voting for the positive class. ``fit`` ranks each feature once:
-  per column, its sorted distinct values and every row's rank among them.
-  A node sorts nothing. Per evaluated feature it counts its rows and its
-  positive rows per rank, and the running sums over the ranks present give
-  every cut's side sizes. All cuts of the node's evaluated features are
-  then scored in one vectorised pass, with the per-cut float expression and
-  the ``(impurity, feature, threshold)`` tie-break of the CART splitter
-  (Breiman et al., 1984), so trees do not depend on how cuts are counted.
-  A threshold is the midpoint of two adjacent present values, or the lower
-  one where the midpoint rounds onto the upper (adjacent floats) or
-  overflows, and children are routed by ``value <= threshold`` on the
-  floats, not by rank. Ranking
-  per fit and not presorting per tree (SLIQ, Mehta et al., EDBT 1996) is
-  deliberate: a forest fitted on a cross-validation fold splits about 4
-  times per tree, so a per-tree presort of all 13 columns would cost about
-  what the per-node sorts it replaces did. A fitted ensemble is held as
-  flat node lists (the nested-dict trees exist only in the model file and
+* ``LinearMarginClassifier`` -- L2-regularized hinge loss, each class's
+  term weighed by ``n / (2 * class count)`` ("balanced"), minimized by
+  full-batch subgradient descent at a step of ``learning_rate / (1 + 0.01 *
+  epoch)``, followed by a symmetric one-parameter sigmoid calibration
+  fitted on the training margins (so a zero margin always maps to
+  probability 0.5).
+* ``TreeEnsembleClassifier`` -- bagged decision trees grown to purity, each
+  node evaluating the first ``max(1, int(sqrt(d)))`` ("sqrt") of its ``d``
+  features, in a random order, that are not constant on it, with impurity
+  (gini) splits; the predicted probability is exactly the fraction of trees
+  voting for the positive class. ``fit`` ranks each feature once: per
+  column, its sorted distinct values and every row's rank among them. A node
+  sorts nothing. Per evaluated feature it counts its rows and its positive
+  rows per rank, and the running sums over the ranks present give every
+  cut's side sizes. All cuts of the node's evaluated features are then
+  scored in one vectorised pass, with the per-cut float expression and the
+  ``(impurity, feature, threshold)`` tie-break of the CART splitter (Breiman
+  et al., 1984), so trees do not depend on how cuts are counted. A threshold
+  is the midpoint of two adjacent present values, or the lower one where the
+  midpoint rounds onto the upper (adjacent floats) or overflows, and
+  children are routed by ``value <= threshold`` on the floats, not by rank.
+  Ranking per fit and not presorting per tree (SLIQ, Mehta et al., EDBT
+  1996) is deliberate: a forest fitted on a cross-validation fold splits
+  about 4 times per tree, so a per-tree presort of all 13 columns would cost
+  about what the per-node sorts it replaces did. A fitted ensemble is held
+  as flat node lists (the nested-dict trees exist only in the model file and
   ``state_dict``), and it is scored in pure Python over binned rows. Per
-  feature the forest tests, its cuts are the sorted distinct thresholds,
-  and a row's key holds, per such feature, ``bisect_left`` of its value in
-  the cuts: ``value <= cuts[i]`` exactly when ``i >= key``, so each node
+  feature the forest tests, its cuts are the sorted distinct thresholds, and
+  a row's key holds, per such feature, ``bisect_left`` of its value in the
+  cuts: ``value <= cuts[i]`` exactly when ``i >= key``, so each node
   compares two ints and routes as ``value <= threshold`` does. Rows of one
   key share every route, so each distinct key of a call is walked through
   every tree once. Measured on the 11,023 candidate rows of the seed-1
@@ -53,20 +58,16 @@ one-row and per-decision calls, and scoring 256 decisions per call instead
 of one moved 294 margins by at most 8.9e-16 and changed no choice. The
 margin stays ``X @ w`` so that linear model files do not move.
 
-Each learner is a dataclass whose fields are its hyperparameters: one
-declaration gives each its name, default and accepted values, and the
-constructor refuses a value outside them. ``save_model`` writes the fields
-as the model file's ``hyperparams``, through ``corpus.write_atomic``.
-
-Model files are versioned JSON carrying the kind, feature schema version,
-seed, hyperparameters and all fitted state. ``load_model`` checks every
-field with ``corpus.field``, so every number is finite, and refuses a file
-that scoring could not use: an unknown format version, kind or
-hyperparameter, a missing or unaccepted hyperparameter, a ``hyperparams``
-seed other than ``rng_seed``, another feature schema version (a file
-written before schema 2 among them) or a feature count other than the
-schema's; ``TrainedModel`` itself refuses the last however it is built. Its
-kind, seed and feature schema version are not stored apart: they are the
+Model files are versioned JSON, written through ``corpus.write_atomic``,
+carrying the kind, feature schema version, seed, hyperparameters and all
+fitted state. ``load_model`` checks every field, so every number is finite,
+and refuses a file that scoring could not use or that no fit writes: an
+unknown format version or kind, ``hyperparams`` other than the learner's
+record plus a ``seed`` equal to ``rng_seed`` (compared by type too: ``100.0``
+trees or a ``true`` leaf size are refused), another feature schema version
+(a file written before schema 2 among them) or a feature count other than
+the schema's; ``TrainedModel`` itself refuses the last however it is built.
+Its kind, seed and feature schema version are not stored apart: they are the
 classifier's class, the classifier's seed and the library's. Each of these,
 and training data with no records or a single class, raises ``InputError``
 (exit 1 in the CLI); anything else is a bug.
@@ -74,7 +75,6 @@ and training data with no records or a single class, raises ``InputError``
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from bisect import bisect_left
@@ -82,9 +82,9 @@ from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
-from .corpus import InputError, _is_int, _is_number, field, read_input, write_atomic
+from .corpus import InputError, field, read_input, write_atomic
 from .features import FEATURE_SCHEMA_VERSION, NUM_FEATURES
 
 if TYPE_CHECKING:
@@ -157,48 +157,23 @@ def check_binary_labels(y, n_samples: int | None = None) -> np.ndarray:
     return y.astype(int)
 
 
-def _hyperparameter(default, accepts: Callable[[object], bool], described: str):
-    """A learner's hyperparameter field: its default, and the values it
-    accepts as a ``corpus.field`` kind."""
-    return dataclasses.field(default=default, metadata={"kind": (accepts, described)})
-
-
-def _checked_hyperparams(learner: type, params: dict, where: str) -> dict:
-    """``learner``'s hyperparameters, each read from ``params`` through
-    ``corpus.field`` under ``where``: a missing or unaccepted one raises
-    InputError naming it."""
-    fields = dataclasses.fields(learner)
-    return {f.name: field(params, f.name, f.metadata["kind"], where) for f in fields}
-
-
-def _is_count(value: object) -> bool:
-    return _is_int(value) and value >= 1
-
-
-_COUNT = (_is_count, "an integer of at least 1")
-# numpy's generators refuse a negative seed
-_SEED = (lambda v: _is_int(v) and v >= 0, "an integer of at least 0")
-
-
 @dataclass(eq=False)
-class LinearMarginClassifier:
-    """Linear max-margin classifier trained by subgradient descent."""
+class _Learner:
+    """A learner of one configuration, ``hyperparams``; only ``seed`` is chosen."""
 
-    kind: ClassVar[str] = "linear_margin"
-    learning_rate: float = _hyperparameter(
-        0.5, lambda v: _is_number(v) and v > 0, "a finite number above 0"
-    )
-    epochs: int = _hyperparameter(800, *_COUNT)
-    l2: float = _hyperparameter(
-        1e-4, lambda v: _is_number(v) and v >= 0, "a finite number of at least 0"
-    )
-    class_weight: str | None = _hyperparameter(
-        "balanced", lambda v: v in ("balanced", None), "'balanced' or null"
-    )
-    seed: int = _hyperparameter(0, *_SEED)
+    kind: ClassVar[str]
+    hyperparams: ClassVar[dict]
+    seed: int = 0
 
     def __post_init__(self):
-        _checked_hyperparams(type(self), dataclasses.asdict(self), type(self).__name__)
+        field(vars(self), "seed", "nonnegative_int", type(self).__name__)
+
+
+class LinearMarginClassifier(_Learner):
+    """Linear max-margin classifier trained by subgradient descent."""
+
+    kind = "linear_margin"
+    hyperparams = {"learning_rate": 0.5, "epochs": 800, "l2": 1e-4, "class_weight": "balanced"}
 
     def fit(self, X, y):
         import numpy as np
@@ -207,22 +182,18 @@ class LinearMarginClassifier:
         y = check_binary_labels(y, X.shape[0])
         signs = 2.0 * y - 1.0
         n, d = X.shape
-        if self.class_weight == "balanced":
-            # weight the hinge term so rare positives are not drowned out
-            class_counts = np.bincount(y, minlength=2)
-            sample_weight = (n / (2.0 * class_counts))[y]
-        else:
-            sample_weight = np.ones(n)
+        # "balanced": weight the hinge term so rare positives are not drowned out
+        sample_weight = (n / (2.0 * np.bincount(y, minlength=2)))[y]
 
         w = np.zeros(d)
         b = 0.0
-        # a step too large overflows; the result is refused below, not warned about
+        # huge feature values overflow; the result is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(1, self.epochs + 1):
+            for epoch in range(1, self.hyperparams["epochs"] + 1):
                 margins = signs * (X @ w + b)
                 violating = margins < 1.0
-                lr = self.learning_rate / (1.0 + 0.01 * epoch)
-                grad_w = self.l2 * w
+                lr = self.hyperparams["learning_rate"] / (1.0 + 0.01 * epoch)
+                grad_w = self.hyperparams["l2"] * w
                 grad_b = 0.0
                 if violating.any():
                     coef = (sample_weight * signs)[violating]
@@ -233,8 +204,8 @@ class LinearMarginClassifier:
             scale = self._fit_calibration(X @ w + b, y)
         if not np.isfinite(np.append(w, (b, scale))).all():
             raise InputError(
-                f"linear margin fit diverged to non-finite weights with learning_rate "
-                f"{self.learning_rate!r} and l2 {self.l2!r}; lower them"
+                "linear margin fit diverged to non-finite weights; the feature values "
+                "are too large"
             )
         self.weights_ = w
         self.bias_ = b
@@ -329,12 +300,11 @@ def _best_split(
     labels: np.ndarray,
     rng: np.random.Generator,
     max_features: int,
-    min_leaf: int,
 ) -> tuple[np.int64, np.float64] | None:
     """The node's ``(feature, threshold)`` of least ``(impurity, feature,
     threshold)`` over the first ``max_features`` features, in a random order,
-    that are not constant on it; None when no cut leaves ``min_leaf`` rows on
-    both sides."""
+    that are not constant on it; None when every feature is constant on it.
+    A cut between two present values leaves a row on each side."""
     import numpy as np
 
     n = len(indices)
@@ -362,10 +332,7 @@ def _best_split(
         np.concatenate, (features, lower, upper, left_n, left_pos)
     )
     impurity = _cut_impurities(left_n, left_pos, n, len(positives))
-    impurity[(left_n < min_leaf) | (n - left_n < min_leaf)] = np.inf
     lowest = impurity.min()
-    if lowest == np.inf:
-        return None
     # least feature among the lowest impurities, then its first (lowest) cut
     ties = np.nonzero(impurity == lowest)[0]
     at = ties[np.argmin(features[ties])]
@@ -383,25 +350,23 @@ def _grow_tree(
     indices: np.ndarray,
     rng: np.random.Generator,
     max_features: int,
-    min_leaf: int,
-    max_depth: int | None,
-    depth: int = 0,
 ) -> dict:
+    """A tree grown to purity on the rows ``indices``: a node splits unless
+    its rows share a label or every feature is constant on them."""
     labels = y[indices]
     positive = int(labels.sum())
     n = len(indices)
     split = None
-    if 0 < positive < n and n > min_leaf and (max_depth is None or depth < max_depth):
-        split = _best_split(columns, indices, labels, rng, max_features, min_leaf)
+    if 0 < positive < n:
+        split = _best_split(columns, indices, labels, rng, max_features)
     if split is None:
         return {"vote": 1 if 2 * positive > n else 0}
 
     # routed by the float threshold, which lies below the cut's upper value
     feature, threshold = split
     mask = X[indices, feature] <= threshold
-    args = (rng, max_features, min_leaf, max_depth, depth + 1)
-    left = _grow_tree(X, y, columns, indices[mask], *args)
-    right = _grow_tree(X, y, columns, indices[~mask], *args)
+    left = _grow_tree(X, y, columns, indices[mask], rng, max_features)
+    right = _grow_tree(X, y, columns, indices[~mask], rng, max_features)
     return {"feature": int(feature), "threshold": float(threshold), "left": left, "right": right}
 
 
@@ -501,32 +466,11 @@ class _FlatTrees:
         return out
 
 
-@dataclass(eq=False)
-class TreeEnsembleClassifier:
+class TreeEnsembleClassifier(_Learner):
     """Bagged gini decision trees voting on the positive class."""
 
-    kind: ClassVar[str] = "tree_ensemble"
-    n_trees: int = _hyperparameter(100, *_COUNT)
-    max_features: int | str = _hyperparameter(
-        "sqrt",
-        lambda v: v in ("sqrt", "all") or _is_count(v),
-        "'sqrt', 'all' or an integer of at least 1",
-    )
-    min_leaf: int = _hyperparameter(1, *_COUNT)
-    max_depth: int | None = _hyperparameter(
-        None, lambda v: v is None or _is_count(v), "null or an integer of at least 1"
-    )
-    seed: int = _hyperparameter(0, *_SEED)
-
-    def __post_init__(self):
-        _checked_hyperparams(type(self), dataclasses.asdict(self), type(self).__name__)
-
-    def _resolve_max_features(self, n_features: int) -> int:
-        if self.max_features == "sqrt":
-            return max(1, int(math.sqrt(n_features)))
-        if self.max_features == "all":
-            return n_features
-        return min(self.max_features, n_features)
+    kind = "tree_ensemble"
+    hyperparams = {"n_trees": 100, "max_features": "sqrt", "min_leaf": 1, "max_depth": None}
 
     def fit(self, X, y):
         import numpy as np
@@ -534,19 +478,15 @@ class TreeEnsembleClassifier:
         X = check_feature_matrix(X)
         y = check_binary_labels(y, X.shape[0])
         n = X.shape[0]
-        max_features = self._resolve_max_features(X.shape[1])
+        max_features = max(1, int(math.sqrt(X.shape[1])))  # "sqrt"
         root_rng = np.random.default_rng(self.seed)
-        tree_seeds = root_rng.integers(0, 2**63 - 1, size=self.n_trees)
+        tree_seeds = root_rng.integers(0, 2**63 - 1, size=self.hyperparams["n_trees"])
         columns = _rank_columns(X)
         trees = []
         for tree_seed in tree_seeds:
             rng = np.random.default_rng(int(tree_seed))
             sample = np.sort(rng.integers(0, n, size=n))
-            trees.append(
-                _grow_tree(
-                    X, y, columns, sample, rng, max_features, self.min_leaf, self.max_depth
-                )
-            )
+            trees.append(_grow_tree(X, y, columns, sample, rng, max_features))
         self.n_features_in_ = X.shape[1]
         self.flat_trees_ = _FlatTrees.from_trees(trees, self.n_features_in_)
         return self
@@ -624,7 +564,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "kind": model.kind,
         "feature_schema_version": FEATURE_SCHEMA_VERSION,
         "rng_seed": model.classifier.seed,
-        "hyperparams": dataclasses.asdict(model.classifier),
+        "hyperparams": {**model.classifier.hyperparams, "seed": model.classifier.seed},
         "state": model.classifier.state_dict(),
     }
     write_atomic(path, json.dumps(doc, ensure_ascii=False, sort_keys=True))
@@ -647,16 +587,25 @@ def load_model(path: str | Path) -> TrainedModel:
     rng_seed = field(doc, "rng_seed", "int", "model file")
     learner = _LEARNERS[kind]
     params = field(doc, "hyperparams", "object", "model file")
-    unknown = sorted(params.keys() - {f.name for f in dataclasses.fields(learner)})
+    unknown = sorted(params.keys() - {*learner.hyperparams, "seed"})
     if unknown:
         raise InputError(
             f"model file field 'hyperparams' has unknown {kind} hyperparameters {unknown}"
         )
-    classifier = learner(**_checked_hyperparams(learner, params, "model file.hyperparams"))
-    if classifier.seed != rng_seed:
+    for name, value in learner.hyperparams.items():
+        if name not in params:
+            raise InputError(f"model file is missing the 'hyperparams.{name}' field")
+        # compared by type too: true is not 1, nor 100.0 an integer
+        if type(params[name]) is not type(value) or params[name] != value:
+            raise InputError(
+                f"model file field 'hyperparams.{name}' must be {value!r} (the {kind} "
+                f"configuration), got {params[name]!r}"
+            )
+    seed = field(params, "seed", "nonnegative_int", "model file.hyperparams")
+    if seed != rng_seed:
         raise InputError(
-            f"model file field 'hyperparams.seed' must equal 'rng_seed' ({rng_seed}), "
-            f"got {classifier.seed}"
+            f"model file field 'hyperparams.seed' must equal 'rng_seed' ({rng_seed}), got {seed}"
         )
+    classifier = learner(seed=seed)
     classifier.load_state_dict(field(doc, "state", "object", "model file"))
     return TrainedModel(classifier)

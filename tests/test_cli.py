@@ -814,6 +814,21 @@ class TestErrorHandling:
         assert "error: " in err and "internal error" not in err
 
     @pytest.mark.parametrize(
+        "flag", ["--threshold", "--weight-strong-positive", "--number-with-unit-bonus"]
+    )
+    @pytest.mark.parametrize("command", ["prelabel", "train"])
+    def test_score_flags_unrecognized_where_no_score_is_read(
+        self, workspace, capsys, tmp_path, command, flag
+    ):
+        argv = [command, *corpus_args(workspace), "--out", str(tmp_path / "o")]
+        if command == "train":
+            argv += ["--annotations", str(workspace["annotations"]), "--model", "rf"]
+        capsys.readouterr()
+        assert run([*argv, flag, "3"]) == 1
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "what, content",
         [
             ("lexicon", b'{"threshold": '),

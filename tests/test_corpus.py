@@ -22,6 +22,7 @@ from maasar.corpus import (
     prelabel_negatives,
 )
 from maasar.synthetic import generate_corpus, write_corpus
+from maasar.tokens import FORMAT_MARKS
 
 
 def sentences_of(text):
@@ -60,6 +61,14 @@ class TestSegmentation:
         text = "ראו ת.פ. 1124/04 שם נקבע אחרת."
         assert len(sentences_of(text)) == 1
 
+    def test_format_marks_after_a_period(self):
+        # a run of terminals keeps the marks after it, so it still ends a
+        # sentence, and an abbreviation's period still joins
+        assert [s.text for s in sentences_of("נגזר.\u200f עונש.\u202c\u200e")] == [
+            "נגזר.\u200f", "עונש.\u202c\u200e"
+        ]
+        assert len(sentences_of("ראו עמ.\u200f 5 שם.")) == 1
+
     def test_default_abbreviations_are_bare_words(self):
         # the splitter compares each entry with the word before a lone period,
         # which never ends in a period: an entry "עמ." or "" would never match
@@ -95,7 +104,8 @@ class TestSegmentation:
 def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
     """The character-by-character splitter that ``sentence_texts`` replaced,
     with the documented abbreviation rule: an entry, less one trailing
-    period, equals the non-empty word before a lone period, openers stripped."""
+    period, equals the non-empty word before a lone period, openers stripped.
+    Format marks after a run of terminals go with it."""
     abbrev = {a[:-1] if a.endswith(".") else a for a in abbreviations}
     chunks = []
     start = 0
@@ -106,15 +116,18 @@ def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
             j = i
             while j + 1 < n and raw_text[j + 1] in ".?!":
                 j += 1
-            if j + 1 >= n or raw_text[j + 1].isspace():
+            k = j  # the run's last character, format marks after it included
+            while k + 1 < n and raw_text[k + 1] in FORMAT_MARKS:
+                k += 1
+            if k + 1 >= n or raw_text[k + 1].isspace():
                 word_start = i
                 while word_start > start and not raw_text[word_start - 1].isspace():
                     word_start -= 1
                 word = raw_text[word_start:i].lstrip("([{\"'")
                 if not (raw_text[i] == "." and i == j and word and word in abbrev):
-                    chunks.append(raw_text[start : j + 1])
-                    start = j + 1
-            i = j + 1
+                    chunks.append(raw_text[start : k + 1])
+                    start = k + 1
+            i = k + 1
         else:
             i += 1
     if start < n:
@@ -133,7 +146,7 @@ _WORDS = [
     "", "א", "בית", "x", "7", "3.5", "31.5.12", "ת.פ", "מס", "עמ", "בג.ץ", "ע.פ.", "xת.פ", "a.ת.פ"
 ]
 _OPENS = ["", "", "(", "[", '"', "'", "(("]
-_RUNS = ["", "", ".", ".", "..", "?", "!", "?!", ".?", "..."]
+_RUNS = ["", "", ".", ".", "..", "?", "!", "?!", ".?", "...", ".\u200f", "?\u200e\ufeff", ".\u202c."]
 _GAPS = ["", " ", " ", "  ", "\n", "\t", "\x1c", "\u00a0", "\u2003", " \n "]
 _texts = st.lists(
     st.tuples(*(st.sampled_from(pieces) for pieces in (_OPENS, _WORDS, _RUNS, _GAPS))),

@@ -81,13 +81,14 @@ class TestRuleScore:
 
     def test_docket_past_tense_below_threshold(self, lexicon):
         scored = rule_score(sentence(PRIOR_CASE_ROW), lexicon)
-        hits = scored.analysis.tier_hits
+        counts = scored.analysis.tier_hits.counts()
+        moderate_negative = counts[TIER_NAMES.index("moderate_negative")]
         expected = (
-            hits.moderate_negative * lexicon.tier_weights["moderate_negative"]
+            moderate_negative * lexicon.tier_weights["moderate_negative"]
             + lexicon.structural.number_with_unit_bonus
             + 2 * lexicon.structural.fine_marker_penalty
         )
-        assert hits.moderate_negative >= 2  # slash and the past-tense verb at least
+        assert moderate_negative >= 2  # slash and the past-tense verb at least
         assert scored.score == expected
         assert scored.score < lexicon.threshold
 

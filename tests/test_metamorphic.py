@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maasar.analysis import DOCKET_RE
@@ -15,6 +15,7 @@ from maasar.detect import rule_based_choices
 from maasar.extraction import extract
 from maasar.numbers import render_number
 from maasar.synthetic import FILLERS, _distractors, generate_corpus
+from maasar.tokens import FORMAT_MARKS
 
 NUM_DECISIONS = 60
 
@@ -108,3 +109,31 @@ def test_moving_the_verdict_within_the_last_30_percent(lexicon, corpus, index, w
     texts.insert(start + round(where * (len(texts) - start)), verdict)
     expected = rule_based_months(decision, lexicon)
     assert rule_based_months(rebuilt(decision, texts), lexicon) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=decision_indices,
+    insertions=st.lists(
+        st.tuples(st.floats(0, 1), st.booleans(), st.sampled_from(FORMAT_MARKS)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(index=33, insertions=[(1.0, False, "\u200b")])  # after the verdict's final period
+def test_format_marks_at_token_edges_of_the_verdict(lexicon, corpus, index, insertions):
+    decision = corpus.decisions[index]
+    gold = corpus.gold[decision.case_id].sentence_index
+    texts = [s.text for s in decision.sentences]
+    tokens = texts[gold].split()
+    for where, before, mark in insertions:
+        at = round(where * (len(tokens) - 1))
+        tokens[at] = mark + tokens[at] if before else tokens[at] + mark
+    texts[gold] = " ".join(tokens)
+
+    def outcome(decision):
+        [chosen] = rule_based_choices([decision], lexicon)
+        result = extract(decision, chosen, lexicon)
+        return result.months, result.method, result.sentence_index
+
+    assert outcome(rebuilt(decision, texts)) == outcome(decision)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -118,8 +119,8 @@ class TestFeaturize:
             assert fv[FEATURE_NAMES.index("has_time_unit")] in (0.0, 1.0)
 
 
-# The hyperparams of a model file trained with seed 3: the learners' defaults,
-# whose keys and values every existing model file carries.
+# The hyperparams of a model file trained with seed 3: each learner's one
+# configuration, whose keys and values every model file carries.
 MODEL_FILE_HYPERPARAMS = {
     "linear_margin": {
         "class_weight": "balanced", "epochs": 800, "l2": 0.0001, "learning_rate": 0.5, "seed": 3
@@ -128,6 +129,25 @@ MODEL_FILE_HYPERPARAMS = {
         "max_depth": None, "max_features": "sqrt", "min_leaf": 1, "n_trees": 100, "seed": 3
     },
 }
+
+
+@pytest.fixture(scope="module")
+def model_docs(tmp_path_factory):
+    """Per kind, the document of a model file trained with seed 3."""
+    X, y = separable_data()
+    docs = {}
+    for kind in MODEL_FILE_HYPERPARAMS:
+        path = tmp_path_factory.mktemp(kind) / "model.json"
+        save_model(train(X, y, kind, seed=3), path)
+        docs[kind] = json.loads(path.read_text(encoding="utf-8"))
+    return docs
+
+
+def load_doc(doc, tmp_path):
+    """``load_model`` of a model file holding ``doc``."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_model(path)
 
 
 @pytest.mark.parametrize("kind", ["linear_margin", "tree_ensemble"])
@@ -197,25 +217,23 @@ class TestLearnersCommon:
         assert path.read_bytes() == b"the old model file"
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]  # no temp file left
 
-    def test_model_file_hyperparams(self, kind, tmp_path):
-        X, y = separable_data()
-        save_model(train(X, y, kind, seed=3), tmp_path / "m")
-        doc = json.loads((tmp_path / "m").read_text(encoding="utf-8"))
-        assert doc["hyperparams"] == MODEL_FILE_HYPERPARAMS[kind]
+    def test_model_file_hyperparams(self, kind, model_docs):
+        assert model_docs[kind]["hyperparams"] == MODEL_FILE_HYPERPARAMS[kind]
 
 
 class TestTreeEnsemble:
     def test_probability_is_exact_vote_fraction(self):
         X, y = separable_data()
-        clf = TreeEnsembleClassifier(n_trees=100, seed=0).fit(X, y)
+        clf = TreeEnsembleClassifier(seed=0).fit(X, y)
         trees = [{"vote": 1}] * 80 + [{"vote": 0}] * 20
         clf.load_state_dict({"trees": trees, "n_features_in": NUM_FEATURES})
         assert clf.predict_proba(X[:1]) == [80 / 100]
 
     def test_probabilities_are_vote_multiples(self):
         X, y = separable_data()
-        clf = TreeEnsembleClassifier(n_trees=25, seed=0).fit(X, y)
-        votes = np.array(clf.predict_proba(X)) * 25
+        clf = TreeEnsembleClassifier(seed=0).fit(X, y)
+        assert len(clf.trees_) == 100
+        votes = np.array(clf.predict_proba(X)) * 100
         assert np.allclose(votes, np.round(votes))
 
     @pytest.mark.parametrize(
@@ -230,11 +248,12 @@ class TestTreeEnsemble:
         ids=["adjacent", "negative-overflow", "positive-overflow"],
     )
     def test_split_threshold_separates_its_cut(self, values):
-        X = [[v] for v in values]
-        clf = TreeEnsembleClassifier(n_trees=1, seed=0).fit(X, [0, 0, 1, 1])
-        [tree] = clf.trees_
+        X = np.array([[v] for v in values])
+        rng = np.random.default_rng(0)
+        tree = _grow_tree(X, np.array([0, 0, 1, 1]), _rank_columns(X), np.arange(4), rng, 1)
         assert values[1] <= tree["threshold"] < values[2]
-        assert [p >= 0.5 for p in clf.predict_proba(X)] == [False, False, True, True]
+        clf = TreeEnsembleClassifier().load_state_dict({"trees": [tree], "n_features_in": 1})
+        assert clf.predict_proba(X) == [0.0, 0.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -261,9 +280,45 @@ class TestTreeEnsemble:
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
 )
-def test_unaccepted_hyperparameter_refused(learner, name, value):
-    with pytest.raises(InputError, match=f"^{learner.__name__} field '{name}' must be"):
-        learner(**{name: value})
+def test_unaccepted_hyperparameter_refused(model_docs, tmp_path, learner, name, value):
+    doc = model_docs[learner.kind]
+    with pytest.raises(InputError, match=f"^model file field 'hyperparams.{name}' must "):
+        load_doc({**doc, "hyperparams": {**doc["hyperparams"], name: value}}, tmp_path)
+    if name == "seed":
+        with pytest.raises(InputError, match=f"^{learner.__name__} field 'seed' must be"):
+            learner(seed=value)
+    else:
+        # the seed is a learner's only argument
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            learner(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        ("tree_ensemble", "n_trees", 50),
+        ("tree_ensemble", "max_features", "all"),
+        ("tree_ensemble", "max_features", 2),
+        ("tree_ensemble", "min_leaf", 2),
+        ("tree_ensemble", "max_depth", 3),
+        ("linear_margin", "learning_rate", 0.1),
+        ("linear_margin", "epochs", 10),
+        ("linear_margin", "l2", 0.0),
+        ("linear_margin", "class_weight", None),
+        # equal in Python, but of another JSON type
+        ("tree_ensemble", "min_leaf", True),
+        ("tree_ensemble", "n_trees", 100.0),
+        ("linear_margin", "epochs", 800.0),
+    ],
+    ids=str,
+)
+def test_other_configuration_refused(model_docs, tmp_path, kind, name, value):
+    doc = model_docs[kind]
+    expected = MODEL_FILE_HYPERPARAMS[kind][name]
+    message = f"model file field 'hyperparams.{name}' must be {expected!r} (the {kind} "
+    message += f"configuration), got {value!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_doc({**doc, "hyperparams": {**doc["hyperparams"], name: value}}, tmp_path)
 
 
 class TestLinearMargin:
@@ -273,7 +328,6 @@ class TestLinearMargin:
         clf.bias_ = 0.0
         clf.n_features_in_ = NUM_FEATURES
         clf.calibration_scale_ = 3.7
-        clf.calibration_offset_ = 0.0
         assert clf.predict_proba(np.ones((1, NUM_FEATURES))) == [0.5]
 
     def test_calibration_exposed(self):
@@ -282,19 +336,26 @@ class TestLinearMargin:
         assert model.classifier.state_dict()["calibration"]["offset"] == 0.0
         assert model.classifier.calibration_scale_ > 0
 
-    @pytest.mark.parametrize(
-        "hyperparams", [{"learning_rate": 1e6}, {"learning_rate": 1e300}, {"l2": 1e6}]
-    )
-    def test_diverging_fit_refused(self, hyperparams):
+    @staticmethod
+    def scaled_problem(scale):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, NUM_FEATURES))
-        y = (rng.random(40) < 0.5).astype(int)
-        clf = LinearMarginClassifier(**hyperparams)
+        return X * scale, (rng.random(40) < 0.5).astype(int)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_diverging_fit_refused(self, scale):
+        clf = LinearMarginClassifier()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's overflow warnings stay inside fit
-            with pytest.raises(InputError, match="learning_rate .* and l2 "):
-                clf.fit(X, y)
+            with pytest.raises(InputError, match="diverged to non-finite weights"):
+                clf.fit(*self.scaled_problem(scale))
         assert not hasattr(clf, "weights_")
+
+    def test_large_features_fit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clf = LinearMarginClassifier().fit(*self.scaled_problem(1e100))
+        assert np.isfinite(clf.weights_).all()
 
     def test_tree_model_has_no_calibration(self):
         X, y = separable_data()
@@ -354,15 +415,10 @@ def reference_gini(counts):
     return 1.0 - float((p * p).sum())
 
 
-def reference_grow_tree(X, y, indices, rng, max_features, min_leaf, max_depth, depth=0):
+def reference_grow_tree(X, y, indices, rng, max_features):
     labels = y[indices]
     positive = int(labels.sum())
-    if (
-        positive == 0
-        or positive == len(labels)
-        or len(indices) <= min_leaf
-        or (max_depth is not None and depth >= max_depth)
-    ):
+    if positive == 0 or positive == len(labels):
         return {"vote": 1 if 2 * positive > len(labels) else 0}
     feature_order = rng.permutation(X.shape[1])
     evaluated = 0
@@ -384,8 +440,6 @@ def reference_grow_tree(X, y, indices, rng, max_features, min_leaf, max_depth, d
         for cut in distinct:
             left_n = cut + 1
             right_n = n - left_n
-            if left_n < min_leaf or right_n < min_leaf:
-                continue
             left_pos = pos_prefix[cut]
             left_counts = np.array([left_n - left_pos, left_pos], dtype=float)
             right_counts = np.array(
@@ -402,9 +456,8 @@ def reference_grow_tree(X, y, indices, rng, max_features, min_leaf, max_depth, d
         return {"vote": 1 if 2 * positive > len(labels) else 0}
     _, feature, threshold = best
     mask = X[indices, feature] <= threshold
-    args = (rng, max_features, min_leaf, max_depth, depth + 1)
-    left = reference_grow_tree(X, y, indices[mask], *args)
-    right = reference_grow_tree(X, y, indices[~mask], *args)
+    left = reference_grow_tree(X, y, indices[mask], rng, max_features)
+    right = reference_grow_tree(X, y, indices[~mask], rng, max_features)
     return {"feature": int(feature), "threshold": float(threshold), "left": left, "right": right}
 
 
@@ -419,18 +472,33 @@ def reference_predict_proba(trees, X):
     return [sum(reference_tree_vote(t, row) for t in trees) / len(trees) for row in X]
 
 
-def reference_fit_trees(clf, X, y):
-    """The trees TreeEnsembleClassifier.fit grows, via the reference splitter."""
-    max_features = clf._resolve_max_features(X.shape[1])
-    tree_seeds = np.random.default_rng(clf.seed).integers(0, 2**63 - 1, size=clf.n_trees)
+def bagged_trees(grow, n, seed, count=100):
+    """The first ``count`` trees ``grow(sample, rng)`` makes on the bootstrap
+    samples and generators of ``TreeEnsembleClassifier(seed=seed).fit`` over
+    ``n`` rows."""
+    tree_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=100)
     trees = []
-    for tree_seed in tree_seeds:
+    for tree_seed in tree_seeds[:count]:
         rng = np.random.default_rng(int(tree_seed))
-        sample = np.sort(rng.integers(0, len(y), size=len(y)))
-        trees.append(
-            reference_grow_tree(X, y, sample, rng, max_features, clf.min_leaf, clf.max_depth)
-        )
+        trees.append(grow(np.sort(rng.integers(0, n, size=n)), rng))
     return trees
+
+
+def grower(X, y, max_features):
+    """``_grow_tree`` on the rows of a sample of ``X``, as fit calls it."""
+    columns = _rank_columns(X)
+    return lambda sample, rng: _grow_tree(X, y, columns, sample, rng, max_features)
+
+
+def reference_grower(X, y, max_features):
+    return lambda sample, rng: reference_grow_tree(X, y, sample, rng, max_features)
+
+
+def reference_fit_trees(X, y, seed, count=100):
+    """The first ``count`` trees TreeEnsembleClassifier.fit grows, via the
+    reference splitter: 100 of them, trying sqrt(d) features per node."""
+    grow = reference_grower(X, y, max(1, int(math.sqrt(X.shape[1]))))
+    return bagged_trees(grow, len(y), seed, count)
 
 
 @st.composite
@@ -477,38 +545,39 @@ class TestSplitterAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(
         problem=tied_problems(),
-        min_leaf=st.sampled_from([1, 2, 3]),
-        max_depth=st.sampled_from([None, 1, 3]),
-        max_features=st.sampled_from([1, 2, "all"]),
+        max_features=st.sampled_from([1, 2, 4]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_same_trees_and_model_bytes(
-        self, problem, min_leaf, max_depth, max_features, seed
-    ):
+    def test_same_trees_and_model_bytes(self, problem, max_features, seed):
         X, y = problem
-        clf = TreeEnsembleClassifier(
-            n_trees=4, max_features=max_features, min_leaf=min_leaf, max_depth=max_depth, seed=seed
-        ).fit(X, y)
-        expected = reference_fit_trees(clf, X, y)
-        assert clf.trees_ == expected
+        forests = []
+        for grow in (grower(X, y, max_features), reference_grower(X, y, max_features)):
+            # four bagged trees, as fit grows them, and one on every row
+            trees = bagged_trees(grow, len(y), seed, count=4)
+            trees.append(grow(np.arange(len(y)), np.random.default_rng(seed)))
+            forests.append(trees)
+        assert forests[0] == forests[1]
 
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        indices = np.arange(len(y))
-        resolved = clf._resolve_max_features(X.shape[1])
-        columns = _rank_columns(X)
-        assert _grow_tree(X, y, columns, indices, rng_a, resolved, min_leaf, max_depth) == (
-            reference_grow_tree(X, y, indices, rng_b, resolved, min_leaf, max_depth)
-        )
-
-        reference = TreeEnsembleClassifier(
-            n_trees=4, max_features=max_features, min_leaf=min_leaf, max_depth=max_depth, seed=seed
-        )
-        reference.load_state_dict({"trees": expected, "n_features_in": clf.n_features_in_})
         # the state a model file holds, as save_model writes it; its other
         # fields are the same by construction, and a TrainedModel takes only a
         # classifier of the feature schema's width
-        fast, slow = (json.dumps(c.state_dict(), sort_keys=True) for c in (clf, reference))
-        assert fast == slow
+        states = [
+            TreeEnsembleClassifier(seed=seed).load_state_dict(
+                {"trees": trees, "n_features_in": X.shape[1]}
+            ).state_dict()
+            for trees in forests
+        ]
+        assert json.dumps(states[0], sort_keys=True) == json.dumps(states[1], sort_keys=True)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+    def test_fit_grows_the_reference_trees(self, seed):
+        """A whole fit, 100 trees, on fixed tied problems of 24 rows."""
+        rng = np.random.default_rng(seed % 1000)
+        X = rng.choice([-1.0, 0.0, 0.25, 2.0, 3.5], size=(24, 4))
+        y = (rng.random(24) < 0.4).astype(int)
+        y[:2] = [0, 1]
+        clf = TreeEnsembleClassifier(seed=seed).fit(X, y)
+        assert clf.trees_ == reference_fit_trees(X, y, seed)
 
     def test_same_trees_on_a_wide_training_matrix(self):
         """Thirteen columns shaped like the feature schema, with hundreds of
@@ -526,22 +595,26 @@ class TestSplitterAgainstReference:
         y = ((X[:, 0] > 0) & (X[:, 4] == 1) & (X[:, 10] > 0.3)).astype(int)
         y[rng.random(n) < 0.05] ^= 1  # label noise grows deep trees
         assert min(np.unique(X[:, f]).size for f in (10, 11, 12)) > 200
-        clf = TreeEnsembleClassifier(n_trees=6, seed=4).fit(X, y)
-        assert clf.trees_ == reference_fit_trees(clf, X, y)
+        # the first six trees fit grows, with its sqrt(13) = 3 features per node
+        trees = bagged_trees(grower(X, y, 3), n, 4, count=6)
+        assert trees == reference_fit_trees(X, y, seed=4, count=6)
 
     @settings(max_examples=150, deadline=None)
     @given(
         problem=tied_problems(),
-        max_depth=st.sampled_from([None, 1, 3]),
+        max_features=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
         shift=st.sampled_from([0.0, 0.25, -0.5]),
     )
-    def test_flat_predict_proba_matches_tree_walk(self, problem, max_depth, seed, shift):
+    def test_flat_predict_proba_matches_tree_walk(self, problem, max_features, seed, shift):
         X, y = problem
-        clf = TreeEnsembleClassifier(n_trees=7, max_depth=max_depth, seed=seed).fit(X, y)
+        trees = bagged_trees(grower(X, y, max_features), len(y), seed, count=7)
+        clf = TreeEnsembleClassifier().load_state_dict(
+            {"trees": trees, "n_features_in": X.shape[1]}
+        )
         # rows on, beside and between the split thresholds
         queries = np.vstack([X, X + shift])
-        expected = reference_predict_proba(clf.trees_, queries)
+        expected = reference_predict_proba(trees, queries)
         assert bits(clf.predict_proba(queries)) == bits(expected)
 
     def test_trees_round_trip_through_flat_form(self):
@@ -555,7 +628,7 @@ class TestSplitterAgainstReference:
                 "right": {"vote": 0},
             },
         ]
-        clf = TreeEnsembleClassifier(n_trees=3)
+        clf = TreeEnsembleClassifier()
         clf.load_state_dict({"trees": trees, "n_features_in": 3})
         assert clf.trees_ == trees
         X = np.array([[-2.0, 3.0, 0.5], [-1.25, 3.5, 0.75], [0.0, 0.0, 0.0]])
@@ -597,8 +670,7 @@ class TestBinnedKernel:
     ]
 
     def forest(self, trees=TREES, n_features=3):
-        clf = TreeEnsembleClassifier(n_trees=len(trees))
-        return clf.load_state_dict({"trees": trees, "n_features_in": n_features})
+        return TreeEnsembleClassifier().load_state_dict({"trees": trees, "n_features_in": n_features})
 
     def test_edge_rows_match_tree_walk(self):
         probabilities = self.forest().predict_proba(self.ROWS)
@@ -645,7 +717,10 @@ class TestBinnedKernel:
         X[:, :6] = rng.integers(0, 3, size=(300, 6))
         X[:, 6:] = rng.integers(0, 200, size=(300, NUM_FEATURES - 6)) / 199
         y = (rng.random(300) < 0.3).astype(int)
-        clf = TreeEnsembleClassifier(n_trees=12, seed=2).fit(X, y)
+        trees = bagged_trees(grower(X, y, 3), len(y), 2, count=12)
+        clf = TreeEnsembleClassifier().load_state_dict(
+            {"trees": trees, "n_features_in": NUM_FEATURES}
+        )
         assert len(clf.flat_trees_.feature) > 12 * 40
         queries = np.vstack([X, X[::-1, ::-1], rng.random((200, NUM_FEATURES))])
         expected = reference_predict_proba(clf.trees_, queries)
