@@ -10,7 +10,9 @@ so ``ExtractionResult``, ``EvaluationReport``, ``CorpusStats`` and
 inputs, flags and seed. Every scoring value is read from the lexicon;
 the scoring flags (``--threshold``, the tier, structural and, for extract
 and eval, ``--duration-*`` weights) are ``load_lexicon`` overrides. prelabel
-and train read no score, so they take ``--lexicon`` only.
+and train read no score, so they take ``--lexicon`` only, and
+``extract --model`` and ``eval --model-kind`` read no rule score, so they
+refuse ``--threshold`` and the tier and structural flags (exit 1).
 Exit codes: 0 success; 1 bad input, which is an ``InputError`` (a usage
 error, a malformed file or value) or an ``OSError``; 2 anything else, which
 is a bug.
@@ -138,6 +140,13 @@ def _load_lexicon_with_overrides(args) -> Lexicon:
     )
 
 
+def _refuse_rule_score_flags(args, route: str) -> None:
+    dests = ["threshold", *(p + n for p, names in (_TIER_KNOBS, _STRUCTURAL_KNOBS) for n in names)]
+    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise InputError(f"{route} reads no rule score, so it refuses {', '.join(given)}")
+
+
 def _annotations_or_fail(args, decisions) -> list:
     loaded = load_annotations(args.annotations)
     checked = annotations_in_range(loaded.records, decisions, str(args.annotations))
@@ -202,6 +211,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.model:
+        _refuse_rule_score_flags(args, "extract --model")
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
     if args.model:
@@ -219,6 +230,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not args.rule_based:
+        _refuse_rule_score_flags(args, "eval --model-kind")
     decisions = _load_corpus_or_fail(args)
     lexicon = _load_lexicon_with_overrides(args)
     annotations = _annotations_or_fail(args, decisions)

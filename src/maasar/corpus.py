@@ -22,8 +22,9 @@ exits 1 on it or an ``OSError``, and 2 on anything else, a bug.
 ``_SPLIT_RUN`` (a run of terminal punctuation followed by whitespace or the
 end of the text), into chunks and the runs between them, and spells each
 sentence as chunk + run with ``map``, so no Python step runs per sentence.
-``compress`` over one ``str.endswith`` per chunk (all abbreviations at once,
-also in C) picks out the chunks that end in an abbreviation; only at those
+``compress`` over one ``str.endswith`` per chunk less its trailing format
+marks (all abbreviations at once, and the ``str.rstrip``, also in C) picks
+out the chunks that end in an abbreviation; only at those
 does Python code run, joining a text whose run is a lone period after an
 abbreviation to the next, so that the period does not end its sentence.
 The abbreviations are ``DEFAULT_ABBREVIATIONS``, the one set, made a suffix
@@ -58,8 +59,8 @@ from .tokens import FORMAT_MARKS
 
 # Legal abbreviations whose trailing period must not end a sentence.
 # Entries are compared against the whole whitespace-delimited word that
-# precedes the period, after stripping opening brackets/quotes. That word
-# never ends in a period (it would have joined the terminal run), so an entry
+# precedes the period, after stripping opening brackets/quotes and format
+# marks. That word never ends in a period (it would have joined the terminal run), so an entry
 # is written without its trailing period ("עמ", not "עמ.").
 DEFAULT_ABBREVIATIONS = frozenset(
     ["ת.פ", "ע.פ", "ת.א", "בג.ץ", "מ.י", "ד.נ", "פרופ", "עמ", "מס", "טל"]
@@ -74,7 +75,8 @@ DEFAULT_ABBREVIATIONS = frozenset(
 # 2,000 seed-1 synthetic texts: 0.076 s, against 0.169 s for ([.?!]+)).
 # Format marks after the run belong to it, as they belong to its token.
 _SPLIT_RUN = re.compile(rf"([.?!][.?!]*[{FORMAT_MARKS}]*)(?=\s|\Z)")
-_OPENERS = "([{\"'"
+# Stripped from the left of the word before a period: openers and format marks.
+_WORD_LEFT = "([{\"'" + FORMAT_MARKS
 
 # An abbreviation that the word before a period matches is a suffix of
 # its chunk, so only a chunk that ends in one can join the next.
@@ -217,9 +219,9 @@ _KINDS: dict[str, tuple[Callable[[object], bool], str]] = {
 }
 
 
-def field(doc: dict, name: str, kind: str, where: str, error: type = InputError):
-    """``doc[name]``, refused with ``error`` (an ``InputError``) when it is
-    missing or not of ``kind``, a key of ``_KINDS``.
+def field(doc: dict, name: str, kind: str, where: str):
+    """``doc[name]``, refused with an ``InputError`` when it is missing or
+    not of ``kind``, a key of ``_KINDS``.
 
     ``where`` is the dotted path of ``doc``, starting with the label of its
     document ("model file", "lexicon.numerals.tens"); the error names the
@@ -231,8 +233,8 @@ def field(doc: dict, name: str, kind: str, where: str, error: type = InputError)
     label, _, parent = where.partition(".")
     path = f"{parent}.{name}" if parent else name
     if name not in doc:
-        raise error(f"{label} is missing the {path!r} field")
-    raise error(f"{label} field {path!r} must be {described}, got {doc[name]!r}")
+        raise InputError(f"{label} is missing the {path!r} field")
+    raise InputError(f"{label} field {path!r} must be {described}, got {doc[name]!r}")
 
 
 def read_input(path: str | Path, parse: Callable[[str], object] = json.loads):
@@ -292,19 +294,24 @@ def sentence_texts(raw_text: str) -> tuple[str, ...]:
     only splits when followed by whitespace or end of text, which keeps
     decimal numbers, dates (31.5.12) and docket tokens (1124/04) intact; a
     lone period never splits after one of the ``DEFAULT_ABBREVIATIONS`` (the
-    word back to the previous whitespace, opening brackets and quotes
-    stripped).
+    word back to the previous whitespace, opening brackets, quotes and
+    format marks stripped, and format marks after it).
     """
     # [chunk, run, chunk, ..., run, chunk]; the "" appended is the last
     # chunk's run, so that every text is chunk + run
     parts = _SPLIT_RUN.split(raw_text)
     parts.append("")
     chunks, runs = parts[::2], parts[1::2]
+    # Format marks are looked past, as at a token's edges. A chunk that ends
+    # in an abbreviation ends in the word before its run: every chunk but the
+    # first starts with the whitespace after a run.
+    unmarked = map(str.rstrip, chunks, repeat(FORMAT_MARKS))
     joins = [
         i
-        for i in compress(count(), map(str.endswith, chunks, repeat(_ABBREVIATION_SUFFIXES)))
+        for i in compress(count(), map(str.endswith, unmarked, repeat(_ABBREVIATION_SUFFIXES)))
         if runs[i].rstrip(FORMAT_MARKS) == "."
-        and _word_before(chunks[i]).lstrip(_OPENERS) in DEFAULT_ABBREVIATIONS
+        and chunks[i].rsplit(None, 1)[-1].lstrip(_WORD_LEFT).rstrip(FORMAT_MARKS)
+        in DEFAULT_ABBREVIATIONS
     ]
     # Joins i, i + 1, ..., j in a row make one text of chunks and runs i to
     # j + 1, kept at chunk j + 1 and joined once, so that a long row costs
@@ -319,13 +326,6 @@ def sentence_texts(raw_text: str) -> tuple[str, ...]:
             chunks[i + 1] = "".join(held)
             held = []
     return tuple(filter(None, map(str.strip, map(operator.add, chunks, runs))))
-
-
-def _word_before(chunk: str) -> str:
-    """The whitespace-delimited word that ends ``chunk``. Every chunk but the
-    first starts with the whitespace after a run, so the word before a run
-    lies in its chunk."""
-    return "" if chunk[-1].isspace() else chunk.rsplit(None, 1)[-1]
 
 
 def _txt_files(directory: Path) -> list[tuple[str, str]]:

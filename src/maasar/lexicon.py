@@ -1,21 +1,21 @@
 """Tiered keyword lists and the numeral lexicon.
 
 The lexicon is data, not code: a JSON document with one array per scored
-tier (entries ``{"surface": ..., "weight": optional}``), the default
-weight of each tier (``tier_weights``, all four required), the rule-score
-``threshold``, the ``structural`` adjustments (all three required), the
-``duration`` weights of the per-span duration scorer (all five required),
-the filter/marker lists, the time-unit surface forms, and a sibling
-``numerals`` section. Every section is required. A default Hebrew lexicon
-ships with the package, is meant to be edited, and is the one place these
-values are set: every scoring value reaches the code through the
-``Lexicon``. ``load_lexicon`` checks every field it reads with
-``corpus.field`` (numbers must be finite) and raises a ``LexiconError``, an
-``InputError`` (exit 1 in the CLI), naming the field by its dotted path, so
-a mistyped file is refused, not coerced; a weight name that
-``tier_weights``, ``structural`` or ``duration`` does not have is refused
-too, in the file or in a keyword override, and so are a blank entry in any
-word list and a ``numerals`` key that is not a plain ASCII decimal.
+tier (each entry an object ``{"surface": ..., "weight": optional}``), the
+default weight of each tier (``tier_weights``, all four required), the
+rule-score ``threshold``, the ``structural`` adjustments (all three), the
+``duration`` weights of the per-span duration scorer (all five), the
+filter/marker lists, the time-unit surface forms, and a sibling ``numerals``
+section. Every section is required. A default Hebrew lexicon ships with the
+package, is meant to be edited, and is the one place these values are set:
+every scoring value reaches the code through the ``Lexicon``, a tier's
+default weight as that of each entry that sets none. ``load_lexicon`` checks
+every field with ``corpus.field`` (numbers must be finite) and raises an
+``InputError`` (exit 1 in the CLI) naming it by its dotted path, so a
+mistyped file is refused, not coerced. So are a tier entry that is not such
+an object (a bare string), a weight name its section lacks, in the file or
+in a keyword override, a blank entry in any word list and a ``numerals`` key
+that is not a plain ASCII decimal.
 
 Each ``Lexicon`` compiles its word and phrase lists once, when it is built,
 into one ``PhraseIndex`` keyed by a phrase's first word, over the four tiers
@@ -45,7 +45,6 @@ import dataclasses
 import os
 import re
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from itertools import compress, count
 from operator import attrgetter
@@ -60,10 +59,6 @@ LEXICON_ENV_VAR = "MAASAR_LEXICON"
 TIER_NAMES = ("strong_positive", "moderate_positive", "moderate_negative", "strong_negative")
 # The marker lists, in the order ``Lexicon.scan`` returns their positions.
 MARKER_LISTS = ("fine_markers", "probation_markers", "actual_markers")
-
-
-class LexiconError(InputError):
-    """Raised when a lexicon file is missing sections or violates invariants."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,8 @@ class TierHits:
         return sum(map(attrgetter("weight"), self.hits))
 
 
-def _is_marker_entry(surface: str) -> bool:
+def is_marker_entry(surface: str) -> bool:
+    """Whether a tier entry is a character entry (docket slash, brackets)."""
     return len(surface) == 1 and not surface.isalnum()
 
 
@@ -140,7 +136,7 @@ class PhraseIndex:
         for phrase, payload in entries:
             words = tuple(phrase.split())
             if not words:
-                raise LexiconError(f"empty keyword or marker entry {phrase!r}")
+                raise InputError(f"empty keyword or marker entry {phrase!r}")
             self._by_first.setdefault(words[0], []).append((words, payload))
 
     def find(self, stripped: tuple[str, ...]) -> list[tuple[int, object]]:
@@ -204,7 +200,6 @@ class Lexicon:
     probation_markers: frozenset[str]
     actual_markers: frozenset[str]
     threshold: float
-    tier_weights: Mapping[str, float]
     structural: StructuralWeights
     duration: DurationScoringConfig
     numerals: NumeralLexicon
@@ -220,7 +215,7 @@ class Lexicon:
         for tier in TIER_NAMES:
             for surface, weight in self.tier(tier).items():
                 entry = (tier, surface, weight)
-                if _is_marker_entry(surface):
+                if is_marker_entry(surface):
                     char_markers.setdefault(surface, []).append(entry)
                 else:
                     phrases.append((surface, entry))
@@ -272,23 +267,19 @@ def default_lexicon_path() -> Path:
     return Path(str(resources.files("maasar").joinpath("data/default_lexicon.json")))
 
 
-# Every lexicon field is checked through ``corpus.field``, as a LexiconError.
-_checked = partial(field, error=LexiconError)
-
-
 def _weights(
     doc: dict, where: str, names: tuple[str, ...], overrides: Mapping[str, float] | None
 ) -> dict[str, float]:
     """A required section of named weights, each name present, then the overrides."""
     weights: dict[str, float] = {}
-    for section in (_checked(doc, where, "object", "lexicon"), overrides or {}):
+    for section in (field(doc, where, "object", "lexicon"), overrides or {}):
         for name in section:
             if name not in names:
-                raise LexiconError(f"lexicon section {where!r} has no weight named {name!r}")
-            weights[name] = _checked(section, name, "number", f"lexicon.{where}")
+                raise InputError(f"lexicon section {where!r} has no weight named {name!r}")
+            weights[name] = field(section, name, "number", f"lexicon.{where}")
         for name in names:
             if name not in weights:
-                raise LexiconError(f"lexicon section {where!r} is missing {name!r}")
+                raise InputError(f"lexicon section {where!r} is missing {name!r}")
     return weights
 
 
@@ -300,20 +291,17 @@ def _weight_record(doc: dict, where: str, cls: type, overrides: Mapping[str, flo
 
 def _load_tier(doc: dict, name: str, default_weight: float) -> dict[str, float]:
     tier: dict[str, float] = {}
-    for position, entry in enumerate(_checked(doc, name, "list", "lexicon")):
-        if isinstance(entry, str):
-            surface, weight = entry, default_weight
-        elif isinstance(entry, dict) and isinstance(entry.get("surface"), str):
-            surface, weight = entry["surface"], default_weight
-            if "weight" in entry:
-                weight = float(_checked(entry, "weight", "number", f"lexicon.{name}[{position}]"))
-        else:
-            raise LexiconError(
-                f"lexicon tier {name!r} entry {position} must be a string or an object "
+    for position, entry in enumerate(field(doc, name, "list", "lexicon")):
+        if not (isinstance(entry, dict) and isinstance(entry.get("surface"), str)):
+            raise InputError(
+                f"lexicon tier {name!r} entry {position} must be an object "
                 f"with a 'surface' string, got {entry!r}"
             )
+        surface, weight = entry["surface"], default_weight
+        if "weight" in entry:
+            weight = float(field(entry, "weight", "number", f"lexicon.{name}[{position}]"))
         if not surface.strip():
-            raise LexiconError(_blank_entry(name, position))
+            raise InputError(_blank_entry(name, position))
         tier[surface] = weight
     return tier
 
@@ -323,26 +311,26 @@ def _blank_entry(section: str, position: int) -> str:
 
 
 def _words(doc: dict, name: str, where: str, kind: str = "strings") -> list[str]:
-    """``_checked(doc, name, kind, where)``, a list of strings, none of them
+    """``field(doc, name, kind, where)``, a list of strings, none of them
     blank: a blank filter keyword is found in (nearly) every sentence, and a
     blank word matches a token that is all punctuation."""
-    words = _checked(doc, name, kind, where)
+    words = field(doc, name, kind, where)
     parent = where.partition(".")[2]
     for position, word in enumerate(words):
         if not word.strip():
-            raise LexiconError(_blank_entry(f"{parent}.{name}" if parent else name, position))
+            raise InputError(_blank_entry(f"{parent}.{name}" if parent else name, position))
     return words
 
 
 def _unit_map(doc: dict, key: str) -> dict[str, TimeUnit]:
     out: dict[str, TimeUnit] = {}
-    section = _checked(doc, key, "object", "lexicon")
+    section = field(doc, key, "object", "lexicon")
     for unit_name in section:
         try:
             unit = TimeUnit(unit_name)
         except ValueError:
             unknown = f"lexicon section {key!r} has unknown time unit {unit_name!r}"
-            raise LexiconError(unknown) from None
+            raise InputError(unknown) from None
         for surface in _words(section, unit_name, f"lexicon.{key}"):
             out[surface] = unit
     return out
@@ -356,14 +344,14 @@ def _value_map(
     where = f"numerals.{key}"
     out: dict[str, int] = {}
     canonical: dict[int, str] = {}
-    section = _checked(numerals, key, "object", "lexicon.numerals")
+    section = field(numerals, key, "object", "lexicon.numerals")
     for value_text in section:
         # int() alone also reads "2_0", " 20", "+20", "020" and non-ASCII digits
         value = int(value_text) if value_text.isascii() and value_text.isdigit() else None
         if value is None or str(value) != value_text:
-            raise LexiconError(f"{where} key {value_text!r} is not a plain decimal integer")
+            raise InputError(f"{where} key {value_text!r} is not a plain decimal integer")
         if not (lo <= value <= hi and (value - lo) % step == 0):
-            raise LexiconError(f"{where} value {value} outside its declared range")
+            raise InputError(f"{where} value {value} outside its declared range")
         variants = _words(section, value_text, f"lexicon.{where}", "nonempty_strings")
         canonical[value] = variants[0]
         for variant in variants:
@@ -393,7 +381,7 @@ def load_numerals(
     hundreds_single = {w: v for w, v in hundreds.items() if " " not in w}
     phrases = [w.split() for w in hundreds if " " in w]  # unit word + plural marker
     if any(len(words) != 2 for words in phrases):
-        raise LexiconError("numerals.hundreds variants with a space must be exactly two words")
+        raise InputError("numerals.hundreds variants with a space must be exactly two words")
     plural_markers = frozenset(words[1] for words in phrases)
     vocab = set(zero) | set(units) | set(tens) | set(hundreds_single) | plural_markers
     for phrase in teens:
@@ -438,7 +426,7 @@ def load_lexicon(
     path = Path(path) if path is not None else default_lexicon_path()
     doc = read_input(path)
     if not isinstance(doc, dict):
-        raise LexiconError(f"lexicon file must hold a JSON object, got {type(doc).__name__}")
+        raise InputError(f"lexicon file must hold a JSON object, got {type(doc).__name__}")
 
     weights = _weights(doc, "tier_weights", TIER_NAMES, tier_weights)
     if not (
@@ -448,7 +436,7 @@ def load_lexicon(
         > weights["moderate_negative"]
         > weights["strong_negative"]
     ):
-        raise LexiconError(
+        raise InputError(
             "tier weights must satisfy strong_positive > moderate_positive > 0 "
             "> moderate_negative > strong_negative"
         )
@@ -462,19 +450,19 @@ def load_lexicon(
             if shared:
                 overlaps.append(f"{a}/{b}: {sorted(shared)}")
     if overlaps:
-        raise LexiconError("tier lists must be disjoint; overlapping entries: " + "; ".join(overlaps))
+        raise InputError("tier lists must be disjoint; overlapping entries: " + "; ".join(overlaps))
 
     numerals = load_numerals(
-        _checked(doc, "numerals", "object", "lexicon"),
+        field(doc, "numerals", "object", "lexicon"),
         _unit_map(doc, "time_units"),
         _unit_map(doc, "unit_only"),
         _unit_map(doc, "dual_units"),
     )
     structural_weights = _weight_record(doc, "structural", StructuralWeights, structural)
     duration_weights = _weight_record(doc, "duration", DurationScoringConfig, duration)
-    file_threshold = _checked(doc, "threshold", "number", "lexicon")
+    file_threshold = field(doc, "threshold", "number", "lexicon")
     if threshold is not None:
-        _checked({"threshold": threshold}, "threshold", "number", "lexicon")
+        field({"threshold": threshold}, "threshold", "number", "lexicon")
 
     def markers(name: str) -> frozenset[str]:
         return frozenset(_words(doc, name, "lexicon"))
@@ -489,7 +477,6 @@ def load_lexicon(
         probation_markers=markers("probation_markers"),
         actual_markers=markers("actual_markers"),
         threshold=float(file_threshold if threshold is None else threshold),
-        tier_weights=weights,
         structural=structural_weights,
         duration=duration_weights,
         numerals=numerals,

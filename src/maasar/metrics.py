@@ -26,7 +26,7 @@ from .analysis import DOCKET_RE, SentenceAnalysis
 from .corpus import AnnotationRecord, Decision
 from .detect import ScoredSentence, at_or_above, best_scored, score_candidates
 from .extraction import extract
-from .lexicon import Lexicon
+from .lexicon import Lexicon, is_marker_entry
 
 
 @dataclass(frozen=True)
@@ -147,15 +147,16 @@ def error_category(analysis: SentenceAnalysis) -> ErrorCategory:
     """Why a wrongly selected sentence, given its analysis, fooled the model.
 
     Precedence: probation, then prior-case reference (docket pattern or a
-    past-tense sentencing verb), then fine, then procedural (number present
-    without a time unit), else misc.
+    word entry of the moderate_negative tier, its past-tense sentencing
+    verbs; a character entry, ``lexicon.is_marker_entry``, is not one), then
+    fine, then procedural (number present without a time unit), else misc.
     """
     if analysis.probation_positions:
         return ErrorCategory.PROBATION
     if DOCKET_RE.search(analysis.sentence.text):
         return ErrorCategory.PRIOR_CASE_REFERENCE
     if any(
-        h.tier == "moderate_negative" and len(h.surface) > 1
+        h.tier == "moderate_negative" and not is_marker_entry(h.surface)
         for h in analysis.tier_hits.hits
     ):
         return ErrorCategory.PRIOR_CASE_REFERENCE

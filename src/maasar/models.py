@@ -46,8 +46,9 @@ under it:
   takes 0.10 s on the benchmark forest, whose rows share few keys, so it
   would slow ``extract --model``. Scoring a forest imports no numpy.
 
-Scoring many rows per ``predict_proba`` call (``pipeline`` hands it up to a
-chunk of decisions) cannot move a tree-ensemble probability: it is a pure
+Both learners check scoring rows with ``check_rows`` (no rows score as
+``[]``). Scoring many rows per ``predict_proba`` call (``pipeline`` hands it
+up to a chunk of decisions) cannot move a tree-ensemble probability: a pure
 function of its row, made of comparisons and one vote count. The linear
 margin ``X @ w`` goes through BLAS gemv, whose blocking depends on the row
 count, so the same row can differ by an ulp between calls of different
@@ -62,7 +63,8 @@ Model files are versioned JSON, written through ``corpus.write_atomic``,
 carrying the kind, feature schema version, seed, hyperparameters and all
 fitted state. ``load_model`` checks every field, so every number is finite,
 and refuses a file that scoring could not use or that no fit writes: an
-unknown format version or kind, ``hyperparams`` other than the learner's
+unknown format version, a ``kind`` other than ``save_model`` writes (the CLI
+names of ``KIND_ALIASES`` are for ``train``), ``hyperparams`` not the learner's
 record plus a ``seed`` equal to ``rng_seed`` (compared by type too: ``100.0``
 trees or a ``true`` leaf size are refused), another feature schema version
 (a file written before schema 2 among them) or a feature count other than
@@ -104,28 +106,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def check_feature_matrix(X, n_features: int | None = None) -> np.ndarray:
-    """Coerce X to a 2-d float array; reject NaN/inf and wrong widths."""
+def check_feature_matrix(X) -> np.ndarray:
+    """Training rows ``X`` as a 2-d float array; reject NaN/inf."""
     import numpy as np
 
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
     if X.ndim != 2:
         raise ValueError(f"expected 2-d feature matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("feature matrix contains NaN or infinite values")
-    if n_features is not None and X.shape[1] != n_features:
-        raise ValueError(
-            f"feature matrix has {X.shape[1]} columns, expected {n_features}"
-        )
     return X
 
 
 def check_rows(rows, n_features: int) -> list:
-    """``rows`` as a list, refusing, as ``check_feature_matrix`` does, rows
-    that hold NaN or an infinity or that are not ``n_features`` wide. A flat
-    row of numbers (the tuple ``featurize`` returns) is one row, as there."""
+    """Scoring rows as a list, refusing rows that hold NaN or an infinity or
+    that are not ``n_features`` wide. A flat row of numbers (the tuple
+    ``featurize`` returns) is one row."""
     rows = list(rows)  # read twice, so a generator would be spent by the check
     if rows and isinstance(rows[0], Real):
         rows = [rows]
@@ -227,13 +223,16 @@ class LinearMarginClassifier(_Learner):
             scale = float(np.clip(scale, 1e-3, 1e3))
         return float(scale)
 
-    def decision_function(self, X) -> np.ndarray:
-        X = check_feature_matrix(X, self.n_features_in_)
+    def decision_function(self, rows) -> np.ndarray:
+        import numpy as np
+
+        d = self.n_features_in_
+        X = np.asarray(check_rows(rows, d), dtype=float).reshape(-1, d)
         return X @ self.weights_ + self.bias_
 
-    def predict_proba(self, X) -> list[float]:
-        """Per row of ``X``, the probability of the positive class."""
-        return _sigmoid(self.calibration_scale_ * self.decision_function(X)).tolist()
+    def predict_proba(self, rows) -> list[float]:
+        """Per row, the probability of the positive class."""
+        return _sigmoid(self.calibration_scale_ * self.decision_function(rows)).tolist()
 
     def state_dict(self) -> dict:
         return {
@@ -540,22 +539,18 @@ class TrainedModel:
         return self.classifier.predict_proba(rows)
 
 
-def _normalize_kind(kind: str) -> str:
-    kind = KIND_ALIASES.get(kind, kind)
-    if kind not in MODEL_KINDS:
-        raise InputError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    return kind
-
-
 _LEARNERS = {learner.kind: learner for learner in (LinearMarginClassifier, TreeEnsembleClassifier)}
 
 
 def train(X, y, kind: str, seed: int = 0) -> TrainedModel:
-    """A ``kind`` model fitted on the feature rows ``X`` and their 0/1 or
-    boolean labels ``y``."""
+    """A ``kind`` model (a ``MODEL_KINDS`` name or a ``KIND_ALIASES`` one)
+    fitted on the feature rows ``X`` and their 0/1 or boolean labels ``y``."""
     if len(X) == 0:
         raise InputError("no training records")
-    return TrainedModel(_LEARNERS[_normalize_kind(kind)](seed=seed).fit(X, y))
+    kind = KIND_ALIASES.get(kind, kind)
+    if kind not in MODEL_KINDS:
+        raise InputError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return TrainedModel(_LEARNERS[kind](seed=seed).fit(X, y))
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -583,7 +578,9 @@ def load_model(path: str | Path) -> TrainedModel:
             f"model file field 'feature_schema_version' must be {FEATURE_SCHEMA_VERSION} "
             f"(the library's feature schema), got {schema}"
         )
-    kind = _normalize_kind(field(doc, "kind", "string", "model file"))
+    kind = field(doc, "kind", "string", "model file")
+    if kind not in MODEL_KINDS:
+        raise InputError(f"model file field 'kind' must be one of {MODEL_KINDS}, got {kind!r}")
     rng_seed = field(doc, "rng_seed", "int", "model file")
     learner = _LEARNERS[kind]
     params = field(doc, "hyperparams", "object", "model file")

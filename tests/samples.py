@@ -6,7 +6,8 @@ The confuser sentences cover the classic traps: a prosecution request, a
 reference to a prior case with its docket number, a procedural order, and
 a fine with a day-denominated substitute.
 
-``word_run_value`` reads a sentence of number words as the pipeline does.
+``word_run_value`` reads a sentence of number words as the pipeline does,
+and ``tier_weight`` reads the one weight of a bundled tier's entries.
 """
 
 from maasar.numbers import detect_spans
@@ -23,6 +24,13 @@ def word_run_value(words, numerals):
     (span,) = spans
     assert (span.start_token, span.end_token, span.source) == (0, len(words) - 1, "words")
     return span.value
+
+
+def tier_weight(lexicon, tier):
+    """The weight every entry of ``tier`` carries: the tier's default weight,
+    as no entry of the bundled lexicon sets its own."""
+    (weight,) = set(lexicon.tier(tier).values())
+    return weight
 
 
 # Combined verdict: total 48, actual 30, conditional 18.

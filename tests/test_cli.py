@@ -16,6 +16,7 @@ from maasar.lexicon import default_lexicon_path, load_lexicon
 from maasar.metrics import PRF, EvaluationReport, PerCaseResult, evaluate_rule_based
 from maasar.numbers import NumberSpan
 from maasar.synthetic import generate_corpus, write_corpus
+from samples import tier_weight
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def rf_state(doc, state):
         "max_depth": None, "max_features": "sqrt", "min_leaf": 1, "n_trees": 100,
         "seed": doc["rng_seed"],
     }
-    return {**doc, "kind": "rf", "hyperparams": hyperparams, "state": state}
+    return {**doc, "kind": "tree_ensemble", "hyperparams": hyperparams, "state": state}
 
 
 def rf_trees(doc, *trees):
@@ -114,6 +115,27 @@ def extract_with_lexicon(ws, tmp_path, content):
 def extract_with_model(ws, tmp_path, doc):
     model = written(tmp_path / "model.json", doc)
     return ["extract", *corpus_args(ws), "--model", model, "--out", str(tmp_path / "o")]
+
+
+# --threshold and the tier and structural flags, which only the rule score reads.
+RULE_SCORE_FLAGS = [
+    "--threshold",
+    "--weight-strong-positive",
+    "--weight-moderate-positive",
+    "--weight-moderate-negative",
+    "--weight-strong-negative",
+    "--number-with-unit-bonus",
+    "--number-without-unit-penalty",
+    "--fine-marker-penalty",
+]
+
+
+def model_route(ws, doc, tmp_path, route):
+    """The argv of ``route`` ("extract --model" with the model file ``doc``,
+    or "eval --model-kind rf") on the workspace corpus, writing ``o``."""
+    if route == "extract --model":
+        return extract_with_model(ws, tmp_path, doc)
+    return [*eval_rf(ws, tmp_path, "--folds", "2"), "--out", str(tmp_path / "o")]
 
 
 def eval_rf(ws, tmp_path, *flags):
@@ -521,8 +543,17 @@ class TestErrorHandling:
                 lambda doc: {k: v for k, v in doc.items() if k != "kind"},
                 "missing the 'kind' field",
             ),
+            # a file names its learner as train writes it; svm and rf are CLI names
+            ("model", lambda doc: {**doc, "kind": "svm"}, "model file field 'kind' must be"),
+            ("rf-model", lambda doc: {**doc, "kind": "rf"}, "model file field 'kind' must be"),
             ("lexicon", lambda doc: [1], "JSON object"),
             ("lexicon", lambda doc: {**doc, "strong_positive": [5]}, "tier 'strong_positive' entry 0"),
+            (
+                "lexicon",
+                lambda doc: {**doc, "strong_positive": [doc["strong_positive"][0]["surface"]]},
+                "tier 'strong_positive' entry 0 must be an object with a 'surface' string, "
+                "got 'גוזר'",
+            ),
             ("lexicon", lambda doc: {**doc, "strong_positive": [{"weight": 3}]}, "'surface' string"),
             ("model", lambda doc: {**doc, "state": {}}, "missing the 'weights' field"),
             ("model", lambda doc: rf_state(doc, {}), "missing the 'trees' field"),
@@ -594,8 +625,11 @@ class TestErrorHandling:
         ids=[
             "model-not-object",
             "model-without-kind",
+            "svm-kind-alias",
+            "rf-kind-alias",
             "lexicon-not-object",
             "tier-entry-int",
+            "tier-entry-bare-string",
             "tier-entry-without-surface",
             "svm-state-empty",
             "rf-state-empty",
@@ -828,6 +862,38 @@ class TestErrorHandling:
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag", RULE_SCORE_FLAGS)
+    @pytest.mark.parametrize("route", ["extract --model", "eval --model-kind"])
+    def test_model_route_refuses_rule_score_flags(
+        self, workspace, svm_model_doc, capsys, tmp_path, route, flag
+    ):
+        capsys.readouterr()
+        assert run([*model_route(workspace, svm_model_doc, tmp_path, route), flag, "3"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {route} reads no rule score, so it refuses {flag}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_model_route_names_every_rule_score_flag_given(
+        self, workspace, svm_model_doc, capsys, tmp_path
+    ):
+        argv = model_route(workspace, svm_model_doc, tmp_path, "extract --model")
+        for flag in RULE_SCORE_FLAGS:
+            argv += [flag, "3"]
+        capsys.readouterr()
+        assert run([*argv, "--duration-position-bonus", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: extract --model reads no rule score, so it refuses "
+            + ", ".join(RULE_SCORE_FLAGS)
+            + "\n"
+        )
+
+    @pytest.mark.parametrize("route", ["extract --model", "eval --model-kind"])
+    def test_model_route_takes_duration_flags(self, workspace, svm_model_doc, tmp_path, route):
+        argv = model_route(workspace, svm_model_doc, tmp_path, route)
+        assert run([*argv, "--duration-position-bonus", "0.75"]) == 0
+        assert (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "what, content",
         [
@@ -874,10 +940,10 @@ class TestErrorHandling:
 # Each scoring flag, a value other than its default, and where it must land
 # in the Lexicon that extract receives.
 SCORING_FLAGS = [
-    ("--weight-strong-positive", 3.5, lambda lex: lex.tier_weights["strong_positive"]),
-    ("--weight-moderate-positive", 0.5, lambda lex: lex.tier_weights["moderate_positive"]),
-    ("--weight-moderate-negative", -0.5, lambda lex: lex.tier_weights["moderate_negative"]),
-    ("--weight-strong-negative", -3.5, lambda lex: lex.tier_weights["strong_negative"]),
+    ("--weight-strong-positive", 3.5, lambda lex: tier_weight(lex, "strong_positive")),
+    ("--weight-moderate-positive", 0.5, lambda lex: tier_weight(lex, "moderate_positive")),
+    ("--weight-moderate-negative", -0.5, lambda lex: tier_weight(lex, "moderate_negative")),
+    ("--weight-strong-negative", -3.5, lambda lex: tier_weight(lex, "strong_negative")),
     ("--number-with-unit-bonus", 1.25, lambda lex: lex.structural.number_with_unit_bonus),
     (
         "--number-without-unit-penalty",

@@ -69,6 +69,26 @@ class TestSegmentation:
         ]
         assert len(sentences_of("ראו עמ.\u200f 5 שם.")) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ראו \u200fעמ. 5 שם.",
+            "ראו עמ\u200f. 5 שם.",
+            "ראו \u200eעמ\ufeff\u200f. 5 שם.",
+            "ראו (\u200fעמ. 5 שם.",
+            "ראו \u200f(עמ\u200f. 5 שם.",
+        ],
+        ids=["before", "after", "both-sides", "after-an-opener", "before-an-opener"],
+    )
+    def test_format_marks_at_the_edges_of_an_abbreviation(self, text):
+        # a word's marks are looked past, as a token's are, so the period
+        # after the abbreviation joins as it does unmarked
+        assert [s.text for s in sentences_of(text)] == [text]
+        unmarked = "".join(c for c in text if c not in FORMAT_MARKS)
+        assert [s.text for s in sentences_of(unmarked)] == [unmarked]
+        # a word that is no abbreviation still ends its sentence
+        assert len(sentences_of(text.replace("עמ", "בית"))) == 2
+
     def test_default_abbreviations_are_bare_words(self):
         # the splitter compares each entry with the word before a lone period,
         # which never ends in a period: an entry "עמ." or "" would never match
@@ -104,7 +124,8 @@ class TestSegmentation:
 def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
     """The character-by-character splitter that ``sentence_texts`` replaced,
     with the documented abbreviation rule: an entry, less one trailing
-    period, equals the non-empty word before a lone period, openers stripped.
+    period, equals the non-empty word before a lone period, openers and
+    format marks stripped from its left and format marks from its right.
     Format marks after a run of terminals go with it."""
     abbrev = {a[:-1] if a.endswith(".") else a for a in abbreviations}
     chunks = []
@@ -123,7 +144,7 @@ def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
                 word_start = i
                 while word_start > start and not raw_text[word_start - 1].isspace():
                     word_start -= 1
-                word = raw_text[word_start:i].lstrip("([{\"'")
+                word = raw_text[word_start:i].lstrip("([{\"'" + FORMAT_MARKS).rstrip(FORMAT_MARKS)
                 if not (raw_text[i] == "." and i == j and word and word in abbrev):
                     chunks.append(raw_text[start : k + 1])
                     start = k + 1
@@ -143,9 +164,10 @@ def reference_segment(raw_text, abbreviations=DEFAULT_ABBREVIATIONS):
 # ends in its suffix, so the splitter checks the word before the period,
 # and still splits.
 _WORDS = [
-    "", "א", "בית", "x", "7", "3.5", "31.5.12", "ת.פ", "מס", "עמ", "בג.ץ", "ע.פ.", "xת.פ", "a.ת.פ"
+    "", "א", "בית", "x", "7", "3.5", "31.5.12", "ת.פ", "מס", "עמ", "בג.ץ", "ע.פ.", "xת.פ", "a.ת.פ",
+    "עמ\u200f", "\u202bמס\u202c", "\u200f",
 ]
-_OPENS = ["", "", "(", "[", '"', "'", "(("]
+_OPENS = ["", "", "(", "[", '"', "'", "((", "\u200f", "(\u200e", "\u2067["]
 _RUNS = ["", "", ".", ".", "..", "?", "!", "?!", ".?", "...", ".\u200f", "?\u200e\ufeff", ".\u202c."]
 _GAPS = ["", " ", " ", "  ", "\n", "\t", "\x1c", "\u00a0", "\u2003", " \n "]
 _texts = st.lists(
@@ -159,6 +181,7 @@ class TestRunBasedSplitterEquivalence:
     @example("x ((ת.פ. 5 y. z")  # openers before a default abbreviation
     @example("xת.פ. y. a.ת.פ. z ת.פ. w")  # abbreviation suffixes, one abbreviation
     @example("ת.פ. ע.פ. מס. 5. x")  # three joins in a row, then a split
+    @example("ראו \u200fעמ. 5 שם. ראו עמ\u200f. 5 שם.")  # marks at an abbreviation's edges
     def test_default_abbreviations(self, text):
         assert sentences_of(text) == reference_segment(text)
 

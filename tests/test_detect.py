@@ -25,6 +25,7 @@ from samples import (
     SIMPLE_VERDICT,
     UNIT_ONLY_SENTENCE,
     WORKED_EXAMPLE,
+    tier_weight,
 )
 
 FILLER = "בית המשפט שמע את טיעוני הצדדים."
@@ -72,7 +73,7 @@ class TestRuleScore:
         scored = rule_score(sentence(SIMPLE_VERDICT.format(months=24)), lexicon)
         # one strong-positive verb plus the number+unit bonus, no negatives
         expected = (
-            lexicon.tier_weights["strong_positive"]
+            tier_weight(lexicon, "strong_positive")
             + lexicon.structural.number_with_unit_bonus
         )
         assert scored.score == expected
@@ -84,7 +85,7 @@ class TestRuleScore:
         counts = scored.analysis.tier_hits.counts()
         moderate_negative = counts[TIER_NAMES.index("moderate_negative")]
         expected = (
-            moderate_negative * lexicon.tier_weights["moderate_negative"]
+            moderate_negative * tier_weight(lexicon, "moderate_negative")
             + lexicon.structural.number_with_unit_bonus
             + 2 * lexicon.structural.fine_marker_penalty
         )

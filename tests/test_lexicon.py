@@ -4,9 +4,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from maasar.corpus import Decision
+from maasar.corpus import Decision, InputError
 from maasar.lexicon import (
-    LexiconError,
     TIER_NAMES,
     TierHit,
     default_lexicon_path,
@@ -38,7 +37,8 @@ class TestLoad:
         for i, a in enumerate(tiers):
             for b in tiers[i + 1 :]:
                 assert a.isdisjoint(b)
-        weights = lexicon.tier_weights
+        doc = default_doc()
+        weights = doc["tier_weights"]
         assert (
             weights["strong_positive"]
             > weights["moderate_positive"]
@@ -46,6 +46,11 @@ class TestLoad:
             > weights["moderate_negative"]
             > weights["strong_negative"]
         )
+        # every entry carries its resolved weight, the tier's unless it sets one
+        for name in TIER_NAMES:
+            assert lexicon.tier(name) == {
+                entry["surface"]: entry.get("weight", weights[name]) for entry in doc[name]
+            }
         assert lexicon.filter_keywords
         assert lexicon.numerals.time_unit_words["חודשים"] is TimeUnit.MONTH
         assert lexicon.numerals.time_unit_words["שנות"] is TimeUnit.YEAR
@@ -55,7 +60,7 @@ class TestLoad:
         doc["strong_negative"].append({"surface": doc["strong_positive"][0]["surface"]})
         path = tmp_path / "lex.json"
         path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-        with pytest.raises(LexiconError, match="disjoint"):
+        with pytest.raises(InputError, match="disjoint"):
             load_lexicon(path)
 
     def test_missing_section_rejected(self, tmp_path):
@@ -67,7 +72,7 @@ class TestLoad:
             del doc[section]
             path = tmp_path / "lex.json"
             path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-            with pytest.raises(LexiconError, match=section):
+            with pytest.raises(InputError, match=section):
                 load_lexicon(path)
 
     @pytest.mark.parametrize(
@@ -77,7 +82,7 @@ class TestLoad:
             ("actual_markers", ""),
             ("probation_markers", "\t"),
             ("strong_positive", {"surface": ""}),
-            ("moderate_negative", " "),
+            ("moderate_negative", {"surface": " "}),
         ],
     )
     def test_blank_marker_or_tier_entry_named(self, tmp_path, section, entry):
@@ -86,8 +91,9 @@ class TestLoad:
         doc[section].append(entry)
         path = tmp_path / "lex.json"
         path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-        with pytest.raises(LexiconError) as raised:
+        with pytest.raises(InputError) as raised:
             load_lexicon(path)
+        assert type(raised.value) is InputError  # the one exception type for bad input
         assert str(raised.value) == f"lexicon section {section!r} entry {position} is empty"
 
     def test_missing_numeral_section_rejected(self, tmp_path):
@@ -96,7 +102,7 @@ class TestLoad:
             del doc["numerals"][section]
             path = tmp_path / "lex.json"
             path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-            with pytest.raises(LexiconError, match=section):
+            with pytest.raises(InputError, match=section):
                 load_lexicon(path)
 
 
@@ -280,7 +286,7 @@ class TestCompiledIndexEquivalence:
         ],
     )
     def test_non_finite_override_rejected(self, overrides, named):
-        with pytest.raises(LexiconError, match=named):
+        with pytest.raises(InputError, match=named):
             load_lexicon(**overrides)
 
     @pytest.mark.parametrize(
@@ -292,7 +298,7 @@ class TestCompiledIndexEquivalence:
         ],
     )
     def test_unknown_weight_override_rejected(self, overrides, named):
-        with pytest.raises(LexiconError, match=named):
+        with pytest.raises(InputError, match=named):
             load_lexicon(**overrides)
 
     def test_empty_entry_rejected(self, tmp_path):
@@ -300,5 +306,5 @@ class TestCompiledIndexEquivalence:
         doc["strong_positive"].append({"surface": "  "})
         path = tmp_path / "lex.json"
         path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-        with pytest.raises(LexiconError, match="empty"):
+        with pytest.raises(InputError, match="empty"):
             load_lexicon(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -147,6 +148,20 @@ class TestCategorizeError:
     def test_misc_fallback(self, lexicon):
         text = "המאסר הוא עניין כבד משקל."
         assert error_category(analyse(sentence(text), lexicon)) is ErrorCategory.MISC
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("המאסר הוא עניין ג כבד משקל.", ErrorCategory.PRIOR_CASE_REFERENCE),
+            ("המאסר (הוא) עניין כבד משקל.", ErrorCategory.MISC),
+        ],
+        ids=["one-letter-word", "character-entry"],
+    )
+    def test_prior_case_verb_is_any_word_entry(self, lexicon, text, expected):
+        # the lexicon's own test of a character entry decides, not the length
+        tiers = {**lexicon.moderate_negative, "ג": lexicon.moderate_negative["נגזר"]}
+        lexicon = dataclasses.replace(lexicon, moderate_negative=tiers)
+        assert error_category(analyse(sentence(text), lexicon)) is expected
 
     def test_total_over_synthetic(self, lexicon, synthetic):
         for decision in synthetic.decisions[:5]:

@@ -382,15 +382,23 @@ class TestSchemaGuard:
             TrainedModel(classifier)
 
     def test_predict_proba_checks_its_matrix_once(self, monkeypatch):
+        # both learners check scoring rows one way, once per call
         X, y = separable_data()
-        model = train(X, y, "linear_margin")
         calls = []
-        original = models.check_feature_matrix
-        monkeypatch.setattr(
-            models, "check_feature_matrix", lambda *a: calls.append(a) or original(*a)
-        )
-        model.predict_proba(X)
-        assert len(calls) == 1
+        original = models.check_rows
+        monkeypatch.setattr(models, "check_rows", lambda *a: calls.append(a) or original(*a))
+        for kind in models.MODEL_KINDS:
+            model = train(X, y, kind)
+            calls.clear()
+            model.predict_proba(X)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["svm", "rf"])
+    def test_no_rows_score_as_no_probabilities(self, kind):
+        X, y = separable_data()
+        model = train(X, y, kind)
+        assert model.predict_proba([]) == []
+        assert model.predict_proba(np.empty((0, NUM_FEATURES))) == []
 
     @pytest.mark.parametrize("kind", ["svm", "boosting"])
     def test_no_rows_refused(self, kind):
